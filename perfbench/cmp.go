@@ -17,12 +17,12 @@ type cmpBench struct {
 	in   cmpInputs
 }
 
-func newCMP(seed uint64, sz size, _ string) bench { return &cmpBench{seed: seed, sz: sz} }
+func newCMP(o options, sz size) bench { return &cmpBench{seed: o.seed, sz: sz} }
 
 func (b *cmpBench) close() {}
 
-func (b *cmpBench) setup(first bool, st *setupTimes) error {
-	buildPrograms(first, st)
+func (b *cmpBench) setup(st *setupTimes) error {
+	buildPrograms(st)
 	b.in = genCMP(b.seed, b.sz)
 	return nil
 }

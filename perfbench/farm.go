@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,23 +24,26 @@ import (
 // a real httptest listener, LocalPool executor with two workers, and an
 // on-disk store. The cold phase sends only new requests (simulated, then
 // put); the server is then restarted over the same store and the warm
-// phase repeats the cold requests (served by store lookups), with every
-// farmWarmNewEvery-th request a new one.
+// phase repeats the cold requests (served by store lookups), batched,
+// with every farmWarmNewEvery-th request a new one.
 type farmBench struct {
-	seed uint64
-	sz   size
-	dir  string
+	seed    uint64
+	sz      size
+	dir     string
+	specDir string
 
 	reqs []farmRequest
-	// st is the store the first set-up opened; the first measured run
-	// uses it, later ones open their own.
+	// docs are the sweep documents by name.
+	docs map[string][]byte
+	// st is the store set-up opened; the first measured run uses it,
+	// later ones open their own.
 	st    *store.Store
 	stDir string
 	dirs  []string
 }
 
-func newFarm(seed uint64, sz size, dir string) bench {
-	return &farmBench{seed: seed, sz: sz, dir: dir}
+func newFarm(o options, sz size) bench {
+	return &farmBench{seed: o.seed, sz: sz, dir: o.outDir, specDir: o.specDir}
 }
 
 func (b *farmBench) close() {
@@ -61,17 +65,23 @@ func (b *farmBench) openStore() (*store.Store, string, time.Duration, error) {
 	return st, dir, time.Since(start), err
 }
 
-func (b *farmBench) setup(first bool, st *setupTimes) error {
-	buildPrograms(first, st)
-	b.reqs = genFarm(b.seed, b.sz)
+func (b *farmBench) setup(st *setupTimes) error {
+	buildPrograms(st)
+	fs, err := loadSpecs(b.specDir)
+	if err != nil {
+		return err
+	}
+	b.docs = map[string][]byte{}
+	for _, d := range fs.Sweeps {
+		b.docs[d.Name] = d.Doc
+	}
+	b.reqs = genFarm(b.seed, b.sz, fs)
 	s, dir, open, err := b.openStore()
 	if err != nil {
 		return err
 	}
 	st.storeOpenMs = float64(open) / 1e6
-	if first {
-		b.st, b.stDir = s, dir
-	}
+	b.st, b.stDir = s, dir
 	return nil
 }
 
@@ -80,14 +90,18 @@ func (b *farmBench) scale() harness.Scale {
 	return harness.Scale{WarmupInstr: b.sz.farmWarmup, MeasureInstr: b.sz.farmMeasure, Samples: 1}
 }
 
-// instrOf is the simulated instruction budget behind one request at the
-// pinned scale: its cores, or a sweep's two one-core columns.
+// instrOf is the simulated instruction budget one request delivers at
+// the pinned scale.
 func (b *farmBench) instrOf(r farmRequest) uint64 {
-	cores := len(r.Scenario.Cores)
-	if r.Sweep != nil {
-		cores = 2
-	}
-	return uint64(cores) * (b.sz.farmWarmup + b.sz.farmMeasure)
+	return uint64(r.Cores) * (b.sz.farmWarmup + b.sz.farmMeasure)
+}
+
+// coldResult is what the cold phase kept of one completed request: the
+// scenario's content key and its result body, or a sweep's response.
+type coldResult struct {
+	key   string
+	body  []byte
+	sweep bool
 }
 
 // farmServer is one life of the service.
@@ -132,68 +146,86 @@ func (f *farmServer) stop() {
 	f.tr.CloseIdleConnections()
 }
 
-// answer is one completed request: its result bytes (scenario result or
-// sweep response) and its outcome.
+// answer is one completed request: one result body per request it
+// carried (a scenario result, or the sweep response), the scenario
+// results themselves, and its outcome.
 type answer struct {
-	key   string
-	body  []byte
-	res   *sim.ScenarioResult
-	lat   time.Duration
-	polls int
+	keys   []string
+	bodies [][]byte
+	res    []sim.ScenarioResult
+	lat    time.Duration
+	polls  int
 }
 
 // pollEvery is how often a client polls a pending scenario.
 const pollEvery = time.Millisecond
 
-// do sends one request and waits until its result is ready.
-func (f *farmServer) do(ctx context.Context, r farmRequest, t *tracer, phaseName string) (answer, error) {
+// do sends one request — a sweep, or one submit of a batch of scenarios
+// — and waits until every result is ready.
+func (f *farmServer) do(ctx context.Context, batch []farmRequest, doc []byte, t *tracer, phaseName string) (answer, error) {
 	start := time.Now()
-	if r.Sweep != nil {
-		body, err := f.cl.Sweep(ctx, r.Sweep, "json")
+	if batch[0].Sweep != "" {
+		body, err := f.cl.Sweep(ctx, doc, "json")
 		end := time.Now()
 		t.span("spec.sweep", "", phaseName, start, end)
-		return answer{body: body, lat: end.Sub(start)}, err
+		return answer{bodies: [][]byte{body}, lat: end.Sub(start)}, err
 	}
-	sts, err := f.cl.SubmitScenarios(ctx, []sim.Scenario{r.Scenario})
+	scs := make([]sim.Scenario, len(batch))
+	for i, r := range batch {
+		scs[i] = r.Scenario
+	}
+	sts, err := f.cl.SubmitScenarios(ctx, scs)
 	t.span("server.submit", "", "", start, time.Now())
 	if err != nil {
 		return answer{}, err
 	}
-	if len(sts) != 1 {
-		return answer{}, fmt.Errorf("submit answered %d statuses for one scenario", len(sts))
+	if len(sts) != len(scs) {
+		return answer{}, fmt.Errorf("submit answered %d statuses for %d scenarios", len(sts), len(scs))
 	}
-	st := sts[0]
 	var a answer
-	for st.Status != client.StatusDone && st.Status != client.StatusFailed {
-		time.Sleep(pollEvery)
-		pollStart := time.Now()
-		st, err = f.cl.Scenario(ctx, st.Key)
-		t.span("server.poll", "", "req:"+st.Key, pollStart, time.Now())
-		a.polls++
+	for i, st := range sts {
+		for st.Status != client.StatusDone && st.Status != client.StatusFailed {
+			time.Sleep(pollEvery)
+			pollStart := time.Now()
+			st, err = f.cl.Scenario(ctx, st.Key)
+			t.span("server.poll", "", "req:"+st.Key, pollStart, time.Now())
+			a.polls++
+			if err != nil {
+				return a, err
+			}
+		}
+		if st.Status == client.StatusFailed || st.Result == nil {
+			return a, fmt.Errorf("scenario %s failed: %s", st.Key, st.Error)
+		}
+		sts[i] = st
+	}
+	end := time.Now()
+	t.span(phaseName, "req:"+sts[0].Key, "", start, end)
+	a.lat = end.Sub(start)
+	// The bodies the checks compare are made outside the timed request.
+	for _, st := range sts {
+		body, err := json.Marshal(st.Result)
 		if err != nil {
 			return a, err
 		}
+		a.keys = append(a.keys, st.Key)
+		a.bodies = append(a.bodies, body)
+		a.res = append(a.res, *st.Result)
 	}
-	end := time.Now()
-	t.span(phaseName, "req:"+st.Key, "", start, end)
-	if st.Status == client.StatusFailed || st.Result == nil {
-		return a, fmt.Errorf("scenario %s failed: %s", st.Key, st.Error)
-	}
-	body, err := json.Marshal(st.Result)
-	a.key, a.body, a.res, a.lat = st.Key, body, st.Result, end.Sub(start)
-	return a, err
+	return a, nil
 }
 
 // farmPhase drives the two clients over a sequence of requests until
-// the deadline, never stopping before min requests. done receives every
-// completed request, one at a time; an error from it is a failed
-// correctness check and ends the run.
+// the deadline, never stopping before min requests. Each request carries
+// the pool requests next names: one sweep or a batch of scenarios. done
+// receives every completed request, one at a time; an error from it is
+// a failed correctness check and ends the run.
 type farmPhase struct {
 	name     string
-	next     func(i int) (idx int, ok bool)
+	next     func(i int) (idxs []int, ok bool)
 	min      int
 	deadline time.Time
-	done     func(idx int, a answer) error
+	done     func(idxs []int, a answer) error
 }
 
 // drive runs one phase and returns how many requests completed.
@@ -215,11 +247,15 @@ func (b *farmBench) drive(ctx context.Context, f *farmServer, ph farmPhase, t *t
 				if i >= ph.min && time.Now().After(ph.deadline) {
 					return
 				}
-				idx, ok := ph.next(i)
+				idxs, ok := ph.next(i)
 				if !ok {
 					return
 				}
-				a, err := f.do(ctx, b.reqs[idx], t, ph.name)
+				batch := make([]farmRequest, len(idxs))
+				for j, idx := range idxs {
+					batch[j] = b.reqs[idx]
+				}
+				a, err := f.do(ctx, batch, b.docs[batch[0].Sweep], t, ph.name)
 				mu.Lock()
 				o.attempted++
 				switch {
@@ -230,7 +266,7 @@ func (b *farmBench) drive(ctx context.Context, f *farmServer, ph farmPhase, t *t
 					}
 				case checkErr == nil:
 					completed++
-					checkErr = ph.done(idx, a)
+					checkErr = ph.done(idxs, a)
 				}
 				stop := checkErr != nil
 				mu.Unlock()
@@ -264,10 +300,11 @@ func (b *farmBench) run(d time.Duration, t *tracer) (*outcome, error) {
 	}
 	b.st = nil // a store serves one run
 
-	// Cold phase: every request is new. Its answers are kept: the warm
-	// phase compares against them and the digest hashes a prefix.
+	// Cold phase: every request is new, one scenario or sweep each. Its
+	// result bodies are kept: the warm phase compares against them and
+	// the digest hashes a prefix.
 	var (
-		cold   = map[int]answer{}
+		cold   = map[int]coldResult{}
 		maxIdx int
 		work   modelled
 		cycles float64
@@ -279,22 +316,24 @@ func (b *farmBench) run(d time.Duration, t *tracer) (*outcome, error) {
 	f := b.start(st, t, counter)
 	nCold, err := b.drive(ctx, f, farmPhase{
 		name: "farm.cold",
-		next: func(i int) (int, bool) { return i, i < len(b.reqs) },
+		next: func(i int) ([]int, bool) { return []int{i}, i < len(b.reqs) },
 		min:  b.sz.farmMinCold, deadline: begin.Add(d * 6 / 10),
-		done: func(idx int, a answer) error {
-			cold[idx] = a
+		done: func(idxs []int, a answer) error {
+			idx := idxs[0]
 			maxIdx = max(maxIdx, idx)
 			polls += a.polls
 			o.p1.instr += float64(b.instrOf(b.reqs[idx]))
-			if a.res == nil {
+			if len(a.res) == 0 {
+				cold[idx] = coldResult{body: a.bodies[0], sweep: true}
 				return nil
 			}
+			cold[idx] = coldResult{key: a.keys[0], body: a.bodies[0]}
 			o.p1.lat = append(o.p1.lat, float64(a.lat)/1e6)
-			for _, r := range a.res.Cores {
+			for _, r := range a.res[0].Cores {
 				work.add(r)
 				cycles += coreCycles(r, sim.Config{WarmupInstr: pinned.WarmupInstr, MeasureInstr: pinned.MeasureInstr})
 			}
-			return b.check(b.reqs[idx].Scenario, *a.res)
+			return b.check(b.reqs[idx].Scenario, a.res[0])
 		},
 	}, t, o)
 	o.p1.dur, o.p1.cpu = time.Since(begin), cpuTime()-cpu0
@@ -302,21 +341,25 @@ func (b *farmBench) run(d time.Duration, t *tracer) (*outcome, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The cold phase's garbage is collected outside both phases, so the
+	// warm phase starts from the same heap whatever the cold phase left.
+	runtime.GC()
 
 	// The digest covers the first farmMinCold requests of the pool, all
 	// of which the cold phase always completes.
 	dig := newDigester()
 	for i := 0; i < b.sz.farmMinCold; i++ {
-		a, ok := cold[i]
+		c, ok := cold[i]
 		if !ok {
 			return nil, fmt.Errorf("cold phase did not complete request %d", i)
 		}
-		dig.add(json.RawMessage(a.body))
+		dig.add(json.RawMessage(c.body))
 	}
 	o.digest = dig.sum()
 
 	// Warm phase: restart over the same store and repeat the completed
-	// cold requests, with a new request every farmWarmNewEvery-th.
+	// cold requests, each sweep alone and the scenarios farmWarmBatch to
+	// a submit, with a new scenario every farmWarmNewEvery-th request.
 	start := time.Now()
 	reopened, err := store.Open(dir)
 	if err != nil {
@@ -324,11 +367,23 @@ func (b *farmBench) run(d time.Duration, t *tracer) (*outcome, error) {
 	}
 	o.record["store_reopen_ms"] = float64(time.Since(start)) / 1e6
 	o.record["store_records"] = reopened.Len()
-	var replay []int
+	var replay [][]int
+	var batch []int
 	for i := 0; i <= maxIdx; i++ {
-		if _, ok := cold[i]; ok {
-			replay = append(replay, i)
+		c, ok := cold[i]
+		switch {
+		case !ok:
+		case c.sweep:
+			replay = append(replay, []int{i})
+		default:
+			if batch = append(batch, i); len(batch) == b.sz.farmWarmBatch {
+				replay = append(replay, batch)
+				batch = nil
+			}
 		}
+	}
+	if len(replay) == 0 {
+		replay = append(replay, batch)
 	}
 	fresh := maxIdx + 1
 	var freshMu sync.Mutex
@@ -336,29 +391,36 @@ func (b *farmBench) run(d time.Duration, t *tracer) (*outcome, error) {
 	f = b.start(reopened, t, counter)
 	nWarm, err := b.drive(ctx, f, farmPhase{
 		name: "farm.warm",
-		next: func(i int) (int, bool) {
+		next: func(i int) ([]int, bool) {
 			if (i+1)%b.sz.farmWarmNewEvery == 0 {
 				freshMu.Lock()
 				defer freshMu.Unlock()
 				if fresh < len(b.reqs) {
 					fresh++
-					return fresh - 1, true
+					return []int{fresh - 1}, true
 				}
 			}
 			return replay[i%len(replay)], true
 		},
 		min: b.sz.farmMinCold, deadline: begin.Add(d),
-		done: func(idx int, a answer) error {
+		done: func(idxs []int, a answer) error {
 			polls += a.polls
-			o.p2.instr += float64(b.instrOf(b.reqs[idx]))
-			if c, ok := cold[idx]; ok && !bytes.Equal(c.body, a.body) {
-				return fmt.Errorf("warm result of request %d differs from its cold result", idx)
+			for j, idx := range idxs {
+				o.p2.instr += float64(b.instrOf(b.reqs[idx]))
+				if c, ok := cold[idx]; ok && !bytes.Equal(c.body, a.bodies[j]) {
+					return fmt.Errorf("warm result of request %d differs from its cold result", idx)
+				}
 			}
-			if a.res == nil {
+			if len(a.res) == 0 {
 				return nil
 			}
 			o.p2.lat = append(o.p2.lat, float64(a.lat)/1e6)
-			return b.check(b.reqs[idx].Scenario, *a.res)
+			for j, idx := range idxs {
+				if err := b.check(b.reqs[idx].Scenario, a.res[j]); err != nil {
+					return err
+				}
+			}
+			return nil
 		},
 	}, t, o)
 	o.p2.dur, o.p2.cpu = time.Since(warmBegin), cpuTime()-cpu0
@@ -373,7 +435,7 @@ func (b *farmBench) run(d time.Duration, t *tracer) (*outcome, error) {
 		runMs := t.durationsByID("dispatch.run")
 		var ns float64
 		for _, c := range cold {
-			if c.res != nil {
+			if !c.sweep {
 				ns += runMs["run:"+c.key] * 1e6
 			}
 		}

@@ -2,18 +2,22 @@ package main
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 
 	"shotgun/internal/footprint"
 	"shotgun/internal/prefetch"
 	"shotgun/internal/sim"
+	"shotgun/internal/spec"
 	"shotgun/internal/workload"
 	"shotgun/internal/xrand"
 )
 
 // Every input of every workload is a pure function of (workload, seed,
-// size): the generators below draw from an xrand stream salted per
-// workload, so the same seed always gives byte-identical inputs and the
-// program under test only ever sees what they return.
+// size) and, for the farm, the repository's spec documents: the
+// generators below draw from an xrand stream salted per workload, so the
+// same seed always gives byte-identical inputs and the program under
+// test only ever sees what they return.
 
 // size scales a workload's inputs. Full is what the benchmark measures;
 // tiny keeps the self-tests' smoke runs to a second or two.
@@ -30,16 +34,19 @@ type size struct {
 	cmp64Warmup, cmp64Measure uint64
 	cmpSmall, cmpBigCores     int
 
-	// farm: the pinned server scale, the request pool and the cadence
-	// of sweeps and new keys.
+	// farm: the pinned server scale, the request pool, the cadence of
+	// sweeps and new keys, and how many stored scenarios one warm
+	// submit asks for.
 	farmWarmup, farmMeasure uint64
 	farmRequests            int
 	farmSweepEvery          int
 	farmWarmNewEvery        int
+	farmWarmBatch           int
 	farmMinCold             int
 
-	// setupReps is how many times set-up is repeated for setup_s.
-	setupReps int
+	// setupChildren is how many set-up-only child processes setup_s is
+	// the median of; 0 reports the run's own set-up instead.
+	setupChildren int
 }
 
 var fullSize = size{
@@ -53,8 +60,8 @@ var fullSize = size{
 	cmp64Warmup: 20_000, cmp64Measure: 30_000,
 	cmpSmall: 6, cmpBigCores: 64,
 	farmWarmup: 20_000, farmMeasure: 30_000,
-	farmRequests: 6_000, farmSweepEvery: 64, farmWarmNewEvery: 4096, farmMinCold: 64,
-	setupReps: 3,
+	farmRequests: 2_000, farmSweepEvery: 32, farmWarmNewEvery: 4096, farmWarmBatch: 16, farmMinCold: 64,
+	setupChildren: 3,
 }
 
 var tinySize = size{
@@ -68,8 +75,7 @@ var tinySize = size{
 	cmp64Warmup: 1_000, cmp64Measure: 1_000,
 	cmpSmall: 1, cmpBigCores: 16,
 	farmWarmup: 2_000, farmMeasure: 2_000,
-	farmRequests: 200, farmSweepEvery: 16, farmWarmNewEvery: 8, farmMinCold: 8,
-	setupReps: 1,
+	farmRequests: 200, farmSweepEvery: 16, farmWarmNewEvery: 8, farmWarmBatch: 4, farmMinCold: 8,
 }
 
 // rngFor returns the input stream of one workload under one seed.
@@ -200,21 +206,104 @@ func genCMP(seed uint64, sz size) cmpInputs {
 	return in
 }
 
-// farmRequest is one client request: a scenario submit, or a sweep.
+// farmRequest is one client request: a scenario submit, or a sweep of
+// one of the repository's spec documents. Cores is what the request
+// delivers: the scenario's cores, or the sweep expansion's distinct
+// scenarios' cores.
 type farmRequest struct {
 	Scenario sim.Scenario `json:",omitempty"`
-	Sweep    []byte       `json:",omitempty"`
+	Sweep    string       `json:",omitempty"`
+	Cores    int
 }
 
-// genFarm draws the request pool: mostly one-core scenarios, some 2-
-// and 4-core ones, and every sweepEvery-th request a small grid sweep.
-// Scenarios are left unpinned (the server pins its scale). No two
-// scenarios of the pool, sweep expansions included, share a content
-// identity, so the cold phase never hits the store.
-func genFarm(seed uint64, sz size) []farmRequest {
+// farmSpecs is what the farm's traffic is drawn from: the repository's
+// own sweep documents (specs/*.json), the record of what the farm
+// serves.
+type farmSpecs struct {
+	// Sweeps are the documents posted whole to /v1/sweeps: every spec
+	// whose tables all simulate on at most farmMaxCores cores, by file
+	// name.
+	Sweeps []specDoc
+	// Cells are the distinct scenarios, of at most farmMaxCores cores,
+	// of every spec's expansion, in file and expansion order. Submits
+	// are drawn from them.
+	Cells []sim.Scenario
+}
+
+// specDoc is one sweep document and its expansion.
+type specDoc struct {
+	Name      string
+	Doc       []byte
+	Scenarios []sim.Scenario // distinct, in expansion order
+}
+
+// farmMaxCores bounds the scenarios the farm takes from the specs: at
+// the pinned scale an 8-core cell costs about ten one-core requests, a
+// 64-core one over a hundred.
+const farmMaxCores = 8
+
+// loadSpecs compiles every specs/*.json document under dir.
+func loadSpecs(dir string) (farmSpecs, error) {
+	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil {
+		return farmSpecs{}, err
+	}
+	if len(files) == 0 {
+		return farmSpecs{}, fmt.Errorf("no sweep documents in %s", dir)
+	}
+	var fs farmSpecs
+	cells := map[string]bool{}
+	for _, f := range files {
+		doc, err := os.ReadFile(f)
+		if err != nil {
+			return farmSpecs{}, err
+		}
+		c, err := spec.Compile(doc)
+		if err != nil {
+			return farmSpecs{}, fmt.Errorf("%s: %w", f, err)
+		}
+		d := specDoc{Name: filepath.Base(f), Doc: doc}
+		seen := map[string]bool{}
+		sweepable := len(c.Spec.Tables) > 0
+		for _, t := range c.Spec.Tables {
+			if t.RegionCDF != nil || t.BranchCoverage != nil {
+				sweepable = false // trace analyses simulate nothing
+			}
+		}
+		for _, sc := range c.Scenarios() {
+			if len(sc.Cores) > farmMaxCores {
+				sweepable = false
+				continue
+			}
+			id := string(sc.Normalized().CanonicalBytes())
+			if !seen[id] {
+				seen[id] = true
+				d.Scenarios = append(d.Scenarios, sc)
+			}
+			if !cells[id] {
+				cells[id] = true
+				fs.Cells = append(fs.Cells, sc)
+			}
+		}
+		if sweepable {
+			fs.Sweeps = append(fs.Sweeps, d)
+		}
+	}
+	return fs, nil
+}
+
+// genFarm draws the request pool from the specs. The sweeps are every
+// sweepable spec once, in a drawn order, one at every farmSweepEvery-th
+// request. Each submit is a drawn spec cell with its BTB budget,
+// predictor and shared-LLC size redrawn, so that no submit repeats a
+// spec cell or another submit: the cold phase's submits never hit the
+// store. (Cells two specs share are simulated once, by whichever sweep
+// comes first, and served to the other by content-key dedup, as for any
+// sweep.) Scenarios are left unpinned: the server pins its scale.
+func genFarm(seed uint64, sz size, fs farmSpecs) []farmRequest {
 	r := rngFor("farm", seed)
-	names := workload.Names()
-	mechs := sim.Mechanisms()
+	sweeps := append([]specDoc(nil), fs.Sweeps...)
+	shuffle(r, sweeps)
 	seen := make(map[string]bool)
 	fresh := func(sc sim.Scenario) bool {
 		id := string(sc.Normalized().CanonicalBytes())
@@ -224,85 +313,53 @@ func genFarm(seed uint64, sz size) []farmRequest {
 		seen[id] = true
 		return true
 	}
+	for _, sc := range fs.Cells {
+		fresh(sc)
+	}
 	var reqs []farmRequest
 	for draws := 0; len(reqs) < sz.farmRequests; draws++ {
 		if draws > 20*sz.farmRequests {
 			panic("perfbench: farm input space exhausted")
 		}
-		if sz.farmSweepEvery > 0 && len(reqs)%sz.farmSweepEvery == sz.farmSweepEvery-1 {
-			wl := names[r.Intn(len(names))]
-			a := sweepColumn(r, wl)
-			b := sweepColumn(r, wl)
-			if a == b || !fresh(sim.SingleCore(a)) || !fresh(sim.SingleCore(b)) {
-				continue
-			}
-			reqs = append(reqs, farmRequest{Sweep: sweepSpec(len(reqs), a, b)})
+		if len(sweeps) > 0 && len(reqs)%sz.farmSweepEvery == sz.farmSweepEvery-1 {
+			d := sweeps[0]
+			sweeps = sweeps[1:]
+			reqs = append(reqs, farmRequest{Sweep: d.Name, Cores: scenarioCores(d.Scenarios)})
 			continue
 		}
-		cores := 1
-		switch p := r.Intn(10); {
-		case p == 9:
-			cores = 4
-		case p >= 7:
-			cores = 2
-		}
+		cell := fs.Cells[r.Intn(len(fs.Cells))]
 		sc := sim.Scenario{LLCSizeBytes: llcSizes[r.Intn(len(llcSizes))]}
-		for i := 0; i < cores; i++ {
-			cfg := drawConfig(r, names[r.Intn(len(names))], mechs[r.Intn(len(mechs))], nil)
-			// Multi-context cores never take the entire-region mode: its
-			// contiguous-span recorder, shared by the contexts, spans the
-			// distance between their streams and does not finish.
-			if cores == 1 && cfg.RegionMode != prefetch.RegionEntire {
-				cfg.Contexts = 1 + r.Intn(4)
+		for _, c := range cell.Cores {
+			if c.ShotgunSizes == nil {
+				c.BTBEntries = budgets[r.Intn(len(budgets))]
 			}
-			sc.Cores = append(sc.Cores, cfg)
+			c.BPU = ""
+			if r.Intn(2) == 1 {
+				c.BPU = sim.BPUCLZ
+			}
+			sc.Cores = append(sc.Cores, c)
 		}
-		if fresh(sc) {
-			reqs = append(reqs, farmRequest{Scenario: sc})
+		// Sampled cells keep the default LLC share: redraws the simulator
+		// rejects are dropped.
+		if sc.Validate() == nil && fresh(sc) {
+			reqs = append(reqs, farmRequest{Scenario: sc, Cores: len(sc.Cores)})
 		}
 	}
 	return reqs
 }
 
-// llcSizes are the shared-LLC capacities a farm scenario may draw; 0
-// is the derived Table 3 share.
+// scenarioCores counts the cores of a set of scenarios.
+func scenarioCores(scs []sim.Scenario) int {
+	n := 0
+	for _, sc := range scs {
+		n += len(sc.Cores)
+	}
+	return n
+}
+
+// llcSizes are the shared-LLC capacities a farm submit may draw; 0 is
+// the derived Table 3 share.
 var llcSizes = []int{0, 512 << 10, 2 << 20, 4 << 20}
-
-// sweepBudgets are the BTB budgets of sweep columns, disjoint from
-// budgets so sweeps never collide with submitted scenarios.
-var sweepBudgets = []int{512, 8192}
-
-// sweepColumn draws one sweep column: a mechanism, budget, predictor
-// and context count on the sweep's workload, at Shotgun's default
-// region mode.
-func sweepColumn(r *xrand.Source, wl string) sim.Config {
-	cfg := sim.Config{
-		Workload:   wl,
-		Mechanism:  sim.Mechanisms()[r.Intn(len(sim.Mechanisms()))],
-		BTBEntries: sweepBudgets[r.Intn(len(sweepBudgets))],
-		Contexts:   1 + r.Intn(4),
-	}
-	if r.Intn(2) == 1 {
-		cfg.BPU = sim.BPUCLZ
-	}
-	return cfg
-}
-
-// sweepSpec renders a one-workload grid sweep over two columns. The
-// name carries the request index, so every sweep is its own document.
-func sweepSpec(idx int, a, b sim.Config) []byte {
-	col := func(name string, c sim.Config) string {
-		bpu := c.BPU
-		if bpu == "" {
-			bpu = "tage"
-		}
-		return fmt.Sprintf(`{"name":%q,"config":{"mechanism":%q,"btb_entries":%d,"bpu":%q,"contexts":%d}}`,
-			name, c.Mechanism, c.BTBEntries, bpu, c.Contexts)
-	}
-	return []byte(fmt.Sprintf(`{"version":1,"name":"bench-sweep-%d","tables":[{"id":"t","title":"sweep %d",`+
-		`"grid":{"workloads":[%q],"columns":[%s,%s],"metric":"ipc","format":"%%.4f"}}]}`,
-		idx, idx, a.Workload, col("a", a), col("b", b)))
-}
 
 // shuffle is a Fisher-Yates shuffle driven by the input stream.
 func shuffle[T any](r *xrand.Source, xs []T) {

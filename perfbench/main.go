@@ -21,17 +21,25 @@ import (
 	"io"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 )
 
-// procStart approximates process start for setup_s: package variables
-// initialize before main runs.
+// procStart approximates process start for the run's own set-up time:
+// package variables initialize before main runs.
 var procStart = time.Now()
+
+// setupChildEnv, set in a child's environment, makes the process do one
+// set-up and exit. setup_s is the median over such children, each timed
+// by its parent from exec to exit, so every sample includes process
+// start and the program registry's first build.
+const setupChildEnv = "PERFBENCH_SETUP_CHILD"
 
 // defaultSeed is the seed whose simulated statistics are pinned by
 // digests.json.
@@ -45,18 +53,20 @@ type options struct {
 	trace    bool
 	tiny     bool
 	outDir   string
+	// specDir holds the sweep documents the farm's traffic is drawn
+	// from, relative to the repository root the benchmark runs in.
+	specDir string
 }
 
 func parseOptions(args []string, stderr io.Writer) (options, error) {
 	fs := flag.NewFlagSet("perfbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var o options
+	o := options{specDir: "specs"}
 	var traceFlag int
 	fs.StringVar(&o.workload, "workload", "", "workload to run: "+strings.Join(workloadNames(), ", "))
 	fs.Uint64Var(&o.seed, "seed", defaultSeed, "input seed")
 	fs.Float64Var(&o.seconds, "seconds", 10, "measured seconds")
 	fs.IntVar(&traceFlag, "trace", 0, "1 = traced run emitting the per-layer metrics")
-	fs.BoolVar(&o.tiny, "tiny", false, "shrink every input (self-test smoke runs; no digest check)")
 	fs.StringVar(&o.outDir, "out", filepath.Join(".bench_build", "out"), "directory for spans, profiles and the store")
 	if err := fs.Parse(args); err != nil {
 		return o, err
@@ -96,7 +106,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "perfbench:", err)
 		os.Exit(2)
 	}
-	if err := run(opts, os.Stdout, os.Stderr); err != nil {
+	if os.Getenv(setupChildEnv) != "" {
+		err = setupOnce(opts)
+	} else {
+		err = run(opts, os.Stdout, os.Stderr)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "perfbench:", err)
 		os.Exit(1)
 	}
@@ -126,27 +141,20 @@ func run(opts options, stdout, stderr io.Writer) error {
 	if err := os.MkdirAll(opts.outDir, 0o755); err != nil {
 		return err
 	}
-	b := workloads[opts.workload](opts.seed, sz, opts.outDir)
+	prefetchExcess.Store(0)
+	b := workloads[opts.workload](opts, sz)
 	defer b.close()
-
-	// Set-up, repeated: the first repetition is the real one (it primes
-	// the process-wide program registry the measured runs use) and is
-	// timed from process start; the rest redo the same work from scratch.
-	var setups []float64
 	var st setupTimes
-	for rep := 0; rep < sz.setupReps; rep++ {
-		start := time.Now()
-		if rep == 0 {
-			start = procStart
-		}
-		var cur setupTimes
-		if err := b.setup(rep == 0, &cur); err != nil {
-			return fmt.Errorf("setup: %w", err)
-		}
-		setups = append(setups, time.Since(start).Seconds())
-		if rep == 0 {
-			st = cur
-		}
+	if err := b.setup(&st); err != nil {
+		return fmt.Errorf("setup: %w", err)
+	}
+	ownSetup := time.Since(procStart).Seconds()
+	setups, err := timeSetups(opts, sz.setupChildren, stderr)
+	if err != nil {
+		return err
+	}
+	if len(setups) == 0 {
+		setups = []float64{ownSetup}
 	}
 	runtime.GC()
 
@@ -154,7 +162,7 @@ func run(opts options, stdout, stderr io.Writer) error {
 	rec := runRecord{
 		Workload: opts.workload, Seed: opts.seed, Seconds: opts.seconds,
 		Traced: opts.trace, Tiny: opts.tiny, Host: hostFacts(),
-		SetupRepsS: setups,
+		SetupS: ownSetup, SetupChildrenS: setups,
 	}
 	var out *outcome
 	var layers map[string]float64
@@ -214,6 +222,7 @@ func run(opts options, stdout, stderr io.Writer) error {
 	rec.Digest = out.digest
 	rec.Attempted, rec.Failed, rec.Phases = out.attempted, out.failed, out.phases()
 	rec.Extra = out.record
+	rec.Extra["prefetch_excess_max"] = prefetchExcess.Load()
 
 	res := result{Correct: true, Attempted: out.attempted, Failed: out.failed, Metrics: map[string]metric{}}
 	if opts.trace {
@@ -240,6 +249,38 @@ func run(opts options, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "%s\n%s\n", recLine, resLine)
 	return nil
+}
+
+// timeSetups runs n set-up-only children of this executable, one after
+// another, and returns each one's wall time from start to exit.
+func timeSetups(opts options, n int, stderr io.Writer) ([]float64, error) {
+	if n == 0 {
+		return nil, nil
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		return nil, err
+	}
+	args := []string{"--workload", opts.workload, "--seed", strconv.FormatUint(opts.seed, 10), "--out", opts.outDir}
+	var times []float64
+	for i := 0; i < n; i++ {
+		cmd := exec.Command(exe, args...)
+		cmd.Env = append(os.Environ(), setupChildEnv+"=1")
+		cmd.Stdout, cmd.Stderr = stderr, stderr
+		start := time.Now()
+		if err := cmd.Run(); err != nil {
+			return nil, fmt.Errorf("set-up child: %w", err)
+		}
+		times = append(times, time.Since(start).Seconds())
+	}
+	return times, nil
+}
+
+// setupOnce is a set-up child's whole life: one full-size set-up.
+func setupOnce(opts options) error {
+	b := workloads[opts.workload](opts, fullSize)
+	defer b.close()
+	return b.setup(&setupTimes{})
 }
 
 // writeArtifacts writes the traced run's spans and CPU profile, once,

@@ -98,7 +98,7 @@ func (o *outcome) phases() []phaseFacts {
 	return out
 }
 
-// setupTimes splits one set-up repetition by layer, in milliseconds.
+// setupTimes splits the run's own set-up by layer, in milliseconds.
 type setupTimes struct {
 	programMs, predecodeMs, traceMs, storeOpenMs float64
 }
@@ -113,7 +113,8 @@ type runRecord struct {
 	Traced             bool           `json:"traced"`
 	Tiny               bool           `json:"tiny,omitempty"`
 	Host               host           `json:"host"`
-	SetupRepsS         []float64      `json:"setup_reps_s"`
+	SetupS             float64        `json:"setup_s"`
+	SetupChildrenS     []float64      `json:"setup_children_s,omitempty"`
 	Attempted          int            `json:"attempted"`
 	Failed             int            `json:"failed"`
 	Phases             []phaseFacts   `json:"phases"`

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"os"
+	"path/filepath"
 	"regexp"
 	"runtime/pprof"
 	"strings"
@@ -12,7 +13,36 @@ import (
 	"time"
 
 	"shotgun/internal/sim"
+	"shotgun/internal/uncore"
 )
+
+// TestMain lets the test binary stand in for the benchmark executable
+// when it is started as a set-up child.
+func TestMain(m *testing.M) {
+	if os.Getenv(setupChildEnv) != "" {
+		opts, err := parseOptions(os.Args[1:], os.Stderr)
+		if err == nil {
+			err = setupOnce(opts)
+		}
+		if err != nil {
+			os.Exit(1)
+		}
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// testSpecDir is the repository's sweep documents, seen from here.
+var testSpecDir = filepath.Join("..", "specs")
+
+func testSpecs(t *testing.T) farmSpecs {
+	t.Helper()
+	fs, err := loadSpecs(testSpecDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs
+}
 
 // inputsOf renders every generated input of a workload for one seed.
 func inputsOf(t *testing.T, workload string, seed uint64) []byte {
@@ -24,7 +54,7 @@ func inputsOf(t *testing.T, workload string, seed uint64) []byte {
 	case "cmp":
 		v = genCMP(seed, fullSize)
 	case "farm":
-		v = genFarm(seed, fullSize)
+		v = genFarm(seed, fullSize, testSpecs(t))
 	default:
 		t.Fatalf("no generator for %q", workload)
 	}
@@ -48,9 +78,18 @@ func TestInputsDeterministicPerSeed(t *testing.T) {
 }
 
 func TestFarmPoolHasNoRepeatedKeys(t *testing.T) {
+	fs := testSpecs(t)
 	seen := map[string]bool{}
-	for i, r := range genFarm(3, fullSize) {
-		if r.Sweep != nil {
+	for _, sc := range fs.Cells {
+		seen[string(sc.Normalized().CanonicalBytes())] = true
+	}
+	sweeps := map[string]bool{}
+	for i, r := range genFarm(3, fullSize, fs) {
+		if r.Sweep != "" {
+			if sweeps[r.Sweep] {
+				t.Fatalf("request %d repeats sweep %s", i, r.Sweep)
+			}
+			sweeps[r.Sweep] = true
 			continue
 		}
 		if err := r.Scenario.Validate(); err != nil {
@@ -61,6 +100,53 @@ func TestFarmPoolHasNoRepeatedKeys(t *testing.T) {
 			t.Fatalf("request %d repeats an earlier content identity", i)
 		}
 		seen[id] = true
+	}
+	if len(sweeps) != len(fs.Sweeps) {
+		t.Errorf("pool posts %d of the %d sweepable specs", len(sweeps), len(fs.Sweeps))
+	}
+}
+
+func TestFarmSweepsAreSpecs(t *testing.T) {
+	fs := testSpecs(t)
+	if len(fs.Sweeps) < 2 {
+		t.Fatalf("only %d sweepable specs", len(fs.Sweeps))
+	}
+	for _, d := range fs.Sweeps {
+		raw, err := os.ReadFile(filepath.Join(testSpecDir, d.Name))
+		if err != nil || !bytes.Equal(raw, d.Doc) {
+			t.Errorf("sweep %s is not the spec document on disk (%v)", d.Name, err)
+		}
+		if len(d.Scenarios) == 0 {
+			t.Errorf("sweep %s simulates nothing", d.Name)
+		}
+	}
+}
+
+func TestPrefetchAllowance(t *testing.T) {
+	res := sim.Result{Workload: "Nutch", Mechanism: sim.Shotgun}
+	res.Core.Instructions, res.Core.Cycles = 1000, 1000
+	res.Hier.DemandFetches, res.Hier.DemandPrefBufHits = 500, 400
+	res.Hier.DemandL1IHits = 100
+	res.Hier.PrefetchesIssued = 400 - uint64(uncore.DefaultConfig().PrefetchBufferEntries)
+	if err := checkResult(res, 1000); err != nil {
+		t.Fatalf("a result at the allowance failed: %v", err)
+	}
+	res.Hier.PrefetchesIssued--
+	if err := checkResult(res, 1000); err == nil {
+		t.Fatal("a result one useful prefetch over the allowance passed")
+	}
+}
+
+func TestSetupChildren(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a set-up child builds every program")
+	}
+	times, err := timeSetups(options{workload: "cmp", seed: 2, outDir: t.TempDir()}, 1, os.Stderr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(times) != 1 || times[0] <= 0 {
+		t.Fatalf("set-up child times %v", times)
 	}
 }
 
@@ -189,7 +275,7 @@ func TestSmokeRuns(t *testing.T) {
 	for _, w := range workloadNames() {
 		for _, traced := range []bool{false, true} {
 			var out, errOut bytes.Buffer
-			opts := options{workload: w, seed: 5, seconds: 1, trace: traced, tiny: true, outDir: t.TempDir()}
+			opts := options{workload: w, seed: 5, seconds: 1, trace: traced, tiny: true, outDir: t.TempDir(), specDir: testSpecDir}
 			if err := run(opts, &out, &errOut); err != nil {
 				t.Fatalf("%s traced=%v: %v\n%s", w, traced, err, errOut.String())
 			}

@@ -32,12 +32,12 @@ type recorded struct {
 	instr uint64
 }
 
-func newSolo(seed uint64, sz size, _ string) bench { return &soloBench{seed: seed, sz: sz} }
+func newSolo(o options, sz size) bench { return &soloBench{seed: o.seed, sz: sz} }
 
 func (b *soloBench) close() {}
 
-func (b *soloBench) setup(first bool, st *setupTimes) error {
-	buildPrograms(first, st)
+func (b *soloBench) setup(st *setupTimes) error {
+	buildPrograms(st)
 	b.in = genSolo(b.seed, b.sz)
 
 	start := time.Now()

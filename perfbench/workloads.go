@@ -3,8 +3,6 @@ package main
 import (
 	"time"
 
-	"shotgun/internal/predecode"
-	"shotgun/internal/program"
 	"shotgun/internal/sim"
 	"shotgun/internal/workload"
 )
@@ -12,9 +10,8 @@ import (
 // bench is one workload of the benchmark.
 type bench interface {
 	// setup generates the inputs and builds what the measured runs
-	// need. first is the real set-up; later calls repeat the same work
-	// from scratch so setup_s can be a median.
-	setup(first bool, st *setupTimes) error
+	// need.
+	setup(st *setupTimes) error
 	// run measures for about d, recording spans when t is non-nil, and
 	// returns an error on any failed correctness check.
 	run(d time.Duration, t *tracer) (*outcome, error)
@@ -22,30 +19,20 @@ type bench interface {
 }
 
 // workloads maps each workload name to its constructor.
-var workloads = map[string]func(seed uint64, sz size, dir string) bench{
+var workloads = map[string]func(o options, sz size) bench{
 	"solo": newSolo,
 	"cmp":  newCMP,
 	"farm": newFarm,
 }
 
-// buildPrograms builds every workload's program and predecode image.
-// The first call goes through the process-wide registry the simulator
-// reads; later ones generate private copies to time the same work.
-func buildPrograms(first bool, st *setupTimes) {
+// buildPrograms builds every workload's program and predecode image
+// through the process-wide registry the simulator reads.
+func buildPrograms(st *setupTimes) {
 	for _, p := range workload.Profiles() {
 		start := time.Now()
-		var prog *program.Program
-		if first {
-			prog = p.Program()
-		} else {
-			prog = program.MustGenerate(p.Gen, p.Seed)
-		}
+		p.Program()
 		mid := time.Now()
-		if first {
-			p.Decoder()
-		} else {
-			predecode.NewDecoder(prog)
-		}
+		p.Decoder()
 		st.programMs += float64(mid.Sub(start)) / 1e6
 		st.predecodeMs += float64(time.Since(mid)) / 1e6
 	}
