@@ -23,29 +23,32 @@ import (
 	"shotgun/internal/xrand"
 )
 
-// Config sets the core's microarchitectural parameters. Zero fields
-// default to Table 3 values.
-type Config struct {
-	FetchWidth  int // 3 (3-way core)
-	RetireWidth int // 3
-	ROBEntries  int // 128
-	FTQEntries  int // 32 (Section 5.2)
+// Table 3 core parameters.
+const (
+	fetchWidth  = 3   // 3-way core
+	retireWidth = 3   // instructions retired per cycle
+	robEntries  = 128 // reorder-buffer entries
+	ftqEntries  = 32  // fetch target queue entries (Section 5.2)
 
-	// RunaheadPerCycle bounds BPU throughput in basic blocks per cycle.
-	RunaheadPerCycle int // 2
+	// runaheadPerCycle bounds BPU throughput in basic blocks per cycle.
+	runaheadPerCycle = 2
 
-	// DecodeRedirectCycles is the bubble for a taken branch undetected
-	// until decode (BTB miss); ExecRedirectCycles the flush penalty for
+	// decodeRedirectCycles is the bubble for a taken branch undetected
+	// until decode (BTB miss); execRedirectCycles the flush penalty for
 	// direction/return-target mispredictions resolved at execute.
-	DecodeRedirectCycles int // 8
-	ExecRedirectCycles   int // 14
+	decodeRedirectCycles = 8
+	execRedirectCycles   = 14
 
-	// ExecLatencyCycles is the dispatch-to-complete latency of ordinary
+	// execLatencyCycles is the dispatch-to-complete latency of ordinary
 	// instructions; loads add their memory latency.
-	ExecLatencyCycles int // 3
+	execLatencyCycles = 3
 
-	RASEntries int // 32
+	rasEntries = 32
+)
 
+// Config sets the core's predictor variant and data-side behaviour. Zero
+// data-side fields take the defaults below.
+type Config struct {
 	// CLZTage selects the CLZ-indexed TAGE variant (bpu.NewCLZTAGE) as
 	// the direction predictor; false is the default TAGE.
 	CLZTage bool
@@ -58,33 +61,6 @@ type Config struct {
 }
 
 func (c *Config) setDefaults() {
-	if c.FetchWidth == 0 {
-		c.FetchWidth = 3
-	}
-	if c.RetireWidth == 0 {
-		c.RetireWidth = 3
-	}
-	if c.ROBEntries == 0 {
-		c.ROBEntries = 128
-	}
-	if c.FTQEntries == 0 {
-		c.FTQEntries = 32
-	}
-	if c.RunaheadPerCycle == 0 {
-		c.RunaheadPerCycle = 2
-	}
-	if c.DecodeRedirectCycles == 0 {
-		c.DecodeRedirectCycles = 8
-	}
-	if c.ExecRedirectCycles == 0 {
-		c.ExecRedirectCycles = 14
-	}
-	if c.ExecLatencyCycles == 0 {
-		c.ExecLatencyCycles = 3
-	}
-	if c.RASEntries == 0 {
-		c.RASEntries = 32
-	}
 	if c.LoadFrac == 0 {
 		c.LoadFrac = 0.25
 	}
@@ -152,19 +128,22 @@ type pblock struct {
 	execRedirect   bool
 }
 
-// Core simulates one core running a basic-block trace under a control-
-// flow delivery engine.
+// Core simulates one core running basic-block traces under a control-
+// flow delivery engine. Its front-end serves one or more hardware
+// contexts: each context (hwContext) has its own trace, return-address
+// stack, lookahead window and data-side RNG, while the fetch engine,
+// prefetch engine/BTB, caches, direction predictor, ROB and retire stage
+// are shared. Switch-on-stall is sub-cycle: in the same cycle a context
+// stalls, the runahead and the fetch engine move to the next ready
+// sibling. A one-context core is the classic single-threaded core of
+// the paper's evaluation.
 type Core struct {
 	cfg    Config
-	trace  workload.Stream
 	engine prefetch.Engine
 	hier   *uncore.Hierarchy
 
 	tage *bpu.TAGE
-	ras  *bpu.RAS
 
-	dataRNG  *xrand.Source
-	dataZipf *xrand.Zipf
 	// loadDraw is the LoadFrac Bernoulli with its threshold precomputed;
 	// it consumes the same draws as dataRNG.Bool(LoadFrac) so results are
 	// unchanged.
@@ -174,6 +153,40 @@ type Core struct {
 	loadSched []isa.Addr
 
 	now uint64
+
+	fetchBusyUntil uint64
+
+	// rob holds completion times; in-order retire from the head. The
+	// ring itself is the last field, so the hot scalar fields above
+	// share cache lines instead of straddling its 1KB.
+	robHead int
+	robLen  int
+
+	// blocksDispatched counts trace blocks dispatched into the ROB — the
+	// progress unit of sampled execution (RunBlocks).
+	blocksDispatched uint64
+
+	// ctxs holds at least one hardware context.
+	ctxs   []hwContext
+	runCtx int // context the BPU runahead is following
+	fetCtx int // context the fetch engine last dispatched for
+
+	stats Stats
+
+	rob [robEntries]uint64
+}
+
+// hwContext is one hardware context of the front-end: its own trace
+// stream, return-address stack, lookahead window and data-side RNG
+// state. Everything else — TAGE, engine, caches, fetch bandwidth, ROB,
+// retire — is shared with its siblings, which is exactly where the SMT
+// pressure a multi-context core models comes from.
+type hwContext struct {
+	trace workload.Stream
+	ras   *bpu.RAS
+
+	dataRNG  *xrand.Source
+	dataZipf *xrand.Zipf
 
 	// pending is the lookahead window; pending[0:ftqLen] is the FTQ
 	// (evaluated, awaiting fetch); pending[ftqLen:] awaits evaluation.
@@ -185,54 +198,18 @@ type Core struct {
 	// re-steers the pipeline: until that block is dispatched (and the
 	// flush happens), the real BPU would be predicting down the wrong
 	// path, so no further correct-path blocks may be evaluated or
-	// prefetched.
+	// prefetched for this context.
 	wrongPath bool
-
-	fetchBusyUntil uint64
-	headIssued     bool
-	headReadyAt    uint64
-
-	// rob holds completion times; in-order retire from the head.
-	rob     []uint64
-	robHead int
-	robLen  int
-
-	// blocksDispatched counts trace blocks dispatched into the ROB — the
-	// progress unit of sampled execution (RunBlocks).
-	blocksDispatched uint64
-
-	// ctxs, when non-nil, switches the core to the multi-context
-	// front-end (NewMultiContext): N hardware contexts share the fetch
-	// engine, BTB/prefetch engine, L1-I and direction predictor, with
-	// <1-cycle switch-on-stall. The single-context fields above are then
-	// unused; Tick/NextEvent/AdvanceIdle dispatch to the MC variants.
-	ctxs   []*hwContext
-	runCtx int // context the BPU runahead is following
-	fetCtx int // context the fetch engine last dispatched for
-
-	stats Stats
-}
-
-// hwContext is one hardware context of a multi-context front-end: its
-// own trace stream, return-address stack, lookahead window and data-side
-// RNG state. Everything else — TAGE, engine, caches, fetch bandwidth,
-// ROB, retire — is shared with its siblings, which is exactly where the
-// SMT pressure this mode models comes from.
-type hwContext struct {
-	trace workload.Stream
-	ras   *bpu.RAS
-
-	dataRNG  *xrand.Source
-	dataZipf *xrand.Zipf
-
-	pending []pblock
-	ftqLen  int
-
-	runStallUntil uint64
-	wrongPath     bool
 
 	headIssued  bool
 	headReadyAt uint64
+}
+
+// canRun reports whether the runahead can evaluate a block for the
+// context this cycle: not stalled on a reactive BTB-miss resolution, not
+// down a wrong path, and with FTQ room.
+func (hc *hwContext) canRun(now uint64) bool {
+	return now >= hc.runStallUntil && !hc.wrongPath && hc.ftqLen < ftqEntries
 }
 
 // ensurePending tops up the context's lookahead window from its trace.
@@ -242,71 +219,53 @@ func (hc *hwContext) ensurePending(n int) {
 	}
 }
 
-// popPending removes the context's pending[0] after dispatch, mirroring
-// Core.popPending's compaction policy.
-func (hc *hwContext) popPending(cfg *Config) {
+// popPending removes the context's pending[0] after dispatch.
+func (hc *hwContext) popPending() {
 	hc.pending = hc.pending[1:]
 	hc.ftqLen--
 	hc.headIssued = false
-	if cap(hc.pending) > 4*(cfg.FTQEntries+8) && len(hc.pending) <= cfg.FTQEntries+8 {
-		fresh := make([]pblock, len(hc.pending), cfg.FTQEntries+8)
+	// Periodically compact the backing array.
+	if cap(hc.pending) > 4*(ftqEntries+8) && len(hc.pending) <= ftqEntries+8 {
+		fresh := make([]pblock, len(hc.pending), ftqEntries+8)
 		copy(fresh, hc.pending)
 		hc.pending = fresh
 	}
 }
 
 // ctxDataSalt decorrelates per-context data-side RNG streams within one
-// core. Context 0 is unsalted: a one-context core draws the exact
+// core. Context 0 is unsalted: a one-context core draws the classic
 // single-context stream.
 func ctxDataSalt(k int) uint64 {
 	return uint64(k) * 0x94d049bb133111eb
 }
 
-// New builds a core over the given trace, engine and hierarchy.
-func New(cfg Config, trace workload.Stream, engine prefetch.Engine, hier *uncore.Hierarchy) *Core {
+// New builds a core whose front-end is shared by len(streams) hardware
+// contexts, one trace stream per context, over the given engine and
+// hierarchy. Each context gets its own RAS, lookahead window and salted
+// data-side RNG.
+func New(cfg Config, streams []workload.Stream, engine prefetch.Engine, hier *uncore.Hierarchy) *Core {
+	if len(streams) == 0 {
+		panic("core: New needs at least one stream")
+	}
 	cfg.setDefaults()
-	rng := xrand.New(cfg.DataSeed)
 	tage := bpu.NewTAGE()
 	if cfg.CLZTage {
 		tage = bpu.NewCLZTAGE()
 	}
-	return &Core{
+	c := &Core{
 		cfg:       cfg,
-		trace:     trace,
 		engine:    engine,
 		hier:      hier,
 		tage:      tage,
-		ras:       bpu.NewRAS(cfg.RASEntries),
-		dataRNG:   rng,
-		dataZipf:  xrand.NewZipf(rng, cfg.DataBlocks, cfg.DataZipfS),
 		loadDraw:  xrand.NewBernoulli(cfg.LoadFrac),
 		loadSched: make([]isa.Addr, 0, isa.MaxBlockInstrs),
-		rob:       make([]uint64, cfg.ROBEntries),
+		ctxs:      make([]hwContext, len(streams)),
 	}
-}
-
-// NewMultiContext builds a core whose front-end is shared by
-// len(streams) hardware contexts, one trace stream per context. A
-// single stream yields exactly the classic single-context core (New),
-// so the scenario layer can call this unconditionally. With N>1
-// streams, each context gets its own RAS, lookahead window and salted
-// data-side RNG; the fetch engine, prefetch engine/BTB, caches,
-// direction predictor, ROB and retire stage are shared.
-func NewMultiContext(cfg Config, streams []workload.Stream, engine prefetch.Engine, hier *uncore.Hierarchy) *Core {
-	if len(streams) == 0 {
-		panic("core: NewMultiContext needs at least one stream")
-	}
-	cfg.setDefaults()
-	c := New(cfg, streams[0], engine, hier)
-	if len(streams) == 1 {
-		return c
-	}
-	c.ctxs = make([]*hwContext, len(streams))
 	for k, s := range streams {
 		rng := xrand.New(cfg.DataSeed ^ ctxDataSalt(k))
-		c.ctxs[k] = &hwContext{
+		c.ctxs[k] = hwContext{
 			trace:    s,
-			ras:      bpu.NewRAS(cfg.RASEntries),
+			ras:      bpu.NewRAS(rasEntries),
 			dataRNG:  rng,
 			dataZipf: xrand.NewZipf(rng, cfg.DataBlocks, cfg.DataZipfS),
 		}
@@ -321,8 +280,8 @@ func (c *Core) Now() uint64 { return c.now }
 func (c *Core) Stats() Stats { return c.stats }
 
 // Instructions returns the retired-instruction counter alone — the
-// per-tick progress probe of the scenario lockstep loop, which must not
-// copy the whole Stats struct every cycle.
+// per-tick progress probe of the event kernel's phase machine, which
+// must not copy the whole Stats struct every tick.
 func (c *Core) Instructions() uint64 { return c.stats.Instructions }
 
 // Hierarchy returns the memory hierarchy.
@@ -340,32 +299,6 @@ func (c *Core) ResetStats() {
 	c.tage.ResetStats()
 }
 
-// Run advances the simulation until at least n instructions have retired
-// past the point this call was made, returning the cycle count consumed.
-//
-// Run is event-driven: after each real tick it skips ahead over the
-// provably-idle span to the core's next event (NextEvent/AdvanceIdle),
-// which is bit-identical to ticking every cycle — the scenario layer's
-// lockstep engine still ticks cycle-by-cycle, and the equality tests
-// (TestLockstepMatchesSerialSingleCore, TestEventKernelMatchesLockstep)
-// pin the two executions to the same results.
-func (c *Core) Run(n uint64) uint64 {
-	startCycles := c.stats.Cycles
-	target := c.stats.Instructions + n
-	for c.stats.Instructions < target {
-		c.Tick()
-		if c.stats.Instructions >= target {
-			// The crossing tick ends the run; skipping the idle span that
-			// follows it would charge cycles a per-cycle loop never runs.
-			break
-		}
-		if next := c.NextEvent(); next > c.now {
-			c.AdvanceIdle(next - c.now)
-		}
-	}
-	return c.stats.Cycles - startCycles
-}
-
 // BlocksDispatched returns how many trace blocks have been dispatched —
 // sampled execution's progress unit.
 func (c *Core) BlocksDispatched() uint64 { return c.blocksDispatched }
@@ -373,7 +306,8 @@ func (c *Core) BlocksDispatched() uint64 { return c.blocksDispatched }
 // RunBlocks advances the detailed simulation until n more trace blocks
 // have been dispatched, returning the cycles consumed. Sampling measures
 // in blocks rather than instructions so unit boundaries land on trace
-// positions, independent of retire lag.
+// positions, independent of retire lag. Like the event kernel, it skips
+// each provably idle span (NextEvent/AdvanceIdle) after a real tick.
 func (c *Core) RunBlocks(n uint64) uint64 {
 	startCycles := c.stats.Cycles
 	target := c.blocksDispatched + n
@@ -389,6 +323,10 @@ func (c *Core) RunBlocks(n uint64) uint64 {
 	return c.stats.Cycles - startCycles
 }
 
+// The functional-warming path below (BeginWarm, WarmBlocks, SkimBlocks)
+// drives context 0 alone: sampled execution is single-context, which
+// sim.Config.Validate enforces.
+
 // BeginWarm transitions from detailed execution to functional warming.
 // The lookahead window holds trace blocks already consumed from the
 // stream; they are drained through the warm path — cache/data warming
@@ -399,19 +337,20 @@ func (c *Core) RunBlocks(n uint64) uint64 {
 // the ROB, and in-flight fills are left untouched: warming takes zero
 // simulated time.
 func (c *Core) BeginWarm() {
-	for i := range c.pending {
-		p := &c.pending[i]
+	hc := &c.ctxs[0]
+	for i := range hc.pending {
+		p := &hc.pending[i]
 		if p.evaluated {
 			c.warmCaches(p.bb)
 		} else {
 			c.WarmBlock(p.bb)
 		}
 	}
-	c.pending = c.pending[:0]
-	c.ftqLen = 0
-	c.headIssued = false
-	c.wrongPath = false
-	c.runStallUntil = 0
+	hc.pending = hc.pending[:0]
+	hc.ftqLen = 0
+	hc.headIssued = false
+	hc.wrongPath = false
+	hc.runStallUntil = 0
 	c.fetchBusyUntil = 0
 }
 
@@ -425,9 +364,10 @@ func (c *Core) WarmBlock(bb isa.BasicBlock) {
 // WarmBlocks functionally executes the next n trace blocks, returning
 // the instructions they carry (the fast-forwarded instruction count).
 func (c *Core) WarmBlocks(n uint64) uint64 {
+	trace := c.ctxs[0].trace
 	var instr uint64
 	for i := uint64(0); i < n; i++ {
-		bb := c.trace.Next()
+		bb := trace.Next()
 		instr += uint64(bb.NumInstr)
 		c.WarmBlock(bb)
 	}
@@ -442,6 +382,7 @@ func (c *Core) WarmBlocks(n uint64) uint64 {
 // instruction working set is too large to rebuild in any affordable
 // window, so it alone must track the stream continuously.
 func (c *Core) SkimBlocks(n uint64) uint64 {
+	trace := c.ctxs[0].trace
 	var instr uint64
 	// Consecutive basic blocks mostly share one 64-byte cache block
 	// (~5.5 instructions per bb); touching it once per run of repeats
@@ -449,7 +390,7 @@ func (c *Core) SkimBlocks(n uint64) uint64 {
 	// Access calls, which dominate the skim's cost.
 	last := isa.Addr(1) // never a block-aligned address
 	for i := uint64(0); i < n; i++ {
-		bb := c.trace.Next()
+		bb := trace.Next()
 		instr += uint64(bb.NumInstr)
 		first, lastBlk := bb.BlockSpan()
 		for blk := first; blk <= lastBlk; blk += isa.BlockBytes {
@@ -469,8 +410,9 @@ func (c *Core) SkimBlocks(n uint64) uint64 {
 // notes for returns and jumps — so the direction predictor and RAS cross
 // a warming gap in the same state a detailed run would leave them.
 func (c *Core) warmBPU(bb isa.BasicBlock) {
+	ras := c.ctxs[0].ras
 	if bb.Kind.IsReturn() {
-		c.ras.Pop()
+		ras.Pop()
 	}
 	c.engine.Warm(bb)
 	switch {
@@ -478,7 +420,7 @@ func (c *Core) warmBPU(bb isa.BasicBlock) {
 		c.tage.Predict(bb.BranchPC())
 		c.tage.Update(bb.BranchPC(), bb.Taken)
 	case bb.Kind.IsCallLike():
-		c.ras.Push(bpu.RASEntry{ReturnAddr: bb.FallThrough(), CallBlock: bb.PC})
+		ras.Push(bpu.RASEntry{ReturnAddr: bb.FallThrough(), CallBlock: bb.PC})
 		c.tage.NoteUncond()
 	case bb.Kind.IsReturn():
 		c.tage.NoteUncond()
@@ -493,13 +435,14 @@ func (c *Core) warmBPU(bb isa.BasicBlock) {
 // data RNG stream aligned across mode switches) with L1-D/LLC warming
 // for the loads, and the engine's retire-order training hook.
 func (c *Core) warmCaches(bb isa.BasicBlock) {
+	hc := &c.ctxs[0]
 	first, last := bb.BlockSpan()
 	for blk := first; blk <= last; blk += isa.BlockBytes {
 		c.hier.WarmFetch(blk)
 	}
 	for i := 0; i < bb.NumInstr; i++ {
-		if c.loadDraw.Draw(c.dataRNG) {
-			c.hier.WarmData(dataBase + isa.Addr(c.dataZipf.Next()*isa.BlockBytes))
+		if c.loadDraw.Draw(hc.dataRNG) {
+			c.hier.WarmData(dataBase + isa.Addr(hc.dataZipf.Next()*isa.BlockBytes))
 		}
 	}
 	c.engine.OnRetire(bb)
@@ -507,56 +450,63 @@ func (c *Core) warmCaches(bb isa.BasicBlock) {
 
 // NextEvent returns the earliest cycle at which Tick can do anything
 // beyond idle accounting: materialize an arrival, evaluate a block into
-// the FTQ, issue or complete a fetch, dispatch, or retire. Every cycle
-// in [Now, NextEvent) is provably idle — a Tick there mutates nothing
-// but the stall counters, Cycles, and the clock (exactly what
-// AdvanceIdle bulk-applies) and touches no shared uncore state.
+// an FTQ, issue or complete a fetch, dispatch, or retire. Every cycle in
+// [Now, NextEvent) is provably idle — a Tick there mutates nothing but
+// the stall counters, Cycles, and the clock (exactly what AdvanceIdle
+// bulk-applies) and touches no shared uncore state.
 //
 // The deadline may be conservative (an "active" tick may still find
 // nothing to do after a flush re-steers state), but it is never late:
 // each branch below mirrors one gating condition of Tick's sub-units,
 // and each such condition can only change at a deadline this function
-// already includes. A finite value always exists while the trace has
-// blocks — the runahead can act whenever the FTQ has room and the path
-// is right, a wrong path implies an undispatched FTQ entry, and a full
-// FTQ implies fetch or retire has a pending deadline.
+// already includes. A finite value always exists while the traces have
+// blocks — the runahead can act whenever a context has FTQ room and is
+// on the right path, a wrong path implies an undispatched FTQ entry,
+// and a full FTQ implies fetch or retire has a pending deadline.
 func (c *Core) NextEvent() uint64 {
-	if c.ctxs != nil {
-		return c.nextEventMC()
-	}
 	// Completed fills are materialized the cycle the watermark expires.
 	next := c.hier.NextArrival()
 
-	// Runahead: able to evaluate now unless stalled, wrong-path, or out
-	// of FTQ room; a pending reactive resolution is itself a deadline.
-	if !c.wrongPath && c.ftqLen < c.cfg.FTQEntries {
-		if c.now >= c.runStallUntil {
-			return c.now
+	fetchFree := c.now >= c.fetchBusyUntil
+	anyFTQ := false
+	for k := range c.ctxs {
+		hc := &c.ctxs[k]
+		// Runahead: able to evaluate now unless stalled, wrong-path, or
+		// out of FTQ room; a pending reactive resolution is a deadline.
+		if !hc.wrongPath && hc.ftqLen < ftqEntries {
+			if c.now >= hc.runStallUntil {
+				return c.now
+			}
+			if hc.runStallUntil < next {
+				next = hc.runStallUntil
+			}
 		}
-		if c.runStallUntil < next {
-			next = c.runStallUntil
+		// Fetch: past the bandwidth boundary, an unissued head or a
+		// dispatchable head is activity now and a fill wait a deadline.
+		if hc.ftqLen == 0 {
+			continue
 		}
-	}
-
-	// Fetch: the regime boundaries (fetch bandwidth busy, fill wait) are
-	// deadlines; an unissued head or a dispatchable head is activity now.
-	if c.ftqLen > 0 {
+		anyFTQ = true
+		if !fetchFree {
+			continue
+		}
 		switch {
-		case c.now < c.fetchBusyUntil:
-			if c.fetchBusyUntil < next {
-				next = c.fetchBusyUntil
-			}
-		case !c.headIssued:
+		case !hc.headIssued:
 			return c.now
-		case c.headReadyAt > c.now:
-			if c.headReadyAt < next {
-				next = c.headReadyAt
+		case hc.headReadyAt > c.now:
+			if hc.headReadyAt < next {
+				next = hc.headReadyAt
 			}
-		case c.robFree() >= c.pending[0].bb.NumInstr:
+		case c.robFree() >= hc.pending[0].bb.NumInstr:
 			return c.now
-			// Otherwise the head waits on backend pressure, which only
+			// Otherwise this head waits on backend pressure, which only
 			// the retire deadline below can relieve.
 		}
+	}
+	// The end of the fetch-bandwidth slot is a deadline while any context
+	// has an FTQ entry to fetch.
+	if anyFTQ && !fetchFree && c.fetchBusyUntil < next {
+		next = c.fetchBusyUntil
 	}
 
 	// Retire: the head of the ROB completes at a known cycle.
@@ -581,14 +531,16 @@ func (c *Core) AdvanceIdle(k uint64) {
 	if k == 0 {
 		return
 	}
-	if c.ctxs != nil {
-		c.advanceIdleMC(k)
-		return
-	}
 	// fetch() counts a fill-wait cycle iff it is past the bandwidth
-	// boundary with an issued head that has not arrived yet.
-	if c.ftqLen > 0 && c.now >= c.fetchBusyUntil && c.headIssued && c.headReadyAt > c.now {
-		c.stats.FetchStallCycles += k
+	// boundary and some context waits on an issued head not yet arrived.
+	if c.now >= c.fetchBusyUntil {
+		for i := range c.ctxs {
+			hc := &c.ctxs[i]
+			if hc.ftqLen > 0 && hc.headIssued && hc.headReadyAt > c.now {
+				c.stats.FetchStallCycles += k
+				break
+			}
+		}
 	}
 	// retire() classifies every zero-retire cycle; idle cycles retire
 	// nothing by definition.
@@ -603,68 +555,70 @@ func (c *Core) AdvanceIdle(k uint64) {
 
 // Tick advances the simulation by one cycle.
 func (c *Core) Tick() {
-	if c.ctxs != nil {
-		c.tickMC()
-		return
-	}
 	// 1. Materialize completed fills; let the engine predecode them.
 	if arr := c.hier.PollArrivals(c.now); arr != nil {
 		c.engine.OnArrival(c.now, arr)
 	}
 
-	// 2. Branch-prediction unit runahead: evaluate blocks into the FTQ.
+	// 2. Branch-prediction unit runahead: evaluate blocks into the FTQs.
 	c.runahead()
 
-	// 3. Fetch: consume the FTQ head through the L1-I into the ROB.
+	// 3. Fetch: consume an FTQ head through the L1-I into the ROB.
 	c.fetch()
 
-	// 4. Retire up to RetireWidth completed instructions in order.
+	// 4. Retire up to retireWidth completed instructions in order.
 	c.retire()
 
 	c.now++
 	c.stats.Cycles++
 }
 
-// ensurePending tops up the lookahead window from the trace.
-func (c *Core) ensurePending(n int) {
-	for len(c.pending) < n {
-		c.pending = append(c.pending, pblock{bb: c.trace.Next()})
-	}
-}
-
-// runahead advances the BPU: up to RunaheadPerCycle blocks are evaluated
+// runahead advances the BPU: up to runaheadPerCycle blocks are evaluated
 // (BTB lookup, direction/return prediction, engine prefetching) and
-// appended to the FTQ.
+// appended to an FTQ. The BPU keeps following c.runCtx while it can make
+// progress and switches to the next ready sibling the moment it cannot —
+// switch-on-stall at zero cost.
 func (c *Core) runahead() {
-	for i := 0; i < c.cfg.RunaheadPerCycle; i++ {
-		if c.now < c.runStallUntil {
-			return // reactive BTB-miss resolution in progress
+	for i := 0; i < runaheadPerCycle; i++ {
+		hc := &c.ctxs[c.runCtx]
+		if !hc.canRun(c.now) {
+			if hc = c.nextRunnable(); hc == nil {
+				return // every context stalled, wrong-path, or FTQ-full
+			}
 		}
-		if c.wrongPath {
-			return // runahead is down a wrong path until the flush
-		}
-		if c.ftqLen >= c.cfg.FTQEntries {
-			return // FTQ full
-		}
-		c.ensurePending(c.ftqLen + 1)
-		p := &c.pending[c.ftqLen]
+		hc.ensurePending(hc.ftqLen + 1)
+		p := &hc.pending[hc.ftqLen]
 		if !p.evaluated {
-			stall := c.evaluate(p, c.ras)
-			if stall > c.now {
-				c.runStallUntil = stall
+			if stall := c.evaluate(p, hc.ras); stall > c.now {
+				hc.runStallUntil = stall
 			}
 		}
 		if p.decodeRedirect || p.execRedirect {
-			c.wrongPath = true
+			hc.wrongPath = true
 		}
-		c.ftqLen++
+		hc.ftqLen++
 	}
+}
+
+// nextRunnable moves the runahead to the first sibling after c.runCtx,
+// round-robin, that can make progress, or returns nil if none can.
+func (c *Core) nextRunnable() *hwContext {
+	k := c.runCtx
+	for j := 1; j < len(c.ctxs); j++ {
+		if k++; k == len(c.ctxs) {
+			k = 0
+		}
+		if hc := &c.ctxs[k]; hc.canRun(c.now) {
+			c.runCtx = k
+			return hc
+		}
+	}
+	return nil
 }
 
 // evaluate performs the one-time BPU evaluation of a pending block,
 // returning a non-zero stall deadline for reactive resolutions. The RAS
-// is passed in because it is per-context state in multi-context mode;
-// the single-context path always passes c.ras.
+// is the evaluating context's own.
 func (c *Core) evaluate(p *pblock, ras *bpu.RAS) uint64 {
 	bb := p.bb
 	p.evaluated = true
@@ -727,218 +681,46 @@ func (c *Core) evaluate(p *pblock, ras *bpu.RAS) uint64 {
 	return ev.StallUntil
 }
 
-// fetch consumes the FTQ head: issue the demand fetch for its cache
-// blocks, wait for arrival, then dispatch its instructions into the ROB.
+// fetch shares the fetch engine across contexts: once past the bandwidth
+// boundary it first issues the demand fetch for every unissued FTQ head
+// (demand probes overlap across contexts — fetch-under-fill), then
+// dispatches into the ROB for the first context, round-robin from the
+// last one served, whose head has arrived and fits. At most one context
+// dispatches per bandwidth slot; a cycle where the only eligible heads
+// are waiting on fills is a fetch stall.
 func (c *Core) fetch() {
-	if c.now < c.fetchBusyUntil || c.ftqLen == 0 {
+	if c.now < c.fetchBusyUntil {
 		return
 	}
-	p := &c.pending[0]
-
-	if !c.headIssued {
-		ready := c.now
-		first, last := p.bb.BlockSpan()
-		for blk := first; blk <= last; blk += isa.BlockBytes {
-			r, src := c.hier.FetchBlock(c.now, blk)
-			c.engine.OnFetch(c.now, blk, src)
-			if src == uncore.SrcLLC || src == uncore.SrcMemory {
-				c.engine.OnDemandMiss(c.now, blk)
-			}
-			if r > ready {
-				ready = r
-			}
+	waiting := false // some context's issued head is still filling
+	for i := range c.ctxs {
+		hc := &c.ctxs[i]
+		if hc.ftqLen == 0 {
+			continue
 		}
-		c.headIssued = true
-		c.headReadyAt = ready
+		if !hc.headIssued {
+			c.issueHead(hc)
+		}
+		if hc.headReadyAt > c.now {
+			waiting = true
+		}
 	}
-	if c.headReadyAt > c.now {
+	k := c.fetCtx
+	for range c.ctxs {
+		if hc := &c.ctxs[k]; hc.ftqLen > 0 && hc.headReadyAt <= c.now &&
+			c.robFree() >= hc.pending[0].bb.NumInstr {
+			c.fetCtx = k
+			c.dispatchHead(hc)
+			return
+		}
+		if k++; k == len(c.ctxs) {
+			k = 0
+		}
+	}
+	// No context could dispatch: a fill-wait cycle iff some context is
+	// actually waiting on an issued fetch.
+	if waiting {
 		c.stats.FetchStallCycles++
-		return // L1-I fill in progress
-	}
-
-	// Dispatch into the ROB (all instructions of the block at once).
-	n := p.bb.NumInstr
-	if c.robFree() < n {
-		return // backend pressure
-	}
-	c.dispatch(p.bb, c.dataRNG, c.dataZipf)
-
-	// Fetch bandwidth: a 3-wide front-end needs ceil(n/width) cycles.
-	busy := uint64((n + c.cfg.FetchWidth - 1) / c.cfg.FetchWidth)
-	c.fetchBusyUntil = c.now + busy
-
-	// Redirects: flush the FTQ beyond the branch and re-steer.
-	switch {
-	case p.decodeRedirect:
-		c.stats.DecodeRedirects++
-		c.redirect(c.cfg.DecodeRedirectCycles)
-	case p.execRedirect:
-		c.stats.ExecRedirects++
-		c.redirect(c.cfg.ExecRedirectCycles)
-	}
-
-	// Pop the dispatched block.
-	c.popPending()
-}
-
-// redirect models a pipeline re-steer: fetch emits a bubble and the FTQ
-// contents past the redirecting branch are discarded (the runahead
-// re-walks them; cached evaluations prevent double training).
-func (c *Core) redirect(penalty int) {
-	until := c.now + uint64(penalty)
-	if until > c.fetchBusyUntil {
-		c.fetchBusyUntil = until
-	}
-	c.ftqLen = 1 // keep only the block being dispatched
-	if c.runStallUntil > c.now {
-		// The pending resolution belongs to a flushed entry; the
-		// re-walk will find the BTB filled, so drop the stall.
-		c.runStallUntil = c.now
-	}
-	// The flush re-steers the BPU onto the correct path.
-	c.wrongPath = false
-}
-
-// popPending removes pending[0] after dispatch.
-func (c *Core) popPending() {
-	c.pending = c.pending[1:]
-	c.ftqLen--
-	c.headIssued = false
-	// Periodically compact the backing array.
-	if cap(c.pending) > 4*(c.cfg.FTQEntries+8) && len(c.pending) <= c.cfg.FTQEntries+8 {
-		fresh := make([]pblock, len(c.pending), c.cfg.FTQEntries+8)
-		copy(fresh, c.pending)
-		c.pending = fresh
-	}
-}
-
-// dispatch enters a block's instructions into the ROB and notifies the
-// engine of the retire-order stream (dispatch order equals retire order).
-//
-// The data side runs off a per-block schedule: one pass draws which
-// instructions load and from where (the Bernoulli/Zipf draws, in the same
-// per-instruction order as ever, so the random stream and therefore every
-// result is unchanged), then the hierarchy is charged and the ROB filled
-// from the schedule. Non-load instructions take the scheduling fast path:
-// one RNG draw, no hierarchy call.
-// The RNG and Zipf are passed in because they are per-context state in
-// multi-context mode; the single-context path always passes its own.
-func (c *Core) dispatch(bb isa.BasicBlock, rng *xrand.Source, zipf *xrand.Zipf) {
-	execLat := uint64(c.cfg.ExecLatencyCycles)
-	// Pass 1: the load schedule. A sentinel address marks non-loads so
-	// pass 2 preserves instruction order without a second draw.
-	sched := c.loadSched[:0]
-	for i := 0; i < bb.NumInstr; i++ {
-		if c.loadDraw.Draw(rng) {
-			sched = append(sched, dataBase+isa.Addr(zipf.Next()*isa.BlockBytes))
-		} else {
-			sched = append(sched, 0)
-		}
-	}
-	c.loadSched = sched
-	// Pass 2: charge the hierarchy and fill the ROB.
-	for _, addr := range sched {
-		complete := c.now + execLat
-		if addr != 0 {
-			ready, _ := c.hier.DataAccess(c.now, addr)
-			if ready+execLat > complete {
-				complete = ready + execLat
-			}
-		}
-		c.robPush(complete)
-	}
-	c.blocksDispatched++
-	c.engine.OnRetire(bb)
-}
-
-func (c *Core) robFree() int { return c.cfg.ROBEntries - c.robLen }
-
-func (c *Core) robPush(complete uint64) {
-	// robHead+robLen < 2*ROBEntries always, so a compare-subtract wraps
-	// the ring without the general modulo.
-	idx := c.robHead + c.robLen
-	if idx >= c.cfg.ROBEntries {
-		idx -= c.cfg.ROBEntries
-	}
-	c.rob[idx] = complete
-	c.robLen++
-}
-
-// retire pops up to RetireWidth completed instructions in order and
-// classifies zero-retire cycles as front-end or back-end stalls.
-func (c *Core) retire() {
-	retired := 0
-	for retired < c.cfg.RetireWidth && c.robLen > 0 && c.rob[c.robHead] <= c.now {
-		c.robHead++
-		if c.robHead == c.cfg.ROBEntries {
-			c.robHead = 0
-		}
-		c.robLen--
-		retired++
-	}
-	c.stats.Instructions += uint64(retired)
-	if retired == 0 {
-		if c.robLen == 0 {
-			c.stats.FrontEndStallCycles++
-		} else {
-			c.stats.BackEndStallCycles++
-		}
-	}
-}
-
-// ---- Multi-context front-end ------------------------------------------
-//
-// The MC variants below mirror Tick/NextEvent/AdvanceIdle over N hardware
-// contexts sharing one fetch engine, prefetch engine/BTB, L1-I, direction
-// predictor, ROB and retire stage. Switch-on-stall is sub-cycle: in the
-// same cycle a context stalls, the runahead and the fetch engine move to
-// the next ready sibling. The single-context fields of Core are unused in
-// this mode; per-context state lives in hwContext.
-
-// tickMC advances the multi-context simulation by one cycle, in the same
-// sub-unit order as Tick.
-func (c *Core) tickMC() {
-	if arr := c.hier.PollArrivals(c.now); arr != nil {
-		c.engine.OnArrival(c.now, arr)
-	}
-	c.runaheadMC()
-	c.fetchMC()
-	c.retire()
-	c.now++
-	c.stats.Cycles++
-}
-
-// runaheadMC spends the cycle's RunaheadPerCycle evaluations on the
-// contexts: the BPU keeps following c.runCtx while it can make progress
-// (not stalled, not wrong-path, FTQ room) and switches to the next ready
-// sibling the moment it cannot — switch-on-stall at zero cost.
-func (c *Core) runaheadMC() {
-	for i := 0; i < c.cfg.RunaheadPerCycle; i++ {
-		var hc *hwContext
-		for j := 0; j < len(c.ctxs); j++ {
-			k := (c.runCtx + j) % len(c.ctxs)
-			cand := c.ctxs[k]
-			if c.now < cand.runStallUntil || cand.wrongPath || cand.ftqLen >= c.cfg.FTQEntries {
-				continue
-			}
-			c.runCtx = k
-			hc = cand
-			break
-		}
-		if hc == nil {
-			return // every context stalled, wrong-path, or FTQ-full
-		}
-		hc.ensurePending(hc.ftqLen + 1)
-		p := &hc.pending[hc.ftqLen]
-		if !p.evaluated {
-			if stall := c.evaluate(p, hc.ras); stall > c.now {
-				hc.runStallUntil = stall
-			}
-		}
-		if p.decodeRedirect || p.execRedirect {
-			hc.wrongPath = true
-		}
-		hc.ftqLen++
 	}
 }
 
@@ -961,150 +743,117 @@ func (c *Core) issueHead(hc *hwContext) {
 	hc.headReadyAt = ready
 }
 
-// fetchMC shares the fetch engine across contexts: once past the
-// bandwidth boundary it first issues every unissued FTQ head (demand
-// probes overlap across contexts — fetch-under-fill), then dispatches
-// for the first context, round-robin from the last one served, whose
-// head has arrived and fits the ROB. At most one context dispatches per
-// bandwidth slot; a cycle where the only eligible heads are waiting on
-// fills is a fetch stall.
-func (c *Core) fetchMC() {
-	if c.now < c.fetchBusyUntil {
-		return
+// dispatchHead moves a context's arrived FTQ head into the ROB (all
+// instructions of the block at once), occupies the fetch bandwidth, and
+// applies the block's re-steer, if any.
+func (c *Core) dispatchHead(hc *hwContext) {
+	p := &hc.pending[0]
+	n := p.bb.NumInstr
+	c.dispatch(p.bb, hc)
+
+	// Fetch bandwidth: a 3-wide front-end needs ceil(n/width) cycles.
+	c.fetchBusyUntil = c.now + uint64((n+fetchWidth-1)/fetchWidth)
+
+	// Redirects: flush the FTQ beyond the branch and re-steer.
+	switch {
+	case p.decodeRedirect:
+		c.stats.DecodeRedirects++
+		c.redirect(hc, decodeRedirectCycles)
+	case p.execRedirect:
+		c.stats.ExecRedirects++
+		c.redirect(hc, execRedirectCycles)
 	}
-	for _, hc := range c.ctxs {
-		if hc.ftqLen > 0 && !hc.headIssued {
-			c.issueHead(hc)
-		}
-	}
-	for j := 0; j < len(c.ctxs); j++ {
-		k := (c.fetCtx + j) % len(c.ctxs)
-		hc := c.ctxs[k]
-		if hc.ftqLen == 0 || hc.headReadyAt > c.now {
-			continue
-		}
-		p := &hc.pending[0]
-		if c.robFree() < p.bb.NumInstr {
-			continue // backend pressure
-		}
-		c.dispatch(p.bb, hc.dataRNG, hc.dataZipf)
-		busy := uint64((p.bb.NumInstr + c.cfg.FetchWidth - 1) / c.cfg.FetchWidth)
-		c.fetchBusyUntil = c.now + busy
-		switch {
-		case p.decodeRedirect:
-			c.stats.DecodeRedirects++
-			c.redirectCtx(hc, c.cfg.DecodeRedirectCycles)
-		case p.execRedirect:
-			c.stats.ExecRedirects++
-			c.redirectCtx(hc, c.cfg.ExecRedirectCycles)
-		}
-		hc.popPending(&c.cfg)
-		c.fetCtx = k
-		return
-	}
-	// No context could dispatch; charge one fill-wait cycle iff some
-	// context is actually waiting on an issued fetch.
-	for _, hc := range c.ctxs {
-		if hc.ftqLen > 0 && hc.headIssued && hc.headReadyAt > c.now {
-			c.stats.FetchStallCycles++
-			return
-		}
-	}
+
+	hc.popPending()
 }
 
-// redirectCtx is redirect for one context of a multi-context front-end:
-// the bubble occupies the shared fetch engine, the flush is local to the
-// re-steered context.
-func (c *Core) redirectCtx(hc *hwContext, penalty int) {
-	until := c.now + uint64(penalty)
-	if until > c.fetchBusyUntil {
+// redirect models a pipeline re-steer of one context: fetch emits a
+// bubble, which occupies the shared fetch engine, and the context's FTQ
+// contents past the redirecting branch are discarded (the runahead
+// re-walks them; cached evaluations prevent double training).
+func (c *Core) redirect(hc *hwContext, penalty uint64) {
+	if until := c.now + penalty; until > c.fetchBusyUntil {
 		c.fetchBusyUntil = until
 	}
 	hc.ftqLen = 1 // keep only the block being dispatched
 	if hc.runStallUntil > c.now {
+		// The pending resolution belongs to a flushed entry; the
+		// re-walk will find the BTB filled, so drop the stall.
 		hc.runStallUntil = c.now
 	}
+	// The flush re-steers the BPU onto the correct path.
 	hc.wrongPath = false
 }
 
-// nextEventMC mirrors NextEvent over the context set: each per-context
-// gating condition contributes a deadline, shared fetch bandwidth and
-// retire contribute theirs, and any condition that lets this very cycle
-// do work returns Now immediately.
-func (c *Core) nextEventMC() uint64 {
-	next := c.hier.NextArrival()
-
-	for _, hc := range c.ctxs {
-		if !hc.wrongPath && hc.ftqLen < c.cfg.FTQEntries {
-			if c.now >= hc.runStallUntil {
-				return c.now
-			}
-			if hc.runStallUntil < next {
-				next = hc.runStallUntil
-			}
-		}
-	}
-
-	anyFTQ := false
-	for _, hc := range c.ctxs {
-		if hc.ftqLen > 0 {
-			anyFTQ = true
-			break
-		}
-	}
-	if anyFTQ {
-		if c.now < c.fetchBusyUntil {
-			if c.fetchBusyUntil < next {
-				next = c.fetchBusyUntil
-			}
+// dispatch enters a block's instructions into the ROB and notifies the
+// engine of the retire-order stream (dispatch order equals retire order).
+//
+// The data side runs off a per-block schedule: one pass draws which
+// instructions load and from where (the Bernoulli/Zipf draws of the
+// dispatching context, in the same per-instruction order as ever, so the
+// random stream and therefore every result is unchanged), then the
+// hierarchy is charged and the ROB filled from the schedule. Non-load
+// instructions take the scheduling fast path: one RNG draw, no
+// hierarchy call.
+func (c *Core) dispatch(bb isa.BasicBlock, hc *hwContext) {
+	rng, zipf := hc.dataRNG, hc.dataZipf
+	// Pass 1: the load schedule. A sentinel address marks non-loads so
+	// pass 2 preserves instruction order without a second draw.
+	sched := c.loadSched[:0]
+	for i := 0; i < bb.NumInstr; i++ {
+		if c.loadDraw.Draw(rng) {
+			sched = append(sched, dataBase+isa.Addr(zipf.Next()*isa.BlockBytes))
 		} else {
-			for _, hc := range c.ctxs {
-				if hc.ftqLen == 0 {
-					continue
-				}
-				switch {
-				case !hc.headIssued:
-					return c.now
-				case hc.headReadyAt > c.now:
-					if hc.headReadyAt < next {
-						next = hc.headReadyAt
-					}
-				case c.robFree() >= hc.pending[0].bb.NumInstr:
-					return c.now
-					// Otherwise this head waits on backend pressure; only
-					// the retire deadline below can relieve it.
-				}
-			}
+			sched = append(sched, 0)
 		}
 	}
-
-	if c.robLen > 0 && c.rob[c.robHead] < next {
-		next = c.rob[c.robHead]
+	c.loadSched = sched
+	// Pass 2: charge the hierarchy and fill the ROB.
+	for _, addr := range sched {
+		complete := c.now + execLatencyCycles
+		if addr != 0 {
+			ready, _ := c.hier.DataAccess(c.now, addr)
+			if ready+execLatencyCycles > complete {
+				complete = ready + execLatencyCycles
+			}
+		}
+		c.robPush(complete)
 	}
-	if next < c.now {
-		return c.now
-	}
-	return next
+	c.blocksDispatched++
+	c.engine.OnRetire(bb)
 }
 
-// advanceIdleMC bulk-applies k idle cycles in multi-context mode. The
-// stall predicates are constant across the span for the same reason as
-// AdvanceIdle's: every cycle that could flip one is a deadline
-// nextEventMC includes.
-func (c *Core) advanceIdleMC(k uint64) {
-	if c.now >= c.fetchBusyUntil {
-		for _, hc := range c.ctxs {
-			if hc.ftqLen > 0 && hc.headIssued && hc.headReadyAt > c.now {
-				c.stats.FetchStallCycles += k
-				break
-			}
+func (c *Core) robFree() int { return robEntries - c.robLen }
+
+func (c *Core) robPush(complete uint64) {
+	// robHead+robLen < 2*robEntries always, so a compare-subtract wraps
+	// the ring without the general modulo.
+	idx := c.robHead + c.robLen
+	if idx >= robEntries {
+		idx -= robEntries
+	}
+	c.rob[idx] = complete
+	c.robLen++
+}
+
+// retire pops up to retireWidth completed instructions in order and
+// classifies zero-retire cycles as front-end or back-end stalls.
+func (c *Core) retire() {
+	retired := 0
+	for retired < retireWidth && c.robLen > 0 && c.rob[c.robHead] <= c.now {
+		c.robHead++
+		if c.robHead == robEntries {
+			c.robHead = 0
+		}
+		c.robLen--
+		retired++
+	}
+	c.stats.Instructions += uint64(retired)
+	if retired == 0 {
+		if c.robLen == 0 {
+			c.stats.FrontEndStallCycles++
+		} else {
+			c.stats.BackEndStallCycles++
 		}
 	}
-	if c.robLen == 0 {
-		c.stats.FrontEndStallCycles += k
-	} else {
-		c.stats.BackEndStallCycles += k
-	}
-	c.now += k
-	c.stats.Cycles += k
 }

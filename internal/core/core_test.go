@@ -12,10 +12,15 @@ import (
 	"shotgun/internal/workload"
 )
 
-func testSetup(t testing.TB, mech string) (*Core, *uncore.Hierarchy) {
+// testSetup builds a core with nctx hardware contexts, each walking the
+// test program from its own seed.
+func testSetup(t testing.TB, mech string, nctx int) (*Core, *uncore.Hierarchy) {
 	t.Helper()
 	prog := program.MustGenerate(program.GenParams{NumAppFuncs: 100, NumKernelFuncs: 24}, 11)
-	walker := workload.NewWalker(prog, 3)
+	streams := make([]workload.Stream, nctx)
+	for k := range streams {
+		streams[k] = workload.NewWalker(prog, 3+uint64(k))
+	}
 	cfg := uncore.DefaultConfig()
 	cfg.Mesh = noc.Config{Rows: 4, Cols: 4, HopCycles: 3, SlotsPerCycle: 2}
 	hier := uncore.New(cfg)
@@ -31,12 +36,33 @@ func testSetup(t testing.TB, mech string) (*Core, *uncore.Hierarchy) {
 	default:
 		t.Fatalf("unknown mech %s", mech)
 	}
-	return New(Config{LoadFrac: 0.2, DataBlocks: 1 << 10, DataZipfS: 0.8}, walker, engine, hier), hier
+	return New(Config{LoadFrac: 0.2, DataBlocks: 1 << 10, DataZipfS: 0.8}, streams, engine, hier), hier
+}
+
+// run advances the core until at least n more instructions have retired,
+// skipping each provably idle span (NextEvent/AdvanceIdle) after a real
+// tick — the event kernel's per-core loop — and returns the cycles
+// consumed.
+func run(c *Core, n uint64) uint64 {
+	startCycles := c.Stats().Cycles
+	target := c.Instructions() + n
+	for c.Instructions() < target {
+		c.Tick()
+		if c.Instructions() >= target {
+			// The crossing tick ends the run; skipping the idle span that
+			// follows it would charge cycles a per-cycle loop never runs.
+			break
+		}
+		if next := c.NextEvent(); next > c.Now() {
+			c.AdvanceIdle(next - c.Now())
+		}
+	}
+	return c.Stats().Cycles - startCycles
 }
 
 func TestRunRetiresInstructions(t *testing.T) {
-	c, _ := testSetup(t, "none")
-	cycles := c.Run(100_000)
+	c, _ := testSetup(t, "none", 1)
+	cycles := run(c, 100_000)
 	if cycles == 0 {
 		t.Fatal("no cycles elapsed")
 	}
@@ -51,8 +77,8 @@ func TestRunRetiresInstructions(t *testing.T) {
 }
 
 func TestStallClassificationExhaustive(t *testing.T) {
-	c, _ := testSetup(t, "none")
-	c.Run(50_000)
+	c, _ := testSetup(t, "none", 1)
+	run(c, 50_000)
 	s := c.Stats()
 	// Every cycle either retires something or is classified as a stall.
 	retireCycles := s.Cycles - s.FrontEndStallCycles - s.BackEndStallCycles
@@ -68,10 +94,10 @@ func TestStallClassificationExhaustive(t *testing.T) {
 }
 
 func TestIdealBeatsBaseline(t *testing.T) {
-	base, _ := testSetup(t, "none")
-	ideal, _ := testSetup(t, "ideal")
-	base.Run(150_000)
-	ideal.Run(150_000)
+	base, _ := testSetup(t, "none", 1)
+	ideal, _ := testSetup(t, "ideal", 1)
+	run(base, 150_000)
+	run(ideal, 150_000)
 	if ideal.Stats().IPC() <= base.Stats().IPC() {
 		t.Fatalf("ideal IPC %.3f not above baseline %.3f",
 			ideal.Stats().IPC(), base.Stats().IPC())
@@ -86,8 +112,8 @@ func TestIdealBeatsBaseline(t *testing.T) {
 }
 
 func TestMispredictsCharged(t *testing.T) {
-	c, _ := testSetup(t, "none")
-	c.Run(200_000)
+	c, _ := testSetup(t, "none", 1)
+	run(c, 200_000)
 	s := c.Stats()
 	if s.CondBranches == 0 || s.Branches == 0 {
 		t.Fatal("no branches observed")
@@ -106,24 +132,24 @@ func TestMispredictsCharged(t *testing.T) {
 }
 
 func TestResetStatsAtBoundary(t *testing.T) {
-	c, _ := testSetup(t, "none")
-	c.Run(30_000)
+	c, _ := testSetup(t, "none", 1)
+	run(c, 30_000)
 	c.ResetStats()
 	if s := c.Stats(); s.Cycles != 0 || s.Instructions != 0 {
 		t.Fatalf("reset failed: %+v", s)
 	}
 	// Simulation continues seamlessly after a reset.
-	c.Run(10_000)
+	run(c, 10_000)
 	if c.Stats().Instructions < 10_000 {
 		t.Fatal("run after reset broken")
 	}
 }
 
 func TestBoomerangReducesFrontEndStalls(t *testing.T) {
-	base, _ := testSetup(t, "none")
-	boom, _ := testSetup(t, "boomerang")
-	base.Run(200_000)
-	boom.Run(200_000)
+	base, _ := testSetup(t, "none", 1)
+	boom, _ := testSetup(t, "boomerang", 1)
+	run(base, 200_000)
+	run(boom, 200_000)
 	bs := float64(base.Stats().FrontEndStallCycles) / float64(base.Stats().Instructions)
 	os := float64(boom.Stats().FrontEndStallCycles) / float64(boom.Stats().Instructions)
 	if os >= bs {
@@ -132,10 +158,10 @@ func TestBoomerangReducesFrontEndStalls(t *testing.T) {
 }
 
 func TestDeterministicReplay(t *testing.T) {
-	a, _ := testSetup(t, "boomerang")
-	b, _ := testSetup(t, "boomerang")
-	a.Run(60_000)
-	b.Run(60_000)
+	a, _ := testSetup(t, "boomerang", 1)
+	b, _ := testSetup(t, "boomerang", 1)
+	run(a, 60_000)
+	run(b, 60_000)
 	if a.Stats() != b.Stats() {
 		t.Fatalf("simulation not deterministic:\n%+v\n%+v", a.Stats(), b.Stats())
 	}
@@ -174,8 +200,8 @@ func TestStraightLineCodeNoRedirects(t *testing.T) {
 	hier := uncore.New(cfg)
 	ctx := prefetch.Context{Hier: hier, Dec: predecode.NewDecoder(prog)}
 	c := New(Config{LoadFrac: 0.01, DataBlocks: 64, DataZipfS: 0.8},
-		&constStream{pc: 0x4000_0000}, prefetch.NewIdeal(ctx), hier)
-	c.Run(50_000)
+		[]workload.Stream{&constStream{pc: 0x4000_0000}}, prefetch.NewIdeal(ctx), hier)
+	run(c, 50_000)
 	s := c.Stats()
 	if s.DecodeRedirects != 0 || s.ExecRedirects != 0 {
 		t.Fatalf("straight-line code redirected: %+v", s)
@@ -189,35 +215,42 @@ func TestStraightLineCodeNoRedirects(t *testing.T) {
 }
 
 func BenchmarkCoreTick(b *testing.B) {
-	c, _ := testSetup(b, "boomerang")
+	c, _ := testSetup(b, "boomerang", 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Tick()
 	}
 }
 
+// contextCounts are the front-end widths the core-level event contract
+// is checked at: the classic single-context core and two SMT widths.
+var contextCounts = []int{1, 2, 4}
+
 // TestEventSkipMatchesPerCycle pins the core-level event contract: a
-// per-cycle tick loop and the event-skipping Run must land on identical
-// core and hierarchy stats. This is the single-core seed of the
+// per-cycle tick loop and a loop that skips each idle span through
+// NextEvent/AdvanceIdle must land on identical core and hierarchy stats,
+// at every context count. This is the single-core seed of the
 // scenario-level TestEventKernelMatchesLockstep.
 func TestEventSkipMatchesPerCycle(t *testing.T) {
-	for _, mech := range []string{"none", "boomerang", "ideal"} {
-		ref, refHier := testSetup(t, mech)
-		evt, evtHier := testSetup(t, mech)
+	for _, nctx := range contextCounts {
+		for _, mech := range []string{"none", "boomerang", "ideal"} {
+			ref, refHier := testSetup(t, mech, nctx)
+			evt, evtHier := testSetup(t, mech, nctx)
 
-		const target = 60_000
-		for ref.Instructions() < target {
-			ref.Tick()
-		}
-		evt.Run(target)
+			const target = 60_000
+			for ref.Instructions() < target {
+				ref.Tick()
+			}
+			run(evt, target)
 
-		if ref.Stats() != evt.Stats() {
-			t.Fatalf("%s: event-skipping Run drifted from per-cycle ticking:\nper-cycle: %+v\nevent:     %+v",
-				mech, ref.Stats(), evt.Stats())
-		}
-		if refHier.Stats() != evtHier.Stats() {
-			t.Fatalf("%s: hierarchy stats drifted:\nper-cycle: %+v\nevent:     %+v",
-				mech, refHier.Stats(), evtHier.Stats())
+			if ref.Stats() != evt.Stats() {
+				t.Fatalf("%s/%d contexts: event skipping drifted from per-cycle ticking:\nper-cycle: %+v\nevent:     %+v",
+					mech, nctx, ref.Stats(), evt.Stats())
+			}
+			if refHier.Stats() != evtHier.Stats() {
+				t.Fatalf("%s/%d contexts: hierarchy stats drifted:\nper-cycle: %+v\nevent:     %+v",
+					mech, nctx, refHier.Stats(), evtHier.Stats())
+			}
 		}
 	}
 }
@@ -227,7 +260,7 @@ func TestEventSkipMatchesPerCycle(t *testing.T) {
 // strictly fewer ticks than elapsed cycles (the difference is the idle
 // cycles bulk-accounted by AdvanceIdle).
 func TestNextEventSkipsIdleSpans(t *testing.T) {
-	c, _ := testSetup(t, "none")
+	c, _ := testSetup(t, "none", 1)
 	ticks := uint64(0)
 	for c.Instructions() < 50_000 {
 		c.Tick()
@@ -249,35 +282,37 @@ func TestNextEventSkipsIdleSpans(t *testing.T) {
 // ticking it changes nothing but the stall counters and the clock, and
 // leaves the hierarchy untouched.
 func TestNextEventNeverLate(t *testing.T) {
-	c, hier := testSetup(t, "boomerang")
-	for i := 0; i < 20_000; i++ {
-		next := c.NextEvent()
-		if next < c.Now() {
-			t.Fatalf("NextEvent %d is in the past (now %d)", next, c.Now())
-		}
-		if next > c.Now() {
-			// The span must be idle: tick one of its cycles and check
-			// only the idle-accounting fields moved.
-			before, hierBefore := c.Stats(), hier.Stats()
-			instr := before.Instructions
-			c.Tick()
-			after, hierAfter := c.Stats(), hier.Stats()
-			if hierBefore != hierAfter {
-				t.Fatalf("cycle %d: hierarchy mutated inside idle span ending %d", c.Now()-1, next)
+	for _, nctx := range contextCounts {
+		c, hier := testSetup(t, "boomerang", nctx)
+		for i := 0; i < 20_000; i++ {
+			next := c.NextEvent()
+			if next < c.Now() {
+				t.Fatalf("%d contexts: NextEvent %d is in the past (now %d)", nctx, next, c.Now())
 			}
-			if after.Instructions != instr {
-				t.Fatalf("cycle %d: instructions retired inside idle span ending %d", c.Now()-1, next)
+			if next > c.Now() {
+				// The span must be idle: tick one of its cycles and check
+				// only the idle-accounting fields moved.
+				before, hierBefore := c.Stats(), hier.Stats()
+				instr := before.Instructions
+				c.Tick()
+				after, hierAfter := c.Stats(), hier.Stats()
+				if hierBefore != hierAfter {
+					t.Fatalf("%d contexts, cycle %d: hierarchy mutated inside idle span ending %d", nctx, c.Now()-1, next)
+				}
+				if after.Instructions != instr {
+					t.Fatalf("%d contexts, cycle %d: instructions retired inside idle span ending %d", nctx, c.Now()-1, next)
+				}
+				before.Cycles = after.Cycles
+				before.FetchStallCycles = after.FetchStallCycles
+				before.FrontEndStallCycles = after.FrontEndStallCycles
+				before.BackEndStallCycles = after.BackEndStallCycles
+				if before != after {
+					t.Fatalf("%d contexts, cycle %d: non-idle mutation inside idle span ending %d:\nbefore: %+v\nafter:  %+v",
+						nctx, c.Now()-1, next, before, after)
+				}
+			} else {
+				c.Tick()
 			}
-			before.Cycles = after.Cycles
-			before.FetchStallCycles = after.FetchStallCycles
-			before.FrontEndStallCycles = after.FrontEndStallCycles
-			before.BackEndStallCycles = after.BackEndStallCycles
-			if before != after {
-				t.Fatalf("cycle %d: non-idle mutation inside idle span ending %d:\nbefore: %+v\nafter:  %+v",
-					c.Now()-1, next, before, after)
-			}
-		} else {
-			c.Tick()
 		}
 	}
 }

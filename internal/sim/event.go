@@ -1,12 +1,13 @@
-// The event-driven scenario kernel. runLockstep ticks every core every
-// cycle, so cost scales with cycles × cores even when most cores are
-// stalled on L1-I/LLC fills — the common case the paper studies. This
-// kernel advances a shared clock straight to the next pending event and
-// ticks only the cores that are active in that cycle, which is what
-// makes 64–256-core interference sweeps tractable.
+// The event-driven kernel: the one driver of every exact simulation,
+// from the single-core Run to 256-core scenarios. It advances a shared
+// clock straight to the next pending event and ticks only the cores that
+// are active in that cycle, so cost scales with events rather than with
+// cycles × cores — most cores spend most cycles stalled on L1-I/LLC
+// fills, the common case the paper studies.
 //
-// Bit-identity with the lockstep engine is the design invariant, not an
-// approximation target:
+// Its reference is a lockstep loop that ticks every core every cycle,
+// kept as the test oracle in lockstep_test.go. Bit-identity with it is
+// the design invariant, not an approximation target:
 //
 //   - Activity: core.NextEvent returns the earliest cycle at which the
 //     core's Tick does anything beyond idle accounting. The kernel keeps
@@ -28,20 +29,15 @@
 //     completion, stall expiry, ROB head completion) — so cached
 //     deadlines of idle cores stay valid between their ticks.
 //
-// TestEventKernelMatchesLockstep holds the two engines bit-equal across
-// core counts and all mechanisms, and the golden corpus pins the
-// results at scale.
+// TestEventKernelMatchesLockstep holds the two bit-equal across core
+// counts, context counts and all mechanisms, and the golden corpus pins
+// the results at scale.
 
 package sim
 
-// runEvent executes a normalized scenario on the event kernel. It is a
-// drop-in replacement for runLockstep with identical results.
-func runEvent(sc Scenario) (ScenarioResult, error) {
-	states, err := buildStates(sc)
-	if err != nil {
-		return ScenarioResult{}, err
-	}
-
+// runEvent drives built per-core states (buildStates) through their
+// phase schedules on the event kernel.
+func runEvent(states []*coreState) ScenarioResult {
 	// next[i] caches core i's pending-event deadline; a core is ticked
 	// only in the cycle its deadline names. Like the lockstep loop,
 	// finished cores keep running — their traffic is real — until the
@@ -85,5 +81,5 @@ func runEvent(sc Scenario) (ScenarioResult, error) {
 			next[i] = c.NextEvent()
 		}
 	}
-	return results(states), nil
+	return results(states)
 }

@@ -45,8 +45,8 @@ func testPermutations(n int) [][]int {
 }
 
 // engines pins the metamorphic properties to each scenario engine by
-// name: RunScenario dispatches multi-core shapes to the event kernel,
-// but the properties must hold for the retained lockstep reference too
+// name: RunScenario runs every exact shape on the event kernel, but the
+// properties must hold for the lockstep test oracle too
 // — a contract break in either engine fails here even if the other
 // masks it at the dispatch layer.
 var engines = []struct {
@@ -54,7 +54,7 @@ var engines = []struct {
 	run  func(Scenario) (ScenarioResult, error)
 }{
 	{"lockstep", runLockstep},
-	{"event", runEvent},
+	{"event", runExact},
 }
 
 // runWith executes a scenario through the full RunScenario pipeline —

@@ -166,11 +166,12 @@ func (s SampledSummary) TotalInstr() uint64 {
 	return s.SkimmedInstr + s.WarmInstr + s.DetailInstr
 }
 
-// runSampled executes the periodic-sampling schedule on an already
-// constructed core. The Result's raw counters aggregate the measured
-// units only (so IPC()/MPKI() read as usual), and Sampled carries the
-// per-unit statistics.
-func runSampled(cfg Config, c *core.Core, engine prefetch.Engine) (Result, error) {
+// runSampled executes the periodic-sampling schedule on a core built by
+// buildStates, with Core.RunBlocks as its detailed-unit driver. The
+// Result's raw counters aggregate the measured units only (so
+// IPC()/MPKI() read as usual), and Sampled carries the per-unit
+// statistics.
+func runSampled(cfg Config, c *core.Core, engine prefetch.Engine) Result {
 	p := cfg.Sampling.params()
 	res := Result{Workload: cfg.Workload, Mechanism: cfg.Mechanism}
 	sum := &SampledSummary{}
@@ -217,5 +218,5 @@ func runSampled(cfg Config, c *core.Core, engine prefetch.Engine) (Result, error
 	sum.BTBMPKI = btbm.Estimate()
 	res.Sampled = sum
 	res.PrefetchAccuracy = prefetchAccuracy(res.Hier)
-	return res, nil
+	return res
 }

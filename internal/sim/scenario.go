@@ -5,7 +5,8 @@
 // shared, so co-runner interference (the paper's Figure 11 over-prefetch
 // effect, shared-LLC pressure, heterogeneous mixes) is emergent
 // behaviour instead of a baked-in fluid-queue constant. The single-core
-// simulation of the original evaluation is exactly the N=1 scenario.
+// simulation of the original evaluation is exactly the N=1 scenario:
+// Run builds and drives it through the same code as any other shape.
 
 package sim
 
@@ -223,10 +224,10 @@ func (s Scenario) Validate() error {
 		if err := cfg.Validate(); err != nil {
 			return fmt.Errorf("sim: core %d: %w", i, err)
 		}
-		// Sampling is the single-core stream mode: the lockstep/event
-		// multi-core engines simulate every cycle of every core and have
-		// no functional-warming fast path, so a sampled config may only
-		// take the Run path (one core, default LLC share).
+		// Sampling is the single-core stream mode: the event kernel
+		// simulates every cycle of every core and has no functional-
+		// warming fast path, so a sampled config may only run as the
+		// one-core scenario over the default LLC share.
 		if cfg.Sampling != nil {
 			if len(s.Cores) > 1 {
 				return fmt.Errorf("sim: core %d: sampling requires a single-core scenario (got %d cores)", i, len(s.Cores))
@@ -257,30 +258,39 @@ type ScenarioResult struct {
 	Cores []Result
 }
 
-// RunScenario executes one scenario to completion. The default
-// single-core scenario takes the exact serial path of Run — byte-
-// identical results by construction — while every other shape runs the
-// lockstep multi-core engine over one shared uncore. Execution happens
-// in canonical core order (so permuted scenarios are literally one
-// simulation); the returned Cores are mapped back to the caller's
-// order, so result.Cores[i] always describes the caller's Cores[i].
+// RunScenario executes one scenario to completion. Exact scenarios of
+// every shape, the one-core default of Run included, run on the event
+// kernel over one shared uncore; a sampled (single-core) scenario runs
+// the periodic-sampling schedule. Execution happens in canonical core
+// order (so permuted scenarios are literally one simulation); the
+// returned Cores are mapped back to the caller's order, so
+// result.Cores[i] always describes the caller's Cores[i].
 func RunScenario(sc Scenario) (ScenarioResult, error) {
 	if err := sc.Validate(); err != nil {
 		return ScenarioResult{}, err
 	}
 	norm, perm := sc.NormalizedPerm()
-	if len(norm.Cores) == 1 && norm.LLCSizeBytes == DefaultLLCBytes(1) {
-		res, err := Run(norm.Cores[0])
-		if err != nil {
-			return ScenarioResult{}, err
-		}
-		return ScenarioResult{Cores: []Result{res}}, nil
-	}
-	canon, err := runEvent(norm)
+	canon, err := simulate(norm, nil)
 	if err != nil {
 		return ScenarioResult{}, err
 	}
 	return canon.Reorder(perm), nil
+}
+
+// simulate builds a validated, normalized scenario and runs it: on the
+// event kernel when exact, through runSampled when sampled (Validate
+// admits sampling only in a one-core scenario). A non-nil stream drives
+// core 0's first context in place of its walker.
+func simulate(sc Scenario, stream workload.Stream) (ScenarioResult, error) {
+	states, err := buildStates(sc, stream)
+	if err != nil {
+		return ScenarioResult{}, err
+	}
+	if cfg := sc.Cores[0]; cfg.Sampling != nil {
+		res := runSampled(cfg, states[0].c, states[0].engine)
+		return ScenarioResult{Cores: []Result{res}}, nil
+	}
+	return runEvent(states), nil
 }
 
 // Reorder maps a canonical-order result back to a caller's core order:
@@ -328,9 +338,8 @@ type phase struct {
 	measure bool // accumulate stats when the phase completes
 }
 
-// phasesOf expands a config's warmup/skip/measure schedule — the same
-// sequence Run executes — into explicit phases the lockstep loop can
-// walk per core.
+// phasesOf expands a config's warmup/skip/measure schedule into
+// explicit phases the event kernel walks per core.
 func phasesOf(cfg Config) []phase {
 	ph := []phase{{n: cfg.WarmupInstr}}
 	perWindow := cfg.MeasureInstr / uint64(cfg.Samples)
@@ -343,7 +352,7 @@ func phasesOf(cfg Config) []phase {
 	return ph
 }
 
-// coreState tracks one core through the lockstep loop.
+// coreState tracks one core through its phase schedule.
 type coreState struct {
 	c      *core.Core
 	engine prefetch.Engine
@@ -366,10 +375,18 @@ func (cs *coreState) startPhase() {
 
 // step advances the core's phase machine after a tick: a crossed target
 // closes the phase (accumulating measured windows) and opens the next.
-// The loop handles zero-length phases, which complete instantly. The
-// per-tick probe reads only the instruction counter — this runs every
-// cycle of every core, so it must not copy the whole Stats struct.
+// The per-tick probe reads only the instruction counter and stays small
+// enough to inline — this runs on every tick of every core, so it must
+// not copy the whole Stats struct or cost a call.
 func (cs *coreState) step() {
+	if cs.c.Instructions() >= cs.target {
+		cs.nextPhase()
+	}
+}
+
+// nextPhase closes every phase whose target has been crossed; the loop
+// handles zero-length phases, which complete instantly.
+func (cs *coreState) nextPhase() {
 	for !cs.done && cs.c.Instructions() >= cs.target {
 		if cs.phases[cs.pi].measure {
 			accumulate(&cs.res, cs.c, cs.engine)
@@ -383,12 +400,14 @@ func (cs *coreState) step() {
 	}
 }
 
-// buildStates constructs the shared uncore and the per-core states of a
-// normalized scenario: the common front half of the lockstep and event
-// engines. Both engines must run over bit-identical initial state —
-// same mesh config, same attach order, same salted seeds — for the
-// equality keystone (TestEventKernelMatchesLockstep) to be meaningful.
-func buildStates(sc Scenario) ([]*coreState, error) {
+// buildStates is the one place a simulation is assembled: the shared
+// uncore of a normalized scenario, then each core's private hierarchy,
+// delivery engine, core and phase schedule, in canonical order. Every
+// driver — the event kernel, the sampled schedule and the lockstep test
+// oracle — runs over state built here, so their results are comparable
+// bit for bit: same mesh config, same attach order, same salted seeds.
+// A non-nil stream replaces core 0's first walker (RunStream).
+func buildStates(sc Scenario, stream workload.Stream) ([]*coreState, error) {
 	ucfg := uncore.DefaultConfig()
 	ucfg.LLCSizeBytes = sc.LLCSizeBytes
 	ucfg.Mesh = noc.SharedConfig(len(sc.Cores))
@@ -411,6 +430,9 @@ func buildStates(sc Scenario) ([]*coreState, error) {
 		}
 		salt := coreSalt(i)
 		hier := shared.AttachCore(i)
+		// The program and its predecode image are process-wide shared,
+		// immutable artifacts: built once per workload, walked by every
+		// simulation (serial or concurrent) of that workload.
 		engine, err := buildEngine(prefetch.Context{Hier: hier, Dec: prof.Decoder()}, cfg)
 		if err != nil {
 			return nil, err
@@ -424,16 +446,15 @@ func buildStates(sc Scenario) ([]*coreState, error) {
 		}
 		// Context 0's walk seed carries only the core salt, so a
 		// one-context core walks the exact single-context stream.
-		nctx := cfg.Contexts
-		if nctx < 1 {
-			nctx = 1
-		}
-		streams := make([]workload.Stream, nctx)
+		streams := make([]workload.Stream, max(cfg.Contexts, 1))
 		for k := range streams {
 			streams[k] = workload.NewWalkerConfig(prof.Program(), prof.WalkSeed^salt^contextSalt(k), prof.Walk)
 		}
+		if i == 0 && stream != nil {
+			streams[0] = stream
+		}
 		cs := &coreState{
-			c:      core.NewMultiContext(ccfg, streams, engine, hier),
+			c:      core.New(ccfg, streams, engine, hier),
 			engine: engine,
 			phases: phasesOf(cfg),
 			res:    Result{Workload: cfg.Workload, Mechanism: cfg.Mechanism},
@@ -452,41 +473,4 @@ func results(states []*coreState) ScenarioResult {
 		out.Cores[i] = cs.res
 	}
 	return out
-}
-
-// runLockstep drives N cores cycle-by-cycle over one shared uncore. All
-// cores tick in round-robin within each cycle, so their clocks never
-// drift by more than one cycle and shared-resource contention (LLC
-// occupancy, mesh backlog) is time-coherent. A core that finishes its
-// schedule keeps ticking — still generating real traffic — until every
-// core has finished measuring, but its extra work is never accumulated.
-//
-// This is the reference engine: RunScenario dispatches multi-core
-// shapes to the event-driven kernel in event.go, and
-// TestEventKernelMatchesLockstep pins the two executions to bit-equal
-// results. Keep both engines' semantics in sync.
-func runLockstep(sc Scenario) (ScenarioResult, error) {
-	states, err := buildStates(sc)
-	if err != nil {
-		return ScenarioResult{}, err
-	}
-
-	// live counts cores still walking their schedule; finished cores
-	// keep ticking (real traffic) until the round in which the last
-	// core finishes, exactly like the rescan-every-cycle formulation
-	// but without the per-cycle O(N) scan.
-	live := len(states)
-	for live > 0 {
-		for _, cs := range states {
-			cs.c.Tick()
-			if cs.done {
-				continue
-			}
-			cs.step()
-			if cs.done {
-				live--
-			}
-		}
-	}
-	return results(states), nil
 }

@@ -15,12 +15,11 @@ func tinyCfg(wl string, m Mechanism) Config {
 	}
 }
 
-// TestLockstepMatchesSerialSingleCore is the refactor's keystone: the
-// lockstep multi-core engine, driven with exactly one core and the
-// default shared uncore, must reproduce the classic serial simulation
-// bit for bit. RunScenario routes the default N=1 shape down the serial
-// path, so this test calls the lockstep engine directly — any drift
-// between the two engines fails here, not in a golden diff.
+// TestLockstepMatchesSerialSingleCore: the lockstep oracle, driven with
+// exactly one core and the default shared uncore, must reproduce Run —
+// the one-core scenario on the event kernel — bit for bit, so any drift
+// between the kernel and a per-cycle loop at N=1 (the golden corpus's
+// most common shape) fails here, not in a golden diff.
 func TestLockstepMatchesSerialSingleCore(t *testing.T) {
 	for _, m := range []Mechanism{None, Shotgun, Confluence} {
 		cfg := tinyCfg("Nutch", m)

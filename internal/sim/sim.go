@@ -6,8 +6,9 @@
 //
 // Two units exist. A Config describes one core's simulation; a Scenario
 // (scenario.go) is the general unit — N configured cores over one
-// genuinely shared LLC and NoC — of which Run(cfg) is exactly the N=1
-// special case, bit-for-bit. Identity contract: Scenario.Normalized
+// genuinely shared LLC and NoC — of which Run(cfg) is the N=1 case: one
+// builder assembles every simulation and the event kernel (event.go)
+// drives every exact one. Identity contract: Scenario.Normalized
 // makes every default explicit and sorts cores canonically, and
 // CanonicalBytes of that form is THE content identity — the harness
 // memo keys on it, internal/store hashes it, and the dispatch cluster
@@ -274,12 +275,11 @@ func (r Result) StallCoverage(baseline Result) float64 {
 	return cov
 }
 
-// Run executes one single-core simulation to completion. It is the N=1
-// special case of RunScenario, kept as a direct serial path so its
-// cycle-for-cycle behaviour (and therefore the golden corpus) is pinned
-// by construction.
+// Run executes one single-core simulation to completion: the one-core
+// scenario over the default LLC share, so RunScenario(SingleCore(cfg))
+// is the same simulation.
 func Run(cfg Config) (Result, error) {
-	return runSingle(cfg, nil)
+	return runCore(cfg, nil)
 }
 
 // RunStream executes one single-core simulation driven by an externally
@@ -295,7 +295,7 @@ func RunStream(cfg Config, stream workload.Stream) (Result, error) {
 	if cfg.Normalized().Contexts > 1 {
 		return Result{}, fmt.Errorf("sim: RunStream requires a single-context core")
 	}
-	return runSingle(cfg, stream)
+	return runCore(cfg, stream)
 }
 
 // contextSalt decorrelates the per-context walker seeds of a
@@ -305,80 +305,17 @@ func contextSalt(k int) uint64 {
 	return uint64(k) * 0xbf58476d1ce4e5b9
 }
 
-// runSingle is the shared body of Run and RunStream: a nil stream means
+// runCore is the shared body of Run and RunStream: a nil stream means
 // "walk the profile's program".
-func runSingle(cfg Config, stream workload.Stream) (Result, error) {
+func runCore(cfg Config, stream workload.Stream) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	cfg.setDefaults()
-
-	prof, err := workload.Get(cfg.Workload)
+	res, err := simulate(SingleCore(cfg).Normalized(), stream)
 	if err != nil {
 		return Result{}, err
 	}
-	// The program and its predecode image are process-wide shared,
-	// immutable artifacts: built once per workload, walked by every
-	// simulation (serial or concurrent) of that workload.
-	prog := prof.Program()
-	if stream == nil {
-		stream = workload.NewWalkerConfig(prog, prof.WalkSeed, prof.Walk)
-	}
-	dec := prof.Decoder()
-
-	ucfg := uncore.DefaultConfig()
-	if cfg.Mechanism == Confluence {
-		// SHIFT's virtualized history and index displace LLC capacity.
-		ucfg.LLCReserveBytes = prefetch.ConfluenceLLCReserveBytes
-	}
-	hier := uncore.New(ucfg)
-
-	ctx := prefetch.Context{Hier: hier, Dec: dec}
-	engine, err := buildEngine(ctx, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-
-	ccfg := core.Config{
-		CLZTage:    cfg.BPU == BPUCLZ,
-		LoadFrac:   prof.LoadFrac,
-		DataBlocks: prof.DataBlocks,
-		DataZipfS:  prof.DataZipfS,
-		DataSeed:   prof.WalkSeed ^ 0xd00d,
-	}
-	var c *core.Core
-	if cfg.Contexts > 1 {
-		streams := make([]workload.Stream, cfg.Contexts)
-		streams[0] = stream
-		for k := 1; k < cfg.Contexts; k++ {
-			streams[k] = workload.NewWalkerConfig(prog, prof.WalkSeed^contextSalt(k), prof.Walk)
-		}
-		c = core.NewMultiContext(ccfg, streams, engine, hier)
-	} else {
-		c = core.New(ccfg, stream, engine, hier)
-	}
-
-	if cfg.Sampling != nil {
-		return runSampled(cfg, c, engine)
-	}
-
-	// Warmup: populate caches, BTBs, predictor, history.
-	c.Run(cfg.WarmupInstr)
-
-	// SMARTS-style sampling: Samples measurement windows separated by
-	// unmeasured gaps.
-	res := Result{Workload: cfg.Workload, Mechanism: cfg.Mechanism}
-	perWindow := cfg.MeasureInstr / uint64(cfg.Samples)
-	for s := 0; s < cfg.Samples; s++ {
-		if s > 0 && cfg.SkipInstr > 0 {
-			c.Run(cfg.SkipInstr)
-		}
-		c.ResetStats()
-		c.Run(perWindow)
-		accumulate(&res, c, engine)
-	}
-	res.PrefetchAccuracy = prefetchAccuracy(res.Hier)
-	return res, nil
+	return res.Cores[0], nil
 }
 
 // MustRun is Run for static configurations.

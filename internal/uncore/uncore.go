@@ -17,7 +17,7 @@
 // Shared with exactly one core attached.
 //
 // Concurrency contract: a Shared and every Hierarchy attached to it
-// must be driven by ONE goroutine (the scenario's lockstep loop). None
+// must be driven by ONE goroutine (the scenario's event kernel). None
 // of the structures lock — per-cycle calls are the simulator's hottest
 // path — so concurrent use from two goroutines is a data race (caught
 // by the race-detector tests). Concurrency belongs one level up:
