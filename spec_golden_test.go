@@ -15,8 +15,12 @@
 package shotgun_test
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 
 	"shotgun/internal/harness"
@@ -103,9 +107,25 @@ func TestSpecGoldenParity(t *testing.T) {
 	}
 
 	// Completeness: every compiled-in experiment must have a spec twin.
+	var keys strings.Builder
 	for _, e := range harness.Experiments() {
 		if !covered[e.ID] {
 			t.Errorf("compiled-in experiment %q has no specs/*.json declaration", e.ID)
 		}
+		fmt.Fprintln(&keys, keysLine(r, e))
 	}
+	compareGolden(t, filepath.Join("testdata", "golden", "keys.txt"), keys.String())
+}
+
+// keysLine is one experiment's keys.txt entry: its ID, its distinct
+// scenario count, and a sha256 over the sorted content keys.
+func keysLine(r *harness.Runner, e harness.Experiment) string {
+	var keys []string
+	if e.Scenarios != nil {
+		for k := range keySet(r, e.Scenarios()) {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	return fmt.Sprintf("%s %d %x", e.ID, len(keys), sha256.Sum256([]byte(strings.Join(keys, "\n"))))
 }
