@@ -18,9 +18,12 @@ import (
 	"time"
 
 	"shotgun/internal/btb"
+	"shotgun/internal/footprint"
 	"shotgun/internal/harness"
+	"shotgun/internal/prefetch"
 	"shotgun/internal/report"
 	"shotgun/internal/sim"
+	"shotgun/internal/spec"
 	"shotgun/internal/stats"
 	"shotgun/internal/trace"
 	"shotgun/internal/workload"
@@ -41,18 +44,20 @@ func sharedRunner() *harness.Runner {
 	return runner
 }
 
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	exp, ok := harness.Find(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	r := sharedRunner()
-	for i := 0; i < b.N; i++ {
-		out := exp.Run(r)
-		if i == 0 {
-			fmt.Println(out)
-		}
+// BenchmarkExperiments regenerates every table and figure of the spec
+// catalog, one sub-benchmark per experiment ID (for example
+// -bench=Experiments/fig7), printing each table once.
+func BenchmarkExperiments(b *testing.B) {
+	for _, exp := range spec.Catalog() {
+		b.Run(exp.ID, func(b *testing.B) {
+			r := sharedRunner()
+			for i := 0; i < b.N; i++ {
+				out := exp.Run(r)
+				if i == 0 {
+					fmt.Println(out)
+				}
+			}
+		})
 	}
 }
 
@@ -218,8 +223,8 @@ func BenchmarkSampledThroughput(b *testing.B) {
 }
 
 // BenchmarkScenarioThroughput measures multi-core scenario speed on the
-// interference experiment's shape — a shotgun primary plus entire-region
-// co-runners over one shared LLC and mesh — as total simulated
+// interference experiment's shape — an Oracle shotgun primary plus
+// entire-region co-runners over one shared LLC and mesh — as total simulated
 // instructions per second across the core-count sweep. This is the
 // number the event-driven kernel exists to move: the lockstep engine's
 // cost scaled with cycles × cores regardless of how many cores were
@@ -227,21 +232,22 @@ func BenchmarkSampledThroughput(b *testing.B) {
 // artifact as BenchmarkSimThroughput so CI tracks the multi-core
 // trajectory alongside single-sim speed.
 func BenchmarkScenarioThroughput(b *testing.B) {
-	prof := workload.MustGet(harness.InterferenceWorkload)
+	prof := workload.MustGet("Oracle")
 	prof.Program()
 	prof.Decoder()
-	mix := harness.InterferenceMixes()[1] // entire-region: the heavy one
+	const warmup, measure = 150_000, 250_000
+	primary := sim.Config{Workload: "Oracle", Mechanism: sim.Shotgun,
+		WarmupInstr: warmup, MeasureInstr: measure, Samples: 1}
+	coRunner := primary
+	coRunner.RegionMode = prefetch.RegionEntire // the heavy mix
+	coRunner.Layout = footprint.Layout32
 	for _, cores := range []int{1, 4, 8, 16} {
 		b.Run(fmt.Sprintf("cores=%d", cores), func(b *testing.B) {
-			sc := harness.InterferenceScenario(cores-1, mix)
-			var perCore uint64
-			for i := range sc.Cores {
-				sc.Cores[i].WarmupInstr = 150_000
-				sc.Cores[i].MeasureInstr = 250_000
-				sc.Cores[i].Samples = 1
-				perCore = sc.Cores[i].WarmupInstr + sc.Cores[i].MeasureInstr
+			sc := sim.Scenario{Cores: []sim.Config{primary}}
+			for i := 1; i < cores; i++ {
+				sc.Cores = append(sc.Cores, coRunner)
 			}
-			instrPerRun := uint64(cores) * perCore
+			instrPerRun := uint64(cores) * (warmup + measure)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res := sim.MustRunScenario(sc)
@@ -256,42 +262,6 @@ func BenchmarkScenarioThroughput(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkTable1 regenerates Table 1 (BTB MPKI without prefetching).
-func BenchmarkTable1(b *testing.B) { benchExperiment(b, "table1") }
-
-// BenchmarkFigure1 regenerates Figure 1 (Confluence/Boomerang/Ideal).
-func BenchmarkFigure1(b *testing.B) { benchExperiment(b, "fig1") }
-
-// BenchmarkFigure3 regenerates Figure 3 (region spatial locality).
-func BenchmarkFigure3(b *testing.B) { benchExperiment(b, "fig3") }
-
-// BenchmarkFigure4 regenerates Figure 4 (branch working-set coverage).
-func BenchmarkFigure4(b *testing.B) { benchExperiment(b, "fig4") }
-
-// BenchmarkFigure6 regenerates Figure 6 (stall-cycle coverage).
-func BenchmarkFigure6(b *testing.B) { benchExperiment(b, "fig6") }
-
-// BenchmarkFigure7 regenerates Figure 7 (speedups).
-func BenchmarkFigure7(b *testing.B) { benchExperiment(b, "fig7") }
-
-// BenchmarkFigure8 regenerates Figure 8 (footprint-variant coverage).
-func BenchmarkFigure8(b *testing.B) { benchExperiment(b, "fig8") }
-
-// BenchmarkFigure9 regenerates Figure 9 (footprint-variant speedup).
-func BenchmarkFigure9(b *testing.B) { benchExperiment(b, "fig9") }
-
-// BenchmarkFigure10 regenerates Figure 10 (prefetch accuracy).
-func BenchmarkFigure10(b *testing.B) { benchExperiment(b, "fig10") }
-
-// BenchmarkFigure11 regenerates Figure 11 (L1-D fill latency).
-func BenchmarkFigure11(b *testing.B) { benchExperiment(b, "fig11") }
-
-// BenchmarkFigure12 regenerates Figure 12 (C-BTB sensitivity).
-func BenchmarkFigure12(b *testing.B) { benchExperiment(b, "fig12") }
-
-// BenchmarkFigure13 regenerates Figure 13 (BTB budget sensitivity).
-func BenchmarkFigure13(b *testing.B) { benchExperiment(b, "fig13") }
 
 // BenchmarkAblationNoRIB quantifies the RIB's value (Section 4.2.1):
 // Shotgun with a dedicated RIB vs returns burning full U-BTB entries at

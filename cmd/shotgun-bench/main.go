@@ -1,5 +1,7 @@
 // Command shotgun-bench regenerates every table and figure of the
-// paper's evaluation and prints them in order.
+// paper's evaluation — the spec catalog compiled from specs/ — and
+// prints them in order. A custom sweep (a different interference
+// co-runner ladder, say) is a spec file run with -spec.
 //
 // Simulations are distributed over a worker pool (one worker per CPU by
 // default) and memoized, so configurations shared between experiments run
@@ -16,7 +18,6 @@
 //	shotgun-bench -json -out report.json   # machine-readable report
 //	shotgun-bench -store ./shotgun-store   # persist/reuse results on disk
 //	shotgun-bench -store ./s -store-max-bytes 1000000000  # prune to ~1GB
-//	shotgun-bench -cores 2,4,8,16 -mix entire-region      # custom interference sweep
 //	shotgun-bench -spec my-sweep.json      # run a declarative sweep (docs/SPEC.md)
 //	shotgun-bench -cpuprofile cpu.out -memprofile mem.out
 package main
@@ -29,8 +30,8 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
+	"text/tabwriter"
 	"time"
 
 	"shotgun/internal/harness"
@@ -66,20 +67,6 @@ type options struct {
 	run []harness.Experiment
 }
 
-// parseIntList parses a comma-separated list of positive ints.
-func parseIntList(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		n, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, fmt.Errorf("bad count %q: %v", part, err)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
 // parseStringList splits and trims a comma-separated list.
 func parseStringList(s string) []string {
 	var out []string
@@ -108,11 +95,7 @@ func parseOptions(args []string, stderr io.Writer) (options, error) {
 	fs.StringVar(&opts.storeDir, "store", "", "persistent result store directory (reused across runs)")
 	fs.Int64Var(&opts.storeMaxBytes, "store-max-bytes", 0,
 		"prune the store's oldest records down to this many bytes on open (0: keep everything)")
-	var (
-		cores    = fs.String("cores", "", "interference sweep: comma-separated total core counts (default 2,4,8)")
-		mix      = fs.String("mix", "", "interference sweep: comma-separated mixes (shotgun-8bit, entire-region)")
-		specList = fs.String("spec", "", "comma-separated sweep spec files (docs/SPEC.md); runs the specs' tables instead of the built-in catalog")
-	)
+	specList := fs.String("spec", "", "comma-separated sweep spec files (docs/SPEC.md); runs the specs' tables instead of the built-in catalog")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return options{}, err
@@ -138,9 +121,6 @@ func parseOptions(args []string, stderr io.Writer) (options, error) {
 	// that pins a scale pins the whole run's.
 	var specExps []harness.Experiment
 	if *specList != "" {
-		if *cores != "" || *mix != "" {
-			return options{}, fmt.Errorf("-cores/-mix customize the built-in interference experiment; declare an interference table in the spec instead")
-		}
 		seen := make(map[string]bool)
 		for _, path := range parseStringList(*specList) {
 			c, err := spec.CompileFile(path)
@@ -168,87 +148,34 @@ func parseOptions(args []string, stderr io.Writer) (options, error) {
 		opts.specExps = specExps
 	}
 
-	// -cores/-mix customize the interference sweep (harness defaults
-	// otherwise). -cores counts TOTAL cores per scenario — the same
-	// meaning the flag has on shotgun-sim — so values transfer between
-	// the two CLIs; the harness API takes co-runner counts (total-1).
-	// Validation happens in the harness so the CLI and any future
-	// callers agree on what a legal sweep is.
-	interference := harness.Experiment{}
-	if *cores != "" || *mix != "" {
-		counts := harness.InterferenceCoRunnerCounts
-		var mixNames []string
-		for _, m := range harness.InterferenceMixes() {
-			mixNames = append(mixNames, m.Name)
-		}
-		if *cores != "" {
-			totals, err := parseIntList(*cores)
-			if err != nil {
-				return options{}, fmt.Errorf("-cores: %v", err)
-			}
-			counts = counts[:0:0]
-			for _, n := range totals {
-				if n < 2 {
-					return options{}, fmt.Errorf("-cores: a sweep point needs at least 2 total cores (got %d)", n)
-				}
-				counts = append(counts, n-1)
-			}
-		}
-		if *mix != "" {
-			mixNames = parseStringList(*mix)
-		}
-		e, err := harness.InterferenceExperiment(counts, mixNames)
-		if err != nil {
-			return options{}, err
-		}
-		interference = e
-	}
-	substitute := func(e harness.Experiment) harness.Experiment {
-		if e.ID == "interference" && interference.ID != "" {
-			return interference
-		}
-		return e
-	}
-
 	if only == "" {
 		if specExps != nil {
 			opts.run = specExps
 			return opts, nil
 		}
-		for _, e := range harness.Experiments() {
-			opts.run = append(opts.run, substitute(e))
-		}
+		opts.run = spec.Catalog()
 		return opts, nil
 	}
 	fromSpec := make(map[string]harness.Experiment, len(specExps))
 	for _, e := range specExps {
 		fromSpec[e.ID] = e
 	}
+	// A repeated id runs (and reports) its table once, at its first
+	// position.
+	seen := make(map[string]bool)
 	for _, id := range strings.Split(only, ",") {
 		id = strings.TrimSpace(id)
-		if e, ok := fromSpec[id]; ok {
-			opts.run = append(opts.run, e)
+		if seen[id] {
 			continue
 		}
-		e, ok := harness.Find(id)
+		seen[id] = true
+		e, ok := fromSpec[id]
 		if !ok {
-			return options{}, fmt.Errorf("unknown experiment %q in -only; use -list", id)
-		}
-		opts.run = append(opts.run, substitute(e))
-	}
-	// A custom sweep the selection never runs is a silent no-op; fail
-	// loudly instead, like every other impossible flag combination.
-	if interference.ID != "" {
-		selected := false
-		for _, e := range opts.run {
-			if e.ID == "interference" {
-				selected = true
-				break
+			if e, ok = spec.FindExperiment(id); !ok {
+				return options{}, fmt.Errorf("unknown experiment %q in -only; use -list", id)
 			}
 		}
-		if !selected {
-			return options{}, fmt.Errorf("-cores/-mix customize the interference experiment, but -only excludes it")
-		}
+		opts.run = append(opts.run, e)
 	}
 	return opts, nil
 }
@@ -266,13 +193,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if opts.list {
 		// Spec tables lead: -only resolves their ids first, so the
-		// listing mirrors the selection order.
+		// listing mirrors the selection order. The tabwriter pads every
+		// id to the longest one.
+		w := tabwriter.NewWriter(stdout, 0, 0, 1, ' ', 0)
 		for _, e := range opts.specExps {
-			fmt.Fprintf(stdout, "%-8s %s (spec)\n", e.ID, e.Desc)
+			fmt.Fprintf(w, "%s\t%s (spec)\n", e.ID, e.Desc)
 		}
-		for _, e := range harness.Experiments() {
-			fmt.Fprintf(stdout, "%-8s %s\n", e.ID, e.Desc)
+		for _, e := range spec.Catalog() {
+			fmt.Fprintf(w, "%s\t%s\n", e.ID, e.Desc)
 		}
+		w.Flush()
 		return 0
 	}
 

@@ -56,41 +56,18 @@ func TestParseOptionsDefaultsToAllExperiments(t *testing.T) {
 	}
 }
 
-func TestParseOptionsCustomInterferenceSweep(t *testing.T) {
-	// -cores/-mix substitute a custom interference sweep for the default
-	// entry; -cores counts TOTAL cores per scenario, matching
-	// shotgun-sim's flag of the same name.
-	opts, err := parseOptions([]string{"-cores", "2,3", "-mix", "entire-region", "-only", "interference"}, io.Discard)
+func TestParseOptionsDeduplicatesOnly(t *testing.T) {
+	// A repeated id must run, and land in the report, once.
+	opts, err := parseOptions([]string{"-only", "fig7,fig9, fig7"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(opts.run) != 1 || opts.run[0].ID != "interference" {
-		t.Fatalf("selection wrong: %+v", opts.run)
+	if len(opts.run) != 2 || opts.run[0].ID != "fig7" || opts.run[1].ID != "fig9" {
+		t.Fatalf("selection = %+v, want [fig7 fig9]", opts.run)
 	}
-	scs := opts.run[0].Scenarios()
-	if len(scs) != 3 { // solo + 2 counts x 1 mix
-		t.Fatalf("custom sweep has %d scenarios, want 3", len(scs))
-	}
-	if len(scs[1].Cores) != 2 || len(scs[2].Cores) != 3 {
-		t.Fatalf("total-core semantics wrong: %d, %d cores", len(scs[1].Cores), len(scs[2].Cores))
-	}
+}
 
-	for _, bad := range [][]string{
-		{"-cores", "1"},   // a sweep point needs a co-runner
-		{"-cores", "257"}, // beyond the 16x16-mesh ceiling
-		{"-cores", "two"},
-		{"-mix", "warp-drive"},
-		// A custom sweep that the selection never runs must fail loudly,
-		// not be silently ignored.
-		{"-cores", "2,4", "-only", "fig7"},
-		{"-mix", "entire-region", "-only", "table1,fig7"},
-	} {
-		if _, err := parseOptions(bad, io.Discard); err == nil {
-			t.Fatalf("args %v accepted", bad)
-		}
-	}
-
-	// -store-max-bytes validation.
+func TestParseOptionsStoreBudget(t *testing.T) {
 	if _, err := parseOptions([]string{"-store-max-bytes", "-5"}, io.Discard); err == nil {
 		t.Fatal("negative store budget accepted")
 	}
@@ -165,11 +142,6 @@ func TestParseOptionsSpecCatalog(t *testing.T) {
 	if _, err := parseOptions([]string{"-spec", bad}, io.Discard); err == nil {
 		t.Fatal("broken spec accepted")
 	}
-
-	// -cores/-mix tune the built-in interference sweep only.
-	if _, err := parseOptions([]string{"-spec", path, "-cores", "2"}, io.Discard); err == nil {
-		t.Fatal("-spec with -cores accepted")
-	}
 }
 
 func TestParseOptionsSpecScale(t *testing.T) {
@@ -210,5 +182,32 @@ func TestListIncludesSpecTables(t *testing.T) {
 	}
 	if strings.Index(listing, "tinytable") > strings.Index(listing, "fig7") {
 		t.Fatalf("spec tables should lead the listing:\n%s", listing)
+	}
+}
+
+// TestListAlignsDescriptions: every description starts in one column,
+// however long the longest id (interference64) is.
+func TestListAlignsDescriptions(t *testing.T) {
+	var out strings.Builder
+	if code := run([]string{"-list"}, &out, io.Discard); code != 0 {
+		t.Fatalf("exit %d", code)
+	}
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	if len(lines) != 18 {
+		t.Fatalf("-list printed %d lines, want 18:\n%s", len(lines), out.String())
+	}
+	col := -1
+	for _, line := range lines {
+		id, rest, _ := strings.Cut(line, " ")
+		desc := len(line) - len(strings.TrimLeft(rest, " "))
+		if col == -1 {
+			col = desc
+		}
+		if desc != col {
+			t.Fatalf("description of %q starts at column %d, want %d:\n%s", id, desc, col, out.String())
+		}
+	}
+	if col != len("interference64")+1 {
+		t.Fatalf("descriptions start at column %d, want one past the longest id", col)
 	}
 }

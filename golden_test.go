@@ -1,43 +1,40 @@
 // The golden-regression gate: testdata/golden/ holds the quick-scale
-// render of every table/figure plus the machine-readable report, checked
-// in byte-for-byte. PR 1 made the harness deterministic at any worker
-// count, which turns these files into a cheap, exact oracle — any change
-// to the model, the harness, or the report emitters that shifts a single
-// cell fails TestGolden with a readable diff.
+// render of every table/figure of the spec catalog plus the
+// machine-readable report, checked in byte-for-byte, and keys.txt pins
+// the content keys of every experiment's scenarios. The runner is
+// deterministic at any worker count, which turns these files into a
+// cheap, exact oracle — any change to the model, a spec, or the report
+// emitters that shifts a single cell fails TestGolden with a readable
+// diff, and any change that moves a store key fails
+// TestSpecGoldenParity.
 //
 // After an intentional model change, regenerate with:
 //
-//	go test -run TestGolden -update && git diff testdata/golden
+//	go test -run 'TestGolden|TestSpecGoldenParity' -update && git diff testdata/golden
 package shotgun_test
 
 import (
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	"shotgun/internal/harness"
 	"shotgun/internal/report"
+	"shotgun/internal/spec"
+	"shotgun/internal/store"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden from the current model")
 
-// goldenRunner runs the full quick-scale evaluation once per test
-// process, shared by the per-experiment subtests and by the spec
-// parity test (spec_golden_test.go) — both assemble tables from the
-// same memoized results instead of simulating the suite twice.
-var goldenRunner = sync.OnceValue(func() *harness.Runner {
-	r := harness.NewRunner(harness.QuickScale())
-	r.PrefetchScenarios(harness.AllScenarios(harness.Experiments()))
-	return r
-})
-
 func TestGolden(t *testing.T) {
-	exps := harness.Experiments()
-	r := goldenRunner()
+	exps := spec.Catalog()
+	r := harness.NewRunner(harness.QuickScale())
+	r.PrefetchScenarios(harness.AllScenarios(exps))
 
 	for _, e := range exps {
 		t.Run(e.ID, func(t *testing.T) {
@@ -52,6 +49,62 @@ func TestGolden(t *testing.T) {
 		}
 		compareGolden(t, filepath.Join("testdata", "golden", "report.json"), b.String())
 	})
+}
+
+// TestSpecGoldenParity holds every catalog spec to its line of
+// testdata/golden/keys.txt: the spec must expand to exactly the pinned
+// set of scenario content keys, so its jobs keep deduplicating against
+// the memo, the store and the cluster records of earlier runs. It
+// normalizes scenarios and simulates nothing.
+func TestSpecGoldenParity(t *testing.T) {
+	path := filepath.Join("testdata", "golden", "keys.txt")
+	exps := spec.Catalog()
+	r := harness.NewRunner(harness.QuickScale())
+	got := make([]string, len(exps))
+	for i, e := range exps {
+		got[i] = keysLine(r, e)
+	}
+	if *updateGolden {
+		compareGolden(t, path, strings.Join(got, "\n")+"\n")
+		return
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing %s (regenerate with: go test -run TestSpecGoldenParity -update): %v", path, err)
+	}
+	want := make(map[string]string)
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		id, _, _ := strings.Cut(line, " ")
+		want[id] = line
+	}
+	if len(want) != len(exps) {
+		t.Errorf("%s pins %d experiments, the catalog has %d", path, len(want), len(exps))
+	}
+	for i, e := range exps {
+		t.Run(e.ID, func(t *testing.T) {
+			if got[i] != want[e.ID] {
+				t.Errorf("scenario keys moved:\n  golden: %q\n  got:    %q", want[e.ID], got[i])
+			}
+		})
+	}
+}
+
+// keysLine is one experiment's keys.txt entry: its ID, its distinct
+// scenario count, and a sha256 over the sorted content keys of its
+// scenarios normalized at the runner's scale.
+func keysLine(r *harness.Runner, e harness.Experiment) string {
+	set := make(map[string]bool)
+	if e.Scenarios != nil {
+		for _, sc := range e.Scenarios() {
+			set[store.ScenarioKey(r.NormalizeScenario(sc))] = true
+		}
+	}
+	keys := make([]string, 0, len(set))
+	for k := range set {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return fmt.Sprintf("%s %d %x", e.ID, len(keys), sha256.Sum256([]byte(strings.Join(keys, "\n"))))
 }
 
 // compareGolden diffs got against the checked-in file (or rewrites it

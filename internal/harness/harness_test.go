@@ -1,201 +1,20 @@
 package harness
 
 import (
-	"strings"
 	"testing"
 
 	"shotgun/internal/sim"
 )
 
-// tinyScale keeps harness tests fast.
-func tinyScale() Scale {
-	return Scale{WarmupInstr: 120_000, MeasureInstr: 150_000, Samples: 1}
-}
-
 func TestRunnerMemoizes(t *testing.T) {
-	r := NewRunner(tinyScale())
-	a := r.baseline("Nutch")
-	b := r.baseline("Nutch")
+	r := NewRunner(Scale{WarmupInstr: 120_000, MeasureInstr: 150_000, Samples: 1})
+	cfg := sim.Config{Workload: "Nutch", Mechanism: sim.None}
+	a := r.Run(cfg)
+	b := r.Run(cfg)
 	if a.Core != b.Core {
 		t.Fatal("memoized results differ")
 	}
 	if len(r.cache) != 1 {
 		t.Fatalf("cache has %d entries, want 1", len(r.cache))
-	}
-}
-
-func TestTable1OrderingHolds(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	r := NewRunner(Scale{WarmupInstr: 400_000, MeasureInstr: 600_000, Samples: 1})
-	rows, out := Table1(r)
-	if len(rows) != 6 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	mpki := map[string]float64{}
-	for _, row := range rows {
-		mpki[row.Workload] = row.BTBMPKI
-	}
-	// The paper's Table 1 ordering: Oracle > DB2 > Apache and
-	// everything above Nutch.
-	if !(mpki["Oracle"] > mpki["DB2"] && mpki["DB2"] > mpki["Apache"]) {
-		t.Fatalf("OLTP ordering broken: %v", mpki)
-	}
-	for _, wl := range []string{"Streaming", "Apache", "Zeus", "Oracle", "DB2"} {
-		if mpki[wl] <= mpki["Nutch"] {
-			t.Fatalf("%s MPKI %.1f not above Nutch %.1f", wl, mpki[wl], mpki["Nutch"])
-		}
-	}
-	if !strings.Contains(out.String(), "Table 1") {
-		t.Fatal("render missing title")
-	}
-}
-
-func TestFigure3Shape(t *testing.T) {
-	rows, out := Figure3(nil)
-	if len(rows) != 6 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, row := range rows {
-		// Section 3.1: ~90% of accesses within 10 blocks of entry.
-		if row.CDF[10] < 0.8 {
-			t.Fatalf("%s: cdf[10] = %.2f", row.Workload, row.CDF[10])
-		}
-	}
-	if !strings.Contains(out.String(), "Figure 3") {
-		t.Fatal("render missing title")
-	}
-}
-
-func TestFigure4Shape(t *testing.T) {
-	rows, _ := Figure4(nil)
-	for _, row := range rows {
-		if row.Uncond < row.All {
-			t.Fatalf("%s at K=%d: uncond coverage %.3f below all %.3f",
-				row.Workload, row.K, row.Uncond, row.All)
-		}
-	}
-	// Oracle's total working set must stay uncovered at 2K.
-	for _, row := range rows {
-		if row.Workload == "Oracle" && row.K == 2048 && row.All > 0.85 {
-			t.Fatalf("Oracle 2K coverage %.3f too concentrated", row.All)
-		}
-	}
-}
-
-func TestFigure7ShotgunBeatsBoomerang(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	r := NewRunner(Scale{WarmupInstr: 500_000, MeasureInstr: 700_000, Samples: 1})
-	rows, _ := Figure7(r)
-	for _, row := range rows {
-		if row.Workload == "Gmean" {
-			if row.Speedup["shotgun"] <= row.Speedup["boomerang"] {
-				t.Fatalf("gmean: shotgun %.3f not above boomerang %.3f",
-					row.Speedup["shotgun"], row.Speedup["boomerang"])
-			}
-			if row.Speedup["shotgun"] <= 1.05 {
-				t.Fatalf("shotgun gmean speedup %.3f implausibly low", row.Speedup["shotgun"])
-			}
-		}
-	}
-}
-
-func TestFigure12Renders(t *testing.T) {
-	r := NewRunner(tinyScale())
-	rows, out := Figure12(r)
-	if len(rows) != 7 { // 6 workloads + gmean
-		t.Fatalf("rows = %d", len(rows))
-	}
-	if !strings.Contains(out.String(), "C-BTB") {
-		t.Fatal("render broken")
-	}
-}
-
-func TestFigure13Renders(t *testing.T) {
-	r := NewRunner(tinyScale())
-	rows, out := Figure13(r)
-	if len(rows) != 2*2*len(Figure13Budgets) {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	if !strings.Contains(out.String(), "Figure 13") {
-		t.Fatal("render broken")
-	}
-}
-
-func TestVariantsComplete(t *testing.T) {
-	vs := Variants()
-	if len(vs) != 5 {
-		t.Fatalf("variants = %d, want 5 (Figure 8/9)", len(vs))
-	}
-	if len(AccuracyVariants()) != 3 {
-		t.Fatal("accuracy variants != 3 (Figure 10/11)")
-	}
-}
-
-func TestExperimentsListComplete(t *testing.T) {
-	ids := map[string]bool{}
-	for _, e := range Experiments() {
-		ids[e.ID] = true
-	}
-	for _, want := range []string{"table1", "fig1", "fig3", "fig4", "fig6",
-		"fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "interference"} {
-		if !ids[want] {
-			t.Fatalf("experiment %s missing", want)
-		}
-	}
-}
-
-func TestInterferenceRenders(t *testing.T) {
-	r := NewRunner(tinyScale())
-	counts := []int{1, 2}
-	mixes := InterferenceMixes()
-	rows, out := InterferenceTable(r, counts, mixes)
-	if len(rows) != 1+len(counts)*len(mixes) {
-		t.Fatalf("rows = %d, want %d", len(rows), 1+len(counts)*len(mixes))
-	}
-	if rows[0].Mix != "solo" || rows[0].CoRunners != 0 {
-		t.Fatalf("missing solo anchor row: %+v", rows[0])
-	}
-	for _, row := range rows {
-		if row.IPC <= 0 || row.DataFillCycles <= 0 {
-			t.Fatalf("degenerate row: %+v", row)
-		}
-	}
-	if !strings.Contains(out.String(), "Interference") {
-		t.Fatal("render missing title")
-	}
-}
-
-func TestInterferenceExperimentValidation(t *testing.T) {
-	if _, err := InterferenceExperiment(nil, []string{"shotgun-8bit"}); err == nil {
-		t.Fatal("empty counts accepted")
-	}
-	if _, err := InterferenceExperiment([]int{1}, []string{"warp-drive"}); err == nil {
-		t.Fatal("unknown mix accepted")
-	}
-	if _, err := InterferenceExperiment([]int{sim.MaxCores}, []string{"shotgun-8bit"}); err == nil {
-		t.Fatal("oversubscribed mesh accepted")
-	}
-	e, err := InterferenceExperiment([]int{1, 2}, []string{"entire-region"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.ID != "interference" || len(e.Scenarios()) != 3 { // solo + 2 counts
-		t.Fatalf("experiment shape wrong: %s, %d scenarios", e.ID, len(e.Scenarios()))
-	}
-}
-
-func TestFigure6CoverageBounds(t *testing.T) {
-	r := NewRunner(tinyScale())
-	rows, _ := Figure6(r)
-	for _, row := range rows {
-		for m, c := range row.Coverage {
-			if c < 0 || c > 1 {
-				t.Fatalf("%s/%s coverage %v", row.Workload, m, c)
-			}
-		}
 	}
 }

@@ -10,34 +10,6 @@ import (
 	"shotgun/internal/sim"
 )
 
-// TestParallelDeterminism is the tentpole's correctness contract: the
-// rendered tables of a multi-worker runner are byte-identical to a
-// 1-worker (seed-equivalent, strictly serial) runner. Run under -race in
-// CI, it also exercises the shared program/decoder artifacts and the
-// single-flight cache concurrently.
-func TestParallelDeterminism(t *testing.T) {
-	scale := QuickScale()
-	serial := NewRunnerWorkers(scale, 1)
-	// Force real concurrency even on single-CPU hosts.
-	parallel := NewRunnerWorkers(scale, 4)
-
-	_, t1SerialTab := Table1(serial)
-	_, f7SerialTab := Figure7(serial)
-	_, t1ParallelTab := Table1(parallel)
-	_, f7ParallelTab := Figure7(parallel)
-	t1Serial, f7Serial := t1SerialTab.String(), f7SerialTab.String()
-	t1Parallel, f7Parallel := t1ParallelTab.String(), f7ParallelTab.String()
-
-	if t1Serial != t1Parallel {
-		t.Errorf("Table 1 differs between 1-worker and 4-worker runners:\nserial:\n%s\nparallel:\n%s",
-			t1Serial, t1Parallel)
-	}
-	if f7Serial != f7Parallel {
-		t.Errorf("Figure 7 differs between 1-worker and 4-worker runners:\nserial:\n%s\nparallel:\n%s",
-			f7Serial, f7Parallel)
-	}
-}
-
 // TestRunnerSingleFlight hammers one config from many goroutines: the
 // single-flight cache must run it once and give every caller the same
 // result.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"shotgun/internal/harness"
+	"shotgun/internal/spec"
 	"shotgun/internal/stats"
 )
 
@@ -81,12 +82,12 @@ func TestWriteCSV(t *testing.T) {
 	}
 }
 
-// TestFromExperimentsAnalysisOnly exercises the harness integration on
+// TestFromExperimentsAnalysisOnly exercises the catalog integration on
 // the two pure trace analyses (no timing simulation, so it's fast).
 func TestFromExperimentsAnalysisOnly(t *testing.T) {
 	var exps []harness.Experiment
 	for _, id := range []string{"fig3", "fig4"} {
-		e, ok := harness.Find(id)
+		e, ok := spec.FindExperiment(id)
 		if !ok {
 			t.Fatalf("experiment %s missing", id)
 		}

@@ -57,6 +57,7 @@ import (
 	"shotgun/internal/harness"
 	"shotgun/internal/report"
 	"shotgun/internal/sim"
+	"shotgun/internal/spec"
 	"shotgun/internal/store"
 )
 
@@ -691,7 +692,7 @@ type experimentInfo struct {
 func (s *Server) handleExperimentList(w http.ResponseWriter, _ *http.Request) {
 	// Presentation order (the paper's), matching shotgun-bench -list.
 	var list []experimentInfo
-	for _, e := range harness.Experiments() {
+	for _, e := range spec.Catalog() {
 		list = append(list, experimentInfo{ID: e.ID, Desc: e.Desc})
 	}
 	client.WriteJSON(w, map[string]any{"experiments": list})
@@ -699,7 +700,7 @@ func (s *Server) handleExperimentList(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	exp, ok := harness.Find(name)
+	exp, ok := spec.FindExperiment(name)
 	if !ok {
 		client.WriteError(w, http.StatusNotFound, client.CodeNotFound,
 			"unknown experiment %q (GET /v1/experiments lists ids)", name)

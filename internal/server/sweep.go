@@ -3,7 +3,7 @@ package server
 // POST /v1/sweeps: declarative sweep execution. The body is a spec
 // document (internal/spec); the server validates and expands it,
 // enqueues every expanded scenario through the ordinary job table — so
-// sweep jobs dedup against /v1/sims, /v1/scenarios, compiled-in
+// sweep jobs dedup against /v1/sims, /v1/scenarios, catalog
 // experiment renders, and the persistent store by content key — waits
 // for the expansion to finish, and renders the chosen tables.
 //

@@ -173,12 +173,14 @@ func workloadsOrAll(wls []string) []string {
 	return wls
 }
 
-// blocksOrDefault resolves an analysis's trace length; the default is
-// the compiled-in experiments' constant, so a retune there cannot
-// silently diverge the spec catalog.
+// defaultAnalysisBlocks is a trace analysis's length when its spec
+// leaves blocks unset (the paper's Figure 3/4 analyses).
+const defaultAnalysisBlocks = 400_000
+
+// blocksOrDefault resolves an analysis's trace length.
 func blocksOrDefault(n int) int {
 	if n == 0 {
-		return harness.Figure3AnalysisBlocks
+		return defaultAnalysisBlocks
 	}
 	return n
 }
@@ -266,7 +268,7 @@ func CompileFile(path string) (*Compiled, error) {
 
 // Scenarios returns the union of every table's scenario set, in
 // deterministic expansion order (duplicates included — consumers
-// deduplicate by content key, exactly like compiled-in experiments).
+// deduplicate by content key).
 func (c *Compiled) Scenarios() []sim.Scenario {
 	var out []sim.Scenario
 	for _, t := range c.tables {
@@ -276,9 +278,8 @@ func (c *Compiled) Scenarios() []sim.Scenario {
 }
 
 // Experiments adapts every table to a harness.Experiment, in spec
-// order. The adapters carry the same contract as compiled-in
-// experiments: Scenarios declares the full work list (nil for pure
-// analyses) and Table assembles from the runner's memoized results.
+// order: Scenarios declares the full work list (nil for pure analyses)
+// and Table assembles from the runner's memoized results.
 func (c *Compiled) Experiments() []harness.Experiment {
 	out := make([]harness.Experiment, 0, len(c.tables))
 	for _, t := range c.tables {

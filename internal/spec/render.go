@@ -3,12 +3,11 @@ package spec
 // The per-kind compilers: each expands one table declaration into its
 // scenario work list (composed, sim-validated configs in deterministic
 // order) and a renderer that assembles the table from a runner's
-// memoized results. Renderers follow the compiled-in experiments'
-// assembly shape cell for cell — the golden parity test holds them to
-// byte identity.
+// memoized results.
 
 import (
 	"fmt"
+	"math"
 
 	"shotgun/internal/harness"
 	"shotgun/internal/sim"
@@ -17,9 +16,7 @@ import (
 )
 
 // compileGrid expands a metric grid. Scenario order per row workload:
-// the baseline first, then every (row × column) cell — mirroring the
-// compiled-in experiments' config declarations, so the two expansions
-// produce identical content-key sets.
+// the baseline first, then every (row × column) cell.
 func compileGrid(t Table) (compiledTable, error) {
 	g := t.Grid
 	wls := workloadsOrAll(g.Workloads)
@@ -175,14 +172,18 @@ func rowName(implicit bool, wl string, row Axis) string {
 	return wl + "/" + row.Name
 }
 
+// defaultInterferenceWorkload is what every interference core runs
+// when the spec names no workload (Oracle: the largest instruction
+// working set of the suite).
+const defaultInterferenceWorkload = "Oracle"
+
 // compileInterference expands a co-runner sweep. Scenario order: the
-// solo reference first, then each (mix, count) point — matching
-// harness.InterferenceScenarios.
+// solo reference first, then each (mix, count) point.
 func compileInterference(t Table) (compiledTable, error) {
 	iv := t.Interference
 	wl := iv.Workload
 	if wl == "" {
-		wl = harness.InterferenceWorkload
+		wl = defaultInterferenceWorkload
 	}
 	coreConfig := func(what string, c Config) (sim.Config, error) {
 		cfg := sim.Config{Workload: wl}
@@ -293,21 +294,28 @@ func compileRegionCDF(t Table) (compiledTable, error) {
 	return compiledTable{id: t.ID, analysisCost: blocks * len(wls), render: render}, nil
 }
 
-// compileSampled expands the exact-vs-sampled comparison. The config
-// expansion and the renderer are the harness's own (SampledConfigsFor /
-// SampledTableFor), so a spec-declared comparison is cell-for-cell the
-// compiled-in experiment — the same parity contract every other kind
-// honours by mirroring the assembly shape.
+// defaultSampledWorkload and defaultSampledMechs are the exact-vs-
+// sampled comparison's defaults: Zeus under the no-prefetch baseline
+// and the paper's own design.
+const defaultSampledWorkload = "Zeus"
+
+var defaultSampledMechs = []sim.Mechanism{sim.None, sim.Shotgun}
+
+// compileSampled expands the exact-vs-sampled comparison: per
+// mechanism, an exact config and the same config under the sampling
+// schedule. The table reports the exact IPC, the sampled estimate
+// (mean and 95% half-width), their relative error and the detailed-
+// simulation coverage, and carries the sampled marker so machine-
+// readable consumers never mistake the estimates for exact values.
 func compileSampled(t Table) (compiledTable, error) {
 	sd := t.Sampled
 	wl := sd.Workload
 	if wl == "" {
-		wl = harness.SampledWorkload
+		wl = defaultSampledWorkload
 	}
-	var mechs []sim.Mechanism
-	if sd.Mechanisms == nil {
-		mechs = harness.SampledMechs()
-	} else {
+	mechs := defaultSampledMechs
+	if sd.Mechanisms != nil {
+		mechs = make([]sim.Mechanism, 0, len(sd.Mechanisms))
 		for _, name := range sd.Mechanisms {
 			m, err := parseMechanism(name)
 			if err != nil {
@@ -317,17 +325,40 @@ func compileSampled(t Table) (compiledTable, error) {
 		}
 	}
 	schedule := sd.Sampling.Sim()
-	cfgs := harness.SampledConfigsFor(wl, mechs, schedule)
+	type pair struct{ exact, sampled sim.Config }
+	var pairs []pair
 	var scenarios []sim.Scenario
-	for _, cfg := range cfgs {
-		sc := sim.SingleCore(cfg)
-		if err := sc.Validate(); err != nil {
-			return compiledTable{}, err
+	for _, m := range mechs {
+		p := pair{exact: sim.Config{Workload: wl, Mechanism: m}}
+		p.sampled = p.exact
+		s := schedule
+		p.sampled.Sampling = &s
+		for _, cfg := range []sim.Config{p.exact, p.sampled} {
+			sc := sim.SingleCore(cfg)
+			if err := sc.Validate(); err != nil {
+				return compiledTable{}, err
+			}
+			scenarios = append(scenarios, sc)
 		}
-		scenarios = append(scenarios, sc)
+		pairs = append(pairs, p)
 	}
 	render := func(r *harness.Runner) *stats.Table {
-		return harness.SampledTableFor(r, t.Title, wl, mechs, schedule)
+		r.PrefetchScenarios(scenarios)
+		tab := stats.NewTable(t.Title,
+			"Mechanism", "Exact IPC", "Sampled IPC", "±95% CI", "Rel err", "Coverage")
+		for _, p := range pairs {
+			exact := r.Run(p.exact)
+			sampled := r.Run(p.sampled).Sampled
+			relErr := math.Abs(sampled.IPC.Mean-exact.IPC()) / exact.IPC()
+			tab.AddRow(string(p.exact.Mechanism),
+				fmt.Sprintf("%.3f", exact.IPC()),
+				fmt.Sprintf("%.3f", sampled.IPC.Mean),
+				fmt.Sprintf("%.3f", sampled.IPC.HalfWidth),
+				fmt.Sprintf("%.3f", relErr),
+				fmt.Sprintf("%.3f", sampled.Coverage()))
+		}
+		tab.SetSampled()
+		return tab
 	}
 	return compiledTable{id: t.ID, scenarios: scenarios, render: render}, nil
 }

@@ -1,11 +1,15 @@
 // Package spec makes parameter sweeps first-class data: a versioned,
 // declarative JSON format that describes grids over sim.Config fields,
-// multi-core interference mixes, and trace analyses, plus a compiler
-// that expands a spec into canonical sim.Scenario sets and
-// harness.Experiment values. The full format reference lives in
-// docs/SPEC.md; the paper's own evaluation is checked in as spec files
-// under specs/, proven byte-identical to the compiled-in experiments by
-// the golden-gated parity test.
+// multi-core interference mixes, sampled-vs-exact comparisons and trace
+// analyses, plus a compiler that expands a spec into canonical
+// sim.Scenario sets and harness.Experiment values. The full format
+// reference lives in docs/SPEC.md.
+//
+// The paper's own evaluation is nothing but specs: the files under
+// specs/, embedded by the root package, compile into Catalog — every
+// reproduced table and figure, in presentation order. Adding an
+// experiment means adding one spec file, its golden render, and its ID
+// in the catalog order.
 //
 // The contract that makes specs safe to accept from disk or HTTP:
 //
@@ -16,8 +20,7 @@
 //     renders are stable at any worker count;
 //   - expanded scenarios are ordinary normalized sim.Scenario values,
 //     so spec-driven jobs share one content identity (memo key, store
-//     record, cluster job) with compiled-in experiments and with each
-//     other.
+//     record, cluster job) with the catalog and with each other.
 package spec
 
 import (
@@ -55,7 +58,7 @@ const MaxAnalysisBlocks = 10_000_000
 // total ~3.2M).
 const MaxAnalysisCost = 120_000_000
 
-// MaxTables bounds a spec's table count — far above the 13-table paper
+// MaxTables bounds a spec's table count — far above the 18-table paper
 // catalog, low enough that per-table overheads can't be farmed.
 const MaxTables = 64
 
@@ -69,8 +72,8 @@ type Spec struct {
 	// Desc is an optional one-line description.
 	Desc string `json:"desc,omitempty"`
 	// Scale, when present, pins the simulation scale. When absent the
-	// runner's scale applies — exactly like compiled-in experiments, and
-	// required for golden parity.
+	// runner's scale applies; the catalog's specs never pin one, so the
+	// golden corpus renders them at quick scale.
 	Scale *Scale `json:"scale,omitempty"`
 	// Tables lists the output tables, each expanding to its own
 	// scenario set.
@@ -173,8 +176,7 @@ type Grid struct {
 	// Baseline overrides the per-workload baseline config relative
 	// metrics (speedup, stall_coverage) divide by; default
 	// {"mechanism": "none"}. Baseline scenarios are always part of the
-	// grid's scenario set, matching the compiled-in experiments'
-	// declarations.
+	// grid's scenario set.
 	Baseline *Config `json:"baseline,omitempty"`
 	// Summary appends an aggregate row: "gmean", "mean", or "" (none).
 	Summary string `json:"summary,omitempty"`
@@ -241,11 +243,10 @@ type BranchCoverage struct {
 // (mean ± 95% CI) next to the exact IPC with the measured relative
 // error.
 type Sampled struct {
-	// Workload is the compared workload (default the compiled-in
-	// experiment's).
+	// Workload is the compared workload (default Zeus).
 	Workload string `json:"workload,omitempty"`
-	// Mechanisms lists the compared mechanisms; absent means the
-	// compiled-in experiment's pair (none, shotgun).
+	// Mechanisms lists the compared mechanisms; absent means none and
+	// shotgun.
 	Mechanisms []string `json:"mechanisms,omitempty"`
 	// Sampling is the periodic-sampling schedule (required).
 	Sampling Sampling `json:"sampling"`

@@ -148,6 +148,12 @@ func TestParseRejections(t *testing.T) {
 			"co_runners":[3,1],"mixes":[{"name":"m","co_runner":{"mechanism":"shotgun"}}]}}]}`, "strictly increasing"},
 		{"too many cores", `{"version":1,"name":"x","tables":[{"id":"t","title":"t","interference":{
 			"co_runners":[299],"mixes":[{"name":"m","co_runner":{"mechanism":"shotgun"}}]}}]}`, "mesh"},
+		{"one core past the mesh", `{"version":1,"name":"x","tables":[{"id":"t","title":"t","interference":{
+			"co_runners":[256],"mixes":[{"name":"m","co_runner":{"mechanism":"shotgun"}}]}}]}`, "mesh"},
+		{"no co-runner counts", `{"version":1,"name":"x","tables":[{"id":"t","title":"t","interference":{
+			"co_runners":[],"mixes":[{"name":"m","co_runner":{"mechanism":"shotgun"}}]}}]}`, "co_runners must not be empty"},
+		{"no mixes", `{"version":1,"name":"x","tables":[{"id":"t","title":"t","interference":{
+			"co_runners":[1],"mixes":[]}}]}`, "mixes must not be empty"},
 		{"non-increasing distances", `{"version":1,"name":"x","tables":[{"id":"t","title":"t",
 			"region_cdf":{"distances":[4,2]}}]}`, "strictly increasing"},
 		{"distance out of range", `{"version":1,"name":"x","tables":[{"id":"t","title":"t",
@@ -255,9 +261,9 @@ func TestInterferenceDefaults(t *testing.T) {
 }
 
 // TestRenderSmoke drives every renderer at a tiny scale: shapes, row
-// counts, and the summary row must come out as declared. (Byte-exact
-// parity with the golden corpus is proven at quick scale by the root
-// package's TestSpecGoldenParity.)
+// counts, and the summary row must come out as declared. (The catalog's
+// byte-exact renders are pinned at quick scale by the root package's
+// TestGolden.)
 func TestRenderSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("renders run real simulations")
