@@ -53,7 +53,7 @@ func column(t *testing.T, tab *stats.Table, name string) int {
 	return i
 }
 
-// catalogSpec parses the embedded specs/<id>.json.
+// catalogSpec parses one embedded spec file (a path under specs/).
 func catalogSpec(t *testing.T, file string) spec.Spec {
 	t.Helper()
 	data, err := shotgun.Specs.ReadFile(file)
