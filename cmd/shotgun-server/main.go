@@ -57,7 +57,7 @@
 //	shotgun-server -addr :8080 -store ./shotgun-store           # full scale, single node
 //	shotgun-server -scale quick -parallel 4                     # smoke scale
 //	shotgun-server -store ./s -store-max-bytes 1000000000       # prune to ~1GB on start
-//	shotgun-server -queue 8192 -shutdown-timeout 30s            # backlog + drain deadline
+//	shotgun-server -shutdown-timeout 30s                        # drain deadline
 //	shotgun-server -tenants tenants.json -max-queue 10000       # multi-tenant farm
 //	shotgun-server -tenants t.json -log json                    # JSON access logs
 //	shotgun-server -coordinator -store ./s -lease-ttl 30s       # cluster front-end
@@ -251,7 +251,6 @@ type options struct {
 	parallel        int
 	storeDir        string
 	storeMaxBytes   int64
-	queue           int
 	maxQueue        int
 	fairSlots       int
 	tenantsPath     string
@@ -279,11 +278,11 @@ func parseOptions(args []string, stderr io.Writer) (options, error) {
 	fs.StringVar(&opts.storeDir, "store", "", "persistent result store directory (empty: in-memory only)")
 	fs.Int64Var(&opts.storeMaxBytes, "store-max-bytes", 0,
 		"prune the store's oldest records down to this many bytes on start (0: keep everything)")
-	fs.IntVar(&opts.queue, "queue", 4096, "pending-simulation queue depth")
 	fs.IntVar(&opts.maxQueue, "max-queue", 0,
 		"global fair-queue backlog bound; past it submissions shed with 503 + Retry-After (0: unlimited)")
-	fs.IntVar(&opts.fairSlots, "fair-slots", 0,
-		"jobs resident in the execution backend at once (0: 2x -parallel, or 256 in coordinator mode)")
+	fs.IntVar(&opts.fairSlots, "fair-slots", 0, fmt.Sprintf(
+		"jobs resident in the execution backend at once (0: 2x -parallel, or 256 in coordinator mode; at most %d)",
+		dispatch.MaxQueueDepth))
 	fs.StringVar(&opts.tenantsPath, "tenants", "",
 		"tenant registry JSON enabling API-key auth and fair-share quotas (SHOTGUN_TENANTS env overrides)")
 	fs.StringVar(&opts.logFormat, "log", "off", "structured request log format: off, text or json")
@@ -316,9 +315,6 @@ func parseOptions(args []string, stderr io.Writer) (options, error) {
 	}
 	if opts.parallel <= 0 {
 		return options{}, fmt.Errorf("-parallel must be positive (got %d)", opts.parallel)
-	}
-	if opts.queue <= 0 {
-		return options{}, fmt.Errorf("-queue must be positive (got %d)", opts.queue)
 	}
 	if opts.storeMaxBytes < 0 {
 		return options{}, fmt.Errorf("-store-max-bytes must be non-negative (got %d)", opts.storeMaxBytes)
@@ -432,13 +428,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fairSlots = 256
 	}
 	cfg := server.Config{
-		Scale:      scale,
-		ScaleName:  opts.scale,
-		Workers:    opts.parallel,
-		QueueDepth: opts.queue,
-		MaxQueue:   opts.maxQueue,
-		FairSlots:  fairSlots,
-		Logger:     newLogger(opts.logFormat, stdout),
+		Scale:     scale,
+		ScaleName: opts.scale,
+		Workers:   opts.parallel,
+		MaxQueue:  opts.maxQueue,
+		FairSlots: fairSlots,
+		Logger:    newLogger(opts.logFormat, stdout),
 	}
 	reg, regSource, err := loadTenants(opts.tenantsPath)
 	if err != nil {
@@ -503,11 +498,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if opts.coordinator {
 		cfg.NewExecutor = func(_ *harness.Runner, sink dispatch.Sink) dispatch.Executor {
 			coord = dispatch.NewCoordinator(dispatch.CoordinatorConfig{
-				LeaseTTL:   opts.leaseTTL,
-				QueueDepth: opts.queue,
-				Store:      cfg.Store,
-				Sink:       sink,
-				Standby:    opts.standby,
+				LeaseTTL: opts.leaseTTL,
+				Store:    cfg.Store,
+				Sink:     sink,
+				Standby:  opts.standby,
 			})
 			return coord
 		}

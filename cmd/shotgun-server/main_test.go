@@ -24,7 +24,6 @@ func TestParseOptionsRejectsBadFlags(t *testing.T) {
 		{"bad scale", []string{"-scale", "medium"}, "quick or full"},
 		{"zero parallel", []string{"-parallel", "0"}, "positive"},
 		{"negative parallel", []string{"-parallel", "-2"}, "positive"},
-		{"zero queue", []string{"-queue", "0"}, "positive"},
 		{"negative store budget", []string{"-store-max-bytes", "-1"}, "non-negative"},
 		{"budget without store", []string{"-store-max-bytes", "1000"}, "requires -store"},
 		{"zero shutdown timeout", []string{"-shutdown-timeout", "0s"}, "positive"},
@@ -66,7 +65,7 @@ func TestParseOptionsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.scale != "full" || opts.addr != ":8080" || opts.parallel < 1 || opts.queue != 4096 {
+	if opts.scale != "full" || opts.addr != ":8080" || opts.parallel < 1 {
 		t.Fatalf("defaults wrong: %+v", opts)
 	}
 	if opts.shutdownTimeout != 10*time.Second {

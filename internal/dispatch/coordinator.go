@@ -36,8 +36,6 @@ const (
 type CoordinatorConfig struct {
 	// LeaseTTL is the heartbeat deadline (default DefaultLeaseTTL).
 	LeaseTTL time.Duration
-	// QueueDepth bounds queued-plus-leased jobs (default 4096).
-	QueueDepth int
 	// MaxAttempts is the expired-lease budget per job (default
 	// DefaultMaxAttempts).
 	MaxAttempts int
@@ -99,7 +97,7 @@ type CoordinatorStats struct {
 // Executor, so the HTTP server uses it exactly like the local pool.
 type Coordinator struct {
 	ttl         time.Duration
-	depth       int
+	depth       int // lease-table bound: MaxQueueDepth (in-package tests shrink it)
 	maxAttempts int
 	st          store.Backend
 	sink        Sink
@@ -132,7 +130,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	}
 	c := &Coordinator{
 		ttl:         cfg.LeaseTTL,
-		depth:       cfg.QueueDepth,
+		depth:       MaxQueueDepth,
 		maxAttempts: cfg.MaxAttempts,
 		st:          cfg.Store,
 		sink:        cfg.Sink,
@@ -145,9 +143,6 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	}
 	if c.ttl <= 0 {
 		c.ttl = DefaultLeaseTTL
-	}
-	if c.depth < 1 {
-		c.depth = 4096
 	}
 	if c.maxAttempts < 1 {
 		c.maxAttempts = DefaultMaxAttempts

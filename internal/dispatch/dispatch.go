@@ -45,6 +45,12 @@ var (
 	ErrQuotaExceeded = errors.New("dispatch: tenant quota exceeded")
 )
 
+// MaxQueueDepth bounds an executor's backlog: the coordinator's lease
+// table (queued plus leased jobs), and with it how many keys one
+// heartbeat or register request may carry. A FairQueue keeps at most
+// its Slots resident in the executor, so servers clamp Slots to it.
+const MaxQueueDepth = 4096
+
 // Sink receives job lifecycle events from an executor. The HTTP server
 // implements it over its job table. Implementations must be safe for
 // concurrent use and must not call back into the executor.
@@ -107,10 +113,11 @@ type LocalPool struct {
 }
 
 // NewLocalPool builds a pool of runner.Workers() goroutines feeding the
-// runner, with a queueDepth-deep backlog (values below 1 mean 4096).
+// runner, with a queueDepth-deep backlog (values below 1 mean
+// MaxQueueDepth).
 func NewLocalPool(runner *harness.Runner, sink Sink, queueDepth int) *LocalPool {
 	if queueDepth < 1 {
-		queueDepth = 4096
+		queueDepth = MaxQueueDepth
 	}
 	p := &LocalPool{
 		runner: runner,

@@ -102,12 +102,14 @@ func newTestCoordinator(t *testing.T, clk *fakeClock, st *store.Store, depth, at
 	sink := newRecSink()
 	c := NewCoordinator(CoordinatorConfig{
 		LeaseTTL:    time.Minute,
-		QueueDepth:  depth,
 		MaxAttempts: attempts,
 		Store:       st,
 		Sink:        sink,
 		Now:         clk.Now,
 	})
+	if depth > 0 {
+		c.depth = depth
+	}
 	return c, sink
 }
 

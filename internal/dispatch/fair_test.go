@@ -14,16 +14,17 @@ import (
 // order and completes jobs only when the test says so (or instantly
 // with auto=true).
 type stubExec struct {
-	mu     sync.Mutex
-	sink   Sink
-	auto   bool
-	grants []string
-	open   map[string]bool
-	fail   error // when set, Enqueue returns it
+	mu      sync.Mutex
+	sink    Sink
+	auto    bool
+	grants  []string
+	open    map[string]bool
+	fail    error         // when set, Enqueue returns it
+	granted chan struct{} // closed and replaced on every grant
 }
 
 func newStubExec(sink Sink, auto bool) *stubExec {
-	return &stubExec{sink: sink, auto: auto, open: map[string]bool{}}
+	return &stubExec{sink: sink, auto: auto, open: map[string]bool{}, granted: make(chan struct{})}
 }
 
 func (s *stubExec) Enqueue(key string, sc sim.Scenario) error {
@@ -35,6 +36,8 @@ func (s *stubExec) Enqueue(key string, sc sim.Scenario) error {
 	}
 	s.grants = append(s.grants, key)
 	s.open[key] = true
+	close(s.granted)
+	s.granted = make(chan struct{})
 	auto := s.auto
 	s.mu.Unlock()
 	if auto {
@@ -67,15 +70,21 @@ func (s *stubExec) grantList() []string {
 // waitGrants blocks until the stub has granted at least n jobs.
 func (s *stubExec) waitGrants(t *testing.T, n int) []string {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if g := s.grantList(); len(g) >= n {
+	timeout := time.After(5 * time.Second)
+	for {
+		s.mu.Lock()
+		g := append([]string(nil), s.grants...)
+		next := s.granted
+		s.mu.Unlock()
+		if len(g) >= n {
 			return g
 		}
-		time.Sleep(time.Millisecond)
+		select {
+		case <-next:
+		case <-timeout:
+			t.Fatalf("timed out waiting for %d grants (have %v)", n, g)
+		}
 	}
-	t.Fatalf("timed out waiting for %d grants (have %v)", n, s.grantList())
-	return nil
 }
 
 // newFairForTest wires a FairQueue over a stubExec.
@@ -130,11 +139,11 @@ func TestFairQueueWeightedShares(t *testing.T) {
 			{Name: "gold", Weight: 3},
 			{Name: "bronze", Weight: 1},
 		},
-	}, sink, true)
+	}, sink, false)
 
-	// Load both backlogs before the dispatcher can drain them: with
-	// auto-complete and one slot the scheduler runs one SWRR round per
-	// grant, so the grant tally converges to the 3:1 weight ratio.
+	// Load both backlogs completely before completing anything: the one
+	// slot holds the first grant, and every completion after that runs
+	// one SWRR round over two full backlogs.
 	for i := 0; i < 40; i++ {
 		if err := fq.Submit("gold", fmt.Sprintf("g%03d", i), scenarioOf(1)); err != nil {
 			t.Fatal(err)
@@ -143,7 +152,10 @@ func TestFairQueueWeightedShares(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fq.Stop(false) // drain everything
+	for i := 0; i < 80; i++ {
+		stub.complete(stub.waitGrants(t, i+1)[i])
+	}
+	fq.Stop(false)
 	grants := stub.grantList()
 	if len(grants) != 80 {
 		t.Fatalf("granted %d jobs, want 80", len(grants))
@@ -154,18 +166,18 @@ func TestFairQueueWeightedShares(t *testing.T) {
 			gold++
 		}
 	}
-	// Exact SWRR over a 3:1 pair gives 30 gold in any 40-grant window
-	// while both are backlogged; allow slack for jobs submitted after
-	// scheduling already started.
-	if gold < 24 || gold > 36 {
-		t.Errorf("gold got %d of first 40 grants, want ~30 (3:1 weights)", gold)
+	// Exact SWRR over a 3:1 pair grants gold three of every four while
+	// both are backlogged, whether or not bronze's first job arrived
+	// before the first grant.
+	if gold != 30 {
+		t.Errorf("gold got %d of first 40 grants, want 30 (3:1 weights)", gold)
 	}
-	for _, k := range grants[:8] {
+	for _, k := range grants[:4] {
 		if k[0] == 'b' {
 			return // bronze appears early: smooth, not bursty
 		}
 	}
-	t.Errorf("bronze absent from first 8 grants %v — WRR not smooth", grants[:8])
+	t.Errorf("bronze absent from first 4 grants %v — WRR not smooth", grants[:4])
 }
 
 func TestFairQueueTenantQuota(t *testing.T) {

@@ -20,6 +20,7 @@ import (
 	"shotgun/internal/dispatch"
 	"shotgun/internal/harness"
 	"shotgun/internal/sim"
+	"shotgun/internal/spec"
 	"shotgun/internal/store"
 )
 
@@ -456,6 +457,89 @@ func TestTenantQuotaOverHTTP(t *testing.T) {
 		t.Errorf("capped rejected = %d, want 1", got)
 	}
 	_ = exec // grants are never completed; Shutdown abandons them
+}
+
+// TestExperimentRenderGoesThroughExecutor: a catalog render queues its
+// scenarios in the job table like a sweep — table1's six cells reach
+// the executor as six grants, and the rendered table is built from the
+// results the executor hands back (as a coordinator's workers would).
+func TestExperimentRenderGoesThroughExecutor(t *testing.T) {
+	var exec *manualExec
+	srv := New(Config{
+		Scale: tinyScale(), ScaleName: "tiny", Workers: 1, FairSlots: 8,
+		NewExecutor: func(_ *harness.Runner, sink dispatch.Sink) dispatch.Executor {
+			exec = &manualExec{sink: sink}
+			return exec
+		},
+	})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { ts.Close(); srv.Shutdown() })
+
+	type reply struct {
+		status int
+		body   []byte
+		err    error
+	}
+	replies := make(chan reply, 1)
+	go func() {
+		resp, err := http.Get(ts.URL + "/v1/experiments/table1?format=text")
+		if err != nil {
+			replies <- reply{err: err}
+			return
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		replies <- reply{status: resp.StatusCode, body: raw, err: err}
+	}()
+
+	grants := exec.waitGrants(t, 6)
+	for _, g := range grants {
+		exec.sink.JobDone(g.key, sim.MustRunScenario(g.sc))
+	}
+	got := <-replies
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if got.status != http.StatusOK {
+		t.Fatalf("render status %d: %s", got.status, got.body)
+	}
+	if n := len(exec.waitGrants(t, 6)); n != 6 {
+		t.Fatalf("executor saw %d grants, want 6", n)
+	}
+	exp, _ := spec.FindExperiment("table1")
+	if want := exp.Table(harness.NewRunner(tinyScale())).String(); string(got.body) != want {
+		t.Fatalf("render differs from a fresh runner's:\ngot:\n%s\nwant:\n%s", got.body, want)
+	}
+}
+
+// TestExperimentRenderHonorsTenantQuota: a catalog render is tenant
+// work, so a tenant capped at one outstanding job gets 429
+// quota_exceeded on a six-scenario table.
+func TestExperimentRenderHonorsTenantQuota(t *testing.T) {
+	reg, err := ParseTenants([]byte(`{"tenants":[{"name":"capped","key":"cap-key","max_queued":1}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{
+		Scale: tinyScale(), ScaleName: "tiny", Workers: 1, FairSlots: 1, Tenants: reg,
+		NewExecutor: func(_ *harness.Runner, sink dispatch.Sink) dispatch.Executor {
+			return &manualExec{sink: sink}
+		},
+	})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { ts.Close(); srv.Shutdown() })
+
+	resp, raw := request(t, http.MethodGet, ts.URL+"/v1/experiments/table1", "cap-key", "", nil)
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("render status %d, want 429: %s", resp.StatusCode, raw)
+	}
+	var env client.ErrorEnvelope
+	if err := json.Unmarshal(raw, &env); err != nil {
+		t.Fatal(err)
+	}
+	if env.Error.Code != client.CodeQuotaExceeded {
+		t.Fatalf("envelope code %q, want %q", env.Error.Code, client.CodeQuotaExceeded)
+	}
 }
 
 // sseMsg is one parsed server-sent event.

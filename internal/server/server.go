@@ -15,7 +15,8 @@
 //	                              (?format=json|csv|text, ?tables=id,... to select tables;
 //	                              Accept: text/event-stream streams per-scenario progress over SSE)
 //	GET  /v1/experiments          list experiment ids
-//	GET  /v1/experiments/{name}   render a table/figure (?format=json|csv|text)
+//	GET  /v1/experiments/{name}   render a table/figure (?format=json|csv|text); its
+//	                              scenarios run as jobs, like a sweep's
 //	GET  /v1/store/stats          persistent-store traffic counters
 //	GET  /metrics                 Prometheus text exposition (no key required)
 //	GET  /healthz                 liveness (plain "ok"; no key required)
@@ -99,14 +100,13 @@ type Config struct {
 	// consulted before simulating. Any store.Backend works: the local
 	// on-disk store, or the sharded replicated one (-store-shards).
 	Store store.Backend
-	// QueueDepth bounds the inner executor's backlog (default 4096).
-	QueueDepth int
 	// MaxQueue bounds jobs waiting in the fair-share queue across all
 	// tenants; past it submissions shed with 503 + Retry-After. 0
 	// means unlimited.
 	MaxQueue int
 	// FairSlots bounds how many jobs the fair queue keeps resident in
-	// the executor at once (default 2×Workers, clamped to QueueDepth).
+	// the executor at once (default 2×Workers, clamped to
+	// dispatch.MaxQueueDepth); the local pool's backlog is this deep.
 	// Cluster mode wants this larger — it bounds lease-table
 	// occupancy, not local compute.
 	FairSlots int
@@ -251,10 +251,6 @@ func New(cfg Config) *Server {
 	if workers < 1 {
 		workers = 1
 	}
-	depth := cfg.QueueDepth
-	if depth <= 0 {
-		depth = 4096
-	}
 	maxBatch := cfg.MaxBatch
 	if maxBatch <= 0 {
 		maxBatch = 1024
@@ -263,10 +259,10 @@ func New(cfg Config) *Server {
 	if slots <= 0 {
 		slots = 2 * workers
 	}
-	if slots > depth {
-		// Slots above the inner backlog would make the dispatcher trip
-		// ErrQueueFull and fail jobs spuriously.
-		slots = depth
+	if slots > dispatch.MaxQueueDepth {
+		// Slots above the coordinator's lease table would make the
+		// dispatcher trip ErrQueueFull and fail jobs spuriously.
+		slots = dispatch.MaxQueueDepth
 	}
 	logger := cfg.Logger
 	if logger == nil {
@@ -296,7 +292,9 @@ func New(cfg Config) *Server {
 		if cfg.NewExecutor != nil {
 			return cfg.NewExecutor(runner, sink)
 		}
-		return dispatch.NewLocalPool(runner, sink, depth)
+		// The fair queue never keeps more than slots jobs resident, so
+		// a slots-deep backlog never fills.
+		return dispatch.NewLocalPool(runner, sink, slots)
 	}
 	s.fair = dispatch.NewFairQueue(dispatch.FairConfig{
 		Slots:    slots,
@@ -430,38 +428,27 @@ func (s *Server) handleVersion(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// enqueueScenarios registers and enqueues pre-validated, pinned
-// scenarios for one tenant under one job-table lock hold (fair-queue
-// Submits never block): a job becomes visible in s.jobs only once the
-// fair queue actually holds it (or the store already held its result),
-// so no concurrent submitter can ever be handed a key that later
-// disappears. A key the persistent store already has is born done
-// without touching the executor — the path that lets a restarted
-// cluster serve known scenarios without re-leasing anything. On quota
-// or shed the already-enqueued prefix stands — it is valid work, and a
-// retry dedups onto it — and the error tells the caller what to
-// answer; dispatch.ErrClosing means Close has begun and retrying this
-// server is pointless. The returned jobs include deduplicated hits on
-// existing keys, in batch order.
-func (s *Server) enqueueScenarios(tenant string, scs []sim.Scenario) ([]*job, error) {
-	keys := make([]string, len(scs))
-	for i, sc := range scs {
-		keys[i] = store.ScenarioKey(sc)
-	}
-	return s.enqueueKeyed(tenant, keys, scs)
-}
-
-// enqueueKeyed is enqueueScenarios for callers that already computed
-// the content keys (the sweep handler hashes during its own dedup
-// pass); keys[i] must be store.ScenarioKey(scs[i]).
+// enqueue registers and enqueues pre-validated, pinned scenarios for
+// one tenant under one job-table lock hold (fair-queue Submits never
+// block); keys[i] must be store.ScenarioKey(scs[i]). A job becomes
+// visible in s.jobs only once the fair queue actually holds it (or the
+// store already held its result), so no concurrent submitter can ever
+// be handed a key that later disappears. A key the persistent store
+// already has is born done without touching the executor — the path
+// that lets a restarted cluster serve known scenarios without
+// re-leasing anything. On quota or shed the already-enqueued prefix
+// stands — it is valid work, and a retry dedups onto it — and the
+// error tells the caller what to answer; dispatch.ErrClosing means
+// Close has begun and retrying this server is pointless. The returned
+// jobs include deduplicated hits on existing keys, in batch order.
 //
-// The store is consulted before taking the job-table lock: hashing and
-// a disk read per scenario are the expensive parts, and doing them
-// here keeps concurrent submitters (and every Sink callback) from
-// serializing behind them. The store peek races benignly with
-// concurrent submits of the same key — whoever takes the lock first
-// registers the job, and the loser below reuses it.
-func (s *Server) enqueueKeyed(tenant string, keys []string, scs []sim.Scenario) ([]*job, error) {
+// The store is consulted before taking the job-table lock: a disk read
+// per scenario is the expensive part, and doing it here keeps
+// concurrent submitters (and every Sink callback) from serializing
+// behind it. The store peek races benignly with concurrent submits of
+// the same key — whoever takes the lock first registers the job, and
+// the loser below reuses it.
+func (s *Server) enqueue(tenant string, keys []string, scs []sim.Scenario) ([]*job, error) {
 	stored := make(map[string]sim.ScenarioResult)
 	if s.st != nil {
 		for _, key := range keys {
@@ -507,26 +494,6 @@ func (s *Server) enqueueKeyed(tenant string, keys []string, scs []sim.Scenario) 
 	return jobs, nil
 }
 
-// enqueueError maps an enqueue failure to its envelope: quota trips
-// 429, shed and shutdown 503 — all retryable, the first two with a
-// Retry-After hint.
-func (s *Server) enqueueError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, dispatch.ErrClosing):
-		client.WriteError(w, http.StatusServiceUnavailable, client.CodeShuttingDown,
-			"server shutting down; submit elsewhere")
-	case errors.Is(err, dispatch.ErrQuotaExceeded):
-		client.WriteErrorRetryAfter(w, http.StatusTooManyRequests, client.CodeQuotaExceeded, quotaRetryAfter,
-			"tenant quota exceeded; retry after earlier work drains")
-	case errors.Is(err, dispatch.ErrOverloaded):
-		client.WriteErrorRetryAfter(w, http.StatusServiceUnavailable, client.CodeOverloaded, shedRetryAfter,
-			"server overloaded, shedding load; retry later")
-	default:
-		client.WriteErrorRetryAfter(w, http.StatusServiceUnavailable, client.CodeOverloaded, shedRetryAfter,
-			"queue full; retry later")
-	}
-}
-
 // maxBodyBytes bounds submission bodies: a full MaxBatch of scenarios
 // fits comfortably, and an unbounded body must never reach the JSON
 // decoder (fuzz-hardened: malformed, truncated or oversized bodies all
@@ -560,18 +527,29 @@ func (s *Server) checkBatch(w http.ResponseWriter, n int, what string) bool {
 	return true
 }
 
-// acceptScenarios is the single submit path both POST /v1/sims and
-// POST /v1/scenarios drain into: enqueue pinned scenarios under the
-// request's tenant, mapping failures to their envelopes. The /v1/sims
-// alias differs only in how it unwraps the request and renders the
-// response.
-func (s *Server) acceptScenarios(w http.ResponseWriter, r *http.Request, scs []sim.Scenario) ([]*job, bool) {
-	jobs, err := s.enqueueScenarios(tenantFrom(r.Context()), scs)
-	if err != nil {
-		s.enqueueError(w, err)
-		return nil, false
+// accept is the submit path every handler drains into: enqueue pinned
+// scenarios under the request's tenant, or write the refusal's
+// envelope — quota trips 429, shed and shutdown 503, all retryable,
+// the first two with a Retry-After hint.
+func (s *Server) accept(w http.ResponseWriter, r *http.Request, keys []string, scs []sim.Scenario) ([]*job, bool) {
+	jobs, err := s.enqueue(tenantFrom(r.Context()), keys, scs)
+	switch {
+	case err == nil:
+		return jobs, true
+	case errors.Is(err, dispatch.ErrClosing):
+		client.WriteError(w, http.StatusServiceUnavailable, client.CodeShuttingDown,
+			"server shutting down; submit elsewhere")
+	case errors.Is(err, dispatch.ErrQuotaExceeded):
+		client.WriteErrorRetryAfter(w, http.StatusTooManyRequests, client.CodeQuotaExceeded, quotaRetryAfter,
+			"tenant quota exceeded; retry after earlier work drains")
+	case errors.Is(err, dispatch.ErrOverloaded):
+		client.WriteErrorRetryAfter(w, http.StatusServiceUnavailable, client.CodeOverloaded, shedRetryAfter,
+			"server overloaded, shedding load; retry later")
+	default:
+		client.WriteErrorRetryAfter(w, http.StatusServiceUnavailable, client.CodeOverloaded, shedRetryAfter,
+			"queue full; retry later")
 	}
-	return jobs, true
+	return nil, false
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -585,15 +563,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Validate the whole batch before enqueueing any of it, so a batch
 	// is accepted atomically or not at all.
 	scs := make([]sim.Scenario, 0, len(req.Configs))
+	keys := make([]string, 0, len(req.Configs))
 	for i, cfg := range req.Configs {
 		if err := cfg.Validate(); err != nil {
 			client.WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest, "config %d: %v", i, err)
 			return
 		}
-		scs = append(scs, s.runner.NormalizeScenario(sim.SingleCore(cfg)))
+		sc := s.runner.NormalizeScenario(sim.SingleCore(cfg))
+		scs = append(scs, sc)
+		keys = append(keys, store.ScenarioKey(sc))
 	}
 
-	jobs, ok := s.acceptScenarios(w, r, scs)
+	jobs, ok := s.accept(w, r, keys, scs)
 	if !ok {
 		return
 	}
@@ -615,15 +596,18 @@ func (s *Server) handleSubmitScenarios(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	scs := make([]sim.Scenario, 0, len(req.Scenarios))
+	keys := make([]string, 0, len(req.Scenarios))
 	for i, sc := range req.Scenarios {
 		if err := sc.Validate(); err != nil {
 			client.WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest, "scenario %d: %v", i, err)
 			return
 		}
-		scs = append(scs, s.runner.NormalizeScenario(sc))
+		n := s.runner.NormalizeScenario(sc)
+		scs = append(scs, n)
+		keys = append(keys, store.ScenarioKey(n))
 	}
 
-	jobs, ok := s.acceptScenarios(w, r, scs)
+	jobs, ok := s.accept(w, r, keys, scs)
 	if !ok {
 		return
 	}
@@ -706,15 +690,19 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 			"unknown experiment %q (GET /v1/experiments lists ids)", name)
 		return
 	}
-	format := r.URL.Query().Get("format")
-	if format == "" {
-		format = "json"
+	format, ok := formatOf(w, r)
+	if !ok {
+		return
 	}
-	// Render on demand: saturate the pool with the experiment's scenario
-	// set (memo + store make repeats cheap), then assemble the table.
-	if exp.Scenarios != nil {
-		s.runner.PrefetchScenarios(exp.Scenarios())
+	// Render the way a sweep does: the scenarios run as the tenant's jobs
+	// (fair share, quotas, shedding; leased out by a coordinator), then
+	// seed the runner with their results and assemble the table.
+	keys, pinned := s.pinScenarios([]harness.Experiment{exp})
+	jobs, ok := s.accept(w, r, keys, pinned)
+	if !ok || !s.awaitJobs(w, r, "experiment", exp.ID, jobs) {
+		return
 	}
+	s.seedRunner(jobs)
 	table := exp.Table(s.runner)
 	switch format {
 	case "json":
@@ -725,16 +713,11 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		})
 	case "csv":
 		w.Header().Set("Content-Type", "text/csv")
-		if err := report.FromStats(exp.ID, table).WriteCSV(w); err != nil {
-			// Headers are gone; nothing better to do than log-by-status.
-			return
-		}
+		// A write error leaves nothing better to do: headers are gone.
+		_ = report.FromStats(exp.ID, table).WriteCSV(w)
 	case "text":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprint(w, table.String())
-	default:
-		client.WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest,
-			"unknown format %q (json, csv, text)", format)
 	}
 }
 

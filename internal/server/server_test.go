@@ -15,6 +15,7 @@ import (
 	"shotgun/internal/harness"
 	"shotgun/internal/report"
 	"shotgun/internal/sim"
+	"shotgun/internal/spec"
 	"shotgun/internal/store"
 )
 
@@ -413,13 +414,15 @@ func TestSubmitRejectsBadBatches(t *testing.T) {
 // — workers finish at most their in-flight job, and everything else
 // stays queued (the process is exiting; a store + resubmit recovers).
 func TestShutdownAbandonsQueuedWork(t *testing.T) {
-	srv := New(Config{Scale: tinyScale(), Workers: 1, QueueDepth: 16})
+	srv := New(Config{Scale: tinyScale(), Workers: 1})
 	var batch []sim.Scenario
+	var keys []string
 	for _, wl := range []string{"Nutch", "Streaming", "Apache", "Zeus", "Oracle", "DB2"} {
-		batch = append(batch, srv.runner.NormalizeScenario(
-			sim.SingleCore(sim.Config{Workload: wl, Mechanism: sim.None})))
+		sc := srv.runner.NormalizeScenario(sim.SingleCore(sim.Config{Workload: wl, Mechanism: sim.None}))
+		batch = append(batch, sc)
+		keys = append(keys, store.ScenarioKey(sc))
 	}
-	jobs, err := srv.enqueueScenarios("", batch)
+	jobs, err := srv.enqueue("", keys, batch)
 	if err != nil || len(jobs) != len(batch) {
 		t.Fatalf("enqueue: %v (%d jobs)", err, len(jobs))
 	}
@@ -558,6 +561,51 @@ func TestExperimentEndpoints(t *testing.T) {
 		if resp.StatusCode != want {
 			t.Fatalf("%s: status %d, want %d", path, resp.StatusCode, want)
 		}
+	}
+}
+
+// TestExperimentRenderBytes: on a local-pool server a catalog render
+// runs through the job table, and every format's body is byte-equal
+// to the report built from a fresh runner at the same scale.
+func TestExperimentRenderBytes(t *testing.T) {
+	srv, ts := newTestServer(t, nil)
+	exp, _ := spec.FindExperiment("table1")
+	table := exp.Table(harness.NewRunner(tinyScale()))
+
+	rec := httptest.NewRecorder()
+	client.WriteJSON(rec, report.Report{
+		Version: report.Version,
+		Scale:   "tiny",
+		Tables:  []report.Table{report.FromStats(exp.ID, table)},
+	})
+	var csv bytes.Buffer
+	if err := report.FromStats(exp.ID, table).WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	for format, want := range map[string]string{
+		"json": rec.Body.String(),
+		"csv":  csv.String(),
+		"text": table.String(),
+	} {
+		resp, err := http.Get(ts.URL + "/v1/experiments/table1?format=" + format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || string(raw) != want {
+			t.Fatalf("%s: status %d, body differs from a fresh runner's:\ngot:\n%s\nwant:\n%s",
+				format, resp.StatusCode, raw, want)
+		}
+	}
+	srv.mu.Lock()
+	n := len(srv.jobs)
+	srv.mu.Unlock()
+	if n != 6 {
+		t.Fatalf("job table holds %d jobs after table1 renders, want its 6 scenarios", n)
 	}
 }
 

@@ -5,7 +5,9 @@ package server
 // enqueues every expanded scenario through the ordinary job table — so
 // sweep jobs dedup against /v1/sims, /v1/scenarios, catalog
 // experiment renders, and the persistent store by content key — waits
-// for the expansion to finish, and renders the chosen tables.
+// for the expansion to finish, and renders the chosen tables. A catalog
+// render (GET /v1/experiments/{name}) is the same path over one
+// embedded spec's experiment.
 //
 //	POST /v1/sweeps?format=json|csv|text&tables=id1,id2   body: spec JSON
 //
@@ -52,15 +54,8 @@ type compiledSweep struct {
 // selection) and expands the work list; on failure it has already
 // written the error envelope.
 func (s *Server) parseSweep(w http.ResponseWriter, r *http.Request) (*compiledSweep, []sim.Scenario, bool) {
-	format := r.URL.Query().Get("format")
-	if format == "" {
-		format = "json"
-	}
-	switch format {
-	case "json", "csv", "text":
-	default:
-		client.WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest,
-			"unknown format %q (json, csv, text)", format)
+	format, ok := formatOf(w, r)
+	if !ok {
 		return nil, nil, false
 	}
 
@@ -107,25 +102,45 @@ func (s *Server) parseSweep(w http.ResponseWriter, r *http.Request) (*compiledSw
 		exps = picked
 	}
 
-	// Expand the selected tables' work list, pin it to the server
-	// scale, and dedup by content key — identical keys dedup onto
-	// existing jobs (or store records) exactly like the batch
-	// endpoints.
+	keys, pinned := s.pinScenarios(exps)
+	return &compiledSweep{name: compiled.Spec.Name, exps: exps, keys: keys, format: format}, pinned, true
+}
+
+// pinScenarios expands experiments' work list, pins it to the server
+// scale, and dedups it by content key, returning the keys and pinned
+// scenarios in expansion order. Identical keys then dedup onto
+// existing jobs (or store records) exactly like the batch endpoints.
+func (s *Server) pinScenarios(exps []harness.Experiment) ([]string, []sim.Scenario) {
 	scs := harness.AllScenarios(exps)
-	cs := &compiledSweep{name: compiled.Spec.Name, exps: exps, format: format}
+	var keys []string
 	var pinned []sim.Scenario
-	seenKeys := make(map[string]bool, len(scs))
+	seen := make(map[string]bool, len(scs))
 	for _, sc := range scs {
 		n := s.runner.NormalizeScenario(sc)
 		key := store.ScenarioKey(n)
-		if seenKeys[key] {
+		if seen[key] {
 			continue
 		}
-		seenKeys[key] = true
-		cs.keys = append(cs.keys, key)
+		seen[key] = true
+		keys = append(keys, key)
 		pinned = append(pinned, n)
 	}
-	return cs, pinned, true
+	return keys, pinned
+}
+
+// formatOf reads ?format= (default json); anything but json, csv or
+// text has already been answered 400.
+func formatOf(w http.ResponseWriter, r *http.Request) (string, bool) {
+	switch format := r.URL.Query().Get("format"); format {
+	case "":
+		return "json", true
+	case "json", "csv", "text":
+		return format, true
+	default:
+		client.WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest,
+			"unknown format %q (json, csv, text)", format)
+		return "", false
+	}
 }
 
 // failedJobs collects "key: error" lines for terminal-failed jobs.
@@ -141,13 +156,10 @@ func failedJobs(jobs []*job) []string {
 	return failed
 }
 
-// renderSweep seeds the runner with every completed job's result and
-// renders the report, returning the body and its content type. Seeding
-// is a no-op with a LocalPool (the pool already ran through this
-// runner); with a coordinator it is what makes the farm's work reach
-// local table assembly even when no store is attached — without it the
-// render would re-simulate the whole sweep.
-func (s *Server) renderSweep(cs *compiledSweep, jobs []*job) ([]byte, string) {
+// seedRunner primes the runner with every completed job's result: a
+// no-op with a LocalPool (which ran through this runner), and with a
+// coordinator what keeps a render from re-simulating the farm's work.
+func (s *Server) seedRunner(jobs []*job) {
 	for _, j := range jobs {
 		j.mu.Lock()
 		done := j.status == StatusDone
@@ -157,6 +169,12 @@ func (s *Server) renderSweep(cs *compiledSweep, jobs []*job) ([]byte, string) {
 			s.runner.Seed(j.sc, res)
 		}
 	}
+}
+
+// renderSweep seeds the runner from the sweep's jobs and renders the
+// report, returning the body and its content type.
+func (s *Server) renderSweep(cs *compiledSweep, jobs []*job) ([]byte, string) {
+	s.seedRunner(jobs)
 	var buf bytes.Buffer
 	switch cs.format {
 	case "json", "csv":
@@ -183,9 +201,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	jobs, err := s.enqueueKeyed(tenantFrom(r.Context()), cs.keys, pinned)
-	if err != nil {
-		s.enqueueError(w, err)
+	jobs, ok := s.accept(w, r, cs.keys, pinned)
+	if !ok {
 		return
 	}
 
@@ -198,23 +215,28 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		// blocking path, which needs none.
 	}
 
-	// Wait for the expansion to finish. The request context bounds the
-	// wait: a gone client stops consuming worker results here, but the
-	// enqueued jobs keep running — their results stay pollable (and
-	// store-persisted), so a retry after a timeout is all hits. Job
-	// ABANDONMENT also wakes the wait: Shutdown leaves queued jobs
-	// behind without closing their done channels, so without the signal
-	// this handler would stall until the HTTP drain deadline killed the
-	// connection instead of answering an honest 503. A graceful drain
-	// (Close, or the pre-drain RejectNew) deliberately does not wake
-	// waiters — in-flight jobs may still finish inside the drain
-	// window, and a sweep whose last job completes there delivers its
-	// rendered result.
+	if !s.awaitJobs(w, r, "sweep", cs.name, jobs) {
+		return
+	}
+	body, ctype := s.renderSweep(cs, jobs)
+	w.Header().Set("Content-Type", ctype)
+	w.Write(body)
+}
+
+// awaitJobs blocks until every job is terminal and reports whether all
+// succeeded; if not, it has written the envelope (what and name label
+// the request). A gone client ends the wait, but its jobs keep running,
+// so a retry is all hits. Job ABANDONMENT also ends it: Shutdown leaves
+// queued jobs without closing their done channels, and without the
+// signal the handler would stall until the HTTP drain deadline instead
+// of answering an honest 503. A graceful drain (Close, RejectNew) does
+// not: jobs finishing inside the drain window still deliver a result.
+func (s *Server) awaitJobs(w http.ResponseWriter, r *http.Request, what, name string, jobs []*job) bool {
 	ctx := r.Context()
 	for _, j := range jobs {
 		// Fast path first: select picks uniformly among ready cases, so
 		// without it a just-closed abandonCh could win over an equally
-		// closed done channel and 503 a sweep whose work all finished.
+		// closed done channel and 503 a request whose work all finished.
 		select {
 		case <-j.done:
 			continue
@@ -224,23 +246,20 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		case <-j.done:
 		case <-ctx.Done():
 			client.WriteError(w, http.StatusServiceUnavailable, client.CodeInterrupted,
-				"sweep %q interrupted while simulating; results keep computing and dedup on resubmit", cs.name)
-			return
+				"%s %q interrupted while simulating; results keep computing and dedup on resubmit", what, name)
+			return false
 		case <-s.abandonCh:
 			client.WriteError(w, http.StatusServiceUnavailable, client.CodeShuttingDown,
-				"server shutting down mid-sweep %q; completed results persist and dedup on resubmit", cs.name)
-			return
+				"server shutting down mid-%s %q; completed results persist and dedup on resubmit", what, name)
+			return false
 		}
 	}
 	if failed := failedJobs(jobs); len(failed) > 0 {
 		client.WriteError(w, http.StatusInternalServerError, client.CodeInternal,
-			"sweep %q: %d scenarios failed: %s", cs.name, len(failed), strings.Join(failed, "; "))
-		return
+			"%s %q: %d scenarios failed: %s", what, name, len(failed), strings.Join(failed, "; "))
+		return false
 	}
-
-	body, ctype := s.renderSweep(cs, jobs)
-	w.Header().Set("Content-Type", ctype)
-	w.Write(body)
+	return true
 }
 
 // wantsSSE reports whether the request asked for an event stream.

@@ -10,8 +10,7 @@ import "shotgun/internal/sim"
 // Two implementations exist:
 //
 //   - *Store — the classic single-node on-disk store. The zero-flag
-//     server is exactly this: one shard, no replication, byte-identical
-//     layout to every release before sharding existed.
+//     server is exactly this: one shard, no replication.
 //   - *Sharded — a consistent-hash ring over the SHA-256 scenario-key
 //     space routing every record to K replica shards over HTTP (each
 //     shard is a *Store behind a ShardServer). Reads fall through

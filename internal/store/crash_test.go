@@ -63,22 +63,21 @@ func TestPruneKeepsRecentlyRead(t *testing.T) {
 
 // TestCrashBetweenRecordAndIndex simulates the put-path crash window:
 // the record file has landed (atomic rename) but the process dies
-// before writeIndexLocked. Open's reconciliation must validate the
-// orphan and serve it — the records directory, not the index, is the
-// source of truth.
+// before its in-memory key set learns of it. The next Open lists the
+// orphan and serves it — the records directory is the only index.
 func TestCrashBetweenRecordAndIndex(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A normally-indexed record, so index.json exists and is non-empty.
+	// A normally put record alongside the orphan.
 	if err := s.Put(testConfig("Oracle"), fakeResult("Oracle", 1)); err != nil {
 		t.Fatal(err)
 	}
 
 	// "Crash" mid-put of a second record: write exactly the bytes
-	// putRecord would have written, then never touch the index.
+	// put would have written, then never touch the key set.
 	orphan := sim.SingleCore(testConfig("DB2"))
 	rec, err := NewRecord(orphan, sim.ScenarioResult{Cores: []sim.Result{fakeResult("DB2", 2)}})
 	if err != nil {
@@ -98,7 +97,7 @@ func TestCrashBetweenRecordAndIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	if s2.Len() != 2 {
-		t.Fatalf("reconciled index has %d records, want 2", s2.Len())
+		t.Fatalf("reopened store lists %d records, want 2", s2.Len())
 	}
 	got, ok := s2.GetScenario(orphan)
 	if !ok {
@@ -107,12 +106,12 @@ func TestCrashBetweenRecordAndIndex(t *testing.T) {
 	if got.Cores[0] != fakeResult("DB2", 2) {
 		t.Fatalf("recovered record corrupted: %+v", got.Cores[0])
 	}
-	if e, ok := s2.Entries()[rec.Key]; !ok || e.Workload != "DB2" {
-		t.Fatalf("orphan missing from reconciled index: %+v", e)
+	if got, ok := s2.GetKey(rec.Key); !ok || got.Scenario.Cores[0].Workload != "DB2" {
+		t.Fatalf("orphan not served under its key: ok=%v %+v", ok, got)
 	}
 
-	// The mirror-image crash — index entry present, record file gone —
-	// reconciles the other way: the entry is dropped, not served.
+	// The mirror image — a record file removed behind the store's back —
+	// is not listed by the next Open, and not served.
 	if err := os.Remove(s2.recordPath(rec.Key)); err != nil {
 		t.Fatal(err)
 	}
@@ -121,16 +120,16 @@ func TestCrashBetweenRecordAndIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	if s3.Len() != 1 {
-		t.Fatalf("index kept a fileless entry: %d records", s3.Len())
+		t.Fatalf("reopened store lists a removed record: %d records", s3.Len())
 	}
 	if _, ok := s3.GetScenario(orphan); ok {
-		t.Fatal("fileless index entry served a hit")
+		t.Fatal("removed record served a hit")
 	}
 }
 
 // TestConcurrentPutPruneGet hammers Put, Prune, and Get together under
 // -race: pruning must never tear a read, corrupt a surviving record,
-// or wedge the index. (TestConcurrentReadWrite covers put/get; this
+// or wedge the key set. (TestConcurrentReadWrite covers put/get; this
 // adds the eviction writer.)
 func TestConcurrentPutPruneGet(t *testing.T) {
 	s, err := Open(t.TempDir())
@@ -181,7 +180,7 @@ func TestConcurrentPutPruneGet(t *testing.T) {
 	wg.Wait()
 
 	// Whatever survived must be intact, and a fresh Open must agree
-	// with the in-memory index.
+	// with the in-memory key set.
 	if st := s.Stats(); st.CorruptDropped != 0 {
 		t.Fatalf("corruption under concurrency: %+v", st)
 	}
@@ -190,6 +189,6 @@ func TestConcurrentPutPruneGet(t *testing.T) {
 		t.Fatal(err)
 	}
 	if s2.Len() != s.Len() {
-		t.Fatalf("reopened store has %d records, in-memory index %d", s2.Len(), s.Len())
+		t.Fatalf("reopened store has %d records, in-memory key set %d", s2.Len(), s.Len())
 	}
 }

@@ -9,15 +9,14 @@
 // On-disk layout (under the store root):
 //
 //	VERSION              format generation; a mismatch wipes the store
-//	index.json           key -> {workload, mechanism} summary
 //	records/<key>.json   one record: {version, key, config, result}
 //
-// Records are written to a temp file and renamed into place, so readers
-// never observe a partial record; a record that is nevertheless
-// unreadable (truncated by a crash, hand-edited, wrong version) is
-// dropped on first access and treated as a miss. The index is a
-// convenience summary — the records directory is the source of truth,
-// and Open reconciles the two.
+// The records directory is the only index: Open lists it without
+// reading any record. Records are written to a temp file and renamed
+// into place, so readers never observe a partial record; a record that
+// is nevertheless unreadable (truncated by a crash, hand-edited, wrong
+// version) is dropped on first access and treated as a miss. An older
+// build's index.json is neither read nor removed.
 package store
 
 import (
@@ -55,7 +54,6 @@ const FormatVersion = 4
 
 const (
 	versionFile = "VERSION"
-	indexFile   = "index.json"
 	recordsDir  = "records"
 )
 
@@ -116,29 +114,6 @@ func validRecord(rec Record) bool {
 	return ScenarioKey(norm) == rec.Key
 }
 
-// Entry is the index summary of one record: the primary (core-0)
-// workload and mechanism plus the scenario's core count.
-type Entry struct {
-	Workload  string `json:"workload"`
-	Mechanism string `json:"mechanism"`
-	Cores     int    `json:"cores"`
-}
-
-// entryOf summarizes a normalized scenario.
-func entryOf(sc sim.Scenario) Entry {
-	return Entry{
-		Workload:  sc.Cores[0].Workload,
-		Mechanism: string(sc.Cores[0].Mechanism),
-		Cores:     len(sc.Cores),
-	}
-}
-
-// index is the on-disk form of index.json.
-type index struct {
-	Version int              `json:"version"`
-	Records map[string]Entry `json:"records"`
-}
-
 // Stats counts store traffic since Open.
 type Stats struct {
 	// Hits and Misses count Get outcomes; Puts counts successful writes.
@@ -149,7 +124,8 @@ type Stats struct {
 	// CorruptDropped counts records removed because they were
 	// unreadable or carried the wrong version/key.
 	CorruptDropped uint64
-	// Records is the current number of indexed records.
+	// Records is the current number of record files (an unreadable one
+	// counts until a read drops it).
 	Records int
 }
 
@@ -159,8 +135,8 @@ type Stats struct {
 type Store struct {
 	dir string
 
-	mu  sync.RWMutex
-	idx map[string]Entry
+	mu   sync.RWMutex
+	keys map[string]struct{}
 
 	hits, misses, puts, putErrors, corrupt atomic.Uint64
 }
@@ -173,31 +149,32 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, recordsDir), 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, idx: make(map[string]Entry)}
+	s := &Store{dir: dir, keys: make(map[string]struct{})}
 
 	vpath := filepath.Join(dir, versionFile)
 	raw, err := os.ReadFile(vpath)
-	switch {
-	case err == nil:
-		if strings.TrimSpace(string(raw)) != fmt.Sprint(FormatVersion) {
-			if err := s.wipe(); err != nil {
-				return nil, err
-			}
-		}
-	case os.IsNotExist(err):
-		// Fresh store (or pre-versioning debris): wipe to be safe.
+	if err != nil && !os.IsNotExist(err) {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	// Another generation's store, a fresh one, or pre-versioning debris
+	// (no VERSION): wipe to be safe.
+	if strings.TrimSpace(string(raw)) != fmt.Sprint(FormatVersion) {
 		if err := s.wipe(); err != nil {
 			return nil, err
 		}
-	default:
-		return nil, fmt.Errorf("store: %w", err)
 	}
 	if err := writeFileAtomic(vpath, []byte(fmt.Sprintln(FormatVersion))); err != nil {
 		return nil, err
 	}
 
-	if err := s.loadIndex(); err != nil {
-		return nil, err
+	names, err := os.ReadDir(filepath.Join(dir, recordsDir))
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	for _, de := range names {
+		if key, ok := strings.CutSuffix(de.Name(), ".json"); ok {
+			s.keys[key] = struct{}{}
+		}
 	}
 	return s, nil
 }
@@ -205,7 +182,7 @@ func Open(dir string) (*Store, error) {
 // Dir returns the store root.
 func (s *Store) Dir() string { return s.dir }
 
-// wipe removes every record and the index (format invalidation).
+// wipe removes every record (format invalidation).
 func (s *Store) wipe() error {
 	rd := filepath.Join(s.dir, recordsDir)
 	if err := os.RemoveAll(rd); err != nil {
@@ -213,40 +190,6 @@ func (s *Store) wipe() error {
 	}
 	if err := os.MkdirAll(rd, 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Remove(filepath.Join(s.dir, indexFile)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
-}
-
-// loadIndex builds the in-memory index: index.json as a starting point,
-// reconciled against the records directory (which wins — entries whose
-// file vanished are dropped, unindexed files are validated and added).
-func (s *Store) loadIndex() error {
-	var onDisk index
-	if raw, err := os.ReadFile(filepath.Join(s.dir, indexFile)); err == nil {
-		if json.Unmarshal(raw, &onDisk) != nil || onDisk.Version != FormatVersion {
-			onDisk.Records = nil // corrupt index: rebuild from records
-		}
-	}
-	names, err := os.ReadDir(filepath.Join(s.dir, recordsDir))
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	for _, de := range names {
-		key, ok := strings.CutSuffix(de.Name(), ".json")
-		if !ok {
-			continue
-		}
-		if e, ok := onDisk.Records[key]; ok {
-			s.idx[key] = e
-			continue
-		}
-		// Unindexed record: validate it now (load drops it if corrupt).
-		if rec, ok := s.load(key); ok {
-			s.idx[key] = entryOf(rec.Scenario)
-		}
 	}
 	return nil
 }
@@ -271,12 +214,12 @@ func (s *Store) load(key string) (Record, bool) {
 	return rec, true
 }
 
-// drop removes a corrupt record and its index entry.
+// drop removes a corrupt record file and its key.
 func (s *Store) drop(key string) {
 	s.corrupt.Add(1)
 	os.Remove(s.recordPath(key))
 	s.mu.Lock()
-	delete(s.idx, key)
+	delete(s.keys, key)
 	s.mu.Unlock()
 }
 
@@ -291,16 +234,6 @@ func (s *Store) GetScenario(sc sim.Scenario) (sim.ScenarioResult, bool) {
 		return sim.ScenarioResult{}, false
 	}
 	return rec.Result.Reorder(perm), true
-}
-
-// Get returns the stored result for a single-core config, if present
-// and intact.
-func (s *Store) Get(cfg sim.Config) (sim.Result, bool) {
-	res, ok := s.GetScenario(sim.SingleCore(cfg))
-	if !ok {
-		return sim.Result{}, false
-	}
-	return res.Cores[0], true
 }
 
 // GetKey returns the full stored record under a raw key (the server's
@@ -322,9 +255,8 @@ func (s *Store) GetKey(key string) (Record, bool) {
 	return rec, true
 }
 
-// PutScenario persists one scenario result. The record lands first
-// (atomic rename), then the index; a crash between the two leaves a
-// valid record that the next Open reconciles back into the index.
+// PutScenario persists one scenario result as one atomically renamed
+// record file; the next Open lists it back in.
 func (s *Store) PutScenario(sc sim.Scenario, res sim.ScenarioResult) error {
 	err := s.put(sc, res)
 	if err != nil {
@@ -335,26 +267,16 @@ func (s *Store) PutScenario(sc sim.Scenario, res sim.ScenarioResult) error {
 	return nil
 }
 
-// Put persists one single-core result (as its N=1 scenario).
-func (s *Store) Put(cfg sim.Config, res sim.Result) error {
-	return s.PutScenario(sim.SingleCore(cfg), sim.ScenarioResult{Cores: []sim.Result{res}})
-}
-
+// put canonicalizes one result into its record — results land in
+// canonical core order, matching the canonical scenario the record
+// carries (the caller may hold any permutation) — writes the record
+// file, then adds its key. Every local and replicated write ends here,
+// so a replicated record is byte-identical to a locally computed one.
 func (s *Store) put(sc sim.Scenario, res sim.ScenarioResult) error {
-	// Canonicalize once, in NewRecord: results land in canonical core
-	// order, matching the canonical scenario the record carries (the
-	// caller may hold any permutation).
 	rec, err := NewRecord(sc, res)
 	if err != nil {
 		return err
 	}
-	return s.putRecord(rec)
-}
-
-// putRecord persists one already-canonical record. It is the shared
-// tail of PutScenario and the shard server's replica-write path, so a
-// replicated record is byte-identical to a locally computed one.
-func (s *Store) putRecord(rec Record) error {
 	raw, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
 		return fmt.Errorf("store: marshal record: %w", err)
@@ -362,17 +284,10 @@ func (s *Store) putRecord(rec Record) error {
 	if err := writeFileAtomic(s.recordPath(rec.Key), append(raw, '\n')); err != nil {
 		return err
 	}
-
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := entryOf(rec.Scenario)
-	if old, ok := s.idx[rec.Key]; ok && old == e {
-		// Re-put of a known key: the record was refreshed above; the
-		// index is unchanged, so skip the O(records) rewrite.
-		return nil
-	}
-	s.idx[rec.Key] = e
-	return s.writeIndexLocked()
+	s.keys[rec.Key] = struct{}{}
+	s.mu.Unlock()
+	return nil
 }
 
 // PutRecord persists a record received from another node (the shard
@@ -390,45 +305,24 @@ func (s *Store) PutRecord(rec Record) error {
 	return s.PutScenario(rec.Scenario, rec.Result)
 }
 
-// writeIndexLocked rewrites index.json from the in-memory index.
-// Callers hold s.mu, which also serializes the rename.
-func (s *Store) writeIndexLocked() error {
-	raw, err := json.MarshalIndent(index{Version: FormatVersion, Records: s.idx}, "", "  ")
-	if err != nil {
-		return fmt.Errorf("store: marshal index: %w", err)
-	}
-	return writeFileAtomic(filepath.Join(s.dir, indexFile), append(raw, '\n'))
-}
-
-// Len returns the number of indexed records.
+// Len returns the number of record files.
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.idx)
+	return len(s.keys)
 }
 
-// Keys returns the indexed record keys, sorted (the shard protocol's
+// Keys returns the record keys, sorted (the shard protocol's
 // key-listing endpoint; deterministic for tests and diffs).
 func (s *Store) Keys() []string {
 	s.mu.RLock()
-	keys := make([]string, 0, len(s.idx))
-	for k := range s.idx {
+	keys := make([]string, 0, len(s.keys))
+	for k := range s.keys {
 		keys = append(keys, k)
 	}
 	s.mu.RUnlock()
 	sort.Strings(keys)
 	return keys
-}
-
-// Entries returns a copy of the index.
-func (s *Store) Entries() map[string]Entry {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[string]Entry, len(s.idx))
-	for k, v := range s.idx {
-		out[k] = v
-	}
-	return out
 }
 
 // Stats returns a snapshot of the traffic counters.
@@ -446,12 +340,9 @@ func (s *Store) Stats() Stats {
 // Prune evicts the oldest records (by record-file modification time,
 // newest kept first) until the records directory fits within maxBytes,
 // returning how many records were removed. A file that cannot be
-// unlinked keeps its index entry, still counts toward the occupancy
-// total (it really is on disk — so older files keep being evicted),
-// is excluded from the removed count, and the error is reported. The
-// index is rewritten once at the end; a crash mid-prune leaves index
-// entries whose files are gone, which the next Open reconciles away —
-// the records directory stays the source of truth.
+// unlinked keeps its key, still counts toward the occupancy total (it
+// really is on disk — so older files keep being evicted), is excluded
+// from the removed count, and the error is reported.
 func (s *Store) Prune(maxBytes int64) (int, error) {
 	if maxBytes < 0 {
 		return 0, fmt.Errorf("store: negative prune budget %d", maxBytes)
@@ -501,16 +392,10 @@ func (s *Store) Prune(maxBytes int64) (int, error) {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("store: prune %s: %w", f.key, err)
 			}
-			continue // still on disk: keep it indexed, don't report it removed
+			continue // still on disk: keep its key, don't report it removed
 		}
-		delete(s.idx, f.key)
+		delete(s.keys, f.key)
 		dropped++
-	}
-	if dropped == 0 {
-		return 0, firstErr
-	}
-	if err := s.writeIndexLocked(); err != nil && firstErr == nil {
-		firstErr = err
 	}
 	return dropped, firstErr
 }

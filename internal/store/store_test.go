@@ -24,6 +24,20 @@ func fakeResult(wl string, instr uint64) sim.Result {
 	return res
 }
 
+// Get and Put are the single-core (N=1 scenario) views of the store
+// that most tests read and write through.
+func (s *Store) Get(cfg sim.Config) (sim.Result, bool) {
+	res, ok := s.GetScenario(sim.SingleCore(cfg))
+	if !ok {
+		return sim.Result{}, false
+	}
+	return res.Cores[0], true
+}
+
+func (s *Store) Put(cfg sim.Config, res sim.Result) error {
+	return s.PutScenario(sim.SingleCore(cfg), sim.ScenarioResult{Cores: []sim.Result{res}})
+}
+
 func testConfig(wl string) sim.Config {
 	return sim.Config{Workload: wl, Mechanism: sim.Shotgun,
 		WarmupInstr: 1000, MeasureInstr: 2000, Samples: 1}
@@ -106,57 +120,48 @@ func TestWarmRestartServesRecords(t *testing.T) {
 		t.Fatalf("restart lost the record: ok=%v got=%+v", ok, got)
 	}
 	if s2.Len() != 1 {
-		t.Fatalf("restart index has %d records, want 1", s2.Len())
-	}
-}
-
-func TestOpenReconcilesMissingIndex(t *testing.T) {
-	dir := t.TempDir()
-	s1, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := testConfig("Apache")
-	if err := s1.Put(cfg, fakeResult("Apache", 7)); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a crash between record and index writes.
-	if err := os.Remove(filepath.Join(dir, "index.json")); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Len() != 1 {
-		t.Fatalf("reconciled index has %d records, want 1", s2.Len())
-	}
-	ents := s2.Entries()
-	for _, e := range ents {
-		if e.Workload != "Apache" || e.Mechanism != string(sim.Shotgun) {
-			t.Fatalf("reconciled entry %+v", e)
-		}
+		t.Fatalf("restart lists %d records, want 1", s2.Len())
 	}
 }
 
 func TestCorruptRecordDroppedOnGet(t *testing.T) {
-	for name, garbage := range map[string][]byte{
-		"truncated": []byte(`{"version":1,"key":"`),
-		"empty":     {},
-		"not-json":  []byte("hello\n"),
+	for _, tc := range []struct {
+		name    string
+		garbage []byte
+		// orphan: the garbage is a file no Put wrote (a crash mid-write
+		// of an older build), listed by the next Open, not an overwrite
+		// of a record this process put.
+		orphan bool
+	}{
+		{name: "truncated", garbage: []byte(`{"version":1,"key":"`)},
+		{name: "empty", garbage: []byte{}},
+		{name: "not-json", garbage: []byte("hello\n")},
+		{name: "truncated-orphan", garbage: []byte(`{"version":1,`), orphan: true},
 	} {
-		t.Run(name, func(t *testing.T) {
-			s, err := Open(t.TempDir())
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
 			cfg := testConfig("Zeus")
-			if err := s.Put(cfg, fakeResult("Zeus", 11)); err != nil {
-				t.Fatal(err)
+			if !tc.orphan {
+				if err := s.Put(cfg, fakeResult("Zeus", 11)); err != nil {
+					t.Fatal(err)
+				}
 			}
 			key := Key(cfg)
-			if err := os.WriteFile(s.recordPath(key), garbage, 0o644); err != nil {
+			if err := os.WriteFile(s.recordPath(key), tc.garbage, 0o644); err != nil {
 				t.Fatal(err)
+			}
+			if tc.orphan {
+				// Open lists the file without reading it.
+				if s, err = Open(dir); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if s.Len() != 1 {
+				t.Fatalf("store lists %d records before the read, want 1", s.Len())
 			}
 			if _, ok := s.Get(cfg); ok {
 				t.Fatal("Get served a corrupt record")
@@ -175,29 +180,6 @@ func TestCorruptRecordDroppedOnGet(t *testing.T) {
 				t.Fatal("Put after corruption recovery missed")
 			}
 		})
-	}
-}
-
-func TestCorruptRecordDroppedOnOpen(t *testing.T) {
-	dir := t.TempDir()
-	s1, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// An unindexed, truncated record (crash mid-crash-recovery).
-	bad := s1.recordPath("deadbeef")
-	if err := os.WriteFile(bad, []byte(`{"version":1,`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Len() != 0 {
-		t.Fatalf("index has %d records, want 0", s2.Len())
-	}
-	if _, err := os.Stat(bad); !os.IsNotExist(err) {
-		t.Fatal("corrupt unindexed record survived Open")
 	}
 }
 
@@ -301,12 +283,17 @@ func TestScenarioRoundTrip(t *testing.T) {
 			t.Fatalf("core %d mismatch:\ngot  %+v\nwant %+v", i, got.Cores[i], want.Cores[i])
 		}
 	}
-	// The index summarizes the canonical-first core and the core count
-	// (canonical order sorts DB2 before Oracle).
-	for _, e := range s.Entries() {
-		if e.Workload != "DB2" || e.Cores != 2 {
-			t.Fatalf("scenario entry wrong: %+v", e)
-		}
+	// The record holds the canonical form: canonical order sorts DB2
+	// before Oracle.
+	rec, ok := s.GetKey(ScenarioKey(sc))
+	if !ok {
+		t.Fatal("GetKey missed the scenario's content key")
+	}
+	if len(rec.Scenario.Cores) != 2 || rec.Scenario.Cores[0].Workload != "DB2" || rec.Result.Cores[0] != want.Cores[1] {
+		t.Fatalf("record not canonical: %+v", rec)
+	}
+	if s.Len() != 1 {
+		t.Fatalf("store has %d records, want 1", s.Len())
 	}
 
 	// A per-core permutation is the same record — and its Get view maps
@@ -334,8 +321,8 @@ func TestScenarioRoundTrip(t *testing.T) {
 }
 
 // TestPrune covers the eviction path end to end: oldest records (by
-// file mtime) go first, the index matches the surviving records, and a
-// fresh Open of the pruned directory reconciles to the identical set.
+// file mtime) go first, the key set matches the surviving records, and
+// a fresh Open of the pruned directory lists the identical set.
 func TestPrune(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -371,7 +358,7 @@ func TestPrune(t *testing.T) {
 		t.Fatalf("dropped %d records, want 4", dropped)
 	}
 	if s.Len() != 2 {
-		t.Fatalf("index has %d records after prune, want 2", s.Len())
+		t.Fatalf("store has %d records after prune, want 2", s.Len())
 	}
 	for _, wl := range workloads[:4] {
 		if _, ok := s.Get(testConfig(wl)); ok {
@@ -384,18 +371,17 @@ func TestPrune(t *testing.T) {
 		}
 	}
 
-	// Records directory and index agree after a fresh Open.
+	// A fresh Open lists exactly the survivors.
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s2.Len() != 2 {
-		t.Fatalf("reopened index has %d records, want 2", s2.Len())
+		t.Fatalf("reopened store has %d records, want 2", s2.Len())
 	}
-	ents := s2.Entries()
 	for _, wl := range workloads[4:] {
-		if _, ok := ents[Key(testConfig(wl))]; !ok {
-			t.Fatalf("reopened index missing %s", wl)
+		if _, ok := s2.GetKey(Key(testConfig(wl))); !ok {
+			t.Fatalf("reopened store missing %s", wl)
 		}
 	}
 
@@ -453,5 +439,94 @@ func TestConcurrentReadWrite(t *testing.T) {
 	wg.Wait()
 	if st := s.Stats(); st.CorruptDropped != 0 || st.Records != len(workloads) {
 		t.Fatalf("stats %+v, want 0 corrupt / %d records", st, len(workloads))
+	}
+}
+
+// TestLayoutIsVersionAndRecords pins the on-disk layout: whatever the
+// traffic (puts, a re-put, a prune), the store root holds VERSION and
+// records/ only, and records/ holds record files only.
+func TestLayoutIsVersionAndRecords(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, wl := range []string{"Nutch", "Oracle", "DB2"} {
+		if err := s.Put(testConfig(wl), fakeResult(wl, uint64(10+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Put(testConfig("Oracle"), fakeResult("Oracle", 99)); err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(s.recordPath(Key(testConfig("Oracle"))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s.Prune(info.Size()); err != nil || n != 2 {
+		t.Fatalf("prune = (%d, %v), want 2 dropped", n, err)
+	}
+
+	root, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, de := range root {
+		names = append(names, de.Name())
+	}
+	if len(names) != 2 || names[0] != "VERSION" || names[1] != "records" {
+		t.Fatalf("store root holds %v, want [VERSION records]", names)
+	}
+	recs, err := os.ReadDir(filepath.Join(dir, "records"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if keys := s.Keys(); len(recs) != 1 || len(keys) != 1 || recs[0].Name() != keys[0]+".json" {
+		t.Fatalf("records/ holds %v, want the one surviving record", recs)
+	}
+}
+
+// TestOpenIgnoresStaleIndexFile opens a root an older build left with
+// an index.json summary that disagrees with records/: the store lists
+// and serves every record file, and leaves the old file as it found it.
+func TestOpenIgnoresStaleIndexFile(t *testing.T) {
+	dir := t.TempDir()
+	s1, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	workloads := []string{"Apache", "Zeus", "Streaming"}
+	for i, wl := range workloads {
+		if err := s1.Put(testConfig(wl), fakeResult(wl, uint64(20+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Lists one record and a key with no file; omits the other two.
+	stale := fmt.Sprintf(`{"version":%d,"records":{%q:{"workload":"Apache","mechanism":"shotgun","cores":1},`+
+		`"00ff":{"workload":"Nutch","mechanism":"none","cores":1}}}`, FormatVersion, Key(testConfig("Apache")))
+	indexPath := filepath.Join(dir, "index.json")
+	if err := os.WriteFile(indexPath, []byte(stale), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2.Len() != len(workloads) {
+		t.Fatalf("store lists %d records, want %d", s2.Len(), len(workloads))
+	}
+	for i, wl := range workloads {
+		got, ok := s2.Get(testConfig(wl))
+		if !ok || got != fakeResult(wl, uint64(20+i)) {
+			t.Fatalf("record %s not served: ok=%v got=%+v", wl, ok, got)
+		}
+	}
+	if _, ok := s2.GetKey("00ff"); ok {
+		t.Fatal("served a key listed only in the stale index")
+	}
+	if raw, err := os.ReadFile(indexPath); err != nil || string(raw) != stale {
+		t.Fatalf("stale index.json changed: err=%v", err)
 	}
 }
