@@ -79,6 +79,7 @@ func BenchmarkSimThroughput(b *testing.B) {
 	prof.Program()
 	prof.Decoder()
 	instrPerRun := cfg.WarmupInstr + cfg.MeasureInstr
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := sim.MustRun(cfg)
@@ -248,6 +249,7 @@ func BenchmarkScenarioThroughput(b *testing.B) {
 				sc.Cores = append(sc.Cores, coRunner)
 			}
 			instrPerRun := uint64(cores) * (warmup + measure)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res := sim.MustRunScenario(sc)

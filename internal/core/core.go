@@ -46,6 +46,11 @@ const (
 	rasEntries = 32
 )
 
+// The lookahead ring indexes with & (ftqEntries-1), so ftqEntries must be
+// a power of two; any other value makes this array length differ from 1
+// and fails to compile.
+var _ [1]struct{} = [ftqEntries&(ftqEntries-1) + 1]struct{}{}
+
 // Config sets the core's predictor variant and data-side behaviour. Zero
 // data-side fields take the defaults below.
 type Config struct {
@@ -188,10 +193,15 @@ type hwContext struct {
 	dataRNG  *xrand.Source
 	dataZipf *xrand.Zipf
 
-	// pending is the lookahead window; pending[0:ftqLen] is the FTQ
-	// (evaluated, awaiting fetch); pending[ftqLen:] awaits evaluation.
-	pending []pblock
-	ftqLen  int
+	// pending is the lookahead window, a ring of pendLen blocks from
+	// pendHead: its first ftqLen blocks are the FTQ (evaluated, awaiting
+	// fetch); the rest await evaluation. The runahead only tops it up to
+	// ftqLen+1 with ftqLen < ftqEntries, and a redirect only lowers
+	// ftqLen, so the window never exceeds ftqEntries blocks.
+	pending  [ftqEntries]pblock
+	pendHead int
+	pendLen  int
+	ftqLen   int
 
 	runStallUntil uint64
 	// wrongPath is set when the runahead evaluated a block whose branch
@@ -214,22 +224,26 @@ func (hc *hwContext) canRun(now uint64) bool {
 
 // ensurePending tops up the context's lookahead window from its trace.
 func (hc *hwContext) ensurePending(n int) {
-	for len(hc.pending) < n {
-		hc.pending = append(hc.pending, pblock{bb: hc.trace.Next()})
+	if n > ftqEntries {
+		panic("core: lookahead window exceeds the FTQ ring")
+	}
+	for hc.pendLen < n {
+		hc.pending[(hc.pendHead+hc.pendLen)&(ftqEntries-1)] = pblock{bb: hc.trace.Next()}
+		hc.pendLen++
 	}
 }
 
-// popPending removes the context's pending[0] after dispatch.
+// pend returns the context's i-th lookahead block (0 is the FTQ head).
+func (hc *hwContext) pend(i int) *pblock {
+	return &hc.pending[(hc.pendHead+i)&(ftqEntries-1)]
+}
+
+// popPending removes the context's FTQ head after dispatch.
 func (hc *hwContext) popPending() {
-	hc.pending = hc.pending[1:]
+	hc.pendHead = (hc.pendHead + 1) & (ftqEntries - 1)
+	hc.pendLen--
 	hc.ftqLen--
 	hc.headIssued = false
-	// Periodically compact the backing array.
-	if cap(hc.pending) > 4*(ftqEntries+8) && len(hc.pending) <= ftqEntries+8 {
-		fresh := make([]pblock, len(hc.pending), ftqEntries+8)
-		copy(fresh, hc.pending)
-		hc.pending = fresh
-	}
 }
 
 // ctxDataSalt decorrelates per-context data-side RNG streams within one
@@ -338,15 +352,15 @@ func (c *Core) RunBlocks(n uint64) uint64 {
 // simulated time.
 func (c *Core) BeginWarm() {
 	hc := &c.ctxs[0]
-	for i := range hc.pending {
-		p := &hc.pending[i]
+	for i := 0; i < hc.pendLen; i++ {
+		p := hc.pend(i)
 		if p.evaluated {
 			c.warmCaches(p.bb)
 		} else {
 			c.WarmBlock(p.bb)
 		}
 	}
-	hc.pending = hc.pending[:0]
+	hc.pendHead, hc.pendLen = 0, 0
 	hc.ftqLen = 0
 	hc.headIssued = false
 	hc.wrongPath = false
@@ -497,7 +511,7 @@ func (c *Core) NextEvent() uint64 {
 			if hc.headReadyAt < next {
 				next = hc.headReadyAt
 			}
-		case c.robFree() >= hc.pending[0].bb.NumInstr:
+		case c.robFree() >= hc.pend(0).bb.NumInstr:
 			return c.now
 			// Otherwise this head waits on backend pressure, which only
 			// the retire deadline below can relieve.
@@ -587,7 +601,7 @@ func (c *Core) runahead() {
 			}
 		}
 		hc.ensurePending(hc.ftqLen + 1)
-		p := &hc.pending[hc.ftqLen]
+		p := hc.pend(hc.ftqLen)
 		if !p.evaluated {
 			if stall := c.evaluate(p, hc.ras); stall > c.now {
 				hc.runStallUntil = stall
@@ -708,7 +722,7 @@ func (c *Core) fetch() {
 	k := c.fetCtx
 	for range c.ctxs {
 		if hc := &c.ctxs[k]; hc.ftqLen > 0 && hc.headReadyAt <= c.now &&
-			c.robFree() >= hc.pending[0].bb.NumInstr {
+			c.robFree() >= hc.pend(0).bb.NumInstr {
 			c.fetCtx = k
 			c.dispatchHead(hc)
 			return
@@ -728,7 +742,7 @@ func (c *Core) fetch() {
 // when its last block arrives.
 func (c *Core) issueHead(hc *hwContext) {
 	ready := c.now
-	first, last := hc.pending[0].bb.BlockSpan()
+	first, last := hc.pend(0).bb.BlockSpan()
 	for blk := first; blk <= last; blk += isa.BlockBytes {
 		r, src := c.hier.FetchBlock(c.now, blk)
 		c.engine.OnFetch(c.now, blk, src)
@@ -747,7 +761,7 @@ func (c *Core) issueHead(hc *hwContext) {
 // instructions of the block at once), occupies the fetch bandwidth, and
 // applies the block's re-steer, if any.
 func (c *Core) dispatchHead(hc *hwContext) {
-	p := &hc.pending[0]
+	p := hc.pend(0)
 	n := p.bb.NumInstr
 	c.dispatch(p.bb, hc)
 

@@ -216,6 +216,7 @@ func TestStraightLineCodeNoRedirects(t *testing.T) {
 
 func BenchmarkCoreTick(b *testing.B) {
 	c, _ := testSetup(b, "boomerang", 1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Tick()

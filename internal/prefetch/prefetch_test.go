@@ -404,6 +404,44 @@ func TestRDIPContextPrefetch(t *testing.T) {
 	}
 }
 
+// TestRDIPSignatureTableEvictsFIFO: the bounded signature table evicts
+// in insertion order, a refreshed signature keeps its place, and the
+// order holds as the ring of signatures wraps.
+func TestRDIPSignatureTableEvictsFIFO(t *testing.T) {
+	ctx, _ := testContext(t)
+	e := NewRDIP(ctx, 2048)
+	record := func(sig uint64) {
+		e.curSig = sig
+		e.OnDemandMiss(0, isa.Addr(sig*isa.BlockBytes))
+		e.closeContext()
+	}
+	const n = rdipTableEntries
+	for sig := uint64(1); sig <= n; sig++ {
+		record(sig)
+	}
+	record(1) // a refresh, not a new entry: nothing is evicted
+	if len(e.sigTable) != n {
+		t.Fatalf("table holds %d signatures after a refresh, want %d", len(e.sigTable), n)
+	}
+	// Each new signature evicts the oldest: 1 first, although it was
+	// refreshed last, and after n evictions the ones added since.
+	for k := uint64(1); k <= n+3; k++ {
+		record(n + k)
+		if _, ok := e.sigTable[k]; ok {
+			t.Fatalf("signature %d survived the eviction of insertion %d", k, k)
+		}
+		if _, ok := e.sigTable[k+1]; !ok {
+			t.Fatalf("signature %d evicted out of order", k+1)
+		}
+		if len(e.sigTable) != n {
+			t.Fatalf("table holds %d signatures, want %d", len(e.sigTable), n)
+		}
+	}
+	if sig := e.sigTable[2*n+3]; sig.n != 1 || sig.blocks[0] != isa.Addr((2*n+3)*isa.BlockBytes) {
+		t.Fatalf("newest signature records %+v", sig)
+	}
+}
+
 func TestRDIPBTBStillThrashes(t *testing.T) {
 	// Section 4.3: RDIP prefetches only the L1-I; its BTB behaves like
 	// the baseline and redirects at decode on taken misses.

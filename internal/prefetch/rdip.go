@@ -24,17 +24,18 @@ type RDIP struct {
 	btb *btb.Conventional
 
 	// sigTable maps a program-context signature to the blocks that
-	// missed under that context last time; sigOrder tracks insertion
-	// order so the bounded table evicts FIFO — deterministically, unlike
+	// missed under that context last time; sigOrder is a ring of the
+	// signatures in insertion order, oldest at sigHead once the table is
+	// full, so the bounded table evicts FIFO — deterministically, unlike
 	// ranging over the map, whose order Go randomizes per run.
-	sigTable map[uint64][]isa.Addr
-	sigOrder []uint64
-	capacity int
+	sigTable map[uint64]rdipSig
+	sigOrder [rdipTableEntries]uint64
+	sigHead  int
 
 	ras    *bpu.RAS
 	curSig uint64
-	// pendingMisses collects misses seen under the current context.
-	pendingMisses []isa.Addr
+	// pending collects misses seen under the current context.
+	pending rdipSig
 
 	misses uint64
 	// Lookups / Hits track signature-table effectiveness.
@@ -50,13 +51,19 @@ const rdipTableEntries = 512
 // rdipMaxBlocksPerSig bounds a signature's recorded miss set.
 const rdipMaxBlocksPerSig = 8
 
+// rdipSig is one signature's miss set, held by value so that recording
+// it allocates nothing.
+type rdipSig struct {
+	n      int
+	blocks [rdipMaxBlocksPerSig]isa.Addr
+}
+
 // NewRDIP builds the engine with a conventional BTB of the given size.
 func NewRDIP(ctx Context, btbEntries int) *RDIP {
 	return &RDIP{
 		ctx:      ctx,
 		btb:      btb.MustNewConventional(btbEntries),
-		sigTable: make(map[uint64][]isa.Addr, rdipTableEntries),
-		capacity: rdipTableEntries,
+		sigTable: make(map[uint64]rdipSig, rdipTableEntries),
 		ras:      bpu.NewRAS(32),
 	}
 }
@@ -85,10 +92,23 @@ func (e *RDIP) signature() uint64 {
 	return sig
 }
 
-// contextSwitch closes the current context (associating its misses) and
-// prefetches the new context's recorded miss set.
+// contextSwitch closes the current context and prefetches the new
+// context's recorded miss set.
 func (e *RDIP) contextSwitch(now uint64) {
-	if len(e.pendingMisses) > 0 {
+	e.closeContext()
+	e.Lookups++
+	if sig, ok := e.sigTable[e.curSig]; ok {
+		e.Hits++
+		for _, b := range sig.blocks[:sig.n] {
+			e.ctx.Hier.PrefetchBlock(now, b)
+		}
+	}
+}
+
+// closeContext records the misses seen under the current context, if
+// any, against its signature, and moves to the new context's signature.
+func (e *RDIP) closeContext() {
+	if e.pending.n > 0 {
 		// Bounded table with FIFO replacement: a new signature at
 		// capacity evicts the oldest; refreshing an already-recorded
 		// signature updates it in place without evicting. (The original
@@ -96,29 +116,18 @@ func (e *RDIP) contextSwitch(now uint64) {
 		// full-table close, making RDIP results nondeterministic per
 		// run; this is the deterministic standard-cache policy.)
 		if _, exists := e.sigTable[e.curSig]; !exists {
-			if len(e.sigTable) >= e.capacity {
-				victim := e.sigOrder[0]
-				e.sigOrder = e.sigOrder[1:]
-				delete(e.sigTable, victim)
+			if n := len(e.sigTable); n < rdipTableEntries {
+				e.sigOrder[n] = e.curSig
+			} else {
+				delete(e.sigTable, e.sigOrder[e.sigHead])
+				e.sigOrder[e.sigHead] = e.curSig
+				e.sigHead = (e.sigHead + 1) % rdipTableEntries
 			}
-			e.sigOrder = append(e.sigOrder, e.curSig)
 		}
-		set := e.pendingMisses
-		if len(set) > rdipMaxBlocksPerSig {
-			set = set[:rdipMaxBlocksPerSig]
-		}
-		e.sigTable[e.curSig] = append([]isa.Addr(nil), set...)
-		e.pendingMisses = e.pendingMisses[:0]
+		e.sigTable[e.curSig] = e.pending
+		e.pending.n = 0
 	}
-
 	e.curSig = e.signature()
-	e.Lookups++
-	if blocks, ok := e.sigTable[e.curSig]; ok {
-		e.Hits++
-		for _, b := range blocks {
-			e.ctx.Hier.PrefetchBlock(now, b)
-		}
-	}
 }
 
 // Evaluate implements Engine: conventional BTB handling (misses redirect
@@ -152,10 +161,10 @@ func (e *RDIP) Warm(bb isa.BasicBlock) {
 	switch {
 	case bb.Kind.IsCallLike():
 		e.ras.Push(bpu.RASEntry{ReturnAddr: bb.FallThrough(), CallBlock: bb.PC})
-		e.warmContextSwitch()
+		e.closeContext()
 	case bb.Kind.IsReturn():
 		e.ras.Pop()
-		e.warmContextSwitch()
+		e.closeContext()
 	}
 	if bb.Kind == isa.BranchNone {
 		return
@@ -165,33 +174,11 @@ func (e *RDIP) Warm(bb isa.BasicBlock) {
 	}
 }
 
-// warmContextSwitch is contextSwitch minus the prefetch issue and the
-// lookup counters: pending misses still close into the signature table
-// so warming keeps RDIP's metadata trained.
-func (e *RDIP) warmContextSwitch() {
-	if len(e.pendingMisses) > 0 {
-		if _, exists := e.sigTable[e.curSig]; !exists {
-			if len(e.sigTable) >= e.capacity {
-				victim := e.sigOrder[0]
-				e.sigOrder = e.sigOrder[1:]
-				delete(e.sigTable, victim)
-			}
-			e.sigOrder = append(e.sigOrder, e.curSig)
-		}
-		set := e.pendingMisses
-		if len(set) > rdipMaxBlocksPerSig {
-			set = set[:rdipMaxBlocksPerSig]
-		}
-		e.sigTable[e.curSig] = append([]isa.Addr(nil), set...)
-		e.pendingMisses = e.pendingMisses[:0]
-	}
-	e.curSig = e.signature()
-}
-
 // OnDemandMiss implements Engine: misses train the current signature.
 func (e *RDIP) OnDemandMiss(_ uint64, block isa.Addr) {
-	if len(e.pendingMisses) < rdipMaxBlocksPerSig {
-		e.pendingMisses = append(e.pendingMisses, block.Block())
+	if e.pending.n < rdipMaxBlocksPerSig {
+		e.pending.blocks[e.pending.n] = block.Block()
+		e.pending.n++
 	}
 }
 

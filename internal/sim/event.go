@@ -38,48 +38,67 @@ package sim
 // runEvent drives built per-core states (buildStates) through their
 // phase schedules on the event kernel.
 func runEvent(states []*coreState) ScenarioResult {
-	// next[i] caches core i's pending-event deadline; a core is ticked
-	// only in the cycle its deadline names. Like the lockstep loop,
-	// finished cores keep running — their traffic is real — until the
-	// event cycle in which the last live core finishes its schedule.
-	next := make([]uint64, len(states))
-	for i, cs := range states {
-		next[i] = cs.c.NextEvent()
-	}
-	live := len(states)
-	for live > 0 {
-		clock := next[0]
-		for _, nx := range next[1:] {
-			if nx < clock {
-				clock = nx
-			}
-		}
-		if clock == ^uint64(0) {
-			// NextEvent always has a finite deadline for a core with
-			// trace left; reaching here means its contract broke.
-			panic("sim: event kernel stalled with no pending event")
-		}
-		for i, cs := range states {
-			// next[i] >= clock for every core (clock is the minimum), so
-			// this picks exactly the cores whose deadline is due.
-			if next[i] != clock {
-				continue
-			}
-			c := cs.c
-			// Lazy catch-up: account the idle span since the core's last
-			// tick, then run the one active cycle.
-			if lag := clock - c.Now(); lag > 0 {
-				c.AdvanceIdle(lag)
-			}
-			c.Tick()
-			if !cs.done {
-				cs.step()
-				if cs.done {
-					live--
-				}
-			}
-			next[i] = c.NextEvent()
-		}
+	k := newKernel(states)
+	for k.live > 0 {
+		k.step()
 	}
 	return results(states)
+}
+
+// kernel is the event kernel between event cycles. Like the lockstep
+// loop, finished cores keep running — their traffic is real — until the
+// event cycle in which the last live core finishes its schedule.
+type kernel struct {
+	states []*coreState
+	// next[i] caches core i's pending-event deadline; a core is ticked
+	// only in the cycle its deadline names.
+	next []uint64
+	// live counts cores whose phase schedule is unfinished.
+	live int
+}
+
+func newKernel(states []*coreState) *kernel {
+	k := &kernel{states: states, next: make([]uint64, len(states)), live: len(states)}
+	for i, cs := range states {
+		k.next[i] = cs.c.NextEvent()
+	}
+	return k
+}
+
+// step runs one event cycle: the clock jumps to the earliest pending
+// deadline and every core due in it ticks, in index order.
+func (k *kernel) step() {
+	next := k.next
+	clock := next[0]
+	for _, nx := range next[1:] {
+		if nx < clock {
+			clock = nx
+		}
+	}
+	if clock == ^uint64(0) {
+		// NextEvent always has a finite deadline for a core with trace
+		// left; reaching here means its contract broke.
+		panic("sim: event kernel stalled with no pending event")
+	}
+	for i, cs := range k.states {
+		// next[i] >= clock for every core (clock is the minimum), so
+		// this picks exactly the cores whose deadline is due.
+		if next[i] != clock {
+			continue
+		}
+		c := cs.c
+		// Lazy catch-up: account the idle span since the core's last
+		// tick, then run the one active cycle.
+		if lag := clock - c.Now(); lag > 0 {
+			c.AdvanceIdle(lag)
+		}
+		c.Tick()
+		if !cs.done {
+			cs.step()
+			if cs.done {
+				k.live--
+			}
+		}
+		next[i] = c.NextEvent()
+	}
 }

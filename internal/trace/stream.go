@@ -11,18 +11,27 @@ import (
 // of workload.Stream (it satisfies that interface structurally, without
 // importing the package), so traces recorded by cmd/tracegen can drive
 // simulations. The trace is validated end-to-end once at construction;
-// afterwards blocks are decoded one record at a time — memory stays
-// bounded by the bufio window regardless of trace length — and the
-// stream loops by seeking back to the start when it runs out.
+// afterwards Next serves blocks from a fixed batch of streamBatch
+// decoded blocks, refilled in one ReadBlocks call from the Reader's
+// fixed byte window — memory stays bounded by those two constants
+// regardless of trace length — and the stream loops by seeking back to
+// the start when it runs out.
 type Stream struct {
 	src io.ReadSeeker
 	r   *Reader
+
+	// batch[pos:n] are the decoded blocks Next has yet to serve.
+	batch  [streamBatch]isa.BasicBlock
+	pos, n int
 
 	// blocks is the validated per-pass block count; Loops counts
 	// completed passes (useful for tests and diagnostics).
 	blocks uint64
 	Loops  uint64
 }
+
+// streamBatch is how many decoded blocks a Stream holds at once.
+const streamBatch = 256
 
 // NewStream validates the whole trace (header and every record) and
 // returns a stream positioned at the first block. The source is seeked
@@ -36,20 +45,20 @@ func NewStream(src io.ReadSeeker) (*Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	var blocks uint64
+	s := &Stream{src: src, r: r}
 	for {
-		if _, err := r.Read(); err != nil {
-			if err == io.EOF {
-				break
-			}
-			return nil, fmt.Errorf("trace: record %d: %w", blocks, err)
+		n, err := r.ReadBlocks(s.batch[:])
+		if err == io.EOF {
+			break
 		}
-		blocks++
+		if err != nil {
+			return nil, fmt.Errorf("trace: record %d: %w", s.blocks, err)
+		}
+		s.blocks += uint64(n)
 	}
-	if blocks == 0 {
+	if s.blocks == 0 {
 		return nil, fmt.Errorf("trace: empty trace cannot drive a simulation")
 	}
-	s := &Stream{src: src, blocks: blocks}
 	if err := s.rewind(); err != nil {
 		return nil, err
 	}
@@ -59,19 +68,15 @@ func NewStream(src io.ReadSeeker) (*Stream, error) {
 // Blocks returns the number of blocks in one pass of the trace.
 func (s *Stream) Blocks() uint64 { return s.blocks }
 
-// rewind seeks the source back to the start and re-reads the header.
-// Deltas restart from zero exactly as the writer emitted them, so every
-// pass decodes the identical block sequence.
+// rewind seeks the source back to the start, re-reads the header and
+// empties the batch. Deltas restart from zero exactly as the writer
+// emitted them, so every pass decodes the identical block sequence.
 func (s *Stream) rewind() error {
 	if _, err := s.src.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("trace: rewind: %w", err)
 	}
-	r, err := NewReader(s.src)
-	if err != nil {
-		return err
-	}
-	s.r = r
-	return nil
+	s.pos, s.n = 0, 0
+	return s.r.reset(s.src)
 }
 
 // Next returns the next block, looping at end of trace. The trace was
@@ -79,16 +84,26 @@ func (s *Stream) rewind() error {
 // underlying source changed mid-simulation — unrecoverable, and
 // Next has no error channel — so it panics with context.
 func (s *Stream) Next() isa.BasicBlock {
-	bb, err := s.r.Read()
+	if s.pos == s.n {
+		s.refill()
+	}
+	bb := s.batch[s.pos]
+	s.pos++
+	return bb
+}
+
+// refill decodes the next batch, rewinding at the end of a pass.
+func (s *Stream) refill() {
+	n, err := s.r.ReadBlocks(s.batch[:])
 	if err == io.EOF {
 		s.Loops++
 		if err := s.rewind(); err != nil {
 			panic(fmt.Sprintf("trace: stream source changed mid-run: %v", err))
 		}
-		bb, err = s.r.Read()
+		n, err = s.r.ReadBlocks(s.batch[:])
 	}
 	if err != nil {
 		panic(fmt.Sprintf("trace: stream source changed mid-run: %v", err))
 	}
-	return bb
+	s.pos, s.n = 0, n
 }

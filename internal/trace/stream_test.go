@@ -192,3 +192,60 @@ func TestStreamRejectsEmptyAndCorrupt(t *testing.T) {
 		t.Fatal("bad header accepted")
 	}
 }
+
+// TestStreamRefillAcrossPassBoundary: a trace longer than both the
+// byte window and the block batch refills each of them many times per
+// pass, and a batch ends short at the end of every pass. Every pass
+// must still decode the identical sequence.
+func TestStreamRefillAcrossPassBoundary(t *testing.T) {
+	// Nine and a half batches, spread over more than two byte windows,
+	// so neither refill lines up with the end of the pass.
+	n := streamBatch*9 + streamBatch/2
+	data, want := recordTrace(t, 17, n)
+	if len(data) < 2*readWindow {
+		t.Fatalf("trace of %d bytes does not span two %d-byte windows", len(data), readWindow)
+	}
+	s, err := NewStream(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 3; pass++ {
+		for i := 0; i < n; i++ {
+			if got := s.Next(); got != want[i] {
+				t.Fatalf("pass %d block %d: got %+v want %+v", pass, i, got, want[i])
+			}
+		}
+	}
+	if s.Loops != 2 {
+		t.Fatalf("Loops = %d, want 2", s.Loops)
+	}
+}
+
+// BenchmarkStreamNext measures the sampled mode's trace decoding per
+// block, pass boundaries included; it must not allocate.
+func BenchmarkStreamNext(b *testing.B) {
+	prog := program.MustGenerate(program.GenParams{NumAppFuncs: 60, NumKernelFuncs: 16}, 1)
+	w := workload.NewWalker(prog, 5)
+	var buf bytes.Buffer
+	tw, err := NewWriter(&buf)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 1<<16; i++ {
+		if err := tw.Write(w.Next()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := tw.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	s, err := NewStream(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = s.Next()
+	}
+}

@@ -277,6 +277,11 @@ type Hierarchy struct {
 	nextReady uint64
 	// arrivals is PollArrivals' reusable scratch buffer.
 	arrivals []Arrival
+	// free holds flights PollArrivals has retired, for trackFill to
+	// reuse: in steady state a fill allocates nothing. The heap orders
+	// flights by (ready, block), never by identity, so reuse cannot
+	// change the delivery order.
+	free []*flight
 
 	stats Stats
 }
@@ -301,9 +306,18 @@ func New(cfg Config) *Hierarchy {
 // Shared returns the shared uncore this hierarchy is attached to.
 func (h *Hierarchy) Shared() *Shared { return h.shared }
 
-// trackFill registers a new in-flight fill and lowers the arrival
-// watermark if this fill completes before every other outstanding one.
-func (h *Hierarchy) trackFill(fl *flight) {
+// trackFill registers a new in-flight fill, drawing its flight from the
+// free list, and lowers the arrival watermark if this fill completes
+// before every other outstanding one.
+func (h *Hierarchy) trackFill(block isa.Addr, ready uint64, demand bool) {
+	var fl *flight
+	if n := len(h.free); n > 0 {
+		fl = h.free[n-1]
+		h.free = h.free[:n-1]
+	} else {
+		fl = new(flight)
+	}
+	*fl = flight{block: block, ready: ready, demand: demand, prefetch: !demand}
 	h.inflight[fl.block] = fl
 	h.heapPush(fl)
 	if fl.ready < h.nextReady {
@@ -429,7 +443,7 @@ func (h *Hierarchy) FetchBlock(now uint64, addr isa.Addr) (uint64, Source) {
 	} else {
 		h.stats.DemandMemFills++
 	}
-	h.trackFill(&flight{block: block, ready: ready, demand: true})
+	h.trackFill(block, ready, true)
 	return ready, src
 }
 
@@ -458,7 +472,7 @@ func (h *Hierarchy) PrefetchBlock(now uint64, addr isa.Addr) (uint64, bool) {
 		h.stats.PrefetchMemFills++
 	}
 	h.stats.PrefetchesIssued++
-	h.trackFill(&flight{block: block, ready: ready, prefetch: true})
+	h.trackFill(block, ready, false)
 	return ready, true
 }
 
@@ -505,6 +519,7 @@ func (h *Hierarchy) PollArrivals(now uint64) []Arrival {
 		fl := h.heapPop()
 		out = append(out, Arrival{Block: fl.block, Ready: fl.ready, Demand: fl.demand})
 		delete(h.inflight, fl.block)
+		h.free = append(h.free, fl)
 	}
 	if len(h.ordered) > 0 {
 		h.nextReady = h.ordered[0].ready

@@ -44,6 +44,10 @@ type Walker struct {
 
 	stack []frame
 	cur   frame
+	// loops is the loop-counter stack of every frame on the call stack:
+	// a frame's counters are loops[frame.loopBase:] up to the next
+	// frame's base, and the current frame's run to the end.
+	loops []loopCtr
 
 	roots    []program.FuncID
 	rootZipf *xrand.Zipf
@@ -59,10 +63,16 @@ type Walker struct {
 type frame struct {
 	fn  *program.Function
 	idx int // next block index to execute on (re)entry
-	// loops tracks remaining taken iterations per loop back-edge block
-	// index; entries are created on first encounter and removed when
-	// the loop exits.
-	loops map[int]int
+	// loopBase is where the frame's entries start in Walker.loops.
+	loopBase int
+}
+
+// loopCtr tracks the remaining taken iterations of one loop back-edge,
+// keyed by the back-edge block's PC (unique within a function). It is
+// created on first encounter and removed when the loop exits.
+type loopCtr struct {
+	pc  isa.Addr
+	rem int
 }
 
 // WalkerConfig tunes request dispatch.
@@ -215,10 +225,12 @@ func (w *Walker) Next() isa.BasicBlock {
 		resume := w.cur
 		resume.idx++
 		w.stack = append(w.stack, resume)
-		w.cur = frame{fn: callee}
+		w.cur = frame{fn: callee, loopBase: len(w.loops)}
 
 	case isa.BranchRet, isa.BranchTrapRet:
 		out.Taken = true
+		// The finished frame's loop counters die with it.
+		w.loops = w.loops[:w.cur.loopBase]
 		if n := len(w.stack); n > 0 {
 			w.cur = w.stack[n-1]
 			w.stack = w.stack[:n-1]
@@ -243,30 +255,37 @@ func (w *Walker) Next() isa.BasicBlock {
 // encounter a remaining-takes counter is drawn; the branch is taken while
 // the counter is positive.
 func (w *Walker) loopTaken(blk *program.StaticBlock) bool {
-	if w.cur.loops == nil {
-		w.cur.loops = make(map[int]int, 2)
+	for i := w.cur.loopBase; i < len(w.loops); i++ {
+		l := &w.loops[i]
+		if l.pc != blk.PC {
+			continue
+		}
+		if l.rem > 0 {
+			l.rem--
+			return true
+		}
+		last := len(w.loops) - 1
+		w.loops[i] = w.loops[last]
+		w.loops = w.loops[:last]
+		return false
 	}
-	idx := int(blk.PC) // key by PC-derived identity, unique within fn
-	rem, ok := w.cur.loops[idx]
-	if !ok {
-		mean := blk.LoopMeanIters
-		if mean < 1 {
-			mean = 1
-		}
-		if blk.LoopFixed {
-			rem = int(mean + 0.5)
-		} else {
-			rem = w.rng.Geometric(1 / (mean + 1))
-		}
-		if rem > maxLoopTrip {
-			rem = maxLoopTrip
-		}
+	mean := blk.LoopMeanIters
+	if mean < 1 {
+		mean = 1
+	}
+	var rem int
+	if blk.LoopFixed {
+		rem = int(mean + 0.5)
+	} else {
+		rem = w.rng.Geometric(1 / (mean + 1))
+	}
+	if rem > maxLoopTrip {
+		rem = maxLoopTrip
 	}
 	if rem > 0 {
-		w.cur.loops[idx] = rem - 1
+		w.loops = append(w.loops, loopCtr{pc: blk.PC, rem: rem - 1})
 		return true
 	}
-	delete(w.cur.loops, idx)
 	return false
 }
 

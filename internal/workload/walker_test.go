@@ -140,8 +140,11 @@ func TestSkip(t *testing.T) {
 	}
 }
 
+// BenchmarkWalkerNext measures the walker's per-block cost, which must
+// not allocate: loop counters live on one stack per walker.
 func BenchmarkWalkerNext(b *testing.B) {
 	w := NewWalker(testProgram(b), 1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = w.Next()
