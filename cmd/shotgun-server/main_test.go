@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"shotgun/internal/client"
 )
 
 func TestParseOptionsRejectsBadFlags(t *testing.T) {
@@ -272,9 +274,10 @@ func TestAuthedServerSmoke(t *testing.T) {
 		return resp.StatusCode, body
 	}
 
+	var version client.VersionInfo
 	if code, body := get("/v1/version", ""); code != http.StatusOK {
 		t.Fatalf("/v1/version is exempt, got %d: %s", code, body)
-	} else if !strings.Contains(string(body), `"auth_required": true`) {
+	} else if json.Unmarshal(body, &version) != nil || !version.AuthRequired {
 		t.Fatalf("/v1/version does not advertise auth: %s", body)
 	}
 	if code, body := get("/v1/sims/nope", ""); code != http.StatusUnauthorized ||

@@ -19,6 +19,11 @@ import (
 // the APIError message.
 const maxErrorBody = 512
 
+// maxDrainBody bounds how much of a response's unread remainder is
+// discarded to keep its connection reusable; a longer remainder costs
+// the connection instead.
+const maxDrainBody = 64 << 10
+
 // Client is the typed v1 API client: every method speaks the wire
 // types in this package, decodes the error envelope into *APIError,
 // and (when configured with retries) resubmits retryable failures —
@@ -249,7 +254,15 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer func() {
+		// A decoder stops at the end of its value, before the rest of
+		// the body (a trailing newline, a chunked body's last chunk);
+		// closing then drops the connection. Draining lets the
+		// transport reuse it, and the bound keeps a body that never
+		// ends from holding the call.
+		io.CopyN(io.Discard, resp.Body, maxDrainBody)
+		resp.Body.Close()
+	}()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		return decodeError(resp, path)
 	}
@@ -303,18 +316,18 @@ func parseRetryAfter(ra string, now time.Time) time.Duration {
 }
 
 // WriteJSON writes a 200 JSON response the way every v1 handler does
-// (indented, correct Content-Type), so server and coordinator bodies
+// (compact, correct Content-Type), so server and coordinator bodies
 // stay byte-compatible with each other and with this client.
 func WriteJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	writeJSONBody(w, v)
+	EncodeJSON(w, v)
 }
 
-// writeJSONBody indents like every other response in the repo.
-func writeJSONBody(w io.Writer, v any) {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+// EncodeJSON is the one encoder of every v1 response body: compact
+// JSON and a trailing newline. Whitespace is not part of the wire
+// contract.
+func EncodeJSON(w io.Writer, v any) error {
+	return json.NewEncoder(w).Encode(v)
 }
 
 // String renders an ErrorInfo for logs.

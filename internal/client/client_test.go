@@ -60,7 +60,7 @@ func TestRetriesRetryableThenSucceeds(t *testing.T) {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		writeJSONBody(w, VersionInfo{API: "v1", MaxCores: 256})
+		EncodeJSON(w, VersionInfo{API: "v1", MaxCores: 256})
 	}))
 	defer srv.Close()
 
@@ -103,7 +103,7 @@ func TestRetriesBareServerErrorsWithoutEnvelope(t *testing.T) {
 			http.Error(w, "proxy hiccup", http.StatusBadGateway)
 			return
 		}
-		writeJSONBody(w, VersionInfo{API: "v1"})
+		EncodeJSON(w, VersionInfo{API: "v1"})
 	}))
 	defer srv.Close()
 
@@ -138,7 +138,7 @@ func TestAPIKeyHeaderAndPaths(t *testing.T) {
 	var got seen
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		got = seen{path: r.URL.Path, auth: r.Header.Get("Authorization")}
-		writeJSONBody(w, SubmitScenariosResponse{})
+		EncodeJSON(w, SubmitScenariosResponse{})
 	}))
 	defer srv.Close()
 
@@ -186,10 +186,10 @@ func TestLeaseProtocolRoundTrip(t *testing.T) {
 		if req.Worker != "w1" || req.Max != 2 {
 			t.Errorf("lease request %+v", req)
 		}
-		writeJSONBody(w, LeaseResponse{TTLMillis: 1500, Jobs: []LeasedJob{{Key: "k1"}}})
+		EncodeJSON(w, LeaseResponse{TTLMillis: 1500, Jobs: []LeasedJob{{Key: "k1"}}})
 	})
 	mux.HandleFunc("POST /v1/heartbeat", func(w http.ResponseWriter, r *http.Request) {
-		writeJSONBody(w, HeartbeatResponse{Lost: []string{"k9"}})
+		EncodeJSON(w, HeartbeatResponse{Lost: []string{"k9"}})
 	})
 	mux.HandleFunc("POST /v1/complete", func(w http.ResponseWriter, r *http.Request) {
 		var req CompleteRequest
@@ -197,7 +197,7 @@ func TestLeaseProtocolRoundTrip(t *testing.T) {
 		if req.Error != "boom" {
 			t.Errorf("complete error = %q", req.Error)
 		}
-		writeJSONBody(w, CompleteResponse{Accepted: true})
+		EncodeJSON(w, CompleteResponse{Accepted: true})
 	})
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
@@ -302,5 +302,40 @@ func TestRetryAfterHTTPDateHeader(t *testing.T) {
 	// client parsing it.
 	if ae.RetryAfter <= 20*time.Second || ae.RetryAfter > 30*time.Second {
 		t.Errorf("RetryAfter = %v, want ~30s from an HTTP-date header", ae.RetryAfter)
+	}
+}
+
+// TestClientDrainIsBounded: the drain that keeps connections reusable
+// reads a bounded remainder, so a body that never ends after its JSON
+// value does not hold the call.
+func TestClientDrainIsBounded(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		EncodeJSON(w, VersionInfo{API: "v1", MaxCores: 256})
+		pad := []byte(strings.Repeat(" ", 4096))
+		for r.Context().Err() == nil {
+			if _, err := w.Write(pad); err != nil {
+				return
+			}
+		}
+	}))
+	defer srv.Close()
+
+	type reply struct {
+		v   VersionInfo
+		err error
+	}
+	got := make(chan reply, 1)
+	go func() {
+		v, err := New(srv.URL, fastOpts(WithRetries(0))...).Version(context.Background())
+		got <- reply{v, err}
+	}()
+	select {
+	case r := <-got:
+		if r.err != nil || r.v.API != "v1" || r.v.MaxCores != 256 {
+			t.Fatalf("Version = %+v, %v; want API=v1 MaxCores=256", r.v, r.err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a response that never ends held the call")
 	}
 }

@@ -278,7 +278,7 @@ func WriteErrorRetryAfter(w http.ResponseWriter, status int, code string, retryA
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	writeJSONBody(w, ErrorEnvelope{Error: ErrorInfo{
+	EncodeJSON(w, ErrorEnvelope{Error: ErrorInfo{
 		Code:      code,
 		Message:   fmt.Sprintf(format, args...),
 		Retryable: Retryable(code),

@@ -144,6 +144,10 @@ type job struct {
 	status string
 	result sim.ScenarioResult
 	err    string
+	// wire is the compact JSON of the job's ScenarioStatus, kept once
+	// the job is terminal. finish is first-wins, so a terminal job never
+	// changes and these bytes never go stale.
+	wire []byte
 }
 
 // newJob builds a queued job for a pinned scenario.
@@ -185,33 +189,34 @@ func (j *job) snapshot() SimStatus {
 	return st
 }
 
-// scenarioStatusOf projects a scenario into its wire status — the one
-// place the per-core Workloads/Mechanisms lists are assembled, so live
-// jobs and store-served records always render the same shape.
-func scenarioStatusOf(key, status string, sc sim.Scenario) ScenarioStatus {
-	st := ScenarioStatus{
-		Key:    key,
-		Status: status,
-		Cores:  len(sc.Cores),
+// scenarioJSON is the compact encoding of the job's /v1/scenarios view,
+// the bytes every submit echo and poll of the job serve. A terminal
+// job's encoding is made once and kept; a queued or running job is
+// encoded afresh on every call.
+func (j *job) scenarioJSON() ([]byte, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.wire != nil {
+		return j.wire, nil
 	}
-	for _, cfg := range sc.Cores {
+	st := ScenarioStatus{
+		Key:    j.key,
+		Status: j.status,
+		Cores:  len(j.sc.Cores),
+		Error:  j.err,
+	}
+	for _, cfg := range j.sc.Cores {
 		st.Workloads = append(st.Workloads, cfg.Workload)
 		st.Mechanisms = append(st.Mechanisms, string(cfg.Mechanism))
 	}
-	return st
-}
-
-// scenarioSnapshot is the full (/v1/scenarios) view of a job.
-func (j *job) scenarioSnapshot() ScenarioStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	st := scenarioStatusOf(j.key, j.status, j.sc)
-	st.Error = j.err
 	if j.status == StatusDone {
-		res := j.result
-		st.Result = &res
+		st.Result = &j.result
 	}
-	return st
+	b, err := json.Marshal(st)
+	if err == nil && (j.status == StatusDone || j.status == StatusFailed) {
+		j.wire = b
+	}
+	return b, err
 }
 
 // Server is the HTTP simulation service.
@@ -584,7 +589,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
-	writeJSON(w, resp)
+	client.EncodeJSON(w, resp)
 }
 
 func (s *Server) handleSubmitScenarios(w http.ResponseWriter, r *http.Request) {
@@ -611,60 +616,90 @@ func (s *Server) handleSubmitScenarios(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	resp := client.SubmitScenariosResponse{Scenarios: make([]ScenarioStatus, 0, len(jobs))}
-	for _, j := range jobs {
-		resp.Scenarios = append(resp.Scenarios, j.scenarioSnapshot())
+	parts, ok := scenarioJSONs(w, jobs)
+	if !ok {
+		return
 	}
+	// The bytes json.Encoder emits for a client.SubmitScenariosResponse,
+	// assembled from each job's encoding.
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
-	writeJSON(w, resp)
+	io.WriteString(w, `{"scenarios":[`)
+	for i, b := range parts {
+		if i > 0 {
+			io.WriteString(w, ",")
+		}
+		w.Write(b)
+	}
+	io.WriteString(w, "]}\n")
+}
+
+// scenarioJSONs collects the jobs' wire encodings, or writes the 500
+// envelope when one cannot be encoded.
+func scenarioJSONs(w http.ResponseWriter, jobs []*job) ([][]byte, bool) {
+	parts := make([][]byte, len(jobs))
+	for i, j := range jobs {
+		b, err := j.scenarioJSON()
+		if err != nil {
+			client.WriteError(w, http.StatusInternalServerError, client.CodeInternal,
+				"encode scenario %s: %v", j.key, err)
+			return nil, false
+		}
+		parts[i] = b
+	}
+	return parts, true
+}
+
+// lookup finds a key's job. A key this process never saw but the store
+// holds (a previous life's result) is adopted as a job born done, as
+// enqueue adopts it, so store-served polls render through the same
+// views as live ones. Nil means the key is unknown.
+func (s *Server) lookup(key string) *job {
+	if j := s.jobByKey(key); j != nil {
+		return j
+	}
+	if s.st == nil {
+		return nil
+	}
+	rec, found := s.st.GetKey(key)
+	if !found {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if j, found := s.jobs[key]; found {
+		return j // a concurrent submit or poll registered it first
+	}
+	j := newJob(key, rec.Scenario)
+	j.finish(StatusDone, rec.Result, "")
+	s.jobs[key] = j
+	return j
 }
 
 func (s *Server) handlePoll(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	s.mu.Lock()
-	j, ok := s.jobs[key]
-	s.mu.Unlock()
-	if ok {
-		client.WriteJSON(w, j.snapshot())
+	j := s.lookup(key)
+	if j == nil {
+		client.WriteError(w, http.StatusNotFound, client.CodeNotFound, "unknown simulation key %q", key)
 		return
 	}
-	// Not submitted in this process: a previous run may have persisted
-	// it — serve straight from the store.
-	if s.st != nil {
-		if rec, found := s.st.GetKey(key); found {
-			res := rec.Result.Cores[0]
-			client.WriteJSON(w, SimStatus{
-				Key:       key,
-				Status:    StatusDone,
-				Workload:  rec.Scenario.Cores[0].Workload,
-				Mechanism: string(rec.Scenario.Cores[0].Mechanism),
-				Result:    &res,
-			})
-			return
-		}
-	}
-	client.WriteError(w, http.StatusNotFound, client.CodeNotFound, "unknown simulation key %q", key)
+	client.WriteJSON(w, j.snapshot())
 }
 
 func (s *Server) handlePollScenario(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	s.mu.Lock()
-	j, ok := s.jobs[key]
-	s.mu.Unlock()
-	if ok {
-		client.WriteJSON(w, j.scenarioSnapshot())
+	j := s.lookup(key)
+	if j == nil {
+		client.WriteError(w, http.StatusNotFound, client.CodeNotFound, "unknown scenario key %q", key)
 		return
 	}
-	if s.st != nil {
-		if rec, found := s.st.GetKey(key); found {
-			st := scenarioStatusOf(key, StatusDone, rec.Scenario)
-			st.Result = &rec.Result
-			client.WriteJSON(w, st)
-			return
-		}
+	parts, ok := scenarioJSONs(w, []*job{j})
+	if !ok {
+		return
 	}
-	client.WriteError(w, http.StatusNotFound, client.CodeNotFound, "unknown scenario key %q", key)
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(parts[0])
+	io.WriteString(w, "\n")
 }
 
 // experimentInfo is one row of GET /v1/experiments.
@@ -734,10 +769,4 @@ func (s *Server) handleStoreStats(w http.ResponseWriter, _ *http.Request) {
 		resp.Stats = s.st.Stats()
 	}
 	client.WriteJSON(w, resp)
-}
-
-func writeJSON(w io.Writer, v any) {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
 }

@@ -186,7 +186,7 @@ func (s *Server) renderSweep(cs *compiledSweep, jobs []*job) ([]byte, string) {
 			_ = rep.WriteCSV(&buf)
 			return buf.Bytes(), "text/csv"
 		}
-		writeJSON(&buf, sweepResponse{Name: cs.name, Scale: s.scaleName, Keys: cs.keys, Report: rep})
+		client.EncodeJSON(&buf, sweepResponse{Name: cs.name, Scale: s.scaleName, Keys: cs.keys, Report: rep})
 		return buf.Bytes(), "application/json"
 	default: // text
 		for _, e := range cs.exps {
