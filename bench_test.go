@@ -12,7 +12,6 @@ package shotgun_test
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"sync"
 	"testing"
 	"time"
@@ -21,7 +20,6 @@ import (
 	"shotgun/internal/footprint"
 	"shotgun/internal/harness"
 	"shotgun/internal/prefetch"
-	"shotgun/internal/report"
 	"shotgun/internal/sim"
 	"shotgun/internal/spec"
 	"shotgun/internal/stats"
@@ -89,26 +87,6 @@ func BenchmarkSimThroughput(b *testing.B) {
 	}
 	instrPerSec := float64(uint64(b.N)*instrPerRun) / b.Elapsed().Seconds()
 	b.ReportMetric(instrPerSec, "instr/s")
-	emitBenchRecord(b, "BenchmarkSimThroughput", uint64(b.N)*instrPerRun)
-}
-
-// emitBenchRecord appends a throughput record to the SHOTGUN_BENCH_JSON
-// artifact when CI's bench-smoke job asks for one; every benchmark of
-// the run accumulates into the same file.
-func emitBenchRecord(b *testing.B, name string, instructions uint64) {
-	b.Helper()
-	path := os.Getenv("SHOTGUN_BENCH_JSON")
-	if path == "" {
-		return
-	}
-	if err := report.AppendBenchFile(path, report.Bench{
-		Name:         name,
-		Instructions: instructions,
-		Seconds:      b.Elapsed().Seconds(),
-		InstrPerSec:  float64(instructions) / b.Elapsed().Seconds(),
-	}); err != nil {
-		b.Fatalf("write %s: %v", path, err)
-	}
 }
 
 // BenchmarkSampledThroughput is the sampling mode's acceptance gate: a
@@ -116,8 +94,7 @@ func emitBenchRecord(b *testing.B, name string, instructions uint64) {
 // and under a bounded-window periodic-sampling schedule — and the
 // benchmark asserts the sampled IPC estimate contains the exact IPC
 // within its reported 95% confidence interval at a >=10x wall-clock
-// speedup. The sampled run's throughput lands in SHOTGUN_BENCH_JSON so
-// CI tracks the fast path's trajectory alongside the detailed kernel's.
+// speedup.
 func BenchmarkSampledThroughput(b *testing.B) {
 	// Record one pass of the workload's walker as a trace: the stream
 	// both runs replay, so exact and sampled see byte-identical input.
@@ -211,16 +188,6 @@ func BenchmarkSampledThroughput(b *testing.B) {
 	instrPerSec := float64(sampledInstr) / sampledDur.Seconds()
 	b.ReportMetric(instrPerSec, "instr/s")
 	b.ReportMetric(speedup, "speedup")
-	if path := os.Getenv("SHOTGUN_BENCH_JSON"); path != "" {
-		if err := report.AppendBenchFile(path, report.Bench{
-			Name:         "BenchmarkSampledThroughput",
-			Instructions: sampledInstr,
-			Seconds:      sampledDur.Seconds(),
-			InstrPerSec:  instrPerSec,
-		}); err != nil {
-			b.Fatalf("write %s: %v", path, err)
-		}
-	}
 }
 
 // BenchmarkScenarioThroughput measures multi-core scenario speed on the
@@ -229,9 +196,7 @@ func BenchmarkSampledThroughput(b *testing.B) {
 // instructions per second across the core-count sweep. This is the
 // number the event-driven kernel exists to move: the lockstep engine's
 // cost scaled with cycles × cores regardless of how many cores were
-// stalled; the per-count records land in the same SHOTGUN_BENCH_JSON
-// artifact as BenchmarkSimThroughput so CI tracks the multi-core
-// trajectory alongside single-sim speed.
+// stalled.
 func BenchmarkScenarioThroughput(b *testing.B) {
 	prof := workload.MustGet("Oracle")
 	prof.Program()
@@ -259,8 +224,6 @@ func BenchmarkScenarioThroughput(b *testing.B) {
 			}
 			instrPerSec := float64(uint64(b.N)*instrPerRun) / b.Elapsed().Seconds()
 			b.ReportMetric(instrPerSec, "instr/s")
-			emitBenchRecord(b, fmt.Sprintf("BenchmarkScenarioThroughput/cores=%d", cores),
-				uint64(b.N)*instrPerRun)
 		})
 	}
 }

@@ -73,8 +73,8 @@
 // Example session (drop the Authorization header when auth is off):
 //
 //	curl -s localhost:8080/v1/version
-//	curl -s -X POST localhost:8080/v1/sims -H 'Authorization: Bearer key-acme' \
-//	    -d '{"configs":[{"Workload":"Oracle","Mechanism":"shotgun"}]}'
+//	curl -s -X POST localhost:8080/v1/scenarios -H 'Authorization: Bearer key-acme' \
+//	    -d '{"scenarios":[{"Cores":[{"Workload":"Oracle","Mechanism":"shotgun"}]}]}'
 //	curl -s -X POST localhost:8080/v1/scenarios -H 'Authorization: Bearer key-acme' \
 //	    -d '{"scenarios":[{"Cores":[{"Workload":"Oracle","Mechanism":"shotgun"},{"Workload":"DB2","Mechanism":"fdip"}]}]}'
 //	curl -s -H 'Authorization: Bearer key-acme' localhost:8080/v1/scenarios/<key>

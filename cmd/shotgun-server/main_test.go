@@ -280,11 +280,11 @@ func TestAuthedServerSmoke(t *testing.T) {
 	} else if json.Unmarshal(body, &version) != nil || !version.AuthRequired {
 		t.Fatalf("/v1/version does not advertise auth: %s", body)
 	}
-	if code, body := get("/v1/sims/nope", ""); code != http.StatusUnauthorized ||
+	if code, body := get("/v1/scenarios/nope", ""); code != http.StatusUnauthorized ||
 		!strings.Contains(string(body), "unauthorized") {
 		t.Fatalf("unkeyed request: %d %s, want 401 envelope", code, body)
 	}
-	if code, _ := get("/v1/sims/nope", "key-acme"); code != http.StatusNotFound {
+	if code, _ := get("/v1/scenarios/nope", "key-acme"); code != http.StatusNotFound {
 		t.Fatalf("keyed request: %d, want 404 (past auth)", code)
 	}
 	if code, _ := get("/metrics", ""); code != http.StatusOK {
@@ -338,25 +338,25 @@ func TestCoordinatorWorkerSmoke(t *testing.T) {
 	}()
 
 	// Submit one quick simulation and poll it to completion.
-	body := `{"configs":[{"Workload":"Nutch","Mechanism":"none"}]}`
-	resp, err := http.Post("http://"+addr+"/v1/sims", "application/json", strings.NewReader(body))
+	body := `{"scenarios":[{"Cores":[{"Workload":"Nutch","Mechanism":"none"}]}]}`
+	resp, err := http.Post("http://"+addr+"/v1/scenarios", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sub struct {
-		Sims []struct {
+		Scenarios []struct {
 			Key string `json:"key"`
-		} `json:"sims"`
+		} `json:"scenarios"`
 	}
 	err = json.NewDecoder(resp.Body).Decode(&sub)
 	resp.Body.Close()
-	if err != nil || len(sub.Sims) != 1 {
+	if err != nil || len(sub.Scenarios) != 1 {
 		t.Fatalf("submit: %v %+v", err, sub)
 	}
 
 	deadline := time.Now().Add(120 * time.Second)
 	for {
-		resp, err := http.Get("http://" + addr + "/v1/sims/" + sub.Sims[0].Key)
+		resp, err := http.Get("http://" + addr + "/v1/scenarios/" + sub.Scenarios[0].Key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -447,26 +447,26 @@ func TestShardedStoreSmoke(t *testing.T) {
 		t.Fatalf("sharded store not announced: %q", out.String())
 	}
 
-	body := `{"configs":[{"Workload":"Nutch","Mechanism":"none"}]}`
-	resp, err := http.Post("http://"+addr+"/v1/sims", "application/json", strings.NewReader(body))
+	body := `{"scenarios":[{"Cores":[{"Workload":"Nutch","Mechanism":"none"}]}]}`
+	resp, err := http.Post("http://"+addr+"/v1/scenarios", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sub struct {
-		Sims []struct {
+		Scenarios []struct {
 			Key string `json:"key"`
-		} `json:"sims"`
+		} `json:"scenarios"`
 	}
 	err = json.NewDecoder(resp.Body).Decode(&sub)
 	resp.Body.Close()
-	if err != nil || len(sub.Sims) != 1 {
+	if err != nil || len(sub.Scenarios) != 1 {
 		t.Fatalf("submit: %v %+v", err, sub)
 	}
-	key := sub.Sims[0].Key
+	key := sub.Scenarios[0].Key
 
 	deadline := time.Now().Add(120 * time.Second)
 	for {
-		resp, err := http.Get("http://" + addr + "/v1/sims/" + key)
+		resp, err := http.Get("http://" + addr + "/v1/scenarios/" + key)
 		if err != nil {
 			t.Fatal(err)
 		}

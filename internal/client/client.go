@@ -83,26 +83,11 @@ func (c *Client) Version(ctx context.Context) (VersionInfo, error) {
 	return out, err
 }
 
-// SubmitConfigs enqueues single-core simulations via POST /v1/sims
-// (the N=1 alias of SubmitScenarios; same job table and key space).
-func (c *Client) SubmitConfigs(ctx context.Context, cfgs []sim.Config) ([]SimStatus, error) {
-	var out SubmitSimsResponse
-	err := c.do(ctx, http.MethodPost, "/v1/sims", SubmitSimsRequest{Configs: cfgs}, &out)
-	return out.Sims, err
-}
-
 // SubmitScenarios enqueues multi-core scenarios via POST /v1/scenarios.
 func (c *Client) SubmitScenarios(ctx context.Context, scs []sim.Scenario) ([]ScenarioStatus, error) {
 	var out SubmitScenariosResponse
 	err := c.do(ctx, http.MethodPost, "/v1/scenarios", SubmitScenariosRequest{Scenarios: scs}, &out)
 	return out.Scenarios, err
-}
-
-// Sim polls one single-core job by content key.
-func (c *Client) Sim(ctx context.Context, key string) (SimStatus, error) {
-	var out SimStatus
-	err := c.do(ctx, http.MethodGet, "/v1/sims/"+key, nil, &out)
-	return out, err
 }
 
 // Scenario polls one scenario job by content key.

@@ -1,9 +1,12 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -86,7 +89,7 @@ func TestDoesNotRetryDeterministicRejections(t *testing.T) {
 	defer srv.Close()
 
 	c := New(srv.URL, fastOpts(WithRetries(5))...)
-	_, err := c.Sim(context.Background(), "deadbeef")
+	_, err := c.Scenario(context.Background(), "deadbeef")
 	var ae *APIError
 	if !errors.As(err, &ae) || ae.Code != CodeInvalidRequest {
 		t.Fatalf("want invalid_request APIError, got %v", err)
@@ -337,5 +340,52 @@ func TestClientDrainIsBounded(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("a response that never ends held the call")
+	}
+}
+
+// TestClientDrainKeepsConnection: a large JSON body written in one
+// piece goes out chunked, and the decoder stops before its last chunk.
+// The client drains that remainder, so ten calls share one connection;
+// without the drain every call dials anew.
+func TestClientDrainKeepsConnection(t *testing.T) {
+	resp := SubmitScenariosResponse{Scenarios: make([]ScenarioStatus, 200)}
+	for i := range resp.Scenarios {
+		resp.Scenarios[i] = ScenarioStatus{
+			Key:        fmt.Sprintf("%064x", i),
+			Status:     StatusDone,
+			Cores:      1,
+			Workloads:  []string{"Oracle"},
+			Mechanisms: []string{"shotgun"},
+		}
+	}
+	var body bytes.Buffer
+	EncodeJSON(&body, resp)
+	if body.Len() < 20<<10 {
+		t.Fatalf("body is %d bytes; it must exceed the server's buffer to go out chunked", body.Len())
+	}
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusAccepted)
+		w.Write(body.Bytes())
+	}))
+	var dials atomic.Int64
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	srv.Start()
+	tr := &http.Transport{}
+	t.Cleanup(func() { tr.CloseIdleConnections(); srv.Close() })
+
+	c := New(srv.URL, WithHTTPClient(&http.Client{Transport: tr}))
+	for i := 0; i < 10; i++ {
+		sts, err := c.SubmitScenarios(context.Background(), nil)
+		if err != nil || len(sts) != 200 {
+			t.Fatalf("call %d: %d statuses, %v", i, len(sts), err)
+		}
+	}
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("client opened %d connections, want 1", n)
 	}
 }

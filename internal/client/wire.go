@@ -120,19 +120,8 @@ const (
 	StatusFailed  = "failed"
 )
 
-// SimStatus is the single-core view of a job: POST /v1/sims echoes and
-// GET /v1/sims/{key} polls.
-type SimStatus struct {
-	Key       string      `json:"key"`
-	Status    string      `json:"status"`
-	Workload  string      `json:"workload"`
-	Mechanism string      `json:"mechanism"`
-	Error     string      `json:"error,omitempty"`
-	Result    *sim.Result `json:"result,omitempty"`
-}
-
-// ScenarioStatus is the full view of a job: POST /v1/scenarios echoes
-// and GET /v1/scenarios/{key} polls.
+// ScenarioStatus is a job's status: POST /v1/scenarios echoes and
+// GET /v1/scenarios/{key} polls.
 type ScenarioStatus struct {
 	Key        string              `json:"key"`
 	Status     string              `json:"status"`
@@ -141,18 +130,6 @@ type ScenarioStatus struct {
 	Mechanisms []string            `json:"mechanisms"`
 	Error      string              `json:"error,omitempty"`
 	Result     *sim.ScenarioResult `json:"result,omitempty"`
-}
-
-// SubmitSimsRequest is POST /v1/sims' body. /v1/sims is a documented
-// thin alias of /v1/scenarios: each config is wrapped as a one-core
-// scenario and shares the scenario job table and key space.
-type SubmitSimsRequest struct {
-	Configs []sim.Config `json:"configs"`
-}
-
-// SubmitSimsResponse echoes one status per submitted config, in order.
-type SubmitSimsResponse struct {
-	Sims []SimStatus `json:"sims"`
 }
 
 // SubmitScenariosRequest is POST /v1/scenarios' body.

@@ -128,29 +128,16 @@ func (r *Runner) compute(sc sim.Scenario) sim.ScenarioResult {
 	return res
 }
 
-// pinScale stamps the runner's scale onto a config — the one place
-// scale fields are pinned, so single-config and scenario normalization
-// cannot diverge as Scale grows fields.
-func (r *Runner) pinScale(cfg sim.Config) sim.Config {
-	cfg.WarmupInstr = r.scale.WarmupInstr
-	cfg.MeasureInstr = r.scale.MeasureInstr
-	cfg.Samples = r.scale.Samples
-	return cfg
-}
-
-// Normalize pins the runner's scale onto cfg and makes every simulation
-// default explicit, so keying and execution agree. External keyers
-// normalize through the runner so their identity matches the memo's.
-func (r *Runner) Normalize(cfg sim.Config) sim.Config {
-	return r.pinScale(cfg).Normalized()
-}
-
 // pinScenario stamps the runner's scale onto every core of a scenario,
-// preserving the caller's core order.
+// preserving the caller's core order. It is the one place scale fields
+// are pinned.
 func (r *Runner) pinScenario(sc sim.Scenario) sim.Scenario {
 	cores := make([]sim.Config, len(sc.Cores))
 	for i, cfg := range sc.Cores {
-		cores[i] = r.pinScale(cfg)
+		cfg.WarmupInstr = r.scale.WarmupInstr
+		cfg.MeasureInstr = r.scale.MeasureInstr
+		cfg.Samples = r.scale.Samples
+		cores[i] = cfg
 	}
 	sc.Cores = cores
 	return sc

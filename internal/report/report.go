@@ -1,6 +1,6 @@
 // Package report emits machine-readable forms of the harness's tables
-// and figures: JSON for programmatic consumers (the HTTP server, CI
-// perf-trend artifacts) and CSV for spreadsheets/plotting. The cells are
+// and figures: JSON for programmatic consumers (the HTTP server,
+// shotgun-bench -json) and CSV for spreadsheets/plotting. The cells are
 // exactly the formatted strings the text tables render, so a JSON/CSV
 // report and the checked-in golden corpus can never disagree about a
 // value.
@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"shotgun/internal/harness"
 	"shotgun/internal/stats"
@@ -105,67 +104,4 @@ func (t Table) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// Bench is the machine-readable record of one benchmark run — the CI
-// bench-smoke job uploads it as a workflow artifact so perf trends can
-// be tracked across commits.
-type Bench struct {
-	Version int    `json:"version"`
-	Name    string `json:"name"`
-	// Instructions simulated, wall seconds, and the derived throughput.
-	Instructions uint64  `json:"instructions"`
-	Seconds      float64 `json:"seconds"`
-	InstrPerSec  float64 `json:"instr_per_sec"`
-}
-
-// WriteBenchFile writes a fresh bench file holding one record.
-func WriteBenchFile(path string, b Bench) error {
-	b.Version = Version
-	raw, err := json.MarshalIndent([]Bench{b}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
-}
-
-// AppendBenchFile merges one bench record into a bench file — a JSON
-// array of records — so every benchmark of one `go test -bench` run
-// (single-sim throughput, the scenario-throughput sweep) lands in the
-// same CI artifact. A missing or empty file starts a new array, a
-// legacy single-record file is upgraded to a one-element array, and a
-// record with the same Name is replaced in place (re-runs update rather
-// than accumulate).
-func AppendBenchFile(path string, b Bench) error {
-	b.Version = Version
-	var records []Bench
-	raw, err := os.ReadFile(path)
-	switch {
-	case err == nil && len(raw) > 0:
-		if jerr := json.Unmarshal(raw, &records); jerr != nil {
-			var one Bench
-			if oerr := json.Unmarshal(raw, &one); oerr != nil {
-				return fmt.Errorf("report: %s is neither a bench record nor a list: %w", path, jerr)
-			}
-			records = []Bench{one}
-		}
-	case err != nil && !os.IsNotExist(err):
-		return err
-	}
-	replaced := false
-	for i, r := range records {
-		if r.Name == b.Name {
-			records[i] = b
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		records = append(records, b)
-	}
-	out, err := json.MarshalIndent(records, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

@@ -2,8 +2,6 @@ package report
 
 import (
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -104,86 +102,5 @@ func TestFromExperimentsAnalysisOnly(t *testing.T) {
 	}
 	if rep.Tables[0].ID != "fig3" || rep.Tables[1].ID != "fig4" {
 		t.Fatalf("ids wrong: %s %s", rep.Tables[0].ID, rep.Tables[1].ID)
-	}
-}
-
-func TestWriteBenchFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_ci.json")
-	if err := WriteBenchFile(path, Bench{
-		Name: "BenchmarkSimThroughput", Instructions: 1_000_000,
-		Seconds: 0.5, InstrPerSec: 2_000_000,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []Bench
-	if err := json.Unmarshal(raw, &got); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Version != Version || got[0].InstrPerSec != 2_000_000 {
-		t.Fatalf("bench record wrong: %+v", got)
-	}
-}
-
-// TestAppendBenchFile covers the multi-record artifact the bench-smoke
-// CI job uploads: records accumulate by name, same-name re-runs replace
-// in place, and a legacy single-record file upgrades to a list.
-func TestAppendBenchFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_ci.json")
-	read := func() []Bench {
-		t.Helper()
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []Bench
-		if err := json.Unmarshal(raw, &got); err != nil {
-			t.Fatal(err)
-		}
-		return got
-	}
-
-	if err := AppendBenchFile(path, Bench{Name: "BenchmarkSimThroughput", InstrPerSec: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := AppendBenchFile(path, Bench{Name: "BenchmarkScenarioThroughput/cores=8", InstrPerSec: 2}); err != nil {
-		t.Fatal(err)
-	}
-	got := read()
-	if len(got) != 2 || got[0].Name != "BenchmarkSimThroughput" || got[1].InstrPerSec != 2 {
-		t.Fatalf("accumulated records wrong: %+v", got)
-	}
-	for _, r := range got {
-		if r.Version != Version {
-			t.Fatalf("record missing version: %+v", r)
-		}
-	}
-
-	// Same name replaces in place instead of duplicating.
-	if err := AppendBenchFile(path, Bench{Name: "BenchmarkSimThroughput", InstrPerSec: 3}); err != nil {
-		t.Fatal(err)
-	}
-	got = read()
-	if len(got) != 2 || got[0].InstrPerSec != 3 {
-		t.Fatalf("same-name record not replaced: %+v", got)
-	}
-
-	// A legacy single-record file upgrades to a list on append.
-	legacy, err := json.Marshal(Bench{Version: Version, Name: "old"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := AppendBenchFile(path, Bench{Name: "new"}); err != nil {
-		t.Fatal(err)
-	}
-	got = read()
-	if len(got) != 2 || got[0].Name != "old" || got[1].Name != "new" {
-		t.Fatalf("legacy upgrade wrong: %+v", got)
 	}
 }

@@ -191,16 +191,16 @@ func TestFairShareSingleSimVsBigSweep(t *testing.T) {
 	grants := exec.waitGrants(t, 2)
 
 	// Tenant solo: one interactive sim.
-	resp, raw = request(t, http.MethodPost, ts.URL+"/v1/sims", keySolo,
-		`{"configs":[{"Workload":"Nutch","Mechanism":"fdip"}]}`, nil)
+	resp, raw = request(t, http.MethodPost, ts.URL+"/v1/scenarios", keySolo,
+		`{"scenarios":[{"Cores":[{"Workload":"Nutch","Mechanism":"fdip"}]}]}`, nil)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("solo submit status %d: %s", resp.StatusCode, raw)
 	}
-	var soloOut client.SubmitSimsResponse
+	var soloOut client.SubmitScenariosResponse
 	if err := json.Unmarshal(raw, &soloOut); err != nil {
 		t.Fatal(err)
 	}
-	soloKey := soloOut.Sims[0].Key
+	soloKey := soloOut.Scenarios[0].Key
 	for _, g := range grants {
 		if g.key == soloKey {
 			t.Fatal("solo's key granted before it was submitted")
@@ -226,11 +226,11 @@ func TestFairShareSingleSimVsBigSweep(t *testing.T) {
 	exec.complete(soloPos)
 
 	// Solo's sim is done while acme's sweep has barely started.
-	resp, raw = request(t, http.MethodGet, ts.URL+"/v1/sims/"+soloKey, keySolo, "", nil)
+	resp, raw = request(t, http.MethodGet, ts.URL+"/v1/scenarios/"+soloKey, keySolo, "", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("solo poll status %d", resp.StatusCode)
 	}
-	var soloSt SimStatus
+	var soloSt ScenarioStatus
 	if err := json.Unmarshal(raw, &soloSt); err != nil {
 		t.Fatal(err)
 	}
@@ -350,12 +350,19 @@ func TestErrorEnvelopeSurface(t *testing.T) {
 		wantStatus int
 		wantCode   string
 	}{
-		{"sims bad json", "POST", "/v1/sims", "{", 400, client.CodeInvalidRequest},
-		{"sims empty batch", "POST", "/v1/sims", `{"configs":[]}`, 400, client.CodeInvalidRequest},
-		{"sims unknown workload", "POST", "/v1/sims", `{"configs":[{"Workload":"NoSuch","Mechanism":"none"}]}`, 400, client.CodeInvalidRequest},
+		// The sims rows submit single simulations: one-core scenarios.
+		{"sims bad json", "POST", "/v1/scenarios", "{", 400, client.CodeInvalidRequest},
+		{"sims empty batch", "POST", "/v1/scenarios", `{"scenarios":[]}`, 400, client.CodeInvalidRequest},
+		{"sims unknown workload", "POST", "/v1/scenarios", `{"scenarios":[{"Cores":[{"Workload":"NoSuch","Mechanism":"none"}]}]}`, 400, client.CodeInvalidRequest},
+		{"sims given as configs", "POST", "/v1/scenarios", `{"configs":[{"Workload":"Nutch","Mechanism":"none"}]}`, 400, client.CodeInvalidRequest},
 		{"scenarios no cores", "POST", "/v1/scenarios", `{"scenarios":[{"Cores":[]}]}`, 400, client.CodeInvalidRequest},
-		{"sims unknown key", "GET", "/v1/sims/deadbeef", "", 404, client.CodeNotFound},
 		{"scenarios unknown key", "GET", "/v1/scenarios/deadbeef", "", 404, client.CodeNotFound},
+		// The removed single-config routes, an unknown route and a wrong
+		// method all fall to the catch-all.
+		{"sims removed submit", "POST", "/v1/sims", `{"configs":[{"Workload":"Nutch","Mechanism":"none"}]}`, 404, client.CodeNotFound},
+		{"sims unknown key", "GET", "/v1/sims/deadbeef", "", 404, client.CodeNotFound},
+		{"unknown route", "POST", "/v1/nope", "{}", 404, client.CodeNotFound},
+		{"wrong method", "GET", "/v1/sweeps", "", 404, client.CodeNotFound},
 		{"experiments unknown id", "GET", "/v1/experiments/nope", "", 404, client.CodeNotFound},
 		{"experiments bad format", "GET", "/v1/experiments/fig3?format=x", "", 400, client.CodeInvalidRequest},
 		{"sweeps bad format", "POST", "/v1/sweeps?format=xml", testSweepSpec, 400, client.CodeInvalidRequest},
@@ -389,8 +396,8 @@ func TestErrorEnvelopeSurface(t *testing.T) {
 	ts2 := httptest.NewServer(srv2.Handler())
 	t.Cleanup(func() { ts2.Close(); srv2.Close() })
 	srv2.RejectNew()
-	resp, raw := request(t, http.MethodPost, ts2.URL+"/v1/sims", "",
-		`{"configs":[{"Workload":"Nutch","Mechanism":"none"}]}`, nil)
+	resp, raw := request(t, http.MethodPost, ts2.URL+"/v1/scenarios", "",
+		`{"scenarios":[{"Cores":[{"Workload":"Nutch","Mechanism":"none"}]}]}`, nil)
 	var env client.ErrorEnvelope
 	if err := json.Unmarshal(raw, &env); err != nil {
 		t.Fatal(err)
@@ -423,13 +430,13 @@ func TestTenantQuotaOverHTTP(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { ts.Close(); srv.Shutdown() })
 
-	resp, raw := request(t, http.MethodPost, ts.URL+"/v1/sims", "cap-key",
-		`{"configs":[{"Workload":"Nutch","Mechanism":"none"}]}`, nil)
+	resp, raw := request(t, http.MethodPost, ts.URL+"/v1/scenarios", "cap-key",
+		`{"scenarios":[{"Cores":[{"Workload":"Nutch","Mechanism":"none"}]}]}`, nil)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("first submit status %d: %s", resp.StatusCode, raw)
 	}
-	resp, raw = request(t, http.MethodPost, ts.URL+"/v1/sims", "cap-key",
-		`{"configs":[{"Workload":"Nutch","Mechanism":"fdip"}]}`, nil)
+	resp, raw = request(t, http.MethodPost, ts.URL+"/v1/scenarios", "cap-key",
+		`{"scenarios":[{"Cores":[{"Workload":"Nutch","Mechanism":"fdip"}]}]}`, nil)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-quota submit status %d, want 429: %s", resp.StatusCode, raw)
 	}
@@ -445,8 +452,8 @@ func TestTenantQuotaOverHTTP(t *testing.T) {
 	}
 
 	// Another tenant's headroom is its own.
-	resp, raw = request(t, http.MethodPost, ts.URL+"/v1/sims", "free-key",
-		`{"configs":[{"Workload":"Nutch","Mechanism":"fdip"}]}`, nil)
+	resp, raw = request(t, http.MethodPost, ts.URL+"/v1/scenarios", "free-key",
+		`{"scenarios":[{"Cores":[{"Workload":"Nutch","Mechanism":"fdip"}]}]}`, nil)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("free tenant status %d, want 202: %s", resp.StatusCode, raw)
 	}
@@ -701,8 +708,8 @@ func TestMetricsExposition(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 
-	out, _ := postSims(t, ts.URL, []sim.Config{{Workload: "Nutch", Mechanism: sim.None}})
-	pollDone(t, ts.URL, out.Sims[0].Key)
+	out, _ := postSingles(t, ts.URL, []sim.Config{{Workload: "Nutch", Mechanism: sim.None}})
+	pollScenarioDone(t, ts.URL, out.Scenarios[0].Key)
 
 	resp, raw := request(t, http.MethodGet, ts.URL+"/metrics", "", "", nil)
 	if resp.StatusCode != http.StatusOK {
@@ -754,7 +761,7 @@ func TestStructuredRequestLog(t *testing.T) {
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 
 	request(t, http.MethodGet, ts.URL+"/v1/experiments", keyAcme, "", nil)
-	request(t, http.MethodGet, ts.URL+"/v1/sims/nope", keySolo, "", nil)
+	request(t, http.MethodGet, ts.URL+"/v1/scenarios/nope", keySolo, "", nil)
 
 	mu.Lock()
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")

@@ -19,7 +19,7 @@ type sinkExec struct{}
 func (sinkExec) Enqueue(string, sim.Scenario) error { return nil }
 func (sinkExec) Stop(bool)                          {}
 
-// FuzzSubmitEndpoints feeds arbitrary bodies to both submission routes:
+// FuzzSubmitEndpoints feeds arbitrary bodies to the submission route:
 // malformed JSON, truncated bodies, wrong-typed fields and oversized
 // batches must all answer 4xx (202/503 for well-formed ones) — never a
 // panic, never a 5xx.
@@ -37,30 +37,27 @@ func FuzzSubmitEndpoints(f *testing.F) {
 	f.Cleanup(func() { srv.Shutdown() })
 	handler := srv.Handler()
 
-	f.Add(true, []byte(`{"configs":[{"Workload":"Oracle","Mechanism":"none"}]}`))
-	f.Add(false, []byte(`{"scenarios":[{"Cores":[{"Workload":"Oracle","Mechanism":"shotgun"}]}]}`))
-	f.Add(true, []byte(`{`))
-	f.Add(false, []byte(``))
-	f.Add(true, []byte(`{"configs":[]}`))
-	f.Add(false, []byte(`{"scenarios":[{"Cores":[]}]}`))
-	f.Add(true, []byte(`{"configs":"not-a-list"}`))
-	f.Add(false, []byte(`{"scenarios":[{"Cores":[{"Workload":"Oracle","Mechanism":"none"}],"LLCSizeBytes":-5}]}`))
-	// Oversized batch: 9 configs against MaxBatch 8.
-	f.Add(true, []byte(`{"configs":[`+strings.Repeat(`{"Workload":"Oracle","Mechanism":"none"},`, 8)+
-		`{"Workload":"Oracle","Mechanism":"none"}]}`))
+	// A config batch is not a scenario batch: it must get a 400.
+	f.Add([]byte(`{"configs":[{"Workload":"Oracle","Mechanism":"none"}]}`))
+	f.Add([]byte(`{"scenarios":[{"Cores":[{"Workload":"Oracle","Mechanism":"shotgun"}]}]}`))
+	f.Add([]byte(`{`))
+	f.Add([]byte(``))
+	f.Add([]byte(`{"scenarios":[]}`))
+	f.Add([]byte(`{"scenarios":[{"Cores":[]}]}`))
+	f.Add([]byte(`{"scenarios":"not-a-list"}`))
+	f.Add([]byte(`{"scenarios":[{"Cores":[{"Workload":"Oracle","Mechanism":"none"}],"LLCSizeBytes":-5}]}`))
+	// Oversized batch: 9 scenarios against MaxBatch 8.
+	f.Add([]byte(`{"scenarios":[` + strings.Repeat(`{"Cores":[{"Workload":"Oracle","Mechanism":"none"}]},`, 8) +
+		`{"Cores":[{"Workload":"Oracle","Mechanism":"none"}]}]}`))
 
-	f.Fuzz(func(t *testing.T, sims bool, body []byte) {
-		path := "/v1/scenarios"
-		if sims {
-			path = "/v1/sims"
-		}
-		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req := httptest.NewRequest(http.MethodPost, "/v1/scenarios", bytes.NewReader(body))
 		rec := httptest.NewRecorder()
 		handler.ServeHTTP(rec, req)
 		switch rec.Code {
 		case http.StatusAccepted, http.StatusBadRequest, http.StatusServiceUnavailable:
 		default:
-			t.Fatalf("%s: status %d for body %q", path, rec.Code, body)
+			t.Fatalf("status %d for body %q", rec.Code, body)
 		}
 	})
 }

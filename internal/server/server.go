@@ -1,14 +1,12 @@
 // Package server exposes the experiment harness over HTTP: clients
-// enqueue batches of simulation configs, poll for results by content
-// key, and render any of the paper's tables/figures on demand, in text,
-// JSON, or CSV.
+// enqueue batches of scenarios, poll for results by content key, and
+// render any of the paper's tables/figures on demand, in text, JSON, or
+// CSV.
 //
 // v1 API (all JSON unless noted; wire types and the error envelope are
 // defined once, in internal/client):
 //
 //	GET  /v1/version              API version, store format, max cores, auth mode
-//	POST /v1/sims                 {"configs":[sim.Config...]} -> 202 {"sims":[{key,status,...}]}
-//	GET  /v1/sims/{key}           poll one simulation; result embedded when done
 //	POST /v1/scenarios            {"scenarios":[sim.Scenario...]} -> 202 {"scenarios":[{key,status,...}]}
 //	GET  /v1/scenarios/{key}      poll one scenario; per-core results embedded when done
 //	POST /v1/sweeps               body: a spec document (internal/spec); expand, run, render
@@ -21,11 +19,11 @@
 //	GET  /metrics                 Prometheus text exposition (no key required)
 //	GET  /healthz                 liveness (plain "ok"; no key required)
 //
-// /v1/sims is a documented thin alias of /v1/scenarios: each config is
-// wrapped as an N=1 scenario and both endpoints run through one submit
-// path, one job table, one key space and one store. Every non-2xx
-// response is the versioned JSON error envelope
-// {"error":{"code","message","retryable"}}.
+// A single simulation is a one-core scenario ({"Cores":[cfg]}); every
+// submission runs through one submit path, one job table, one key space
+// and one store. Every non-2xx response is the versioned JSON error
+// envelope {"error":{"code","message","retryable"}}; a request that
+// matches no route, or the wrong method on a known one, gets not_found.
 //
 // Multi-tenancy: with a TenantRegistry configured, every request (bar
 // /healthz, /v1/version, /metrics) must carry "Authorization: Bearer
@@ -71,12 +69,8 @@ const (
 	StatusFailed  = client.StatusFailed
 )
 
-// SimStatus and ScenarioStatus are the v1 wire shapes, defined in
-// internal/client.
-type (
-	SimStatus      = client.SimStatus
-	ScenarioStatus = client.ScenarioStatus
-)
+// ScenarioStatus is the v1 job status, defined in internal/client.
+type ScenarioStatus = client.ScenarioStatus
 
 // Retry-After hints: a quota trip clears as soon as the tenant's own
 // work drains (fast), a global shed needs overall load to fall
@@ -110,7 +104,7 @@ type Config struct {
 	// Cluster mode wants this larger — it bounds lease-table
 	// occupancy, not local compute.
 	FairSlots int
-	// MaxBatch bounds configs/scenarios per submission (default 1024);
+	// MaxBatch bounds scenarios per submission (default 1024);
 	// oversized batches are rejected with 400 before any validation.
 	MaxBatch int
 	// Tenants, when non-nil, enables API-key auth and per-tenant
@@ -168,25 +162,6 @@ func (j *job) finish(status string, res sim.ScenarioResult, msg string) {
 	j.result = res
 	j.err = msg
 	close(j.done)
-}
-
-// snapshot is the single-core (/v1/sims) view of a job: core 0's
-// workload, mechanism and result.
-func (j *job) snapshot() SimStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	st := SimStatus{
-		Key:       j.key,
-		Status:    j.status,
-		Workload:  j.sc.Cores[0].Workload,
-		Mechanism: string(j.sc.Cores[0].Mechanism),
-		Error:     j.err,
-	}
-	if j.status == StatusDone {
-		res := j.result.Cores[0]
-		st.Result = &res
-	}
-	return st
 }
 
 // scenarioJSON is the compact encoding of the job's /v1/scenarios view,
@@ -406,8 +381,6 @@ func (s *Server) stop(abandon bool) {
 // the authenticated tenant, never by a claimed name.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/sims", s.handleSubmit)
-	mux.HandleFunc("GET /v1/sims/{key}", s.handlePoll)
 	mux.HandleFunc("POST /v1/scenarios", s.handleSubmitScenarios)
 	mux.HandleFunc("GET /v1/scenarios/{key}", s.handlePollScenario)
 	mux.HandleFunc("POST /v1/sweeps", s.handleSweep)
@@ -418,6 +391,12 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
+	})
+	// Without a catch-all the mux answers an unknown route or a wrong
+	// method in plain text; every non-2xx answer must be the envelope.
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		client.WriteError(w, http.StatusNotFound, client.CodeNotFound,
+			"no route for %s %s", r.Method, r.URL.Path)
 	})
 	return logMiddleware(s.log, &s.httpStats,
 		authMiddleware(s.reg, rateLimitMiddleware(s.limits, mux)))
@@ -516,22 +495,6 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// checkBatch enforces the non-empty / max-size envelope every
-// submission batch shares.
-func (s *Server) checkBatch(w http.ResponseWriter, n int, what string) bool {
-	if n == 0 {
-		client.WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest,
-			"empty batch: body must carry at least one %s", what)
-		return false
-	}
-	if n > s.maxBatch {
-		client.WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest,
-			"batch of %d %ss exceeds the %d-per-request limit", n, what, s.maxBatch)
-		return false
-	}
-	return true
-}
-
 // accept is the submit path every handler drains into: enqueue pinned
 // scenarios under the request's tenant, or write the refusal's
 // envelope — quota trips 429, shed and shutdown 503, all retryable,
@@ -557,49 +520,23 @@ func (s *Server) accept(w http.ResponseWriter, r *http.Request, keys []string, s
 	return nil, false
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req client.SubmitSimsRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if !s.checkBatch(w, len(req.Configs), "config") {
-		return
-	}
-	// Validate the whole batch before enqueueing any of it, so a batch
-	// is accepted atomically or not at all.
-	scs := make([]sim.Scenario, 0, len(req.Configs))
-	keys := make([]string, 0, len(req.Configs))
-	for i, cfg := range req.Configs {
-		if err := cfg.Validate(); err != nil {
-			client.WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest, "config %d: %v", i, err)
-			return
-		}
-		sc := s.runner.NormalizeScenario(sim.SingleCore(cfg))
-		scs = append(scs, sc)
-		keys = append(keys, store.ScenarioKey(sc))
-	}
-
-	jobs, ok := s.accept(w, r, keys, scs)
-	if !ok {
-		return
-	}
-	resp := client.SubmitSimsResponse{Sims: make([]SimStatus, 0, len(jobs))}
-	for _, j := range jobs {
-		resp.Sims = append(resp.Sims, j.snapshot())
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusAccepted)
-	client.EncodeJSON(w, resp)
-}
-
 func (s *Server) handleSubmitScenarios(w http.ResponseWriter, r *http.Request) {
 	var req client.SubmitScenariosRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	if !s.checkBatch(w, len(req.Scenarios), "scenario") {
+	switch n := len(req.Scenarios); {
+	case n == 0:
+		client.WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest,
+			"empty batch: body must carry at least one scenario")
+		return
+	case n > s.maxBatch:
+		client.WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest,
+			"batch of %d scenarios exceeds the %d-per-request limit", n, s.maxBatch)
 		return
 	}
+	// Validate the whole batch before enqueueing any of it, so a batch
+	// is accepted atomically or not at all.
 	scs := make([]sim.Scenario, 0, len(req.Scenarios))
 	keys := make([]string, 0, len(req.Scenarios))
 	for i, sc := range req.Scenarios {
@@ -652,8 +589,8 @@ func scenarioJSONs(w http.ResponseWriter, jobs []*job) ([][]byte, bool) {
 
 // lookup finds a key's job. A key this process never saw but the store
 // holds (a previous life's result) is adopted as a job born done, as
-// enqueue adopts it, so store-served polls render through the same
-// views as live ones. Nil means the key is unknown.
+// enqueue adopts it, so a store-served poll serves the same bytes as a
+// live one. Nil means the key is unknown.
 func (s *Server) lookup(key string) *job {
 	if j := s.jobByKey(key); j != nil {
 		return j
@@ -674,16 +611,6 @@ func (s *Server) lookup(key string) *job {
 	j.finish(StatusDone, rec.Result, "")
 	s.jobs[key] = j
 	return j
-}
-
-func (s *Server) handlePoll(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	j := s.lookup(key)
-	if j == nil {
-		client.WriteError(w, http.StatusNotFound, client.CodeNotFound, "unknown simulation key %q", key)
-		return
-	}
-	client.WriteJSON(w, j.snapshot())
 }
 
 func (s *Server) handlePollScenario(w http.ResponseWriter, r *http.Request) {

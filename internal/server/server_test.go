@@ -34,52 +34,14 @@ func newTestServer(t *testing.T, st *store.Store) (*Server, *httptest.Server) {
 	return srv, ts
 }
 
-func postSims(t *testing.T, base string, cfgs []sim.Config) (client.SubmitSimsResponse, *http.Response) {
+// postSingles submits each config as a one-core scenario.
+func postSingles(t *testing.T, base string, cfgs []sim.Config) (client.SubmitScenariosResponse, *http.Response) {
 	t.Helper()
-	body, err := json.Marshal(client.SubmitSimsRequest{Configs: cfgs})
-	if err != nil {
-		t.Fatal(err)
+	scs := make([]sim.Scenario, len(cfgs))
+	for i, cfg := range cfgs {
+		scs[i] = sim.SingleCore(cfg)
 	}
-	resp, err := http.Post(base+"/v1/sims", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var out client.SubmitSimsResponse
-	if resp.StatusCode == http.StatusAccepted {
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return out, resp
-}
-
-// pollDone polls one key until it reaches "done" (or the deadline).
-func pollDone(t *testing.T, base, key string) SimStatus {
-	t.Helper()
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		resp, err := http.Get(base + "/v1/sims/" + key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st SimStatus
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch st.Status {
-		case StatusDone:
-			return st
-		case StatusFailed:
-			t.Fatalf("simulation %s failed: %s", key, st.Error)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("simulation %s still %q after deadline", key, st.Status)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	return postScenarios(t, base, scs)
 }
 
 // TestEndToEnd is the acceptance path: enqueue a batch over HTTP, poll
@@ -99,26 +61,26 @@ func TestEndToEnd(t *testing.T) {
 		{Workload: "Nutch", Mechanism: sim.FDIP},
 		{Workload: "Streaming", Mechanism: sim.None},
 	}
-	out, resp := postSims(t, ts1.URL, batch)
+	out, resp := postSingles(t, ts1.URL, batch)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("status %d, want 202", resp.StatusCode)
 	}
-	if len(out.Sims) != len(batch) {
-		t.Fatalf("echoed %d sims, want %d", len(out.Sims), len(batch))
+	if len(out.Scenarios) != len(batch) {
+		t.Fatalf("echoed %d scenarios, want %d", len(out.Scenarios), len(batch))
 	}
-	for i, s := range out.Sims {
-		if s.Key == "" || s.Workload != batch[i].Workload {
-			t.Fatalf("sim %d echo wrong: %+v", i, s)
+	for i, s := range out.Scenarios {
+		if s.Key == "" || s.Cores != 1 || s.Workloads[0] != batch[i].Workload {
+			t.Fatalf("scenario %d echo wrong: %+v", i, s)
 		}
 	}
 	var keys []string
-	for _, s := range out.Sims {
-		done := pollDone(t, ts1.URL, s.Key)
-		if done.Result == nil || done.Result.Core.Instructions == 0 {
+	for _, s := range out.Scenarios {
+		done := pollScenarioDone(t, ts1.URL, s.Key)
+		if done.Result == nil || done.Result.Cores[0].Core.Instructions == 0 {
 			t.Fatalf("done result empty: %+v", done)
 		}
-		if done.Result.Workload != s.Workload {
-			t.Fatalf("result for %s carries workload %s", s.Key, done.Result.Workload)
+		if done.Result.Cores[0].Workload != s.Workloads[0] {
+			t.Fatalf("result for %s carries workload %s", s.Key, done.Result.Cores[0].Workload)
 		}
 		keys = append(keys, s.Key)
 	}
@@ -127,8 +89,8 @@ func TestEndToEnd(t *testing.T) {
 	}
 
 	// Re-submitting in the same process dedups onto the same jobs.
-	again, _ := postSims(t, ts1.URL, batch)
-	for i, s := range again.Sims {
+	again, _ := postSingles(t, ts1.URL, batch)
+	for i, s := range again.Scenarios {
 		if s.Key != keys[i] {
 			t.Fatalf("resubmit key %d changed: %s vs %s", i, s.Key, keys[i])
 		}
@@ -140,12 +102,12 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, ts2 := newTestServer(t, st2)
-	out2, _ := postSims(t, ts2.URL, batch)
-	for i, s := range out2.Sims {
+	out2, _ := postSingles(t, ts2.URL, batch)
+	for i, s := range out2.Scenarios {
 		if s.Key != keys[i] {
 			t.Fatalf("restart key %d drifted: %s vs %s", i, s.Key, keys[i])
 		}
-		pollDone(t, ts2.URL, s.Key)
+		pollScenarioDone(t, ts2.URL, s.Key)
 	}
 	s2 := st2.Stats()
 	if s2.Hits != uint64(len(batch)) {
@@ -288,17 +250,10 @@ func TestScenarioEndToEnd(t *testing.T) {
 	}
 
 	// The scenario poll reports every core's identity (in canonical
-	// order: [Nutch/fdip, Nutch/none])...
+	// order: [Nutch/fdip, Nutch/none]).
 	got := pollScenarioDone(t, ts2.URL, keys[0])
 	if got.Mechanisms[0] != string(sim.FDIP) || got.Mechanisms[1] != string(sim.None) {
 		t.Fatalf("scenario mechanisms wrong: %+v", got.Mechanisms)
-	}
-	// ...and the same key is visible through the single-core poll
-	// endpoint as its canonical core-0 view (store fallback included).
-	core0 := pollDone(t, ts2.URL, keys[0])
-	if core0.Workload != "Nutch" || core0.Mechanism != string(sim.FDIP) ||
-		core0.Result == nil || *core0.Result != got.Result.Cores[0] {
-		t.Fatalf("/v1/sims core-0 view wrong: %+v", core0)
 	}
 
 	// A permutation of an already-served scenario is the same content
@@ -352,17 +307,17 @@ func TestPollServedFromStoreWithoutSubmit(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, ts1 := newTestServer(t, st1)
-	out, _ := postSims(t, ts1.URL, []sim.Config{{Workload: "Zeus", Mechanism: sim.None}})
-	key := out.Sims[0].Key
-	pollDone(t, ts1.URL, key)
+	out, _ := postSingles(t, ts1.URL, []sim.Config{{Workload: "Zeus", Mechanism: sim.None}})
+	key := out.Scenarios[0].Key
+	pollScenarioDone(t, ts1.URL, key)
 
 	st2, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, ts2 := newTestServer(t, st2)
-	got := pollDone(t, ts2.URL, key) // no submit on ts2
-	if got.Workload != "Zeus" || got.Result == nil {
+	got := pollScenarioDone(t, ts2.URL, key) // no submit on ts2
+	if got.Workloads[0] != "Zeus" || got.Result == nil {
 		t.Fatalf("store-backed poll wrong: %+v", got)
 	}
 }
@@ -375,13 +330,13 @@ func TestSubmitRejectsBadBatches(t *testing.T) {
 		want int
 	}{
 		{"bad json", "{", http.StatusBadRequest},
-		{"empty batch", `{"configs":[]}`, http.StatusBadRequest},
-		{"unknown workload", `{"configs":[{"Workload":"NoSuch","Mechanism":"none"}]}`, http.StatusBadRequest},
-		{"unknown mechanism", `{"configs":[{"Workload":"Oracle","Mechanism":"warp"}]}`, http.StatusBadRequest},
+		{"empty batch", `{"scenarios":[]}`, http.StatusBadRequest},
+		{"unknown workload", `{"scenarios":[{"Cores":[{"Workload":"NoSuch","Mechanism":"none"}]}]}`, http.StatusBadRequest},
+		{"unknown mechanism", `{"scenarios":[{"Cores":[{"Workload":"Oracle","Mechanism":"warp"}]}]}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, err := http.Post(ts.URL+"/v1/sims", "application/json", strings.NewReader(tc.body))
+			resp, err := http.Post(ts.URL+"/v1/scenarios", "application/json", strings.NewReader(tc.body))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -391,10 +346,10 @@ func TestSubmitRejectsBadBatches(t *testing.T) {
 			}
 		})
 	}
-	// A batch with one bad config must not enqueue the good ones.
+	// A batch with one bad scenario must not enqueue the good ones.
 	srv, ts2 := newTestServer(t, nil)
-	body := `{"configs":[{"Workload":"Oracle","Mechanism":"none"},{"Workload":"NoSuch","Mechanism":"none"}]}`
-	resp, err := http.Post(ts2.URL+"/v1/sims", "application/json", strings.NewReader(body))
+	body := `{"scenarios":[{"Cores":[{"Workload":"Oracle","Mechanism":"none"}]},{"Cores":[{"Workload":"NoSuch","Mechanism":"none"}]}]}`
+	resp, err := http.Post(ts2.URL+"/v1/scenarios", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +384,10 @@ func TestShutdownAbandonsQueuedWork(t *testing.T) {
 	srv.Shutdown()
 	left := 0
 	for _, j := range jobs {
-		if j.snapshot().Status == StatusQueued {
+		j.mu.Lock()
+		queued := j.status == StatusQueued
+		j.mu.Unlock()
+		if queued {
 			left++
 		}
 	}
@@ -446,8 +404,8 @@ func TestRejectNewStopsIntakeWithoutStopping(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	srv.RejectNew()
-	body := `{"configs":[{"Workload":"Nutch","Mechanism":"none"}]}`
-	resp, err := http.Post(ts.URL+"/v1/sims", "application/json", strings.NewReader(body))
+	body := `{"scenarios":[{"Cores":[{"Workload":"Nutch","Mechanism":"none"}]}]}`
+	resp, err := http.Post(ts.URL+"/v1/scenarios", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,8 +425,8 @@ func TestSubmitAfterCloseRejected(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	srv.Close()
-	body := `{"configs":[{"Workload":"Nutch","Mechanism":"none"}]}`
-	resp, err := http.Post(ts.URL+"/v1/sims", "application/json", strings.NewReader(body))
+	body := `{"scenarios":[{"Cores":[{"Workload":"Nutch","Mechanism":"none"}]}]}`
+	resp, err := http.Post(ts.URL+"/v1/scenarios", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +445,7 @@ func TestSubmitAfterCloseRejected(t *testing.T) {
 
 func TestPollUnknownKey(t *testing.T) {
 	_, ts := newTestServer(t, nil)
-	resp, err := http.Get(ts.URL + "/v1/sims/deadbeef")
+	resp, err := http.Get(ts.URL + "/v1/scenarios/deadbeef")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -668,8 +626,9 @@ func TestQueueOverflow(t *testing.T) {
 	}
 	overflowed := false
 	for i, cfg := range cfgs {
-		body, _ := json.Marshal(client.SubmitSimsRequest{Configs: []sim.Config{cfg}})
-		resp, err := http.Post(ts.URL+"/v1/sims", "application/json", bytes.NewReader(body))
+		sc := sim.SingleCore(cfg)
+		body, _ := json.Marshal(client.SubmitScenariosRequest{Scenarios: []sim.Scenario{sc}})
+		resp, err := http.Post(ts.URL+"/v1/scenarios", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -688,7 +647,7 @@ func TestQueueOverflow(t *testing.T) {
 				t.Fatalf("shed envelope wrong: %+v", env.Error)
 			}
 			// The shed key must be resubmittable once load drains.
-			key := store.Key(srv.runner.Normalize(cfg))
+			key := store.ScenarioKey(srv.runner.NormalizeScenario(sc))
 			srv.mu.Lock()
 			_, present := srv.jobs[key]
 			srv.mu.Unlock()

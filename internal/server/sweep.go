@@ -3,7 +3,7 @@ package server
 // POST /v1/sweeps: declarative sweep execution. The body is a spec
 // document (internal/spec); the server validates and expands it,
 // enqueues every expanded scenario through the ordinary job table — so
-// sweep jobs dedup against /v1/sims, /v1/scenarios, catalog
+// sweep jobs dedup against /v1/scenarios submissions, catalog
 // experiment renders, and the persistent store by content key — waits
 // for the expansion to finish, and renders the chosen tables. A catalog
 // render (GET /v1/experiments/{name}) is the same path over one

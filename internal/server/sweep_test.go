@@ -100,23 +100,23 @@ func TestSweepEndToEnd(t *testing.T) {
 		t.Fatalf("store puts = %d, want 2 (one per unique scenario)", puts)
 	}
 
-	// The sweep shares the job table with /v1/sims: the FDIP cell's key
-	// is the same key a plain config submission gets.
-	sims, resp2 := postSims(t, ts.URL, []sim.Config{{Workload: "Nutch", Mechanism: sim.FDIP}})
+	// The sweep shares the job table with /v1/scenarios: the FDIP
+	// cell's key is the same key a one-core submission gets.
+	single, resp2 := postSingles(t, ts.URL, []sim.Config{{Workload: "Nutch", Mechanism: sim.FDIP}})
 	if resp2.StatusCode != http.StatusAccepted {
-		t.Fatalf("sims status %d", resp2.StatusCode)
+		t.Fatalf("single-core submit status %d", resp2.StatusCode)
 	}
-	if sims.Sims[0].Status != StatusDone {
-		t.Fatalf("deduped sim should be born done, got %q", sims.Sims[0].Status)
+	if single.Scenarios[0].Status != StatusDone {
+		t.Fatalf("deduped sim should be born done, got %q", single.Scenarios[0].Status)
 	}
 	found := false
 	for _, key := range out.Keys {
-		if key == sims.Sims[0].Key {
+		if key == single.Scenarios[0].Key {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("sim key %s not among sweep keys %v — sweep jobs are not deduping", sims.Sims[0].Key, out.Keys)
+		t.Fatalf("sim key %s not among sweep keys %v — sweep jobs are not deduping", single.Scenarios[0].Key, out.Keys)
 	}
 
 	// Resubmitting the sweep dedups completely and renders identically.

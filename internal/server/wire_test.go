@@ -390,10 +390,10 @@ func TestScenarioStatusWirePollRacesFinish(t *testing.T) {
 	}
 }
 
-// TestClientReusesConnections: the typed client drains every response,
-// so warm 16-scenario submits (through /v1/scenarios and its /v1/sims
-// alias) and their polls all ride the first connection. An undrained
-// /v1/sims echo, written in one piece, costs a connection each.
+// TestClientReusesConnections: warm 16-scenario submits and their
+// polls all ride the first connection. TestClientDrainKeepsConnection
+// (internal/client) is the test that fails when a response goes
+// undrained.
 func TestClientReusesConnections(t *testing.T) {
 	srv := New(Config{Scale: tinyScale(), ScaleName: "tiny", Workers: 2})
 	ts := httptest.NewUnstartedServer(srv.Handler())
@@ -409,23 +409,13 @@ func TestClientReusesConnections(t *testing.T) {
 	cl := client.New(ts.URL, client.WithHTTPClient(&http.Client{Transport: tr}))
 
 	scs := sixteenScenarios()
-	var cfgs []sim.Config
-	for _, sc := range scs {
-		cfgs = append(cfgs, sc.Cores[0])
-	}
 	sts := submitUntilDone(t, cl, scs)
 	ctx := context.Background()
 	for i := 0; i < 10; i++ {
 		if _, err := cl.SubmitScenarios(ctx, scs); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := cl.SubmitConfigs(ctx, cfgs); err != nil {
-			t.Fatal(err)
-		}
 		if _, err := cl.Scenario(ctx, sts[i].Key); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := cl.Sim(ctx, sts[i].Key); err != nil {
 			t.Fatal(err)
 		}
 	}

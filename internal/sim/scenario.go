@@ -47,10 +47,9 @@ const TotalLLCBytes = 8 << 20
 // input permutes the output identically.
 type Scenario struct {
 	// Cores lists the per-core simulation specs, one per active core.
-	// The caller's core 0 is the "primary" core by convention
-	// (single-core views such as the /v1/sims API report the canonical
-	// first core); canonical indices salt the per-core walk and data
-	// seeds so identical co-runners do not execute in lockstep.
+	// The caller's core 0 is the "primary" core by convention;
+	// canonical indices salt the per-core walk and data seeds so
+	// identical co-runners do not execute in lockstep.
 	Cores []Config
 	// LLCSizeBytes is the total shared LLC capacity. Zero derives the
 	// Table 3 share: PerCoreLLCBytes per active core, capped at the 8MB
@@ -58,8 +57,8 @@ type Scenario struct {
 	LLCSizeBytes int
 }
 
-// SingleCore wraps one config as the N=1 scenario — the identity every
-// config-keyed caller (harness memo, store, /v1/sims) now runs through.
+// SingleCore wraps one config as the N=1 scenario: one simulation's
+// identity in the harness memo, the store and the HTTP job table.
 func SingleCore(cfg Config) Scenario {
 	return Scenario{Cores: []Config{cfg}}
 }

@@ -32,7 +32,7 @@ func TestPruneKeepsRecentlyRead(t *testing.T) {
 	// before cold.
 	for i, cfg := range []sim.Config{hot, cold} {
 		mt := time.Unix(1_700_000_000+int64(i)*1000, 0)
-		if err := os.Chtimes(s.recordPath(Key(cfg)), mt, mt); err != nil {
+		if err := os.Chtimes(s.recordPath(ScenarioKey(sim.SingleCore(cfg))), mt, mt); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -42,7 +42,7 @@ func TestPruneKeepsRecentlyRead(t *testing.T) {
 		t.Fatal("hot record missing before prune")
 	}
 
-	info, err := os.Stat(s.recordPath(Key(hot)))
+	info, err := os.Stat(s.recordPath(ScenarioKey(sim.SingleCore(hot))))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,12 +66,6 @@ func ScenarioKey(sc sim.Scenario) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Key returns the content address of a single-core config: the key of
-// its N=1 scenario.
-func Key(cfg sim.Config) string {
-	return ScenarioKey(sim.SingleCore(cfg))
-}
-
 // Record is the on-disk form of one cached simulation — and the wire
 // form the shard protocol ships between store nodes, so a replicated
 // record is byte-identical to a locally written one.

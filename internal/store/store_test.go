@@ -45,9 +45,9 @@ func testConfig(wl string) sim.Config {
 
 func TestKeyNormalizationAndDistinctness(t *testing.T) {
 	// Equivalent-after-normalization configs share a key.
-	a := Key(sim.Config{Workload: "Oracle", Mechanism: sim.Shotgun})
-	b := Key(sim.Config{Workload: "Oracle", Mechanism: sim.Shotgun, BTBEntries: 2048})
-	c := Key(sim.Config{Workload: "Oracle", Mechanism: sim.Shotgun, Layout: footprint.Layout8})
+	a := ScenarioKey(sim.SingleCore(sim.Config{Workload: "Oracle", Mechanism: sim.Shotgun}))
+	b := ScenarioKey(sim.SingleCore(sim.Config{Workload: "Oracle", Mechanism: sim.Shotgun, BTBEntries: 2048}))
+	c := ScenarioKey(sim.SingleCore(sim.Config{Workload: "Oracle", Mechanism: sim.Shotgun, Layout: footprint.Layout8}))
 	if a != b || a != c {
 		t.Fatalf("normalized-equivalent configs got distinct keys:\n%s\n%s\n%s", a, b, c)
 	}
@@ -65,7 +65,7 @@ func TestKeyNormalizationAndDistinctness(t *testing.T) {
 	}
 	seen := map[string]int{}
 	for i, cfg := range distinct {
-		k := Key(cfg)
+		k := ScenarioKey(sim.SingleCore(cfg))
 		if j, dup := seen[k]; dup {
 			t.Errorf("configs %d and %d collide on %s", j, i, k)
 		}
@@ -150,7 +150,7 @@ func TestCorruptRecordDroppedOnGet(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			key := Key(cfg)
+			key := ScenarioKey(sim.SingleCore(cfg))
 			if err := os.WriteFile(s.recordPath(key), tc.garbage, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -194,7 +194,7 @@ func TestKeyMismatchDropped(t *testing.T) {
 	if err := s.Put(cfg, fakeResult("Nutch", 5)); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(s.recordPath(Key(cfg)))
+	raw, err := os.ReadFile(s.recordPath(ScenarioKey(sim.SingleCore(cfg))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestStaleRecordVersionDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testConfig("Oracle")
-	key := Key(cfg)
+	key := ScenarioKey(sim.SingleCore(cfg))
 	stale := fmt.Sprintf(`{"version":0,"key":"%s","config":{},"result":{}}`, key)
 	if err := os.WriteFile(s.recordPath(key), []byte(stale), 0o644); err != nil {
 		t.Fatal(err)
@@ -313,11 +313,6 @@ func TestScenarioRoundTrip(t *testing.T) {
 	if err := s.PutScenario(sc, sim.ScenarioResult{Cores: want.Cores[:1]}); err == nil {
 		t.Fatal("mismatched result list accepted")
 	}
-	// The single-core key space is the N=1 scenario key space.
-	cfg := testConfig("Zeus")
-	if Key(cfg) != ScenarioKey(sim.SingleCore(cfg)) {
-		t.Fatal("config key is not its N=1 scenario key")
-	}
 }
 
 // TestPrune covers the eviction path end to end: oldest records (by
@@ -335,7 +330,7 @@ func TestPrune(t *testing.T) {
 		if err := s.Put(testConfig(wl), fakeResult(wl, uint64(100+i))); err != nil {
 			t.Fatal(err)
 		}
-		info, err := os.Stat(s.recordPath(Key(testConfig(wl))))
+		info, err := os.Stat(s.recordPath(ScenarioKey(sim.SingleCore(testConfig(wl)))))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -343,7 +338,7 @@ func TestPrune(t *testing.T) {
 		// Strictly increasing mtimes even on coarse-granularity
 		// filesystems: stamp them explicitly.
 		mt := time.Unix(1_700_000_000+int64(i)*10, 0)
-		if err := os.Chtimes(s.recordPath(Key(testConfig(wl))), mt, mt); err != nil {
+		if err := os.Chtimes(s.recordPath(ScenarioKey(sim.SingleCore(testConfig(wl)))), mt, mt); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -380,7 +375,7 @@ func TestPrune(t *testing.T) {
 		t.Fatalf("reopened store has %d records, want 2", s2.Len())
 	}
 	for _, wl := range workloads[4:] {
-		if _, ok := s2.GetKey(Key(testConfig(wl))); !ok {
+		if _, ok := s2.GetKey(ScenarioKey(sim.SingleCore(testConfig(wl)))); !ok {
 			t.Fatalf("reopened store missing %s", wl)
 		}
 	}
@@ -459,7 +454,7 @@ func TestLayoutIsVersionAndRecords(t *testing.T) {
 	if err := s.Put(testConfig("Oracle"), fakeResult("Oracle", 99)); err != nil {
 		t.Fatal(err)
 	}
-	info, err := os.Stat(s.recordPath(Key(testConfig("Oracle"))))
+	info, err := os.Stat(s.recordPath(ScenarioKey(sim.SingleCore(testConfig("Oracle")))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +499,7 @@ func TestOpenIgnoresStaleIndexFile(t *testing.T) {
 	}
 	// Lists one record and a key with no file; omits the other two.
 	stale := fmt.Sprintf(`{"version":%d,"records":{%q:{"workload":"Apache","mechanism":"shotgun","cores":1},`+
-		`"00ff":{"workload":"Nutch","mechanism":"none","cores":1}}}`, FormatVersion, Key(testConfig("Apache")))
+		`"00ff":{"workload":"Nutch","mechanism":"none","cores":1}}}`, FormatVersion, ScenarioKey(sim.SingleCore(testConfig("Apache"))))
 	indexPath := filepath.Join(dir, "index.json")
 	if err := os.WriteFile(indexPath, []byte(stale), 0o644); err != nil {
 		t.Fatal(err)
