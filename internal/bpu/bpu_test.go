@@ -1,6 +1,7 @@
 package bpu
 
 import (
+	"slices"
 	"testing"
 
 	"shotgun/internal/isa"
@@ -201,6 +202,59 @@ func TestRASCopyFrom(t *testing.T) {
 	// Copy must be deep: popping b must not affect a.
 	if a.Depth() != 2 {
 		t.Fatal("CopyFrom aliased storage")
+	}
+}
+
+// TestResolveMatchesPredictUpdate drives Resolve on one predictor and
+// Predict then Update on a twin, for both index variants, over a million
+// seeded branches: aliasing PCs with mixed biases plus interleaved
+// unconditional history notes, past several useful-bit decays. Every
+// prediction, both counters, the history and every table must agree.
+func TestResolveMatchesPredictUpdate(t *testing.T) {
+	for _, v := range []struct {
+		name string
+		make func() *TAGE
+	}{{"default", NewTAGE}, {"clz", NewCLZTAGE}} {
+		t.Run(v.name, func(t *testing.T) {
+			one, two := v.make(), v.make()
+			rng := xrand.New(0x7a6e)
+			bias := make([]float64, 4096)
+			for i := range bias {
+				bias[i] = rng.Float64()
+			}
+			const branches = 1 << 20
+			for i := 0; i < branches; i++ {
+				slot := rng.Intn(len(bias))
+				pc := isa.Addr(0x40_0000 + slot*28)
+				taken := rng.Bool(bias[slot])
+				got := one.Resolve(pc, taken)
+				want := two.Predict(pc)
+				two.Update(pc, taken)
+				if got != want {
+					t.Fatalf("branch %d: Resolve predicted %v, Predict %v", i, got, want)
+				}
+				if rng.Intn(4) == 0 {
+					one.NoteUncond()
+					two.NoteUncond()
+				}
+			}
+			if one.Lookups != branches || one.Lookups != two.Lookups || one.Mispredicts != two.Mispredicts {
+				t.Fatalf("counters: Resolve %d/%d, Predict+Update %d/%d",
+					one.Lookups, one.Mispredicts, two.Lookups, two.Mispredicts)
+			}
+			if one.ghist != two.ghist {
+				t.Fatalf("ghist %#x, want %#x", one.ghist, two.ghist)
+			}
+			if !slices.Equal(one.base, two.base) {
+				t.Fatal("bimodal base tables differ")
+			}
+			for i := range one.tables {
+				a, b := &one.tables[i], &two.tables[i]
+				if !slices.Equal(a.tags, b.tags) || !slices.Equal(a.ctr, b.ctr) || !slices.Equal(a.use, b.use) {
+					t.Fatalf("tagged table %d differs", i)
+				}
+			}
+		})
 	}
 }
 

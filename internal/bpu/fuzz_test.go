@@ -1,6 +1,7 @@
 package bpu
 
 import (
+	"math/bits"
 	"testing"
 
 	"shotgun/internal/isa"
@@ -10,7 +11,8 @@ import (
 // indexing built on it — to its range contract for arbitrary history
 // registers and PCs: clzFold always lands below 1<<outBits (a
 // violation would index out of a tagged table), agrees with itself on
-// repeated evaluation, and the CLZ-TAGE lookup path derives in-range
+// repeated evaluation, matches the reference fold that takes the
+// rotation modulo the width, and the CLZ-TAGE lookup path derives in-range
 // table indices and non-zero tags from it. Wired into the CI
 // fuzz-smoke job next to the delta-matcher target.
 func FuzzCLZIndex(f *testing.F) {
@@ -30,6 +32,9 @@ func FuzzCLZIndex(f *testing.F) {
 				}
 				if v2 := clzFold(ghist, hl, outBits); v2 != v {
 					t.Fatalf("clzFold not deterministic: %#x then %#x", v, v2)
+				}
+				if want := refCLZFold(ghist, hl, outBits); v != want {
+					t.Fatalf("clzFold(%#x, %d, %d) = %#x, reference fold gives %#x", ghist, hl, outBits, v, want)
 				}
 			}
 		}
@@ -52,4 +57,19 @@ func FuzzCLZIndex(f *testing.F) {
 			t.Fatal("forced mispredict not counted")
 		}
 	})
+}
+
+// refCLZFold is clzFold as first written, taking each chunk's rotation
+// as the running fold's leading-zero count modulo outBits.
+func refCLZFold(h uint64, lenBits, outBits int) uint64 {
+	h &= (1 << uint(lenBits)) - 1
+	mask := uint64(1)<<uint(outBits) - 1
+	var f uint64
+	for h != 0 {
+		chunk := h & mask
+		rot := bits.LeadingZeros64(f|1) % outBits
+		f ^= (chunk<<uint(rot) | chunk>>uint(outBits-rot)) & mask
+		h >>= uint(outBits)
+	}
+	return f
 }

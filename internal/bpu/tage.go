@@ -108,18 +108,38 @@ func fold(h uint64, lenBits, outBits int) uint64 {
 // by the leading-zero count of the running fold before XORing it in, so
 // equal chunks landed at different register states hash apart. The
 // result is always below 1<<outBits (FuzzCLZIndex pins this).
+//
+// The running fold f stays below 1<<outBits, so the rotation
+// bits.LeadingZeros64(f|1) % outBits depends only on bits.Len64(f|1),
+// which lies in [1, outBits]: clzRot tabulates it per width, replacing a
+// division per chunk with a table load.
 func clzFold(h uint64, lenBits, outBits int) uint64 {
 	h &= (1 << uint(lenBits)) - 1
 	mask := uint64(1)<<uint(outBits) - 1
+	rots := &clzRot[outBits]
 	var f uint64
 	for h != 0 {
 		chunk := h & mask
-		rot := bits.LeadingZeros64(f|1) % outBits
-		f ^= (chunk<<uint(rot) | chunk>>uint(outBits-rot)) & mask
+		rot := uint(rots[bits.Len64(f|1)])
+		f ^= (chunk<<rot | chunk>>(uint(outBits)-rot)) & mask
 		h >>= uint(outBits)
 	}
 	return f
 }
+
+// maxFoldBits is the widest clzFold output: the tagged-table index.
+const maxFoldBits = max(tableBits, tagBits)
+
+// clzRot[w][n] is (64-n) % w, the leading-zero count of a value of bit
+// length n taken modulo the fold width w.
+var clzRot = func() (t [maxFoldBits + 1][maxFoldBits + 1]uint8) {
+	for w := 1; w <= maxFoldBits; w++ {
+		for n := 1; n <= w; n++ {
+			t[w][n] = uint8((64 - n) % w)
+		}
+	}
+	return t
+}()
 
 func mix(pc isa.Addr) uint64 {
 	x := uint64(pc) >> 2
@@ -193,6 +213,23 @@ func (t *TAGE) Update(pc isa.Addr, taken bool) {
 	// One scan yields both the prediction and the provider (the
 	// longest matching table).
 	provider, provIdx, predicted := t.lookup(pc)
+	t.train(pc, taken, provider, provIdx, predicted)
+}
+
+// Resolve predicts the conditional branch at pc and trains the predictor
+// with its actual outcome: Predict then Update on one table scan, since
+// nothing changes the tables or the history between the two.
+func (t *TAGE) Resolve(pc isa.Addr, taken bool) (predicted bool) {
+	t.Lookups++
+	provider, provIdx, predicted := t.lookup(pc)
+	t.train(pc, taken, provider, provIdx, predicted)
+	return predicted
+}
+
+// train is Update after its lookup: count a misprediction, move the
+// provider's counter, allocate on a misprediction, age the useful bits
+// and advance the global history.
+func (t *TAGE) train(pc isa.Addr, taken bool, provider, provIdx int, predicted bool) {
 	if predicted != taken {
 		t.Mispredicts++
 	}

@@ -419,8 +419,8 @@ func (c *Core) SkimBlocks(n uint64) uint64 {
 }
 
 // warmBPU mirrors evaluate's exact predictor call sequence — RAS pop for
-// returns, TAGE Predict+Update for conditionals (Predict counts lookups,
-// which paces the use-bit decay), RAS push + ghist note for calls, ghist
+// returns, TAGE Resolve for conditionals (it counts lookups, which
+// paces the use-bit decay), RAS push + ghist note for calls, ghist
 // notes for returns and jumps — so the direction predictor and RAS cross
 // a warming gap in the same state a detailed run would leave them.
 func (c *Core) warmBPU(bb isa.BasicBlock) {
@@ -431,8 +431,7 @@ func (c *Core) warmBPU(bb isa.BasicBlock) {
 	c.engine.Warm(bb)
 	switch {
 	case bb.Kind == isa.BranchCond:
-		c.tage.Predict(bb.BranchPC())
-		c.tage.Update(bb.BranchPC(), bb.Taken)
+		c.tage.Resolve(bb.BranchPC(), bb.Taken)
 	case bb.Kind.IsCallLike():
 		ras.Push(bpu.RASEntry{ReturnAddr: bb.FallThrough(), CallBlock: bb.PC})
 		c.tage.NoteUncond()
@@ -660,8 +659,7 @@ func (c *Core) evaluate(p *pblock, ras *bpu.RAS) uint64 {
 	switch {
 	case bb.Kind == isa.BranchCond:
 		c.stats.CondBranches++
-		pred := c.tage.Predict(bb.BranchPC())
-		c.tage.Update(bb.BranchPC(), bb.Taken)
+		pred := c.tage.Resolve(bb.BranchPC(), bb.Taken)
 		if ev.BTBHit && pred != bb.Taken {
 			p.execRedirect = true
 			c.stats.DirMispredicts++

@@ -9,7 +9,7 @@
 package predecode
 
 import (
-	"sort"
+	"slices"
 
 	"shotgun/internal/btb"
 	"shotgun/internal/isa"
@@ -49,17 +49,80 @@ type decodeSeg struct {
 const segGapBlocks = 1 << 16
 
 // NewDecoder indexes every static branch in the program by the cache
-// block containing its branch instruction.
+// block containing its branch instruction. It makes three passes and no
+// map: collect and sort the branch block numbers and derive the segments;
+// count the branches per block and prefix-sum the counts; then fill one
+// flat branch array in program order (functions, then blocks), so a
+// block's branches keep that order. Each block's slice is a
+// capacity-capped window of the flat array, and a block without branches
+// keeps a nil slice.
 func NewDecoder(prog *program.Program) *Decoder {
-	byBlock := make(map[isa.Addr][]Branch)
+	// Pass 1: slotOf[k] takes the cache-block number of the k-th branch
+	// in program order (pass 2 turns it into the block's slot), and nums
+	// the distinct block numbers, sorted. A function's blocks ascend, so
+	// dropping repeats of the previous number on the way in leaves the
+	// sort less than half the branches.
+	slotOf := make([]uint64, 0, prog.StaticBranches())
+	var nums []uint64
 	for _, f := range prog.Funcs {
 		for bi := range f.Blocks {
 			sb := &f.Blocks[bi]
 			if sb.Kind == isa.BranchNone {
 				continue
 			}
-			branchPC := sb.PC.Add(sb.NumInstr - 1)
-			cb := branchPC.Block()
+			n := sb.PC.Add(sb.NumInstr - 1).BlockIndex()
+			slotOf = append(slotOf, n)
+			if len(nums) == 0 || nums[len(nums)-1] != n {
+				nums = append(nums, n)
+			}
+		}
+	}
+	slices.Sort(nums)
+	nums = slices.Compact(nums)
+
+	// The segments tile one slot space: starts[s] is the slot of
+	// segment s's base block.
+	d := &Decoder{blocks: len(nums)}
+	var starts []uint64
+	var slots uint64
+	for i := 0; i < len(nums); {
+		j := i + 1
+		for j < len(nums) && nums[j]-nums[j-1] < segGapBlocks {
+			j++
+		}
+		span := nums[j-1] - nums[i] + 1
+		d.segs = append(d.segs, decodeSeg{base: nums[i], branches: make([][]Branch, span)})
+		starts = append(starts, slots)
+		slots += span
+		i = j
+	}
+
+	// Pass 2: count the branches per slot; the prefix sum turns
+	// next[slot] into the flat index of the slot's first branch.
+	next := make([]int, slots+1)
+	for k, n := range slotOf {
+		si := 0
+		for n-d.segs[si].base >= uint64(len(d.segs[si].branches)) {
+			si++
+		}
+		slotOf[k] = starts[si] + n - d.segs[si].base
+		next[slotOf[k]+1]++
+	}
+	for s := uint64(1); s <= slots; s++ {
+		next[s] += next[s-1]
+	}
+
+	// Pass 3: fill the flat array in program order. Afterwards
+	// next[slot] is the end of the slot's run, which is where the
+	// following slot's run starts.
+	flat := make([]Branch, len(slotOf))
+	k := 0
+	for _, f := range prog.Funcs {
+		for bi := range f.Blocks {
+			sb := &f.Blocks[bi]
+			if sb.Kind == isa.BranchNone {
+				continue
+			}
 			entry := btb.Entry{NumInstr: sb.NumInstr, Kind: sb.Kind}
 			switch sb.Kind {
 			case isa.BranchCond, isa.BranchJump:
@@ -68,30 +131,21 @@ func NewDecoder(prog *program.Program) *Decoder {
 				entry.Target = prog.Func(sb.Callee).Entry()
 			}
 			// Returns read targets from the RAS; no static target.
-			byBlock[cb] = append(byBlock[cb], Branch{BlockPC: sb.PC, Entry: entry})
+			flat[next[slotOf[k]]] = Branch{BlockPC: sb.PC, Entry: entry}
+			next[slotOf[k]]++
+			k++
 		}
 	}
-
-	d := &Decoder{blocks: len(byBlock)}
-	nums := make([]uint64, 0, len(byBlock))
-	for cb := range byBlock {
-		nums = append(nums, cb.BlockIndex())
-	}
-	sort.Slice(nums, func(i, j int) bool { return nums[i] < nums[j] })
-	for i := 0; i < len(nums); {
-		j := i + 1
-		for j < len(nums) && nums[j]-nums[j-1] < segGapBlocks {
-			j++
+	lo := 0
+	for si := range d.segs {
+		seg := &d.segs[si]
+		for off := range seg.branches {
+			hi := next[starts[si]+uint64(off)]
+			if hi > lo {
+				seg.branches[off] = flat[lo:hi:hi]
+			}
+			lo = hi
 		}
-		seg := decodeSeg{
-			base:     nums[i],
-			branches: make([][]Branch, nums[j-1]-nums[i]+1),
-		}
-		for _, n := range nums[i:j] {
-			seg.branches[n-seg.base] = byBlock[isa.Addr(n*isa.BlockBytes)]
-		}
-		d.segs = append(d.segs, seg)
-		i = j
 	}
 	return d
 }

@@ -1,0 +1,103 @@
+package predecode_test
+
+import (
+	"slices"
+	"testing"
+
+	"shotgun/internal/isa"
+	"shotgun/internal/predecode"
+	"shotgun/internal/workload"
+)
+
+func blockAddr(n uint64) isa.Addr { return isa.Addr(n * isa.BlockBytes) }
+
+// TestNewDecoderMatchesReference holds the three-pass decoder build to
+// the map-based build it replaced, on every profile's program: the same
+// segments and block count, and the same Decode result, order and
+// nil-ness included, for every block of every segment, the block just
+// outside each end, and an address outside every segment.
+func TestNewDecoderMatchesReference(t *testing.T) {
+	for _, p := range workload.Profiles() {
+		prog := p.Program()
+		got, want := predecode.NewDecoder(prog), predecode.RefNewDecoder(prog)
+		if got.Blocks() != want.Blocks() {
+			t.Fatalf("%s: Blocks() = %d, want %d", p.Name, got.Blocks(), want.Blocks())
+		}
+		segs := predecode.Segments(want)
+		if gs := predecode.Segments(got); !slices.Equal(gs, segs) {
+			t.Fatalf("%s: segments %v, want %v", p.Name, gs, segs)
+		}
+		addrs := []isa.Addr{0}
+		for _, s := range segs {
+			for n := s.Base - 1; n <= s.Base+s.Len; n++ {
+				addrs = append(addrs, blockAddr(n))
+			}
+		}
+		for _, a := range addrs {
+			g, w := got.Decode(a), want.Decode(a)
+			if !slices.Equal(g, w) || (g == nil) != (w == nil) {
+				t.Fatalf("%s: Decode(%v) = %v, want %v", p.Name, a, g, w)
+			}
+		}
+	}
+}
+
+// TestDecodeBranchlessBlockIsNil checks that a block inside a segment
+// holding no branch decodes to nil, not to an empty slice.
+func TestDecodeBranchlessBlockIsNil(t *testing.T) {
+	d := workload.MustGet("Oracle").Decoder()
+	found := 0
+	for _, s := range predecode.Segments(d) {
+		for n := s.Base; n < s.Base+s.Len; n++ {
+			if brs := d.Decode(blockAddr(n)); len(brs) == 0 {
+				if brs != nil {
+					t.Fatalf("branchless block %d decodes to empty non-nil %v", n, brs)
+				}
+				found++
+			}
+		}
+	}
+	if found == 0 {
+		t.Fatal("Oracle's image has no branchless block inside a segment")
+	}
+}
+
+// TestDecodeSlicesCapped checks that every returned slice's capacity is
+// its length, so appending to one block's branches cannot overwrite the
+// branches of the next block in the shared flat array.
+func TestDecodeSlicesCapped(t *testing.T) {
+	d := predecode.NewDecoder(workload.MustGet("Apache").Program())
+	pairs := 0
+	for _, s := range predecode.Segments(d) {
+		for n := s.Base; n < s.Base+s.Len; n++ {
+			brs := d.Decode(blockAddr(n))
+			if cap(brs) != len(brs) {
+				t.Fatalf("block %d: cap %d > len %d", n, cap(brs), len(brs))
+			}
+			next := d.Decode(blockAddr(n + 1))
+			if len(brs) == 0 || len(next) == 0 {
+				continue
+			}
+			before := slices.Clone(next)
+			_ = append(brs, predecode.Branch{BlockPC: 1})
+			if after := d.Decode(blockAddr(n + 1)); !slices.Equal(after, before) {
+				t.Fatalf("appending to block %d changed block %d: %v, want %v", n, n+1, after, before)
+			}
+			pairs++
+		}
+	}
+	if pairs == 0 {
+		t.Fatal("no adjacent blocks with branches")
+	}
+}
+
+// BenchmarkNewDecoder builds the predecode image of Oracle, the largest
+// profile.
+func BenchmarkNewDecoder(b *testing.B) {
+	prog := workload.MustGet("Oracle").Program()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		predecode.NewDecoder(prog)
+	}
+}

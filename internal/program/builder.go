@@ -195,12 +195,12 @@ type builder struct {
 	// group (0 = hottest). Callee selection Zipf-samples ranks.
 	popRank []int
 
-	// rankedByGroup[g] lists the callable functions of role group g
-	// (trap entries excluded) hottest-first; rankedTraps lists trap
-	// entries hottest-first. Precomputed once so calleeCandidates is a
-	// filter over an already-sorted list instead of a per-function
-	// scan-and-sort of the whole program.
-	rankedByGroup [2][]FuncID
+	// calleeWindows[g][L] lists, hottest first, the functions a layer-L
+	// function of role group g may call (see calleeCandidates), and
+	// rankedTraps lists trap entries hottest-first. Both are computed
+	// once by prepareCandidates and shared read-only by every function
+	// that draws from them: fillBody only indexes the slices.
+	calleeWindows [2][][]FuncID
 	rankedTraps   []FuncID
 }
 
@@ -315,22 +315,33 @@ func (b *builder) permute(n int) []int {
 // collapsing onto the leaf layers.
 const calleeLayerWindow = 3
 
-// prepareCandidates sorts each role group's callable functions (and the
-// trap entries) by popularity once, after the skeletons exist. Popularity
-// ranks are unique within a group, so the sorted order is unique and
-// calleeCandidates' output is exactly what the per-function
-// scan-and-sort used to produce.
+// prepareCandidates computes every callee window once, after the
+// skeletons exist. Each role group's callable functions (trap entries
+// excluded) are sorted by popularity; popularity ranks are unique within
+// a group, so the order is unique. A function's candidates depend only on
+// its role group and layer, so one filter pass per (group, layer) yields
+// exactly what a per-function filter would: every candidate sits strictly
+// below the caller's layer, so a caller is never in its own window.
 func (b *builder) prepareCandidates() {
+	var ranked [2][]FuncID
+	var maxLayer [2]int
 	for _, g := range b.prog.Funcs {
-		if g.Role == RoleTrapEntry {
-			continue
-		}
 		grp := roleGroup(g.Role)
-		b.rankedByGroup[grp] = append(b.rankedByGroup[grp], g.ID)
+		maxLayer[grp] = max(maxLayer[grp], g.Layer)
+		if g.Role != RoleTrapEntry {
+			ranked[grp] = append(ranked[grp], g.ID)
+		}
 	}
-	for grp := range b.rankedByGroup {
-		ids := b.rankedByGroup[grp]
+	for grp, ids := range ranked {
 		sort.Slice(ids, func(i, j int) bool { return b.popRank[ids[i]] < b.popRank[ids[j]] })
+		windows := make([][]FuncID, maxLayer[grp]+1)
+		for layer := range windows {
+			windows[layer] = b.layerRange(ids, layer-calleeLayerWindow, layer)
+			if len(windows[layer]) == 0 {
+				windows[layer] = b.layerRange(ids, 0, layer)
+			}
+		}
+		b.calleeWindows[grp] = windows
 	}
 	b.rankedTraps = append([]FuncID(nil), b.prog.TrapEntries...)
 	sort.Slice(b.rankedTraps, func(i, j int) bool {
@@ -338,30 +349,26 @@ func (b *builder) prepareCandidates() {
 	})
 }
 
+// layerRange returns, in ranked order, the functions of ranked whose
+// layer lies in [lo, hi), or nil if there are none.
+func (b *builder) layerRange(ranked []FuncID, lo, hi int) []FuncID {
+	var out []FuncID
+	for _, id := range ranked {
+		if l := b.prog.Funcs[id].Layer; l >= lo && l < hi {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
 // calleeCandidates returns the functions f may legally call, hottest
 // first, so a Zipf draw over the slice index yields popularity-skewed
 // call graphs. Candidates come from the window of layers directly below
-// f; if that window is empty, any lower layer is allowed.
+// f; if that window is empty, any lower layer is allowed. The slice is
+// shared by every function of f's role group and layer; callers must
+// not mutate it.
 func (b *builder) calleeCandidates(f *Function) []FuncID {
-	ranked := b.rankedByGroup[roleGroup(f.Role)]
-	pick := func(minLayer int) []FuncID {
-		var out []FuncID
-		for _, id := range ranked {
-			g := b.prog.Funcs[id]
-			if id == f.ID {
-				continue
-			}
-			if g.Layer < f.Layer && g.Layer >= minLayer {
-				out = append(out, id)
-			}
-		}
-		return out
-	}
-	out := pick(f.Layer - calleeLayerWindow)
-	if len(out) == 0 {
-		out = pick(0)
-	}
-	return out
+	return b.calleeWindows[roleGroup(f.Role)][f.Layer]
 }
 
 // trapCandidates returns trap entries hottest first.

@@ -213,10 +213,3 @@ func TestRoleString(t *testing.T) {
 		t.Fatal("role names wrong")
 	}
 }
-
-func BenchmarkGenerate(b *testing.B) {
-	params := GenParams{NumAppFuncs: 800, NumKernelFuncs: 120}
-	for i := 0; i < b.N; i++ {
-		MustGenerate(params, uint64(i))
-	}
-}
