@@ -13,25 +13,9 @@
 //     /v1/complete instead of running it here. Leases expire when a
 //     worker stops heartbeating and the job is requeued, so worker
 //     death costs latency, never results.
-//   - -join <url,...>: be a worker — an endless lease → simulate →
-//     push loop over the local harness.Runner; no listener, no store
-//     (records land in the coordinator's). Naming several coordinators
-//     (comma-separated, failover order) makes the worker HA-aware: when
-//     the active one dies it re-registers its in-flight leases with the
-//     next and keeps going.
-//   - -shard: be one slice of a sharded result store — no simulation,
-//     no public API, just the shard wire protocol (GET/PUT
-//     /shard/v1/records/{key}, /shard/v1/keys, /shard/v1/stats,
-//     /healthz) over the local -store directory.
-//
-// A front-end (single node or coordinator) given -store-shards routes
-// every record over a consistent-hash ring to those shard nodes
-// instead of a local directory, writing -store-replicas copies (reads
-// fall through replicas; a background loop re-replicates onto shards
-// that rejoin). A coordinator given -standby starts as a warm spare:
-// same store, own job table, role "standby" in /v1/cluster until
-// workers fail over to it — resubmit the sweep there and nothing
-// already computed or in flight is simulated twice.
+//   - -join <url>: be a worker for the coordinator at url — an endless
+//     lease → simulate → push loop over the local harness.Runner; no
+//     listener, no store (records land in the coordinator's).
 //
 // The process shuts down gracefully: SIGINT/SIGTERM stop the listener,
 // in-flight HTTP requests get a deadline to finish, and the simulation
@@ -64,11 +48,6 @@
 //	shotgun-server -coordinator -fair-slots 512                 # deeper lease table
 //	shotgun-server -join http://coord:8080 -parallel 8          # simulation worker
 //	shotgun-server -join http://coord:8080 -worker-id rack3-a   # named worker
-//	shotgun-server -shard -addr :9001 -store ./shard1           # store shard node
-//	shotgun-server -coordinator -store-shards http://s1:9001,http://s2:9001,http://s3:9001 \
-//	    -store-replicas 2                                       # replicated sharded store
-//	shotgun-server -coordinator -standby -store ./s             # warm-spare coordinator
-//	shotgun-server -join http://c1:8080,http://c2:8080          # worker with coordinator failover
 //
 // Example session (drop the Authorization header when auth is off):
 //
@@ -112,10 +91,10 @@ import (
 // context cancels (the in-flight job finishes and is pushed first).
 func runWorker(ctx context.Context, opts options, scale harness.Scale, stdout, stderr io.Writer) int {
 	w, err := dispatch.NewWorker(dispatch.WorkerConfig{
-		Coordinators: splitList(opts.join),
-		ID:           opts.workerID,
-		Runner:       harness.NewRunnerWorkers(scale, opts.parallel),
-		Concurrency:  opts.parallel,
+		Coordinator: opts.join,
+		ID:          opts.workerID,
+		Runner:      harness.NewRunnerWorkers(scale, opts.parallel),
+		Concurrency: opts.parallel,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(stdout, format+"\n", args...)
 		},
@@ -130,68 +109,6 @@ func runWorker(ctx context.Context, opts options, scale harness.Scale, stdout, s
 	}
 	fmt.Fprintf(stdout, "worker %s: shutdown complete\n", w.ID())
 	return 0
-}
-
-// splitList splits a comma-separated flag value, dropping blanks.
-func splitList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// runShard is the -shard path: this node is one slice of the sharded
-// result store. No simulation, no public API — just the shard wire
-// protocol over the local on-disk store, so the front-end's ring can
-// route records here.
-func runShard(ctx context.Context, opts options, stdout, stderr io.Writer) int {
-	st, err := store.Open(opts.storeDir)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	if opts.storeMaxBytes > 0 {
-		dropped, err := st.Prune(opts.storeMaxBytes)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		if dropped > 0 {
-			fmt.Fprintf(stdout, "store: pruned %d oldest records to fit %d bytes\n",
-				dropped, opts.storeMaxBytes)
-		}
-	}
-	mux := http.NewServeMux()
-	store.NewShardServer(st).Register(mux)
-	ln, err := net.Listen("tcp", opts.addr)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	hs := &http.Server{Handler: mux}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-	fmt.Fprintf(stdout, "shotgun-server shard listening on %s (store %s, %d records)\n",
-		ln.Addr(), st.Dir(), st.Len())
-	select {
-	case err := <-serveErr:
-		fmt.Fprintln(stderr, err)
-		return 1
-	case <-ctx.Done():
-	}
-	fmt.Fprintf(stdout, "shutting down: draining requests (up to %v)\n", opts.shutdownTimeout)
-	sctx, cancel := context.WithTimeout(context.Background(), opts.shutdownTimeout)
-	defer cancel()
-	code := 0
-	if err := hs.Shutdown(sctx); err != nil {
-		fmt.Fprintln(stderr, err)
-		code = 1
-	}
-	fmt.Fprintln(stdout, "shutdown complete")
-	return code
 }
 
 func main() {
@@ -257,13 +174,9 @@ type options struct {
 	logFormat       string
 	shutdownTimeout time.Duration
 	coordinator     bool
-	standby         bool
 	leaseTTL        time.Duration
 	join            string
 	workerID        string
-	shard           bool
-	storeShards     string
-	storeReplicas   int
 }
 
 // parseOptions parses and validates flags; all validation errors are
@@ -292,18 +205,10 @@ func parseOptions(args []string, stderr io.Writer) (options, error) {
 		"lease simulations to -join workers instead of running them in this process")
 	fs.DurationVar(&opts.leaseTTL, "lease-ttl", dispatch.DefaultLeaseTTL,
 		"worker heartbeat deadline before a leased job is requeued (coordinator mode)")
-	fs.BoolVar(&opts.standby, "standby", false,
-		"start as a warm-spare coordinator: role standby until workers fail over to it (coordinator mode)")
 	fs.StringVar(&opts.join, "join", "",
-		"coordinator URL(s) to join as a simulation worker, comma-separated in failover order")
+		"coordinator URL to join as a simulation worker")
 	fs.StringVar(&opts.workerID, "worker-id", "",
 		"worker name in leases (default hostname-pid; worker mode)")
-	fs.BoolVar(&opts.shard, "shard", false,
-		"serve the -store directory as one shard of a sharded result store (shard protocol only)")
-	fs.StringVar(&opts.storeShards, "store-shards", "",
-		"comma-separated shard URLs; records route over a consistent-hash ring instead of a local -store")
-	fs.IntVar(&opts.storeReplicas, "store-replicas", 0,
-		"copies of every record across -store-shards (default 2, clamped to the shard count)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return options{}, err
@@ -349,49 +254,17 @@ func parseOptions(args []string, stderr io.Writer) (options, error) {
 		if opts.tenantsPath != "" {
 			return options{}, fmt.Errorf("-join workers serve no API (the coordinator authenticates); drop -tenants")
 		}
-		if opts.storeShards != "" {
-			return options{}, fmt.Errorf("-join workers keep no store (the coordinator routes to shards); drop -store-shards")
-		}
-		if len(splitList(opts.join)) == 0 {
+		if strings.Trim(opts.join, " ,") == "" {
 			return options{}, fmt.Errorf("-join must name at least one coordinator URL")
 		}
+		if strings.Contains(opts.join, ",") {
+			return options{}, fmt.Errorf("-join takes one coordinator URL: the comma-separated failover list " +
+				"was removed together with -standby, so give each worker a single coordinator")
+		}
+		opts.join = strings.TrimSpace(opts.join)
 	}
 	if opts.workerID != "" && opts.join == "" {
 		return options{}, fmt.Errorf("-worker-id requires -join")
-	}
-	if opts.standby && !opts.coordinator {
-		return options{}, fmt.Errorf("-standby requires -coordinator (a warm spare is a coordinator)")
-	}
-	if opts.shard {
-		if opts.storeDir == "" {
-			return options{}, fmt.Errorf("-shard requires -store (the shard's record directory)")
-		}
-		if opts.coordinator || opts.join != "" {
-			return options{}, fmt.Errorf("-shard is its own role; drop -coordinator/-join")
-		}
-		if opts.storeShards != "" {
-			return options{}, fmt.Errorf("-store-shards belongs on a front-end; a -shard node holds records")
-		}
-		if opts.tenantsPath != "" {
-			return options{}, fmt.Errorf("-shard nodes serve no public API (the front-end authenticates); drop -tenants")
-		}
-	}
-	if opts.storeReplicas < 0 {
-		return options{}, fmt.Errorf("-store-replicas must be positive (got %d)", opts.storeReplicas)
-	}
-	if opts.storeReplicas > 0 && opts.storeShards == "" {
-		return options{}, fmt.Errorf("-store-replicas requires -store-shards")
-	}
-	if opts.storeShards != "" {
-		if opts.storeDir != "" {
-			return options{}, fmt.Errorf("-store-shards and -store are mutually exclusive (records live on the shard nodes)")
-		}
-		if len(splitList(opts.storeShards)) == 0 {
-			return options{}, fmt.Errorf("-store-shards must name at least one shard URL")
-		}
-		if opts.storeReplicas == 0 {
-			opts.storeReplicas = 2
-		}
 	}
 	return opts, nil
 }
@@ -417,9 +290,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	if opts.join != "" {
 		return runWorker(ctx, opts, scale, stdout, stderr)
-	}
-	if opts.shard {
-		return runShard(ctx, opts, stdout, stderr)
 	}
 	// Coordinator slots bound lease-table occupancy, not local CPU, so
 	// the default is much deeper there.
@@ -464,34 +334,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		cfg.Store = st
 		fmt.Fprintf(stdout, "store: %s (%d records)\n", st.Dir(), st.Len())
 	}
-	// -store-shards swaps the local directory for the consistent-hash
-	// ring: every record routes to -store-replicas shard nodes, and the
-	// repair loop re-replicates onto shards that rejoin.
-	var sharded *store.Sharded
-	if opts.storeShards != "" {
-		sh, err := store.OpenSharded(store.ShardedConfig{
-			Shards:         splitList(opts.storeShards),
-			Replication:    opts.storeReplicas,
-			RepairInterval: 5 * time.Second,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(stdout, format+"\n", args...)
-			},
-		})
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		sharded = sh
-		cfg.Store = sh
-		fmt.Fprintf(stdout, "store: sharded over %d shards, %d replicas per record\n",
-			len(splitList(opts.storeShards)), sh.Replication())
-	}
-	closeSharded := func() {
-		if sharded != nil {
-			sharded.Close()
-		}
-	}
-
 	// Coordinator mode swaps the local worker pool for a lease table:
 	// accepted jobs wait for -join workers instead of simulating here.
 	var coord *dispatch.Coordinator
@@ -501,7 +343,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 				LeaseTTL: opts.leaseTTL,
 				Store:    cfg.Store,
 				Sink:     sink,
-				Standby:  opts.standby,
 			})
 			return coord
 		}
@@ -523,7 +364,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	ln, err := net.Listen("tcp", opts.addr)
 	if err != nil {
 		srv.Close()
-		closeSharded()
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
@@ -532,11 +372,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	go func() { serveErr <- hs.Serve(ln) }()
 	mode := "single-node"
 	if opts.coordinator {
-		role := "coordinator"
-		if opts.standby {
-			role = "standby coordinator"
-		}
-		mode = fmt.Sprintf("%s, lease TTL %v", role, opts.leaseTTL)
+		mode = fmt.Sprintf("coordinator, lease TTL %v", opts.leaseTTL)
 	}
 	auth := "auth off"
 	if reg != nil {
@@ -549,7 +385,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		// The listener died under us: finish in-flight simulations,
 		// abandon the rest, and fail.
 		srv.Shutdown()
-		closeSharded()
 		fmt.Fprintln(stderr, err)
 		return 1
 	case <-ctx.Done():
@@ -572,7 +407,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// resubmit after restart dedups onto it) — but let in-flight ones
 	// finish so no result is half-computed.
 	srv.Shutdown()
-	closeSharded()
 	fmt.Fprintln(stdout, "shutdown complete")
 	return code
 }

@@ -37,17 +37,8 @@ func TestParseOptionsRejectsBadFlags(t *testing.T) {
 		{"negative fair slots", []string{"-fair-slots", "-5"}, "non-negative"},
 		{"bad log format", []string{"-log", "xml"}, "off, text or json"},
 		{"worker with tenants", []string{"-join", "http://x:1", "-tenants", "t.json"}, "drop -tenants"},
-		{"worker with store shards", []string{"-join", "http://x:1", "-store-shards", "http://y:1"}, "drop -store-shards"},
 		{"empty join list", []string{"-join", " , "}, "at least one coordinator URL"},
-		{"standby without coordinator", []string{"-standby"}, "requires -coordinator"},
-		{"shard without store", []string{"-shard"}, "requires -store"},
-		{"shard with coordinator", []string{"-shard", "-store", "./s", "-coordinator"}, "own role"},
-		{"shard with store shards", []string{"-shard", "-store", "./s", "-store-shards", "http://x:1"}, "front-end"},
-		{"shard with tenants", []string{"-shard", "-store", "./s", "-tenants", "t.json"}, "drop -tenants"},
-		{"negative replicas", []string{"-store-replicas", "-1"}, "positive"},
-		{"replicas without shards", []string{"-store-replicas", "2"}, "requires -store-shards"},
-		{"store shards with store", []string{"-store-shards", "http://x:1", "-store", "./s"}, "mutually exclusive"},
-		{"empty shard list", []string{"-store-shards", ","}, "at least one shard URL"},
+		{"join list", []string{"-join", "http://a:1,http://b:1"}, "takes one coordinator URL"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -78,18 +69,6 @@ func TestParseOptionsDefaults(t *testing.T) {
 	}
 	if opts.maxQueue != 0 || opts.fairSlots != 0 || opts.tenantsPath != "" || opts.logFormat != "off" {
 		t.Fatalf("farm defaults wrong: %+v (unbounded queue, derived slots, open access, no log)", opts)
-	}
-	if opts.shard || opts.standby || opts.storeShards != "" || opts.storeReplicas != 0 {
-		t.Fatalf("sharding defaults wrong: %+v (local store, active role must be the zero-flag default)", opts)
-	}
-
-	// With a shard list and no explicit factor, replication defaults on.
-	opts, err = parseOptions([]string{"-store-shards", "http://a:1,http://b:1,http://c:1"}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opts.storeReplicas != 2 {
-		t.Fatalf("store-replicas default = %d, want 2", opts.storeReplicas)
 	}
 }
 
@@ -408,129 +387,5 @@ func TestCoordinatorWorkerSmoke(t *testing.T) {
 	}
 	if !strings.Contains(workerOut.String(), "shutdown complete") {
 		t.Fatalf("worker never drained: %q", workerOut.String())
-	}
-}
-
-// TestShardedStoreSmoke boots the full sharded topology out of the real
-// binary paths: two -shard nodes plus a front-end routing records to
-// them with -store-shards. One quick simulation must land replicated on
-// the shards, be served back by key, and show up in the shard health
-// metrics.
-func TestShardedStoreSmoke(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	// Two shard nodes on their own directories.
-	shardAddrs := make([]string, 2)
-	shardDone := make([]chan int, 2)
-	var shardOut, shardErr [2]syncBuffer
-	for i := range shardAddrs {
-		done := make(chan int, 1)
-		args := []string{"-shard", "-addr", "127.0.0.1:0", "-store", t.TempDir()}
-		out, errBuf := &shardOut[i], &shardErr[i]
-		go func() { done <- run(ctx, args, out, errBuf) }()
-		shardAddrs[i] = waitListen(t, out, errBuf)
-		shardDone[i] = done
-	}
-
-	// The front-end: a plain single-node server whose store is the ring.
-	var out, errBuf syncBuffer
-	frontDone := make(chan int, 1)
-	go func() {
-		frontDone <- run(ctx, []string{
-			"-addr", "127.0.0.1:0", "-scale", "quick", "-parallel", "1",
-			"-store-shards", "http://" + shardAddrs[0] + ",http://" + shardAddrs[1],
-		}, &out, &errBuf)
-	}()
-	addr := waitListen(t, &out, &errBuf)
-	if !strings.Contains(out.String(), "sharded over 2 shards, 2 replicas") {
-		t.Fatalf("sharded store not announced: %q", out.String())
-	}
-
-	body := `{"scenarios":[{"Cores":[{"Workload":"Nutch","Mechanism":"none"}]}]}`
-	resp, err := http.Post("http://"+addr+"/v1/scenarios", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sub struct {
-		Scenarios []struct {
-			Key string `json:"key"`
-		} `json:"scenarios"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&sub)
-	resp.Body.Close()
-	if err != nil || len(sub.Scenarios) != 1 {
-		t.Fatalf("submit: %v %+v", err, sub)
-	}
-	key := sub.Scenarios[0].Key
-
-	deadline := time.Now().Add(120 * time.Second)
-	for {
-		resp, err := http.Get("http://" + addr + "/v1/scenarios/" + key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st struct {
-			Status string `json:"status"`
-			Error  string `json:"error"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Status == "done" {
-			break
-		}
-		if st.Status == "failed" {
-			t.Fatalf("job failed: %s", st.Error)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck at %q; stderr: %q", st.Status, errBuf.String())
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	// Replication 2 over 2 shards: the record must sit on BOTH shard
-	// nodes, reachable over the raw shard protocol.
-	for i, sa := range shardAddrs {
-		resp, err := http.Get("http://" + sa + "/shard/v1/records/" + key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("shard %d does not hold the record (status %d)", i, resp.StatusCode)
-		}
-	}
-
-	// The shard health families are on the front-end's scrape.
-	resp, err = http.Get("http://" + addr + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	metrics, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"shotgun_store_shard_up{", "shotgun_store_shard_records{"} {
-		if !strings.Contains(string(metrics), want) {
-			t.Fatalf("metrics missing %q:\n%s", want, metrics)
-		}
-	}
-
-	cancel()
-	for name, ch := range map[string]chan int{
-		"front-end": frontDone, "shard0": shardDone[0], "shard1": shardDone[1],
-	} {
-		select {
-		case code := <-ch:
-			if code != 0 {
-				t.Fatalf("%s exit code %d", name, code)
-			}
-		case <-time.After(15 * time.Second):
-			t.Fatalf("%s did not shut down", name)
-		}
 	}
 }

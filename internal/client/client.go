@@ -129,17 +129,6 @@ func (c *Client) Heartbeat(ctx context.Context, worker string, keys []string) ([
 	return out.Lost, err
 }
 
-// Register announces worker — and the leases it currently holds — to a
-// coordinator, returning the lease TTL now in force and the keys the
-// coordinator refused to adopt. Workers call it when failing over to a
-// standby so in-flight work survives the takeover without being
-// re-leased to someone else.
-func (c *Client) Register(ctx context.Context, worker string, jobs []LeasedJob) (time.Duration, []string, error) {
-	var out RegisterResponse
-	err := c.do(ctx, http.MethodPost, "/v1/register", RegisterRequest{Worker: worker, Jobs: jobs}, &out)
-	return time.Duration(out.TTLMillis) * time.Millisecond, out.Lost, err
-}
-
 // Complete pushes one finished job (or its failure message) back to
 // the coordinator, reporting whether this push finished the job.
 func (c *Client) Complete(ctx context.Context, worker, key string, res sim.ScenarioResult, errMsg string) (bool, error) {

@@ -216,25 +216,6 @@ type CompleteResponse struct {
 	Accepted bool `json:"accepted"`
 }
 
-// RegisterRequest is POST /v1/register's body: a worker announcing
-// itself — and the leases it currently holds — to a coordinator. Sent
-// on failover so a standby taking over mid-sweep can adopt in-flight
-// work instead of re-leasing it to someone else (which would simulate
-// it twice).
-type RegisterRequest struct {
-	Worker string      `json:"worker"`
-	Jobs   []LeasedJob `json:"jobs,omitempty"`
-}
-
-// RegisterResponse acknowledges the registration: the TTL the adopted
-// leases now run under, and the keys the coordinator refused to adopt
-// (already finished, owned by a live worker, or malformed) — the
-// worker should stop heartbeating those.
-type RegisterResponse struct {
-	TTLMillis int64    `json:"ttl_ms"`
-	Lost      []string `json:"lost,omitempty"`
-}
-
 // WriteError writes the v1 error envelope with the given status and
 // code. Retryability is derived from the code, so handlers cannot
 // disagree with the published table in docs/FARM.md.

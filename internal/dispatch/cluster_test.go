@@ -55,13 +55,6 @@ type cluster struct {
 
 // newCluster boots a coordinator-mode server over st with a fake clock.
 func newCluster(t *testing.T, st *store.Store, clk *fakeTime) *cluster {
-	return newClusterNode(t, st, clk, false)
-}
-
-// newClusterNode is newCluster with the coordinator's role explicit: a
-// standby node is wired identically (same store, own job table) but
-// reports role "standby" until a worker fails over to it.
-func newClusterNode(t *testing.T, st *store.Store, clk *fakeTime, standby bool) *cluster {
 	t.Helper()
 	var coord *dispatch.Coordinator
 	srv := server.New(server.Config{
@@ -75,7 +68,6 @@ func newClusterNode(t *testing.T, st *store.Store, clk *fakeTime, standby bool) 
 				Store:    st,
 				Sink:     sink,
 				Now:      clk.Now,
-				Standby:  standby,
 			})
 			return coord
 		},

@@ -40,10 +40,7 @@ type CoordinatorConfig struct {
 	// DefaultMaxAttempts).
 	MaxAttempts int
 	// Store, when non-nil, persists every record a worker pushes back,
-	// so a restarted cluster serves completed keys without re-leasing —
-	// and lets a standby coordinator recognize already-finished work a
-	// re-registering worker reports. Any Backend works: the local store
-	// or the sharded one.
+	// so a restarted cluster serves completed keys without re-leasing.
 	Store store.Backend
 	// Sink receives job lifecycle events (required).
 	Sink Sink
@@ -57,12 +54,6 @@ type CoordinatorConfig struct {
 	// 0 means LeaseTTL/2; negative disables the ticker (tests drive
 	// Reap directly).
 	ReapEvery time.Duration
-	// Standby marks this coordinator as a warm spare: it serves the
-	// same surface but reports role "standby" until the first worker
-	// registers or leases against it (the takeover signal), at which
-	// point it reports "active". Purely observational — the lease table
-	// behaves identically either way.
-	Standby bool
 }
 
 // task is one job in the lease table.
@@ -77,7 +68,6 @@ type task struct {
 
 // CoordinatorStats counts lease-table traffic since construction.
 type CoordinatorStats struct {
-	Role          string `json:"role"` // "active", or "standby" until takeover
 	Enqueued      uint64 `json:"enqueued"`
 	Leased        uint64 `json:"leased"`
 	Completed     uint64 `json:"completed"`
@@ -85,7 +75,6 @@ type CoordinatorStats struct {
 	Requeued      uint64 `json:"requeued"`
 	Expired       uint64 `json:"expired"` // attempts budget exhausted
 	DupCompletes  uint64 `json:"dup_completes"`
-	Adopted       uint64 `json:"adopted"`   // leases inherited via /v1/register
 	Pending       int    `json:"pending"`   // queued, unleased
 	InFlight      int    `json:"in_flight"` // leased
 	ActiveWorkers int    `json:"active_workers"`
@@ -113,7 +102,6 @@ type Coordinator struct {
 	leased  map[string]*task
 	closed  bool // no new Enqueues
 	halted  bool // no new leases either (abandoning Stop)
-	standby bool // true until the first worker contact (takeover)
 	// lastSeen tracks worker liveness for introspection only; leases,
 	// not this map, decide correctness.
 	lastSeen map[string]time.Time
@@ -135,7 +123,6 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		st:          cfg.Store,
 		sink:        cfg.Sink,
 		now:         cfg.Now,
-		standby:     cfg.Standby,
 		leased:      make(map[string]*task),
 		lastSeen:    make(map[string]time.Time),
 		reapStop:    make(chan struct{}),
@@ -194,10 +181,8 @@ func (c *Coordinator) Reap() {
 
 // Enqueue implements Executor: the job joins the lease table's FIFO.
 // It is idempotent per key: enqueueing a key that is already pending or
-// leased is a no-op success. A standby taking over a sweep sees both
-// orders — worker re-registration adopting a lease before the sweep is
-// resubmitted, or after — and either way the key must end up in the
-// table exactly once.
+// leased is a no-op success, so a key is in the table at most once and
+// is never leased to two workers at the same time.
 func (c *Coordinator) Enqueue(key string, sc sim.Scenario) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -316,89 +301,6 @@ func (c *Coordinator) reapLocked(now time.Time) []sinkEvent {
 	return events
 }
 
-// touchWorkerLocked records worker liveness — and, on a standby, marks
-// the takeover: the first worker that talks to this coordinator is the
-// signal that the fleet has failed over to it.
-func (c *Coordinator) touchWorkerLocked(worker string, now time.Time) {
-	c.lastSeen[worker] = now
-	c.standby = false
-}
-
-// RegisterWorker adopts a (re-)registering worker's in-flight leases,
-// returning the keys it refused — already finished, owned by another
-// live worker, or malformed — which the worker should stop working on.
-// This is the HA handshake: a worker failing over to a standby calls
-// it with everything it holds BEFORE switching its traffic, so the
-// standby's table knows the work is in flight and a concurrent sweep
-// resubmission dedups onto the adopted lease instead of re-leasing the
-// key to someone else (which would simulate it twice).
-func (c *Coordinator) RegisterWorker(worker string, jobs []LeasedJob) (lost []string) {
-	// Store lookups happen before taking the table lock: GetKey does
-	// disk IO (or, sharded, HTTP), and the table lock must never wait on
-	// either. The small race this opens — a job finishing between the
-	// check and the adoption — only adopts a lease whose Complete will
-	// arrive momentarily, never a duplicate simulation.
-	done := make(map[string]bool, len(jobs))
-	if c.st != nil {
-		for _, jb := range jobs {
-			if _, ok := c.st.GetKey(jb.Key); ok {
-				done[jb.Key] = true
-			}
-		}
-	}
-	now := c.now()
-	c.mu.Lock()
-	events := c.reapLocked(now)
-	c.touchWorkerLocked(worker, now)
-	for _, jb := range jobs {
-		if t, ok := c.leased[jb.Key]; ok {
-			if t.worker == worker {
-				t.expiry = now.Add(c.ttl) // already ours: a renewal
-			} else {
-				lost = append(lost, jb.Key) // live owner elsewhere; Complete dedups
-			}
-			continue
-		}
-		// The key must really address the scenario the worker claims to
-		// be simulating — an adopted lease lands in the same table as
-		// validated submissions.
-		norm, _ := jb.Scenario.NormalizedPerm()
-		if jb.Key == "" || len(jb.Scenario.Cores) == 0 || store.ScenarioKey(norm) != jb.Key {
-			lost = append(lost, jb.Key)
-			continue
-		}
-		// Pending here (the sweep was resubmitted before the worker made
-		// contact): adopt the queued task rather than queueing a twin.
-		var t *task
-		for i, p := range c.pending {
-			if p.key == jb.Key {
-				t = p
-				c.pending = append(c.pending[:i], c.pending[i+1:]...)
-				break
-			}
-		}
-		if t == nil {
-			if done[jb.Key] {
-				lost = append(lost, jb.Key) // finished before the failover
-				continue
-			}
-			if c.closed || len(c.pending)+len(c.leased) >= c.depth {
-				lost = append(lost, jb.Key)
-				continue
-			}
-			t = &task{key: jb.Key, sc: jb.Scenario}
-		}
-		t.worker = worker
-		t.expiry = now.Add(c.ttl)
-		c.leased[jb.Key] = t
-		c.stats.Adopted++
-		events = append(events, sinkEvent{kind: "running", key: jb.Key})
-	}
-	c.mu.Unlock()
-	c.emit(events)
-	return lost
-}
-
 // Lease hands up to max queued jobs to a worker, each owned until
 // now+TTL unless heartbeated. Returns the granted jobs and the TTL the
 // worker must beat.
@@ -412,7 +314,7 @@ func (c *Coordinator) Lease(worker string, max int) ([]LeasedJob, time.Duration)
 	now := c.now()
 	c.mu.Lock()
 	events := c.reapLocked(now)
-	c.touchWorkerLocked(worker, now)
+	c.lastSeen[worker] = now
 	var jobs []LeasedJob
 	if !c.halted {
 		for len(jobs) < max && len(c.pending) > 0 {
@@ -438,7 +340,7 @@ func (c *Coordinator) Heartbeat(worker string, keys []string) (lost []string) {
 	now := c.now()
 	c.mu.Lock()
 	events := c.reapLocked(now)
-	c.touchWorkerLocked(worker, now)
+	c.lastSeen[worker] = now
 	for _, key := range keys {
 		if t, ok := c.leased[key]; ok && t.worker == worker {
 			t.expiry = now.Add(c.ttl)
@@ -461,7 +363,7 @@ func (c *Coordinator) Complete(worker, key string, res sim.ScenarioResult, errMs
 	now := c.now()
 	c.mu.Lock()
 	events := c.reapLocked(now)
-	c.touchWorkerLocked(worker, now)
+	c.lastSeen[worker] = now
 	t, ok := c.leased[key]
 	if ok {
 		delete(c.leased, key)
@@ -522,10 +424,6 @@ func (c *Coordinator) Stats() CoordinatorStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.stats
-	s.Role = "active"
-	if c.standby {
-		s.Role = "standby"
-	}
 	s.Pending = len(c.pending)
 	s.InFlight = len(c.leased)
 	for _, seen := range c.lastSeen {
@@ -552,7 +450,6 @@ func (c *Coordinator) Register(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/lease", c.handleLease)
 	mux.HandleFunc("POST /v1/heartbeat", c.handleHeartbeat)
 	mux.HandleFunc("POST /v1/complete", c.handleComplete)
-	mux.HandleFunc("POST /v1/register", c.handleRegister)
 	mux.HandleFunc("GET /v1/cluster", c.handleStats)
 }
 
@@ -626,35 +523,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	client.WriteJSON(w, client.CompleteResponse{Accepted: accepted})
 }
 
-func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
-	var req client.RegisterRequest
-	if !decodeInto(w, r, &req) {
-		return
-	}
-	if !validWorker(w, req.Worker) {
-		return
-	}
-	if len(req.Jobs) > c.depth {
-		client.WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest,
-			"register with %d jobs exceeds the %d-deep table", len(req.Jobs), c.depth)
-		return
-	}
-	lost := c.RegisterWorker(req.Worker, req.Jobs)
-	client.WriteJSON(w, client.RegisterResponse{TTLMillis: c.ttl.Milliseconds(), Lost: lost})
-}
-
-// clusterView is GET /v1/cluster's body: the lease-table stats plus,
-// when the result store is sharded, per-shard health. The shard probe
-// happens outside any coordinator lock.
-type clusterView struct {
-	CoordinatorStats
-	Shards []store.ShardHealth `json:"shards,omitempty"`
-}
-
+// handleStats answers GET /v1/cluster with the lease-table stats.
 func (c *Coordinator) handleStats(w http.ResponseWriter, _ *http.Request) {
-	view := clusterView{CoordinatorStats: c.Stats()}
-	if sh, ok := c.st.(*store.Sharded); ok {
-		view.Shards = sh.Health()
-	}
-	client.WriteJSON(w, view)
+	client.WriteJSON(w, c.Stats())
 }

@@ -2,7 +2,6 @@ package dispatch
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -16,16 +15,9 @@ import (
 
 // WorkerConfig parameterizes a Worker.
 type WorkerConfig struct {
-	// Coordinator is the coordinator's base URL (required unless
-	// Coordinators is set), e.g. "http://10.0.0.1:8080".
+	// Coordinator is the coordinator's base URL (required), e.g.
+	// "http://10.0.0.1:8080".
 	Coordinator string
-	// Coordinators, when set, is the full failover list — primary
-	// first, then standbys in preference order. The worker talks to one
-	// at a time and fails over down the list (wrapping) when the active
-	// coordinator stops answering, re-registering its in-flight leases
-	// with the successor BEFORE routing traffic to it so a takeover
-	// never re-leases work this worker is already simulating.
-	Coordinators []string
 	// ID names this worker in leases; default "<hostname>-<pid>".
 	ID string
 	// Runner executes leased scenarios (required). Its memo still
@@ -41,18 +33,10 @@ type WorkerConfig struct {
 	// Concurrency is how many leased jobs simulate at once (default 1).
 	Concurrency int
 	// OnLease, when non-nil, observes every granted lease before
-	// simulation starts (tests use it to kill a worker — or a
-	// coordinator — mid-lease).
+	// simulation starts (tests use it to kill a worker mid-lease).
 	OnLease func(keys []string)
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
-}
-
-// endpoint is one coordinator the worker can talk to.
-type endpoint struct {
-	url  string
-	poll *client.Client // lease + heartbeat: no retry, the loop polls
-	push *client.Client // complete/register: retried, 4xx gives up immediately
 }
 
 // Worker is the -join side of the cluster: an endless lease → simulate
@@ -60,34 +44,19 @@ type endpoint struct {
 // coordinator cannot reconstruct — killing a worker at any point loses
 // at most the work in flight, which the lease TTL returns to the queue.
 //
-// The inverse failure — the COORDINATOR dying under a live worker — is
-// what the failover list covers: the worker keeps an inflight map of
-// the leases it holds, and when the active coordinator stops answering
-// it registers that map with the next coordinator on the list before
-// sending it any other traffic. The standby adopts the leases, so the
-// in-flight simulations complete exactly once instead of being
-// re-leased and redone.
-//
-// All coordinator traffic goes through one internal/client.Client per
-// endpoint: polls (lease, heartbeat) never retry — the loop itself is
-// the retry — while completions retry twice, since a lost completion
-// costs a whole re-simulation after lease expiry.
+// Coordinator traffic goes through two internal/client.Clients: polls
+// (lease, heartbeat) never retry — the loop itself is the retry — while
+// completions retry twice, since a lost completion costs a whole
+// re-simulation after lease expiry.
 type Worker struct {
-	cfg WorkerConfig
-	eps []endpoint
-
-	mu       sync.Mutex
-	active   int // index into eps; changes only under mu
-	inflight map[string]LeasedJob
+	cfg  WorkerConfig
+	poll *client.Client // lease + heartbeat: no retry, the loop polls
+	push *client.Client // complete: retried, 4xx gives up immediately
 }
 
 // NewWorker validates the config and applies defaults.
 func NewWorker(cfg WorkerConfig) (*Worker, error) {
-	urls := cfg.Coordinators
-	if len(urls) == 0 && cfg.Coordinator != "" {
-		urls = []string{cfg.Coordinator}
-	}
-	if len(urls) == 0 {
+	if cfg.Coordinator == "" {
 		return nil, fmt.Errorf("dispatch: worker needs a coordinator URL")
 	}
 	if cfg.Runner == nil {
@@ -116,133 +85,15 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		cfg.Logf = func(string, ...any) {}
 	}
 	opts := []client.Option{client.WithHTTPClient(cfg.Client), client.WithAPIKey(cfg.APIKey)}
-	w := &Worker{cfg: cfg, inflight: make(map[string]LeasedJob)}
-	for _, u := range urls {
-		w.eps = append(w.eps, endpoint{
-			url:  u,
-			poll: client.New(u, append(opts, client.WithRetries(0))...),
-			push: client.New(u, append(opts, client.WithRetries(2))...),
-		})
-	}
-	return w, nil
+	return &Worker{
+		cfg:  cfg,
+		poll: client.New(cfg.Coordinator, append(opts, client.WithRetries(0))...),
+		push: client.New(cfg.Coordinator, append(opts, client.WithRetries(2))...),
+	}, nil
 }
 
 // ID returns the worker's lease name.
 func (w *Worker) ID() string { return w.cfg.ID }
-
-// Coordinator returns the URL of the coordinator currently receiving
-// this worker's traffic.
-func (w *Worker) Coordinator() string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.eps[w.active].url
-}
-
-// current returns the active endpoint and its index.
-func (w *Worker) current() (endpoint, int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.eps[w.active], w.active
-}
-
-// coordinatorDown classifies an error as "the coordinator is gone"
-// (transport failure or 5xx) as opposed to a deterministic rejection a
-// different coordinator would repeat.
-func coordinatorDown(err error) bool {
-	var ae *client.APIError
-	if errors.As(err, &ae) {
-		return ae.Status >= 500
-	}
-	return true // transport error: connection refused, timeout, ...
-}
-
-// failover moves traffic to the next answering coordinator on the
-// list, re-registering this worker's in-flight leases with it first.
-// from is the endpoint index the caller saw fail; if another goroutine
-// already moved on, failover is a no-op. Reports whether an endpoint
-// is active (possibly a new one).
-func (w *Worker) failover(from int) bool {
-	if len(w.eps) == 1 {
-		return false
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.active != from {
-		return true // a concurrent call already failed over
-	}
-	jobs := make([]LeasedJob, 0, len(w.inflight))
-	for _, jb := range w.inflight {
-		jobs = append(jobs, jb)
-	}
-	for i := 1; i < len(w.eps); i++ {
-		cand := (from + i) % len(w.eps)
-		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		_, lost, err := w.eps[cand].push.Register(ctx, w.cfg.ID, jobs)
-		cancel()
-		if err != nil {
-			w.cfg.Logf("worker %s: coordinator %s unreachable: %v", w.cfg.ID, w.eps[cand].url, err)
-			continue
-		}
-		w.active = cand
-		w.cfg.Logf("worker %s: failed over to %s (%d leases re-registered, %d refused)",
-			w.cfg.ID, w.eps[cand].url, len(jobs)-len(lost), len(lost))
-		return true
-	}
-	w.cfg.Logf("worker %s: no coordinator answering; staying on %s", w.cfg.ID, w.eps[from].url)
-	return false
-}
-
-// track/untrack maintain the inflight map the failover handshake
-// re-registers.
-func (w *Worker) track(jb LeasedJob) {
-	w.mu.Lock()
-	w.inflight[jb.Key] = jb
-	w.mu.Unlock()
-}
-
-func (w *Worker) untrack(key string) {
-	w.mu.Lock()
-	delete(w.inflight, key)
-	w.mu.Unlock()
-}
-
-// lease, heartbeat and complete wrap the client calls with the
-// failover policy: a call that fails because the coordinator is down
-// triggers failover and returns the error — the caller's own loop (or
-// one explicit retry, for completions) takes it from there.
-
-func (w *Worker) lease(ctx context.Context, max int) ([]LeasedJob, time.Duration, error) {
-	ep, idx := w.current()
-	jobs, ttl, err := ep.poll.Lease(ctx, w.cfg.ID, max)
-	if err != nil && ctx.Err() == nil && coordinatorDown(err) {
-		w.failover(idx)
-	}
-	return jobs, ttl, err
-}
-
-func (w *Worker) heartbeat(ctx context.Context, keys []string) ([]string, error) {
-	ep, idx := w.current()
-	lost, err := ep.poll.Heartbeat(ctx, w.cfg.ID, keys)
-	if err != nil && ctx.Err() == nil && coordinatorDown(err) {
-		w.failover(idx)
-	}
-	return lost, err
-}
-
-func (w *Worker) complete(ctx context.Context, key string, res sim.ScenarioResult, errMsg string) (bool, error) {
-	ep, idx := w.current()
-	ok, err := ep.push.Complete(ctx, w.cfg.ID, key, res, errMsg)
-	if err != nil && ctx.Err() == nil && coordinatorDown(err) {
-		if w.failover(idx) {
-			// The standby adopted this lease during registration; push
-			// the finished result there rather than letting the lease
-			// expire and the whole simulation be redone.
-			ep, _ = w.current()
-			return ep.push.Complete(ctx, w.cfg.ID, key, res, errMsg)
-		}
-	}
-	return ok, err
-}
 
 // Run leases and executes jobs until ctx is canceled. In-flight
 // simulations finish and push their results (their completions use
@@ -255,14 +106,14 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	var wg sync.WaitGroup
 	defer wg.Wait()
-	w.cfg.Logf("worker %s: joined %s", w.cfg.ID, w.Coordinator())
+	w.cfg.Logf("worker %s: joined %s", w.cfg.ID, w.cfg.Coordinator)
 	for {
 		select {
 		case <-ctx.Done():
 			return nil
 		case <-slots:
 		}
-		jobs, ttl, err := w.lease(ctx, 1)
+		jobs, ttl, err := w.poll.Lease(ctx, w.cfg.ID, 1)
 		if err != nil {
 			slots <- struct{}{}
 			if ctx.Err() != nil {
@@ -282,7 +133,6 @@ func (w *Worker) Run(ctx context.Context) error {
 			continue
 		}
 		jb := jobs[0]
-		w.track(jb)
 		if w.cfg.OnLease != nil {
 			w.cfg.OnLease([]string{jb.Key})
 		}
@@ -290,7 +140,6 @@ func (w *Worker) Run(ctx context.Context) error {
 			// Killed between lease and simulation: abandon the lease
 			// (the TTL will requeue it) rather than start work the
 			// shutdown would only have to wait for.
-			w.untrack(jb.Key)
 			slots <- struct{}{}
 			return nil
 		}
@@ -306,7 +155,6 @@ func (w *Worker) Run(ctx context.Context) error {
 // runJob simulates one leased scenario, heartbeating at a third of the
 // TTL, and pushes the record (or the panic message) back.
 func (w *Worker) runJob(jb LeasedJob, ttl time.Duration) {
-	defer w.untrack(jb.Key)
 	stop := make(chan struct{})
 	defer close(stop)
 	go w.heartbeatLoop(jb.Key, ttl, stop)
@@ -317,7 +165,7 @@ func (w *Worker) runJob(jb LeasedJob, ttl time.Duration) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	if _, err := w.complete(ctx, jb.Key, res, errMsg); err != nil {
+	if _, err := w.push.Complete(ctx, w.cfg.ID, jb.Key, res, errMsg); err != nil {
 		// The lease will expire and another worker will redo the job;
 		// nothing else to do from here.
 		w.cfg.Logf("worker %s: push %s back: %v", w.cfg.ID, jb.Key, err)
@@ -353,7 +201,7 @@ func (w *Worker) heartbeatLoop(key string, ttl time.Duration, stop <-chan struct
 		case <-stop:
 			return
 		case <-tick.C:
-			lost, err := w.heartbeat(context.Background(), []string{key})
+			lost, err := w.poll.Heartbeat(context.Background(), w.cfg.ID, []string{key})
 			if err != nil {
 				w.cfg.Logf("worker %s: heartbeat %s: %v", w.cfg.ID, key, err)
 				continue

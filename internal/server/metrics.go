@@ -12,8 +12,6 @@ import (
 	"net/http"
 	"sort"
 	"strings"
-
-	"shotgun/internal/store"
 )
 
 // promEscape escapes a label value per the exposition format.
@@ -110,24 +108,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		p.sample("shotgun_store_puts_total", st.Puts)
 		p.family("shotgun_store_records", "Records currently indexed by the store.", "gauge")
 		p.sample("shotgun_store_records", uint64(st.Records))
-
-		// Sharded backend: one health row per shard, so a dead shard
-		// shows up on the dashboard before a read ever misses.
-		if sh, ok := s.st.(*store.Sharded); ok {
-			health := sh.Health()
-			p.family("shotgun_store_shard_up", "Shard reachability (1 up, 0 down), per shard URL.", "gauge")
-			for _, h := range health {
-				up := uint64(0)
-				if h.Up {
-					up = 1
-				}
-				fmt.Fprintf(&p.b, "shotgun_store_shard_up{shard=%q} %d\n", promEscape(h.URL), up)
-			}
-			p.family("shotgun_store_shard_records", "Records held per shard (-1 when unreachable).", "gauge")
-			for _, h := range health {
-				fmt.Fprintf(&p.b, "shotgun_store_shard_records{shard=%q} %d\n", promEscape(h.URL), h.Records)
-			}
-		}
 	}
 
 	if s.clusterStats != nil {

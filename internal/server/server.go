@@ -91,8 +91,8 @@ type Config struct {
 	// Workers sizes the simulation pool (values below 1 mean 1).
 	Workers int
 	// Store, when non-nil, persists results across restarts and is
-	// consulted before simulating. Any store.Backend works: the local
-	// on-disk store, or the sharded replicated one (-store-shards).
+	// consulted before simulating. Any store.Backend works: the on-disk
+	// store, or a decorator around it.
 	Store store.Backend
 	// MaxQueue bounds jobs waiting in the fair-share queue across all
 	// tenants; past it submissions shed with 503 + Retry-After. 0

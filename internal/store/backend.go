@@ -5,22 +5,9 @@ import "shotgun/internal/sim"
 // Backend is the result-store contract every consumer programs
 // against: the harness runner's persistence hook, the HTTP server's
 // poll-by-key fallback, and the coordinator's completed-work sink all
-// take a Backend, never a concrete store.
-//
-// Two implementations exist:
-//
-//   - *Store — the classic single-node on-disk store. The zero-flag
-//     server is exactly this: one shard, no replication.
-//   - *Sharded — a consistent-hash ring over the SHA-256 scenario-key
-//     space routing every record to K replica shards over HTTP (each
-//     shard is a *Store behind a ShardServer). Reads fall through
-//     replicas, writes go to all K successors, and background
-//     re-replication restores the replication factor after a shard
-//     rejoins.
-//
-// Both speak the same content-key identity (ScenarioKey over the
-// canonical scenario encoding), so a deployment can move between them
-// without re-keying anything.
+// take a Backend, never a concrete store. *Store, the on-disk store,
+// is the one implementation here; the interface is the seam a caller
+// decorates (the benchmark wraps it to time every get and put).
 type Backend interface {
 	// GetScenario returns the stored result for a scenario (any core
 	// permutation of a stored identity hits), mapped to the caller's
@@ -30,19 +17,15 @@ type Backend interface {
 	PutScenario(sc sim.Scenario, res sim.ScenarioResult) error
 	// GetKey returns the full record under a raw content key.
 	GetKey(key string) (Record, bool)
-	// Len returns how many records the backend currently holds (for a
-	// sharded backend: the distinct-key union across reachable shards).
+	// Len returns how many records the backend currently holds.
 	Len() int
 	// Stats snapshots the backend's traffic counters.
 	Stats() Stats
 }
 
-// The compile-time seams: both backends satisfy the contract (and
+// The compile-time seam: the store satisfies the contract (and
 // therefore harness.ResultStore, which is a subset).
-var (
-	_ Backend = (*Store)(nil)
-	_ Backend = (*Sharded)(nil)
-)
+var _ Backend = (*Store)(nil)
 
 // Real reports whether b is a usable backend: a non-nil interface
 // holding a non-nil implementation. Callers that accept an optional
@@ -53,8 +36,6 @@ func Real(b Backend) bool {
 	case nil:
 		return false
 	case *Store:
-		return v != nil
-	case *Sharded:
 		return v != nil
 	default:
 		return true

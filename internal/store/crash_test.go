@@ -79,7 +79,7 @@ func TestCrashBetweenRecordAndIndex(t *testing.T) {
 	// "Crash" mid-put of a second record: write exactly the bytes
 	// put would have written, then never touch the key set.
 	orphan := sim.SingleCore(testConfig("DB2"))
-	rec, err := NewRecord(orphan, sim.ScenarioResult{Cores: []sim.Result{fakeResult("DB2", 2)}})
+	rec, err := newRecord(orphan, sim.ScenarioResult{Cores: []sim.Result{fakeResult("DB2", 2)}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,9 +14,10 @@
 // The records directory is the only index: Open lists it without
 // reading any record. Records are written to a temp file and renamed
 // into place, so readers never observe a partial record; a record that
-// is nevertheless unreadable (truncated by a crash, hand-edited, wrong
-// version) is dropped on first access and treated as a miss. An older
-// build's index.json is neither read nor removed.
+// is nevertheless untrustworthy (truncated by a crash, wrong version,
+// or a scenario that no longer hashes to its file name) is dropped on
+// first access and treated as a miss. An older build's index.json is
+// neither read nor removed.
 package store
 
 import (
@@ -66,9 +67,7 @@ func ScenarioKey(sc sim.Scenario) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Record is the on-disk form of one cached simulation — and the wire
-// form the shard protocol ships between store nodes, so a replicated
-// record is byte-identical to a locally written one.
+// Record is the on-disk form of one cached simulation.
 type Record struct {
 	Version  int                `json:"version"`
 	Key      string             `json:"key"`
@@ -76,13 +75,12 @@ type Record struct {
 	Result   sim.ScenarioResult `json:"result"`
 }
 
-// NewRecord canonicalizes one scenario result into its Record: the
+// newRecord canonicalizes one scenario result into its Record: the
 // scenario is normalized (canonical core order), the results are
 // permuted to match, and the key is the content address of the
-// canonical form. Every writer — the local store and the sharded
-// backend — builds records here, so placement and on-disk bytes can
-// never disagree about identity.
-func NewRecord(sc sim.Scenario, res sim.ScenarioResult) (Record, error) {
+// canonical form. The store writes records built here only, so a
+// record's file name and its bytes can never disagree about identity.
+func newRecord(sc sim.Scenario, res sim.ScenarioResult) (Record, error) {
 	norm, perm := sc.NormalizedPerm()
 	if len(res.Cores) != len(norm.Cores) {
 		return Record{}, fmt.Errorf("store: %d results for %d cores", len(res.Cores), len(norm.Cores))
@@ -97,8 +95,8 @@ func NewRecord(sc sim.Scenario, res sim.ScenarioResult) (Record, error) {
 
 // validRecord reports whether a decoded record can be trusted: right
 // generation, internally consistent shape, and a key that matches the
-// scenario it claims to cache (a shard must not accept a poisoned
-// record under someone else's address).
+// scenario it claims to cache (an edited or copied record must not be
+// served under someone else's address).
 func validRecord(rec Record) bool {
 	if rec.Version != FormatVersion ||
 		len(rec.Scenario.Cores) == 0 || len(rec.Result.Cores) != len(rec.Scenario.Cores) {
@@ -116,7 +114,7 @@ type Stats struct {
 	// caller; only persistence was lost).
 	PutErrors uint64
 	// CorruptDropped counts records removed because they were
-	// unreadable or carried the wrong version/key.
+	// unreadable, carried the wrong version, or failed the key check.
 	CorruptDropped uint64
 	// Records is the current number of record files (an unreadable one
 	// counts until a read drops it).
@@ -192,16 +190,16 @@ func (s *Store) recordPath(key string) string {
 	return filepath.Join(s.dir, recordsDir, key+".json")
 }
 
-// load reads and validates one record, removing it (corruption
-// recovery) if it cannot be trusted.
+// load reads one record and validates it with validRecord plus the
+// file-name check, removing it (corruption recovery) if it cannot be
+// trusted. Every read goes through here, so one check guards them all.
 func (s *Store) load(key string) (Record, bool) {
 	raw, err := os.ReadFile(s.recordPath(key))
 	if err != nil {
 		return Record{}, false
 	}
 	var rec Record
-	if json.Unmarshal(raw, &rec) != nil || rec.Version != FormatVersion || rec.Key != key ||
-		len(rec.Scenario.Cores) == 0 || len(rec.Result.Cores) != len(rec.Scenario.Cores) {
+	if json.Unmarshal(raw, &rec) != nil || rec.Key != key || !validRecord(rec) {
 		s.drop(key)
 		return Record{}, false
 	}
@@ -264,10 +262,9 @@ func (s *Store) PutScenario(sc sim.Scenario, res sim.ScenarioResult) error {
 // put canonicalizes one result into its record — results land in
 // canonical core order, matching the canonical scenario the record
 // carries (the caller may hold any permutation) — writes the record
-// file, then adds its key. Every local and replicated write ends here,
-// so a replicated record is byte-identical to a locally computed one.
+// file, then adds its key.
 func (s *Store) put(sc sim.Scenario, res sim.ScenarioResult) error {
-	rec, err := NewRecord(sc, res)
+	rec, err := newRecord(sc, res)
 	if err != nil {
 		return err
 	}
@@ -284,39 +281,11 @@ func (s *Store) put(sc sim.Scenario, res sim.ScenarioResult) error {
 	return nil
 }
 
-// PutRecord persists a record received from another node (the shard
-// replication path). The record is validated — generation, shape, and
-// key-matches-scenario — before it can land under its claimed address,
-// then written through the same canonical path PutScenario uses.
-func (s *Store) PutRecord(rec Record) error {
-	if !validRecord(rec) {
-		s.putErrors.Add(1)
-		return fmt.Errorf("store: record %q failed validation (version/shape/key mismatch)", rec.Key)
-	}
-	// Normalize defensively: a valid record is already canonical, so
-	// this is the identity transform, but it keeps a semi-canonical
-	// input from writing non-canonical bytes.
-	return s.PutScenario(rec.Scenario, rec.Result)
-}
-
 // Len returns the number of record files.
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.keys)
-}
-
-// Keys returns the record keys, sorted (the shard protocol's
-// key-listing endpoint; deterministic for tests and diffs).
-func (s *Store) Keys() []string {
-	s.mu.RLock()
-	keys := make([]string, 0, len(s.keys))
-	for k := range s.keys {
-		keys = append(keys, k)
-	}
-	s.mu.RUnlock()
-	sort.Strings(keys)
-	return keys
 }
 
 // Stats returns a snapshot of the traffic counters.

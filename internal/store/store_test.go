@@ -1,9 +1,12 @@
 package store
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -203,6 +206,47 @@ func TestKeyMismatchDropped(t *testing.T) {
 	}
 	if _, ok := s.GetKey("0000beef"); ok {
 		t.Fatal("served a record under the wrong key")
+	}
+}
+
+// TestEditedScenarioDropped edits a stored record's scenario (Nutch
+// becomes Oracle) and leaves its key and file name as they were. The
+// key no longer addresses the body, so the read must drop the record
+// rather than serve a result under the wrong scenario.
+func TestEditedScenarioDropped(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig("Nutch")
+	if err := s.Put(cfg, fakeResult("Nutch", 5)); err != nil {
+		t.Fatal(err)
+	}
+	key := ScenarioKey(sim.SingleCore(cfg))
+	raw, err := os.ReadFile(s.recordPath(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec Record
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		t.Fatal(err)
+	}
+	rec.Scenario.Cores[0].Workload = "Oracle"
+	edited, err := json.MarshalIndent(rec, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(s.recordPath(key), edited, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.GetKey(key); ok {
+		t.Fatalf("served an edited record: workload %s", got.Scenario.Cores[0].Workload)
+	}
+	if _, err := os.Stat(s.recordPath(key)); !os.IsNotExist(err) {
+		t.Fatal("edited record not removed")
+	}
+	if st := s.Stats(); st.CorruptDropped != 1 || st.Records != 0 {
+		t.Fatalf("stats %+v, want 1 corrupt-dropped / 0 records", st)
 	}
 }
 
@@ -477,8 +521,11 @@ func TestLayoutIsVersionAndRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if keys := s.Keys(); len(recs) != 1 || len(keys) != 1 || recs[0].Name() != keys[0]+".json" {
-		t.Fatalf("records/ holds %v, want the one surviving record", recs)
+	if len(recs) != 1 || s.Len() != 1 {
+		t.Fatalf("records/ holds %v (store lists %d), want the one surviving record", recs, s.Len())
+	}
+	if _, ok := s.GetKey(strings.TrimSuffix(recs[0].Name(), ".json")); !ok {
+		t.Fatalf("records/ file %s is not the surviving record", recs[0].Name())
 	}
 }
 
@@ -523,5 +570,105 @@ func TestOpenIgnoresStaleIndexFile(t *testing.T) {
 	}
 	if raw, err := os.ReadFile(indexPath); err != nil || string(raw) != stale {
 		t.Fatalf("stale index.json changed: err=%v", err)
+	}
+}
+
+// TestBackendReal pins the typed-nil normalization: an optional Backend
+// field holding a typed-nil *Store must read as absent, while any other
+// implementation (a decorator, say) counts as usable.
+func TestBackendReal(t *testing.T) {
+	var nilStore *Store
+	if Real(nil) || Real(nilStore) {
+		t.Fatal("nil backends reported usable")
+	}
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !Real(st) {
+		t.Fatal("real store reported unusable")
+	}
+	if !Real(struct{ Backend }{st}) {
+		t.Fatal("decorated store reported unusable")
+	}
+}
+
+// TestOpenErrorPaths opens roots that cannot hold a store: the root or
+// its records directory is a regular file, or VERSION is a directory.
+// Each must fail with an error, not panic or half-open.
+func TestOpenErrorPaths(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		setup func(dir string) error
+	}{
+		{"root is a file", func(dir string) error {
+			return os.WriteFile(filepath.Join(dir, "root"), nil, 0o644)
+		}},
+		{"records is a file", func(dir string) error {
+			if err := os.Mkdir(filepath.Join(dir, "root"), 0o755); err != nil {
+				return err
+			}
+			return os.WriteFile(filepath.Join(dir, "root", "records"), nil, 0o644)
+		}},
+		{"VERSION is a directory", func(dir string) error {
+			return os.MkdirAll(filepath.Join(dir, "root", "VERSION"), 0o755)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := tc.setup(dir); err != nil {
+				t.Fatal(err)
+			}
+			if s, err := Open(filepath.Join(dir, "root")); err == nil {
+				t.Fatalf("Open succeeded: %+v", s)
+			}
+		})
+	}
+}
+
+// TestWriteFileAtomicErrors fails the temp-file creation (missing
+// directory) and the rename (the target is a non-empty directory). Both
+// must report an error and leave no temp file behind.
+func TestWriteFileAtomicErrors(t *testing.T) {
+	dir := t.TempDir()
+	if err := writeFileAtomic(filepath.Join(dir, "missing", "f"), []byte("x")); err == nil {
+		t.Fatal("write into a missing directory succeeded")
+	}
+	target := filepath.Join(dir, "target")
+	if err := os.MkdirAll(filepath.Join(target, "child"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFileAtomic(target, []byte("x")); err == nil {
+		t.Fatal("rename over a non-empty directory succeeded")
+	}
+	left, err := filepath.Glob(filepath.Join(dir, ".tmp-*"))
+	if err != nil || len(left) != 0 {
+		t.Fatalf("temp files left behind: %v (%v)", left, err)
+	}
+}
+
+// TestPutErrorsCounted fails a put two ways, a result whose core count
+// does not match the scenario and a records directory that is gone, and
+// checks that each failure is returned and counted, never stored.
+func TestPutErrorsCounted(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := sim.SingleCore(testConfig("Nutch"))
+	if err := s.PutScenario(sc, sim.ScenarioResult{}); err == nil {
+		t.Fatal("put of a zero-core result succeeded")
+	}
+	if err := os.RemoveAll(filepath.Join(dir, "records")); err != nil {
+		t.Fatal(err)
+	}
+	err = s.Put(testConfig("Nutch"), fakeResult("Nutch", 5))
+	var pe *os.PathError
+	if !errors.As(err, &pe) {
+		t.Fatalf("put into a missing records directory: err %v, want a path error", err)
+	}
+	if st := s.Stats(); st.PutErrors != 2 || st.Puts != 0 || st.Records != 0 {
+		t.Fatalf("stats %+v, want 2 put errors and nothing stored", st)
 	}
 }
