@@ -28,7 +28,8 @@ type WorkerConfig struct {
 	// APIKey, when set, authenticates against a coordinator running
 	// with tenancy enabled.
 	APIKey string
-	// Poll is the idle wait between empty leases (default 500ms).
+	// Poll is the idle wait between empty leases (default 500ms). Failed
+	// leases back off from Poll, doubling up to 32×Poll.
 	Poll time.Duration
 	// Concurrency is how many leased jobs simulate at once (default 1).
 	Concurrency int
@@ -95,10 +96,24 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 // ID returns the worker's lease name.
 func (w *Worker) ID() string { return w.cfg.ID }
 
+// maxLeaseBackoff caps the wait after failed leases, in units of Poll.
+const maxLeaseBackoff = 32
+
+// nextLeaseWait doubles the wait after a failed lease, capped at
+// maxLeaseBackoff×poll.
+func nextLeaseWait(wait, poll time.Duration) time.Duration {
+	return min(2*wait, maxLeaseBackoff*poll)
+}
+
 // Run leases and executes jobs until ctx is canceled. In-flight
 // simulations finish and push their results (their completions use
 // their own timeouts, not ctx) before Run returns, so a graceful
 // worker shutdown never wastes compute.
+//
+// While the coordinator is unreachable, each failed lease doubles the
+// wait before the next (see nextLeaseWait). An outage logs two lines:
+// its first failure, and on the first lease that succeeds the number
+// of leases that failed, after which polling is back at Poll.
 func (w *Worker) Run(ctx context.Context) error {
 	slots := make(chan struct{}, w.cfg.Concurrency)
 	for i := 0; i < w.cfg.Concurrency; i++ {
@@ -107,6 +122,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	w.cfg.Logf("worker %s: joined %s", w.cfg.ID, w.cfg.Coordinator)
+	wait, failed := w.cfg.Poll, 0
 	for {
 		select {
 		case <-ctx.Done():
@@ -119,11 +135,19 @@ func (w *Worker) Run(ctx context.Context) error {
 			if ctx.Err() != nil {
 				return nil
 			}
-			w.cfg.Logf("worker %s: lease: %v", w.cfg.ID, err)
-			if !w.sleep(ctx, w.cfg.Poll) {
+			if failed == 0 {
+				w.cfg.Logf("worker %s: lease: %v (backing off)", w.cfg.ID, err)
+			}
+			failed++
+			if !w.sleep(ctx, wait) {
 				return nil
 			}
+			wait = nextLeaseWait(wait, w.cfg.Poll)
 			continue
+		}
+		if failed > 0 {
+			w.cfg.Logf("worker %s: coordinator reachable again after %d failed leases", w.cfg.ID, failed)
+			wait, failed = w.cfg.Poll, 0
 		}
 		if len(jobs) == 0 {
 			slots <- struct{}{}

@@ -3,7 +3,6 @@ package prefetch
 import (
 	"shotgun/internal/btb"
 	"shotgun/internal/isa"
-	"shotgun/internal/uncore"
 )
 
 // Boomerang (Kumar et al., HPCA'17) is FDIP extended with reactive BTB
@@ -14,11 +13,11 @@ import (
 // decode-time pipeline re-steer, at the price of pausing instruction
 // prefetching while each miss resolves — the limitation Shotgun removes.
 type Boomerang struct {
+	hooks
+	decodeBTB
 	ctx  Context
-	btb  *btb.Conventional
 	pbuf *btb.PrefetchBuffer
 
-	misses uint64
 	// Resolutions counts reactive fills; ResolveStallCycles the total
 	// runahead cycles spent waiting on them.
 	Resolutions        uint64
@@ -29,102 +28,61 @@ type Boomerang struct {
 // 32-entry BTB prefetch buffer (Section 5.2).
 func NewBoomerang(ctx Context, btbEntries int) *Boomerang {
 	return &Boomerang{
-		ctx:  ctx,
-		btb:  btb.MustNewConventional(btbEntries),
-		pbuf: btb.NewPrefetchBuffer(32),
+		decodeBTB: newDecodeBTB(btbEntries),
+		ctx:       ctx,
+		pbuf:      btb.NewPrefetchBuffer(32),
 	}
 }
-
-// Name implements Engine.
-func (e *Boomerang) Name() string { return "boomerang" }
 
 // Evaluate implements Engine.
 func (e *Boomerang) Evaluate(now uint64, bb isa.BasicBlock, _ isa.Addr, _ bool) Eval {
 	prefetchBlocks(e.ctx, now, bb)
-
-	if bb.Kind == isa.BranchNone {
-		return Eval{BTBHit: true}
-	}
-	if _, ok := e.btb.Lookup(bb.PC); ok {
-		return Eval{BTBHit: true}
-	}
-	// A BTB prefetch buffer hit promotes into the BTB without a stall.
-	if entry, ok := e.pbuf.Take(bb.PC); ok {
-		e.btb.Insert(bb.PC, entry)
+	if e.covered(bb) {
 		return Eval{BTBHit: true}
 	}
 
 	// Reactive fill: fetch the block holding the branch, predecode it.
 	e.misses++
 	e.Resolutions++
-	ready := e.resolve(now, bb)
+	ready := e.ctx.Hier.BlockResidency(now, bb.BranchPC().Block())
+	reactiveFill(e.ctx.Dec, e.btb, e.pbuf, bb)
 	if ready > now {
 		e.ResolveStallCycles += ready - now
 	}
 	return Eval{BTBHit: true, StallUntil: ready}
 }
 
-// resolve fetches the branch's cache block and installs its predecoded
-// branches: the missing one into the BTB, the others into the prefetch
-// buffer (Section 4.2.3's description of Boomerang's fill mechanism).
-func (e *Boomerang) resolve(now uint64, bb isa.BasicBlock) uint64 {
-	branchBlock := bb.BranchPC().Block()
-	ready := e.ctx.Hier.BlockResidency(now, branchBlock)
-	for _, br := range e.ctx.Dec.Decode(branchBlock) {
-		if br.BlockPC == bb.PC {
-			e.btb.Insert(br.BlockPC, br.Entry)
-		} else {
-			e.pbuf.Insert(br.BlockPC, br.Entry)
-		}
-	}
-	return ready
-}
-
 // Warm implements Engine: the reactive fill's functional effect —
 // predecoded branches landing in the BTB and its prefetch buffer —
 // without the residency probe or the stall.
 func (e *Boomerang) Warm(bb isa.BasicBlock) {
-	if bb.Kind == isa.BranchNone {
-		return
-	}
-	if _, ok := e.btb.Lookup(bb.PC); ok {
-		return
-	}
-	if entry, ok := e.pbuf.Take(bb.PC); ok {
-		e.btb.Insert(bb.PC, entry)
-		return
-	}
-	for _, br := range e.ctx.Dec.Decode(bb.BranchPC().Block()) {
-		if br.BlockPC == bb.PC {
-			e.btb.Insert(br.BlockPC, br.Entry)
-		} else {
-			e.pbuf.Insert(br.BlockPC, br.Entry)
-		}
+	if !e.covered(bb) {
+		reactiveFill(e.ctx.Dec, e.btb, e.pbuf, bb)
 	}
 }
 
-// OnArrival implements Engine. Boomerang has no proactive fill path; BTB
-// filling happens reactively in Evaluate.
-func (e *Boomerang) OnArrival(uint64, []uncore.Arrival) {}
-
-// OnRetire implements Engine.
-func (e *Boomerang) OnRetire(isa.BasicBlock) {}
-
-// OnFetch implements Engine.
-func (e *Boomerang) OnFetch(uint64, isa.Addr, uncore.Source) {}
-
-// OnDemandMiss implements Engine.
-func (e *Boomerang) OnDemandMiss(uint64, isa.Addr) {}
-
-// BTBMisses implements Engine.
-func (e *Boomerang) BTBMisses() uint64 { return e.misses }
+// covered reports whether bb needs no reactive fill: it has no branch,
+// hits the BTB, or hits the BTB prefetch buffer, which promotes the
+// entry into the BTB without a stall.
+func (e *Boomerang) covered(bb isa.BasicBlock) bool {
+	if bb.Kind == isa.BranchNone {
+		return true
+	}
+	if _, ok := e.btb.Lookup(bb.PC); ok {
+		return true
+	}
+	if entry, ok := e.pbuf.Take(bb.PC); ok {
+		e.btb.Insert(bb.PC, entry)
+		return true
+	}
+	return false
+}
 
 // ResetStats implements Engine.
 func (e *Boomerang) ResetStats() {
-	e.misses = 0
+	e.decodeBTB.ResetStats()
 	e.Resolutions = 0
 	e.ResolveStallCycles = 0
-	e.btb.ResetStats()
 }
 
 // OnMispredict implements Engine: like FDIP, Boomerang's runahead chases

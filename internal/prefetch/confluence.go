@@ -1,7 +1,6 @@
 package prefetch
 
 import (
-	"shotgun/internal/btb"
 	"shotgun/internal/isa"
 	"shotgun/internal/stream"
 	"shotgun/internal/uncore"
@@ -16,9 +15,16 @@ import (
 // ConfluenceLLCReserveBytes), and — critically — an LLC round-trip delay
 // on every stream restart before prefetching can resume, which is what
 // costs Confluence its edge on Apache/Nutch/Streaming (Section 6.1).
+// It prefetches from recorded streams, not the runahead, so a
+// misprediction issues no extra probes.
+//
+// Warm is decodeBTB's BTB training only. The SHIFT history is trained
+// by OnRetire, which the warm path drives too; the live stream state is
+// timing-coupled and re-established by the detailed warm-up.
 type Confluence struct {
+	hooks
+	decodeBTB
 	ctx  Context
-	btb  *btb.Conventional
 	hist *stream.SHIFT
 
 	active     bool
@@ -28,7 +34,6 @@ type Confluence struct {
 	depth    int
 	indexLat uint64
 
-	misses uint64
 	// Restarts counts stream restarts (each pays the index round-trip);
 	// Matches counts fetches that advanced the live stream.
 	Restarts uint64
@@ -65,45 +70,19 @@ const confluenceIndexEntries = 16 * 8 << 10
 // NewConfluence builds the engine (16K-entry BTB, shared SHIFT history).
 func NewConfluence(ctx Context) *Confluence {
 	return &Confluence{
-		ctx:      ctx,
-		btb:      btb.MustNewConventional(ConfluenceBTBEntries),
-		hist:     stream.New(confluenceHistoryEntries, confluenceIndexEntries),
-		depth:    confluenceDepth,
-		indexLat: uint64(ctx.Hier.Config().LLCLatencyCycles + ctx.Hier.Mesh.UncongestedRoundTrip()),
+		decodeBTB: newDecodeBTB(ConfluenceBTBEntries),
+		ctx:       ctx,
+		hist:      stream.New(confluenceHistoryEntries, confluenceIndexEntries),
+		depth:     confluenceDepth,
+		indexLat:  uint64(ctx.Hier.Config().LLCLatencyCycles + ctx.Hier.Mesh.UncongestedRoundTrip()),
 	}
 }
-
-// Name implements Engine.
-func (e *Confluence) Name() string { return "confluence" }
-
-// History exposes the SHIFT substrate (for storage reporting).
-func (e *Confluence) History() *stream.SHIFT { return e.hist }
 
 // Evaluate implements Engine: the oversized BTB makes decode redirects
 // rare; instruction prefetching is driven by the stream engine, not the
 // runahead, so no FDIP probes are issued here.
-func (e *Confluence) Evaluate(now uint64, bb isa.BasicBlock, _ isa.Addr, _ bool) Eval {
-	if bb.Kind == isa.BranchNone {
-		return Eval{BTBHit: true}
-	}
-	if _, ok := e.btb.Lookup(bb.PC); ok {
-		return Eval{BTBHit: true}
-	}
-	e.misses++
-	e.btb.Insert(bb.PC, btb.EntryFromBlock(bb))
-	return Eval{DecodeRedirect: bb.Taken}
-}
-
-// Warm implements Engine: BTB training only. The SHIFT history is
-// trained by OnRetire, which the warm path drives too; the live stream
-// state is timing-coupled and re-established by the detailed warm-up.
-func (e *Confluence) Warm(bb isa.BasicBlock) {
-	if bb.Kind == isa.BranchNone {
-		return
-	}
-	if _, ok := e.btb.Lookup(bb.PC); !ok {
-		e.btb.Insert(bb.PC, btb.EntryFromBlock(bb))
-	}
+func (e *Confluence) Evaluate(_ uint64, bb isa.BasicBlock, _ isa.Addr, _ bool) Eval {
+	return e.lookup(bb)
 }
 
 // OnDemandMiss implements Engine: an L1-I miss restarts the stream. The
@@ -182,17 +161,9 @@ func (e *Confluence) OnArrival(now uint64, arrivals []uncore.Arrival) {
 	}
 }
 
-// BTBMisses implements Engine.
-func (e *Confluence) BTBMisses() uint64 { return e.misses }
-
 // ResetStats implements Engine.
 func (e *Confluence) ResetStats() {
-	e.misses = 0
+	e.decodeBTB.ResetStats()
 	e.Restarts = 0
 	e.Matches = 0
-	e.btb.ResetStats()
 }
-
-// OnMispredict implements Engine: Confluence prefetches from recorded
-// streams, not the runahead, so mispredictions issue no extra probes.
-func (e *Confluence) OnMispredict(uint64, isa.Addr) {}

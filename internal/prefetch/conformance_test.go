@@ -246,3 +246,60 @@ func TestConformanceHotPathAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestConformanceWarmTrainsLikeEvaluate: the engines whose BTB is
+// trained at decode time (or by Boomerang's reactive fill) must leave
+// the same BTB after a stream replayed through Warm alone as after the
+// same stream replayed through Evaluate alone. A 256-entry BTB makes
+// the replay evict, so replacement order is compared too. Shotgun and
+// Ideal are left out: Shotgun's Evaluate predecodes region blocks that
+// its Warm skips on purpose, and Ideal has no BTB.
+func TestConformanceWarmTrainsLikeEvaluate(t *testing.T) {
+	const entries = 256
+	cases := []struct {
+		name string
+		mk   func(Context) (Engine, *decodeBTB)
+	}{
+		{"none", func(ctx Context) (Engine, *decodeBTB) { e := NewNone(ctx, entries); return e, &e.decodeBTB }},
+		{"fdip", func(ctx Context) (Engine, *decodeBTB) { e := NewFDIP(ctx, entries); return e, &e.decodeBTB }},
+		{"rdip", func(ctx Context) (Engine, *decodeBTB) { e := NewRDIP(ctx, entries); return e, &e.decodeBTB }},
+		{"delta", func(ctx Context) (Engine, *decodeBTB) { e := NewDelta(ctx, entries); return e, &e.decodeBTB }},
+		{"boomerang", func(ctx Context) (Engine, *decodeBTB) { e := NewBoomerang(ctx, entries); return e, &e.decodeBTB }},
+		{"confluence", func(ctx Context) (Engine, *decodeBTB) {
+			e := NewConfluence(ctx)
+			e.decodeBTB = newDecodeBTB(entries)
+			return e, &e.decodeBTB
+		}},
+	}
+	prog := conformanceProgram()
+	blocks := conformanceStream(prog, 4000)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			evalEngine, evalBTB := tc.mk(conformanceContext(prog))
+			warmEngine, warmBTB := tc.mk(conformanceContext(prog))
+			for i, bb := range blocks {
+				evalEngine.Evaluate(uint64(i), bb, 0, false)
+				warmEngine.Warm(bb)
+			}
+			evicted := 0
+			for _, bb := range blocks {
+				ee, eok := evalBTB.btb.Peek(bb.PC)
+				we, wok := warmBTB.btb.Peek(bb.PC)
+				if ee != we || eok != wok {
+					t.Fatalf("block %v: Evaluate left (%+v, %v), Warm left (%+v, %v)", bb.PC, ee, eok, we, wok)
+				}
+				if bb.Kind != isa.BranchNone && !eok {
+					evicted++
+				}
+			}
+			if evicted == 0 {
+				t.Fatalf("no branch was evicted from the %d-entry BTB; the replay proves nothing about replacement", entries)
+			}
+			if b, ok := evalEngine.(*Boomerang); ok {
+				if n, m := b.pbuf.Len(), warmEngine.(*Boomerang).pbuf.Len(); n != m {
+					t.Fatalf("prefetch buffer holds %d entries after Evaluate, %d after Warm", n, m)
+				}
+			}
+		})
+	}
+}

@@ -1,10 +1,6 @@
 package prefetch
 
-import (
-	"shotgun/internal/btb"
-	"shotgun/internal/isa"
-	"shotgun/internal/uncore"
-)
+import "shotgun/internal/isa"
 
 // Delta is a delta-pattern instruction prefetcher: a shift register
 // records the deltas (in cache blocks) between consecutively evaluated
@@ -17,14 +13,15 @@ import (
 // accuracy, but it cannot anticipate irregular control flow.
 //
 // The BTB side is the conventional baseline (None): a miss on a taken
-// branch re-steers the front-end at decode.
+// branch re-steers the front-end at decode. The delta stream follows the
+// trace, not a predicted path, so a misprediction has nothing to chase.
 type Delta struct {
+	hooks
+	decodeBTB
 	ctx Context
-	btb *btb.Conventional
 
 	matcher deltaMatcher
 
-	misses uint64
 	// MatchedPrefetches counts probes issued along matched delta cycles.
 	MatchedPrefetches uint64
 }
@@ -106,14 +103,8 @@ func (m *deltaMatcher) project(base isa.Addr, p int, dst []isa.Addr) int {
 
 // NewDelta builds the engine with the given conventional-BTB entry count.
 func NewDelta(ctx Context, btbEntries int) *Delta {
-	return &Delta{ctx: ctx, btb: btb.MustNewConventional(btbEntries)}
+	return &Delta{decodeBTB: newDecodeBTB(btbEntries), ctx: ctx}
 }
-
-// Name implements Engine.
-func (e *Delta) Name() string { return "delta" }
-
-// BTB exposes the conventional BTB (for harness MPKI accounting).
-func (e *Delta) BTB() *btb.Conventional { return e.btb }
 
 // Evaluate implements Engine: train the delta register on the block's
 // address, prefetch along a matched cycle, and evaluate the
@@ -128,16 +119,7 @@ func (e *Delta) Evaluate(now uint64, bb isa.BasicBlock, _ isa.Addr, _ bool) Eval
 			e.MatchedPrefetches++
 		}
 	}
-
-	if bb.Kind == isa.BranchNone {
-		return Eval{BTBHit: true}
-	}
-	if _, ok := e.btb.Lookup(bb.PC); ok {
-		return Eval{BTBHit: true}
-	}
-	e.misses++
-	e.btb.Insert(bb.PC, btb.EntryFromBlock(bb))
-	return Eval{DecodeRedirect: bb.Taken}
+	return e.lookup(bb)
 }
 
 // Warm implements Engine: BTB and delta-register training without any
@@ -145,36 +127,11 @@ func (e *Delta) Evaluate(now uint64, bb isa.BasicBlock, _ isa.Addr, _ bool) Eval
 // the detailed warm-up blocks.
 func (e *Delta) Warm(bb isa.BasicBlock) {
 	e.matcher.observe(bb.PC.Block())
-	if bb.Kind == isa.BranchNone {
-		return
-	}
-	if _, ok := e.btb.Lookup(bb.PC); !ok {
-		e.btb.Insert(bb.PC, btb.EntryFromBlock(bb))
-	}
+	e.decodeBTB.Warm(bb)
 }
-
-// OnArrival implements Engine (no predecode-driven filling).
-func (e *Delta) OnArrival(uint64, []uncore.Arrival) {}
-
-// OnRetire implements Engine.
-func (e *Delta) OnRetire(isa.BasicBlock) {}
-
-// OnFetch implements Engine.
-func (e *Delta) OnFetch(uint64, isa.Addr, uncore.Source) {}
-
-// OnDemandMiss implements Engine.
-func (e *Delta) OnDemandMiss(uint64, isa.Addr) {}
-
-// OnMispredict implements Engine: the delta stream follows the trace,
-// not a predicted path, so there is nothing to chase.
-func (e *Delta) OnMispredict(uint64, isa.Addr) {}
-
-// BTBMisses implements Engine.
-func (e *Delta) BTBMisses() uint64 { return e.misses }
 
 // ResetStats implements Engine.
 func (e *Delta) ResetStats() {
-	e.misses = 0
+	e.decodeBTB.ResetStats()
 	e.MatchedPrefetches = 0
-	e.btb.ResetStats()
 }

@@ -17,6 +17,12 @@
 //   - Shotgun: this paper — U-BTB/C-BTB/RIB with spatial footprints.
 //   - Ideal: BTB and L1-I never miss (the opportunity bound).
 //
+// Each behaviour the engines share is written once here: hooks holds
+// the no-op observation hooks, decodeBTB the conventional BTB trained
+// at decode time (None, FDIP, RDIP, Delta, Boomerang, Confluence), and
+// reactiveFill Boomerang's reactive fill, which Shotgun falls back on.
+// A new mechanism embeds hooks and overrides only the hooks it observes.
+//
 // Every engine is additionally held to the mechanism-conformance
 // contract (conformance_test.go): Warm never touches timing state,
 // replays are deterministic, and the per-block hot path is
@@ -24,6 +30,7 @@
 package prefetch
 
 import (
+	"shotgun/internal/btb"
 	"shotgun/internal/isa"
 	"shotgun/internal/predecode"
 	"shotgun/internal/uncore"
@@ -53,9 +60,6 @@ type Eval struct {
 // exactly once per dynamic basic block (in trace order) as the runahead
 // first reaches it; the remaining hooks observe fetch and retire events.
 type Engine interface {
-	// Name identifies the mechanism in reports.
-	Name() string
-
 	// Evaluate performs BTB lookup/fill and issues this mechanism's
 	// prefetch probes for the block bb. For return blocks, rasCallBlock
 	// is the basic-block address of the matching call popped from the
@@ -102,6 +106,77 @@ type Engine interface {
 
 	// ResetStats clears the engine's counters at the warmup boundary.
 	ResetStats()
+}
+
+// hooks is the default for the observation hooks: every engine embeds
+// it and overrides only the events its mechanism reacts to.
+type hooks struct{}
+
+func (hooks) OnArrival(uint64, []uncore.Arrival)      {}
+func (hooks) OnRetire(isa.BasicBlock)                 {}
+func (hooks) OnFetch(uint64, isa.Addr, uncore.Source) {}
+func (hooks) OnDemandMiss(uint64, isa.Addr)           {}
+func (hooks) OnMispredict(uint64, isa.Addr)           {}
+
+// decodeBTB is the conventional basic-block BTB trained at decode time,
+// the BTB side the evaluation gives the baseline, FDIP, RDIP, Delta,
+// Boomerang and Confluence alike, plus its first-encounter miss count.
+type decodeBTB struct {
+	btb    *btb.Conventional
+	misses uint64
+}
+
+func newDecodeBTB(entries int) decodeBTB {
+	return decodeBTB{btb: btb.MustNewConventional(entries)}
+}
+
+// lookup evaluates bb's branch: a block with no branch or a BTB hit
+// hits; a miss is counted, decode inserts the branch, and a taken miss
+// re-steers the front-end at decode.
+func (d *decodeBTB) lookup(bb isa.BasicBlock) Eval {
+	if bb.Kind == isa.BranchNone {
+		return Eval{BTBHit: true}
+	}
+	if _, ok := d.btb.Lookup(bb.PC); ok {
+		return Eval{BTBHit: true}
+	}
+	d.misses++
+	d.btb.Insert(bb.PC, btb.EntryFromBlock(bb))
+	return Eval{DecodeRedirect: bb.Taken}
+}
+
+// Warm implements Engine: lookup's BTB training without the miss count
+// or the redirect.
+func (d *decodeBTB) Warm(bb isa.BasicBlock) {
+	if bb.Kind == isa.BranchNone {
+		return
+	}
+	if _, ok := d.btb.Lookup(bb.PC); !ok {
+		d.btb.Insert(bb.PC, btb.EntryFromBlock(bb))
+	}
+}
+
+// BTBMisses implements Engine.
+func (d *decodeBTB) BTBMisses() uint64 { return d.misses }
+
+// ResetStats implements Engine.
+func (d *decodeBTB) ResetStats() {
+	d.misses = 0
+	d.btb.ResetStats()
+}
+
+// reactiveFill is Boomerang's reactive BTB fill (Section 4.2.3):
+// predecode the cache block holding bb's branch, install bb's own entry
+// into dst and the block's other branches into the prefetch buffer.
+// Callers that model timing probe the block's residency first.
+func reactiveFill[B interface{ Insert(isa.Addr, btb.Entry) }](dec *predecode.Decoder, dst B, pbuf *btb.PrefetchBuffer, bb isa.BasicBlock) {
+	for _, br := range dec.Decode(bb.BranchPC().Block()) {
+		if br.BlockPC == bb.PC {
+			dst.Insert(br.BlockPC, br.Entry)
+		} else {
+			pbuf.Insert(br.BlockPC, br.Entry)
+		}
+	}
 }
 
 // prefetchBlocks issues FDIP-style L1-I probes for every cache block a

@@ -1,10 +1,6 @@
 package prefetch
 
-import (
-	"shotgun/internal/btb"
-	"shotgun/internal/isa"
-	"shotgun/internal/uncore"
-)
+import "shotgun/internal/isa"
 
 // FDIP is fetch-directed instruction prefetching (Reinman, Calder &
 // Austin '99): the branch-prediction unit runs ahead of fetch, and every
@@ -12,11 +8,14 @@ import (
 // BTB miss FDIP speculates through: it keeps prefetching straight-line
 // code, which is wrong whenever the undetected branch was taken — the
 // limitation Section 3.2 describes.
+//
+// Warm is decodeBTB's BTB training only: FDIP's probes are pure timing
+// traffic, re-established by the detailed warm-up blocks.
 type FDIP struct {
+	hooks
+	decodeBTB
 	ctx Context
-	btb *btb.Conventional
 
-	misses uint64
 	// WrongPathPrefetches counts the straight-line probes issued past an
 	// undetected taken branch.
 	WrongPathPrefetches uint64
@@ -28,25 +27,14 @@ const fdipSpecDepth = 2
 
 // NewFDIP builds the engine with the given BTB entry count.
 func NewFDIP(ctx Context, btbEntries int) *FDIP {
-	return &FDIP{ctx: ctx, btb: btb.MustNewConventional(btbEntries)}
+	return &FDIP{decodeBTB: newDecodeBTB(btbEntries), ctx: ctx}
 }
-
-// Name implements Engine.
-func (e *FDIP) Name() string { return "fdip" }
 
 // Evaluate implements Engine.
 func (e *FDIP) Evaluate(now uint64, bb isa.BasicBlock, _ isa.Addr, _ bool) Eval {
 	prefetchBlocks(e.ctx, now, bb)
-
-	if bb.Kind == isa.BranchNone {
-		return Eval{BTBHit: true}
-	}
-	if _, ok := e.btb.Lookup(bb.PC); ok {
-		return Eval{BTBHit: true}
-	}
-	e.misses++
-	e.btb.Insert(bb.PC, btb.EntryFromBlock(bb))
-	if bb.Taken {
+	ev := e.lookup(bb)
+	if ev.DecodeRedirect {
 		// Speculate straight-line: prefetch the fall-through blocks the
 		// real FDIP would have chased before the decode redirect.
 		next := bb.FallThrough().Block()
@@ -54,42 +42,14 @@ func (e *FDIP) Evaluate(now uint64, bb isa.BasicBlock, _ isa.Addr, _ bool) Eval 
 			e.ctx.Hier.PrefetchBlock(now, next+isa.Addr(i*isa.BlockBytes))
 			e.WrongPathPrefetches++
 		}
-		return Eval{DecodeRedirect: true}
 	}
-	return Eval{}
+	return ev
 }
-
-// Warm implements Engine: BTB training only — FDIP's probes are pure
-// timing traffic, re-established by the detailed warm-up blocks.
-func (e *FDIP) Warm(bb isa.BasicBlock) {
-	if bb.Kind == isa.BranchNone {
-		return
-	}
-	if _, ok := e.btb.Lookup(bb.PC); !ok {
-		e.btb.Insert(bb.PC, btb.EntryFromBlock(bb))
-	}
-}
-
-// OnArrival implements Engine.
-func (e *FDIP) OnArrival(uint64, []uncore.Arrival) {}
-
-// OnRetire implements Engine.
-func (e *FDIP) OnRetire(isa.BasicBlock) {}
-
-// OnFetch implements Engine.
-func (e *FDIP) OnFetch(uint64, isa.Addr, uncore.Source) {}
-
-// OnDemandMiss implements Engine.
-func (e *FDIP) OnDemandMiss(uint64, isa.Addr) {}
-
-// BTBMisses implements Engine.
-func (e *FDIP) BTBMisses() uint64 { return e.misses }
 
 // ResetStats implements Engine.
 func (e *FDIP) ResetStats() {
-	e.misses = 0
+	e.decodeBTB.ResetStats()
 	e.WrongPathPrefetches = 0
-	e.btb.ResetStats()
 }
 
 // OnMispredict implements Engine: FDIP chases the predicted (wrong) path.

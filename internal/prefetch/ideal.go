@@ -1,36 +1,29 @@
 package prefetch
 
-import (
-	"shotgun/internal/isa"
-	"shotgun/internal/uncore"
-)
+import "shotgun/internal/isa"
 
 // Ideal is the opportunity bound of Figure 1: the BTB always hits and
 // every instruction block is in the L1-I by the time it is fetched.
 // Direction and return-address mispredictions remain — an ideal
 // *front-end prefetcher* does not fix the direction predictor.
 type Ideal struct {
+	hooks
 	ctx Context
 }
 
 // NewIdeal builds the ideal front-end.
 func NewIdeal(ctx Context) *Ideal { return &Ideal{ctx: ctx} }
 
-// Name implements Engine.
-func (e *Ideal) Name() string { return "ideal" }
-
-// Evaluate implements Engine: blocks are installed into the L1-I with
-// zero latency, and the BTB never misses.
+// Evaluate implements Engine: the block is installed as Warm installs
+// it, and the BTB never misses.
 func (e *Ideal) Evaluate(_ uint64, bb isa.BasicBlock, _ isa.Addr, _ bool) Eval {
-	first, last := bb.BlockSpan()
-	for blk := first; blk <= last; blk += isa.BlockBytes {
-		e.ctx.Hier.L1I.Insert(blk)
-	}
+	e.Warm(bb)
 	return Eval{BTBHit: true}
 }
 
-// Warm implements Engine: Evaluate is already untimed, so warming is the
-// same zero-latency install.
+// Warm implements Engine: the block's cache blocks are installed into
+// the L1-I with zero latency. Evaluate is already untimed, so it warms
+// the same way.
 func (e *Ideal) Warm(bb isa.BasicBlock) {
 	first, last := bb.BlockSpan()
 	for blk := first; blk <= last; blk += isa.BlockBytes {
@@ -38,24 +31,8 @@ func (e *Ideal) Warm(bb isa.BasicBlock) {
 	}
 }
 
-// OnArrival implements Engine.
-func (e *Ideal) OnArrival(uint64, []uncore.Arrival) {}
-
-// OnRetire implements Engine.
-func (e *Ideal) OnRetire(isa.BasicBlock) {}
-
-// OnFetch implements Engine.
-func (e *Ideal) OnFetch(uint64, isa.Addr, uncore.Source) {}
-
-// OnDemandMiss implements Engine.
-func (e *Ideal) OnDemandMiss(uint64, isa.Addr) {}
-
 // BTBMisses implements Engine.
 func (e *Ideal) BTBMisses() uint64 { return 0 }
 
 // ResetStats implements Engine.
 func (e *Ideal) ResetStats() {}
-
-// OnMispredict implements Engine: the ideal front-end wastes nothing on
-// wrong paths.
-func (e *Ideal) OnMispredict(uint64, isa.Addr) {}

@@ -1,78 +1,22 @@
 package prefetch
 
-import (
-	"shotgun/internal/btb"
-	"shotgun/internal/isa"
-	"shotgun/internal/uncore"
-)
+import "shotgun/internal/isa"
 
 // None is the no-prefetch baseline: a conventional basic-block BTB
 // trained at decode time, no instruction prefetching of any kind.
 type None struct {
-	ctx Context
-	btb *btb.Conventional
-
-	misses uint64
+	hooks
+	decodeBTB
 }
 
 // NewNone builds the baseline with the given BTB entry count (Table 3:
 // 2K entries).
-func NewNone(ctx Context, btbEntries int) *None {
-	return &None{ctx: ctx, btb: btb.MustNewConventional(btbEntries)}
+func NewNone(_ Context, btbEntries int) *None {
+	return &None{decodeBTB: newDecodeBTB(btbEntries)}
 }
-
-// Name implements Engine.
-func (e *None) Name() string { return "none" }
-
-// BTB exposes the conventional BTB (for harness MPKI accounting).
-func (e *None) BTB() *btb.Conventional { return e.btb }
 
 // Evaluate implements Engine: a BTB miss on a taken branch re-steers the
 // front-end at decode; the decoded branch is inserted (training).
-func (e *None) Evaluate(now uint64, bb isa.BasicBlock, _ isa.Addr, _ bool) Eval {
-	if bb.Kind == isa.BranchNone {
-		return Eval{BTBHit: true}
-	}
-	if _, ok := e.btb.Lookup(bb.PC); ok {
-		return Eval{BTBHit: true}
-	}
-	e.misses++
-	// Decode inserts the branch after the miss.
-	e.btb.Insert(bb.PC, btb.EntryFromBlock(bb))
-	return Eval{DecodeRedirect: bb.Taken}
+func (e *None) Evaluate(_ uint64, bb isa.BasicBlock, _ isa.Addr, _ bool) Eval {
+	return e.lookup(bb)
 }
-
-// Warm implements Engine: decode-time BTB training without the timing
-// side (there is none here beyond the redirect, which Warm skips).
-func (e *None) Warm(bb isa.BasicBlock) {
-	if bb.Kind == isa.BranchNone {
-		return
-	}
-	if _, ok := e.btb.Lookup(bb.PC); !ok {
-		e.btb.Insert(bb.PC, btb.EntryFromBlock(bb))
-	}
-}
-
-// OnArrival implements Engine (no proactive fill).
-func (e *None) OnArrival(uint64, []uncore.Arrival) {}
-
-// OnRetire implements Engine.
-func (e *None) OnRetire(isa.BasicBlock) {}
-
-// OnFetch implements Engine.
-func (e *None) OnFetch(uint64, isa.Addr, uncore.Source) {}
-
-// OnDemandMiss implements Engine.
-func (e *None) OnDemandMiss(uint64, isa.Addr) {}
-
-// BTBMisses implements Engine.
-func (e *None) BTBMisses() uint64 { return e.misses }
-
-// ResetStats implements Engine.
-func (e *None) ResetStats() {
-	e.misses = 0
-	e.btb.ResetStats()
-}
-
-// OnMispredict implements Engine (no prefetching, nothing to chase).
-func (e *None) OnMispredict(uint64, isa.Addr) {}

@@ -243,7 +243,7 @@ func TestShotgunReturnFootprintViaRAS(t *testing.T) {
 	e.OnRetire(isa.BasicBlock{PC: call.FallThrough().Add(16), NumInstr: 4, Kind: isa.BranchJump,
 		Taken: true, Target: call.Target})
 
-	v, ok := e.Organization().ReadReturnFootprint(call.PC)
+	v, ok := e.org.ReadReturnFootprint(call.PC)
 	if !ok {
 		t.Fatal("return footprint not stored with the call")
 	}
@@ -255,7 +255,7 @@ func TestShotgunReturnFootprintViaRAS(t *testing.T) {
 	// RAS-supplied call block and prefetch the region. Install the RIB
 	// entry directly (the synthetic return is not part of the program,
 	// so the reactive decoder cannot produce it).
-	e.Organization().Insert(ret.PC, btb.Entry{NumInstr: ret.NumInstr, Kind: isa.BranchRet})
+	e.org.Insert(ret.PC, btb.Entry{NumInstr: ret.NumInstr, Kind: isa.BranchRet})
 	before := e.RegionPrefetches
 	ev := e.Evaluate(20000, ret, call.PC, true)
 	if !ev.BTBHit {
@@ -304,9 +304,6 @@ func TestShotgunVariants(t *testing.T) {
 			if e.RegionPrefetches-before != 4 {
 				t.Fatalf("5-blocks issued %d region probes, want 4", e.RegionPrefetches-before)
 			}
-		}
-		if e.Name() == "" {
-			t.Fatal("empty name")
 		}
 	}
 }
@@ -368,14 +365,14 @@ func TestEnginesResetStats(t *testing.T) {
 	ctx, prog := testContext(t)
 	bb := findBlock(prog, isa.BranchCall)
 	engines := []Engine{
-		NewNone(ctx, 2048), NewFDIP(ctx, 2048), NewBoomerang(ctx, 2048),
-		shotgunEngine(ctx), NewConfluence(ctx), NewIdeal(ctx),
+		NewNone(ctx, 2048), NewFDIP(ctx, 2048), NewRDIP(ctx, 2048), NewDelta(ctx, 2048),
+		NewBoomerang(ctx, 2048), shotgunEngine(ctx), NewConfluence(ctx), NewIdeal(ctx),
 	}
 	for _, e := range engines {
 		e.Evaluate(0, bb, 0, false)
 		e.ResetStats()
 		if e.BTBMisses() != 0 {
-			t.Fatalf("%s: misses not reset", e.Name())
+			t.Fatalf("%T: misses not reset", e)
 		}
 	}
 }
@@ -465,7 +462,7 @@ func TestShotgunNoRIBStillHitsReturns(t *testing.T) {
 	}
 	e := NewShotgun(ctx, ShotgunConfig{Sizes: sz, Layout: footprint.Layout8, Mode: RegionVector})
 	ret := isa.BasicBlock{PC: 0x4000_0100, NumInstr: 2, Kind: isa.BranchRet, Taken: true, Target: 0x4000_0200}
-	e.Organization().Insert(ret.PC, btb.Entry{NumInstr: 2, Kind: isa.BranchRet})
+	e.org.Insert(ret.PC, btb.Entry{NumInstr: 2, Kind: isa.BranchRet})
 	ev := e.Evaluate(0, ret, 0, false)
 	if !ev.BTBHit {
 		t.Fatal("no-RIB return missed despite U-BTB residence")

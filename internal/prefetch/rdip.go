@@ -2,9 +2,7 @@ package prefetch
 
 import (
 	"shotgun/internal/bpu"
-	"shotgun/internal/btb"
 	"shotgun/internal/isa"
-	"shotgun/internal/uncore"
 )
 
 // RDIP is return-address-stack-directed instruction prefetching (Kolli,
@@ -18,10 +16,12 @@ import (
 // control flow (limited accuracy); it prefetches only the L1-I (the BTB
 // still thrashes, so decode redirects persist — a conventional BTB is
 // used here exactly as in the paper's comparison); and it needs 64KB of
-// dedicated metadata per core.
+// dedicated metadata per core. Its prefetching is context-driven, not
+// runahead-driven, so a misprediction issues no probes.
 type RDIP struct {
+	hooks
+	decodeBTB
 	ctx Context
-	btb *btb.Conventional
 
 	// sigTable maps a program-context signature to the blocks that
 	// missed under that context last time; sigOrder is a ring of the
@@ -37,7 +37,6 @@ type RDIP struct {
 	// pending collects misses seen under the current context.
 	pending rdipSig
 
-	misses uint64
 	// Lookups / Hits track signature-table effectiveness.
 	Lookups uint64
 	Hits    uint64
@@ -61,15 +60,12 @@ type rdipSig struct {
 // NewRDIP builds the engine with a conventional BTB of the given size.
 func NewRDIP(ctx Context, btbEntries int) *RDIP {
 	return &RDIP{
-		ctx:      ctx,
-		btb:      btb.MustNewConventional(btbEntries),
-		sigTable: make(map[uint64]rdipSig, rdipTableEntries),
-		ras:      bpu.NewRAS(32),
+		decodeBTB: newDecodeBTB(btbEntries),
+		ctx:       ctx,
+		sigTable:  make(map[uint64]rdipSig, rdipTableEntries),
+		ras:       bpu.NewRAS(32),
 	}
 }
-
-// Name implements Engine.
-func (e *RDIP) Name() string { return "rdip" }
 
 // signature hashes the top few RAS frames into a program context.
 func (e *RDIP) signature() uint64 {
@@ -141,16 +137,7 @@ func (e *RDIP) Evaluate(now uint64, bb isa.BasicBlock, _ isa.Addr, _ bool) Eval 
 		e.ras.Pop()
 		e.contextSwitch(now)
 	}
-
-	if bb.Kind == isa.BranchNone {
-		return Eval{BTBHit: true}
-	}
-	if _, ok := e.btb.Lookup(bb.PC); ok {
-		return Eval{BTBHit: true}
-	}
-	e.misses++
-	e.btb.Insert(bb.PC, btb.EntryFromBlock(bb))
-	return Eval{DecodeRedirect: bb.Taken}
+	return e.lookup(bb)
 }
 
 // Warm implements Engine: RAS/context tracking and BTB training without
@@ -166,12 +153,7 @@ func (e *RDIP) Warm(bb isa.BasicBlock) {
 		e.ras.Pop()
 		e.closeContext()
 	}
-	if bb.Kind == isa.BranchNone {
-		return
-	}
-	if _, ok := e.btb.Lookup(bb.PC); !ok {
-		e.btb.Insert(bb.PC, btb.EntryFromBlock(bb))
-	}
+	e.decodeBTB.Warm(bb)
 }
 
 // OnDemandMiss implements Engine: misses train the current signature.
@@ -182,26 +164,9 @@ func (e *RDIP) OnDemandMiss(_ uint64, block isa.Addr) {
 	}
 }
 
-// OnArrival implements Engine.
-func (e *RDIP) OnArrival(uint64, []uncore.Arrival) {}
-
-// OnRetire implements Engine.
-func (e *RDIP) OnRetire(isa.BasicBlock) {}
-
-// OnFetch implements Engine.
-func (e *RDIP) OnFetch(uint64, isa.Addr, uncore.Source) {}
-
-// OnMispredict implements Engine: RDIP's prefetching is context-driven,
-// not runahead-driven.
-func (e *RDIP) OnMispredict(uint64, isa.Addr) {}
-
-// BTBMisses implements Engine.
-func (e *RDIP) BTBMisses() uint64 { return e.misses }
-
 // ResetStats implements Engine.
 func (e *RDIP) ResetStats() {
-	e.misses = 0
+	e.decodeBTB.ResetStats()
 	e.Lookups = 0
 	e.Hits = 0
-	e.btb.ResetStats()
 }

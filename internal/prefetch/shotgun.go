@@ -59,6 +59,7 @@ type ShotgunConfig struct {
 // tag-only RIB for returns, bulk region prefetching from footprints, and
 // Boomerang's reactive fill as the fallback on full misses.
 type Shotgun struct {
+	hooks
 	ctx  Context
 	org  *btb.Shotgun
 	pbuf *btb.PrefetchBuffer
@@ -98,12 +99,6 @@ func NewShotgun(ctx Context, cfg ShotgunConfig) *Shotgun {
 	}
 	return e
 }
-
-// Name implements Engine.
-func (e *Shotgun) Name() string { return "shotgun/" + e.mode.String() }
-
-// Organization exposes the three BTBs (for harness statistics).
-func (e *Shotgun) Organization() *btb.Shotgun { return e.org }
 
 // Evaluate implements Engine.
 func (e *Shotgun) Evaluate(now uint64, bb isa.BasicBlock, rasCallBlock isa.Addr, rasOK bool) Eval {
@@ -145,7 +140,8 @@ func (e *Shotgun) Evaluate(now uint64, bb isa.BasicBlock, rasCallBlock isa.Addr,
 
 	e.misses++
 	e.Resolutions++
-	ready := e.resolve(now, bb)
+	ready := e.ctx.Hier.BlockResidency(now, bb.BranchPC().Block())
+	reactiveFill(e.ctx.Dec, e.org, e.pbuf, bb)
 	if ready > now {
 		e.ResolveStallCycles += ready - now
 	}
@@ -207,22 +203,6 @@ func (e *Shotgun) predecodeBlock(addr isa.Addr) {
 	}
 }
 
-// resolve is the Boomerang-style reactive fill: fetch the branch's cache
-// block, install the missing branch into the BTB its type selects, and
-// buffer the block's other branches.
-func (e *Shotgun) resolve(now uint64, bb isa.BasicBlock) uint64 {
-	branchBlock := bb.BranchPC().Block()
-	ready := e.ctx.Hier.BlockResidency(now, branchBlock)
-	for _, br := range e.ctx.Dec.Decode(branchBlock) {
-		if br.BlockPC == bb.PC {
-			e.org.Insert(br.BlockPC, br.Entry)
-		} else {
-			e.pbuf.Insert(br.BlockPC, br.Entry)
-		}
-	}
-	return ready
-}
-
 // Warm implements Engine: U-BTB/C-BTB/RIB training (lookups move the
 // replacement state, misses fill from the predecoder) without region
 // probes or reactive-fill stalls. Footprint recording continues through
@@ -238,13 +218,7 @@ func (e *Shotgun) Warm(bb isa.BasicBlock) {
 		e.org.Insert(bb.PC, entry)
 		return
 	}
-	for _, br := range e.ctx.Dec.Decode(bb.BranchPC().Block()) {
-		if br.BlockPC == bb.PC {
-			e.org.Insert(br.BlockPC, br.Entry)
-		} else {
-			e.pbuf.Insert(br.BlockPC, br.Entry)
-		}
-	}
+	reactiveFill(e.ctx.Dec, e.org, e.pbuf, bb)
 }
 
 // OnArrival implements Engine: prefetched (and demand-filled) blocks are
@@ -270,12 +244,6 @@ func (e *Shotgun) OnRetire(bb isa.BasicBlock) {
 		}
 	}
 }
-
-// OnFetch implements Engine.
-func (e *Shotgun) OnFetch(uint64, isa.Addr, uncore.Source) {}
-
-// OnDemandMiss implements Engine.
-func (e *Shotgun) OnDemandMiss(uint64, isa.Addr) {}
 
 // BTBMisses implements Engine.
 func (e *Shotgun) BTBMisses() uint64 { return e.misses }
