@@ -1,7 +1,8 @@
 // Command shotgun-bench regenerates every table and figure of the
 // paper's evaluation — the spec catalog compiled from specs/ — and
 // prints them in order. A custom sweep (a different interference
-// co-runner ladder, say) is a spec file run with -spec.
+// co-runner ladder, say) is a spec file run with -spec, here or, with
+// -submit, on a farm.
 //
 // Simulations are distributed over a worker pool (one worker per CPU by
 // default) and memoized, so configurations shared between experiments run
@@ -19,21 +20,27 @@
 //	shotgun-bench -store ./shotgun-store   # persist/reuse results on disk
 //	shotgun-bench -store ./s -store-max-bytes 1000000000  # prune to ~1GB
 //	shotgun-bench -spec my-sweep.json      # run a declarative sweep (docs/SPEC.md)
+//	shotgun-bench -spec my-sweep.json -submit http://coord:8080  # ... on a farm (/v1/sweeps)
+//	shotgun-bench -spec my-sweep.json -submit http://coord:8080 -api-key key-acme  # authenticated farm
 //	shotgun-bench -cpuprofile cpu.out -memprofile mem.out
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"text/tabwriter"
 	"time"
 
+	"shotgun/internal/client"
 	"shotgun/internal/harness"
 	"shotgun/internal/report"
 	"shotgun/internal/spec"
@@ -58,6 +65,12 @@ type options struct {
 	outPath       string
 	storeDir      string
 	storeMaxBytes int64
+	// submitURL, when set, posts each -spec file to that farm's
+	// /v1/sweeps instead of running it here; apiKey authenticates it.
+	submitURL string
+	apiKey    string
+	// specFiles are the -spec files in flag order, as read and compiled.
+	specFiles []specFile
 	// specScale is a scale pinned by a -spec file (nil: -quick/full).
 	specScale *harness.Scale
 	// specExps are the -spec files' tables (nil without -spec); -list
@@ -65,6 +78,12 @@ type options struct {
 	specExps []harness.Experiment
 	// selected experiments, in catalog order (empty only with list).
 	run []harness.Experiment
+}
+
+// specFile is one -spec file's path and the bytes that compiled.
+type specFile struct {
+	path string
+	data []byte
 }
 
 // parseStringList splits and trims a comma-separated list.
@@ -96,11 +115,33 @@ func parseOptions(args []string, stderr io.Writer) (options, error) {
 	fs.Int64Var(&opts.storeMaxBytes, "store-max-bytes", 0,
 		"prune the store's oldest records down to this many bytes on open (0: keep everything)")
 	specList := fs.String("spec", "", "comma-separated sweep spec files (docs/SPEC.md); runs the specs' tables instead of the built-in catalog")
+	fs.StringVar(&opts.submitURL, "submit", "", "POST each -spec file to this server's /v1/sweeps and relay the rendered response instead of running locally")
+	fs.StringVar(&opts.apiKey, "api-key", "", "bearer API key sent with every -submit request (multi-tenant farms)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return options{}, err
 		}
 		return options{}, errPrinted
+	}
+	if opts.apiKey != "" && opts.submitURL == "" {
+		return options{}, fmt.Errorf("-api-key authenticates -submit requests; it requires -submit")
+	}
+	if opts.submitURL != "" {
+		if *specList == "" {
+			return options{}, fmt.Errorf("-submit posts -spec files; it requires -spec")
+		}
+		// The farm runs the specs at its own scale, workers and store;
+		// a flag that shapes a local run would be silently ignored.
+		var conflicting []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "only", "list", "quick", "parallel", "store", "store-max-bytes", "cpuprofile", "memprofile":
+				conflicting = append(conflicting, "-"+f.Name)
+			}
+		})
+		if len(conflicting) > 0 {
+			return options{}, fmt.Errorf("-submit runs the specs on the farm; drop %s", strings.Join(conflicting, ", "))
+		}
 	}
 	// The default is GOMAXPROCS (always positive), so a non-positive
 	// value is necessarily explicit — reject it instead of silently
@@ -118,15 +159,21 @@ func parseOptions(args []string, stderr io.Writer) (options, error) {
 	// -spec swaps the experiment catalog for the named spec files'
 	// tables (the built-in catalog stays reachable through -only, which
 	// resolves ids against spec tables first, then built-ins). A spec
-	// that pins a scale pins the whole run's.
+	// that pins a scale pins the whole run's. Every file compiles here,
+	// -submit or not, so a broken spec fails before it travels.
 	var specExps []harness.Experiment
 	if *specList != "" {
 		seen := make(map[string]bool)
 		for _, path := range parseStringList(*specList) {
-			c, err := spec.CompileFile(path)
+			data, err := os.ReadFile(path)
 			if err != nil {
 				return options{}, err
 			}
+			c, err := spec.Compile(data)
+			if err != nil {
+				return options{}, fmt.Errorf("%s: %w", path, err)
+			}
+			opts.specFiles = append(opts.specFiles, specFile{path: path, data: data})
 			if sc := c.Spec.Scale; sc != nil {
 				hs := sc.Harness()
 				if opts.quick {
@@ -148,36 +195,47 @@ func parseOptions(args []string, stderr io.Writer) (options, error) {
 		opts.specExps = specExps
 	}
 
-	if only == "" {
-		if specExps != nil {
-			opts.run = specExps
-			return opts, nil
+	switch {
+	case opts.submitURL != "":
+		// The farm renders every table; nothing runs here.
+	case only != "":
+		// Spec tables lead, so they shadow catalog ids of the same name.
+		// A repeated id runs (and reports) its table once.
+		sel, err := harness.Select(slices.Concat(specExps, spec.Catalog()), only)
+		if err != nil {
+			return options{}, fmt.Errorf("%w in -only; use -list", err)
 		}
+		opts.run = sel
+	case specExps != nil:
+		opts.run = specExps
+	default:
 		opts.run = spec.Catalog()
-		return opts, nil
-	}
-	fromSpec := make(map[string]harness.Experiment, len(specExps))
-	for _, e := range specExps {
-		fromSpec[e.ID] = e
-	}
-	// A repeated id runs (and reports) its table once, at its first
-	// position.
-	seen := make(map[string]bool)
-	for _, id := range strings.Split(only, ",") {
-		id = strings.TrimSpace(id)
-		if seen[id] {
-			continue
-		}
-		seen[id] = true
-		e, ok := fromSpec[id]
-		if !ok {
-			if e, ok = spec.FindExperiment(id); !ok {
-				return options{}, fmt.Errorf("unknown experiment %q in -only; use -list", id)
-			}
-		}
-		opts.run = append(opts.run, e)
 	}
 	return opts, nil
+}
+
+// submit posts each -spec file, in order, to the farm's /v1/sweeps and
+// returns the rendered bodies, byte for byte, one after another.
+func submit(opts options) ([]byte, error) {
+	format := "text"
+	if opts.jsonOut {
+		format = "json"
+	}
+	// The typed client decodes error envelopes and retries
+	// quota/overload rejections honoring Retry-After; a sweep blocks
+	// until rendered, so give it an unbounded request timeout.
+	cl := client.New(opts.submitURL,
+		client.WithAPIKey(opts.apiKey),
+		client.WithHTTPClient(&http.Client{}))
+	var bodies []byte
+	for _, f := range opts.specFiles {
+		body, err := cl.Sweep(context.Background(), f.data, format)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", f.path, err)
+		}
+		bodies = append(bodies, body...)
+	}
+	return bodies, nil
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -206,6 +264,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
+	// -out is opened only after every post has succeeded, so a
+	// rejected or unreachable farm never truncates an existing report.
+	var bodies []byte
+	if opts.submitURL != "" {
+		if bodies, err = submit(opts); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+	}
+
 	// Validate the remaining failure-capable setup — profile and report
 	// output files — before simulating, so no exit path discards work.
 	out := stdout
@@ -217,6 +285,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		defer f.Close()
 		out = f
+	}
+	if opts.submitURL != "" {
+		if _, err := out.Write(bodies); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		return 0
 	}
 	var memf *os.File
 	if opts.memprofile != "" {

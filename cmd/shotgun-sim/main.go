@@ -18,32 +18,26 @@
 //	    -sample-unit 1024 -sample-funcwarm 8192            # periodic sampling (95% CI)
 //	shotgun-sim -workload Oracle -sample-period 16384 -sample-unit 1024 \
 //	    -sample-units 8 -sample-ci 0.03                    # ... adaptive to a ±3% CI
-//	shotgun-sim -spec specs/fig7.json                      # run a sweep spec locally
-//	shotgun-sim -spec sweep.json -submit http://coord:8080 # ... or on a farm (/v1/sweeps)
-//	shotgun-sim -spec sweep.json -submit http://coord:8080 -api-key key-acme  # authenticated farm
 //	shotgun-sim -cpuprofile cpu.out -memprofile mem.out    # profile the run
+//
+// A sweep spec (docs/SPEC.md) runs through shotgun-bench -spec, locally
+// or on a farm.
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 
-	"shotgun/internal/client"
 	"shotgun/internal/footprint"
-	"shotgun/internal/harness"
 	"shotgun/internal/prefetch"
-	"shotgun/internal/report"
 	"shotgun/internal/sim"
-	"shotgun/internal/spec"
 	"shotgun/internal/trace"
 	"shotgun/internal/workload"
 )
@@ -59,9 +53,6 @@ var errPrinted = errors.New("flag parse error")
 type options struct {
 	scenario   sim.Scenario
 	tracePath  string
-	specPath   string
-	submitURL  string
-	apiKey     string
 	jsonOut    bool
 	outPath    string
 	cpuprofile string
@@ -99,9 +90,6 @@ func parseOptions(args []string, stderr io.Writer) (options, error) {
 	)
 	opts := options{}
 	fs.StringVar(&opts.tracePath, "trace", "", "drive core 0 from this recorded trace instead of the workload walker")
-	fs.StringVar(&opts.specPath, "spec", "", "run a sweep spec file (docs/SPEC.md) instead of a single scenario")
-	fs.StringVar(&opts.submitURL, "submit", "", "POST the -spec file to this server's /v1/sweeps instead of running locally")
-	fs.StringVar(&opts.apiKey, "api-key", "", "bearer API key sent with every -submit request (multi-tenant farms)")
 	fs.BoolVar(&opts.jsonOut, "json", false, "emit the result as JSON instead of text")
 	fs.StringVar(&opts.outPath, "out", "", "write the output to this file instead of stdout")
 	fs.StringVar(&opts.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
@@ -111,32 +99,6 @@ func parseOptions(args []string, stderr io.Writer) (options, error) {
 			return options{}, err
 		}
 		return options{}, errPrinted
-	}
-	// -spec runs a whole declared sweep; the single-scenario flags
-	// describe exactly one simulation. Mixing the two would silently
-	// ignore one side, so reject every explicit scenario flag.
-	if opts.specPath != "" {
-		var conflicting []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "spec", "submit", "api-key", "json", "out", "cpuprofile", "memprofile":
-			default:
-				conflicting = append(conflicting, "-"+f.Name)
-			}
-		})
-		if len(conflicting) > 0 {
-			return options{}, fmt.Errorf("-spec runs the spec file's tables; drop %s", strings.Join(conflicting, ", "))
-		}
-		if opts.apiKey != "" && opts.submitURL == "" {
-			return options{}, fmt.Errorf("-api-key authenticates -submit requests; a local -spec run needs none")
-		}
-		return opts, nil
-	}
-	if opts.submitURL != "" {
-		return options{}, fmt.Errorf("-submit posts a spec file; it requires -spec")
-	}
-	if opts.apiKey != "" {
-		return options{}, fmt.Errorf("-api-key authenticates -submit requests; it requires -spec and -submit")
 	}
 	// Zero-valued config fields mean "use the default" after
 	// normalization, so an explicit 0 would silently run at full
@@ -268,98 +230,6 @@ type jsonResult struct {
 	Result   sim.ScenarioResult `json:"result"`
 }
 
-// outWriter resolves -out: the named file, or fallback.
-func outWriter(opts options, fallback io.Writer, stderr io.Writer) (io.Writer, func(), int) {
-	if opts.outPath == "" {
-		return fallback, func() {}, 0
-	}
-	f, err := os.Create(opts.outPath)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return nil, nil, 1
-	}
-	return f, func() { f.Close() }, 0
-}
-
-// runSpec is the -spec path: compile the file and either run its
-// tables on a private local runner — at the spec's pinned scale, or
-// the paper's full scale when the spec pins none — or post it to a
-// farm's /v1/sweeps and relay the rendered response.
-func runSpec(opts options, stdout, stderr io.Writer) int {
-	data, err := os.ReadFile(opts.specPath)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	// Compile locally even when submitting: a broken spec should fail
-	// here with a local error message, not travel to the server.
-	compiled, err := spec.Compile(data)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	// -out is opened only after the sweep has succeeded (like the
-	// single-scenario path, which simulates before creating the file),
-	// so a failed run or an unreachable farm never truncates an
-	// existing report.
-	if opts.submitURL != "" {
-		format := "text"
-		if opts.jsonOut {
-			format = "json"
-		}
-		// The typed client decodes error envelopes and retries
-		// quota/overload rejections honoring Retry-After; a sweep blocks
-		// until rendered, so give it an unbounded request timeout.
-		cl := client.New(opts.submitURL,
-			client.WithAPIKey(opts.apiKey),
-			client.WithHTTPClient(&http.Client{}))
-		body, err := cl.Sweep(context.Background(), data, format)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		out, closeOut, code := outWriter(opts, stdout, stderr)
-		if code != 0 {
-			return code
-		}
-		defer closeOut()
-		if _, err := out.Write(body); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		return 0
-	}
-
-	scale := harness.FullScale()
-	scaleName := "full"
-	if sc := compiled.Spec.Scale; sc != nil {
-		scale = sc.Harness()
-		scaleName = "spec"
-	}
-	runner := harness.NewRunner(scale)
-	exps := compiled.Experiments()
-	// All simulation work happens here; rendering below only reads the
-	// memo, so opening -out after this point cannot strand a truncated
-	// file behind minutes of lost work.
-	runner.PrefetchScenarios(harness.AllScenarios(exps))
-	out, closeOut, code := outWriter(opts, stdout, stderr)
-	if code != 0 {
-		return code
-	}
-	defer closeOut()
-	if opts.jsonOut {
-		if err := report.FromExperiments(runner, exps, scaleName).WriteJSON(out); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		return 0
-	}
-	for _, e := range exps {
-		fmt.Fprintln(out, e.Run(runner))
-	}
-	return 0
-}
-
 // profiles carries the -cpuprofile/-memprofile state. Both files are
 // created (and the CPU profile started) before any simulation work, so
 // a bad path fails fast instead of discarding a finished run.
@@ -432,16 +302,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return code
 }
 
-// simulate runs the selected work — a sweep spec or a single scenario —
-// and renders the result (run handles flag parsing and profiling around
-// it).
+// simulate runs the scenario and renders the result (run handles flag
+// parsing and profiling around it).
 func simulate(opts options, stdout, stderr io.Writer) int {
-	if opts.specPath != "" {
-		return runSpec(opts, stdout, stderr)
-	}
-
 	var err error
-
 	var res sim.ScenarioResult
 	if opts.tracePath != "" {
 		f, err := os.Open(opts.tracePath)
@@ -469,11 +333,18 @@ func simulate(opts options, stdout, stderr io.Writer) int {
 		}
 	}
 
-	out, closeOut, code := outWriter(opts, stdout, stderr)
-	if code != 0 {
-		return code
+	// -out is opened only after the simulation has succeeded, so a
+	// failed run never truncates an existing report.
+	out := stdout
+	if opts.outPath != "" {
+		f, err := os.Create(opts.outPath)
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		defer f.Close()
+		out = f
 	}
-	defer closeOut()
 	if opts.jsonOut {
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")

@@ -2,16 +2,12 @@ package main
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"shotgun/internal/client"
 	"shotgun/internal/footprint"
 	"shotgun/internal/prefetch"
 	"shotgun/internal/sim"
@@ -146,7 +142,6 @@ func TestParseOptionsSampling(t *testing.T) {
 		{"stray knob alone", []string{"-sample-ci", "0.03"}, "-sample-period"},
 		{"conflicts with cores", []string{"-sample-period", "16384", "-sample-unit", "1024", "-cores", "4"}, "-cores"},
 		{"conflicts with mix", []string{"-sample-period", "16384", "-sample-unit", "1024", "-mix", "fdip"}, "-sample-period"},
-		{"conflicts with spec", []string{"-spec", "s.json", "-sample-period", "16384"}, "-sample-period"},
 		{"unit above period", []string{"-sample-period", "128", "-sample-unit", "1024"}, "period"},
 	}
 	for _, tc := range cases {
@@ -221,135 +216,6 @@ func TestRunScenarioText(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("output missing %q:\n%s", want, text)
 		}
-	}
-}
-
-func TestParseOptionsSpecMode(t *testing.T) {
-	opts, err := parseOptions([]string{"-spec", "sweep.json", "-json", "-out", "r.json"}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opts.specPath != "sweep.json" || !opts.jsonOut || opts.outPath != "r.json" {
-		t.Fatalf("spec options not carried: %+v", opts)
-	}
-
-	// Scenario flags conflict with -spec: the spec declares the sweep.
-	for _, args := range [][]string{
-		{"-spec", "s.json", "-workload", "Oracle"},
-		{"-spec", "s.json", "-cores", "4"},
-		{"-spec", "s.json", "-trace", "t.sgtr"},
-	} {
-		if _, err := parseOptions(args, io.Discard); err == nil {
-			t.Fatalf("args %v accepted", args)
-		}
-	}
-
-	// -submit without -spec has nothing to post.
-	if _, err := parseOptions([]string{"-submit", "http://coord:8080"}, io.Discard); err == nil {
-		t.Fatal("-submit without -spec accepted")
-	}
-
-	// -api-key only makes sense on a -submit request.
-	if _, err := parseOptions([]string{"-api-key", "k"}, io.Discard); err == nil {
-		t.Fatal("-api-key without -submit accepted")
-	}
-	if _, err := parseOptions([]string{"-spec", "s.json", "-api-key", "k"}, io.Discard); err == nil {
-		t.Fatal("-api-key on a local -spec run accepted")
-	}
-	opts, err = parseOptions([]string{"-spec", "s.json", "-submit", "http://coord:8080", "-api-key", "key-acme"}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opts.submitURL != "http://coord:8080" || opts.apiKey != "key-acme" {
-		t.Fatalf("submit options not carried: %+v", opts)
-	}
-}
-
-// TestRunSpecFile drives the -spec path through real run(): a
-// scale-pinned tiny sweep must render its declared table.
-func TestRunSpecFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "tiny.json")
-	doc := `{
-	  "version": 1, "name": "tiny",
-	  "scale": {"warmup_instr": 40000, "measure_instr": 60000, "samples": 1},
-	  "tables": [{"id": "t", "title": "tiny ipc", "grid": {
-	    "workloads": ["Nutch"],
-	    "columns": [{"name": "none", "config": {"mechanism": "none"}}],
-	    "metric": "ipc"}}]
-	}`
-	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out, errOut strings.Builder
-	if code := run([]string{"-spec", path}, &out, &errOut); code != 0 {
-		t.Fatalf("exit %d: %s", code, errOut.String())
-	}
-	if !strings.Contains(out.String(), "tiny ipc") || !strings.Contains(out.String(), "Nutch") {
-		t.Fatalf("unexpected render:\n%s", out.String())
-	}
-
-	// A broken spec fails with exit 1 and a named error.
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"version":1,"bogus":true}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var errBad strings.Builder
-	if code := run([]string{"-spec", bad}, io.Discard, &errBad); code != 1 {
-		t.Fatalf("broken spec exit %d, want 1", code)
-	}
-	if !strings.Contains(errBad.String(), "bogus") {
-		t.Fatalf("error does not name the unknown field: %s", errBad.String())
-	}
-}
-
-// TestRunSubmit drives the -submit path through real run() against a
-// stub farm: the spec travels with the bearer key, the rendered body is
-// relayed verbatim, and an error envelope surfaces on stderr with its
-// stable code.
-func TestRunSubmit(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "tiny.json")
-	doc := `{
-	  "version": 1, "name": "tiny",
-	  "scale": {"warmup_instr": 40000, "measure_instr": 60000, "samples": 1},
-	  "tables": [{"id": "t", "title": "tiny ipc", "grid": {
-	    "workloads": ["Nutch"],
-	    "columns": [{"name": "none", "config": {"mechanism": "none"}}],
-	    "metric": "ipc"}}]
-	}`
-	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	var gotAuth, gotPath string
-	farm := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		gotAuth = r.Header.Get("Authorization")
-		gotPath = r.URL.Path + "?" + r.URL.RawQuery
-		fmt.Fprint(w, "RENDERED TABLE\n")
-	}))
-	defer farm.Close()
-
-	var out, errBuf strings.Builder
-	if code := run([]string{"-spec", path, "-submit", farm.URL, "-api-key", "key-acme"}, &out, &errBuf); code != 0 {
-		t.Fatalf("exit %d: %s", code, errBuf.String())
-	}
-	if out.String() != "RENDERED TABLE\n" {
-		t.Fatalf("farm body not relayed verbatim: %q", out.String())
-	}
-	if gotAuth != "Bearer key-acme" || gotPath != "/v1/sweeps?format=text" {
-		t.Fatalf("request wrong: auth %q path %q", gotAuth, gotPath)
-	}
-
-	// A non-retryable envelope rejection exits 1 and names its code.
-	reject := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		client.WriteError(w, http.StatusUnauthorized, client.CodeUnauthorized, "unknown API key")
-	}))
-	defer reject.Close()
-	errBuf.Reset()
-	if code := run([]string{"-spec", path, "-submit", reject.URL}, io.Discard, &errBuf); code != 1 {
-		t.Fatalf("rejected submit exit %d, want 1", code)
-	}
-	if !strings.Contains(errBuf.String(), client.CodeUnauthorized) {
-		t.Fatalf("stderr does not carry the stable code: %s", errBuf.String())
 	}
 }
 

@@ -6,7 +6,9 @@
 package harness
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 
 	"shotgun/internal/sim"
@@ -277,6 +279,32 @@ type Experiment struct {
 
 // Run renders the experiment as the text table the paper reports.
 func (e Experiment) Run(r *Runner) string { return e.Table(r).String() }
+
+// Select resolves a comma-separated list of experiment ids against
+// exps, in list order. Spaces around an id are trimmed, a repeated id
+// keeps only its first position, and an id that names none of exps
+// fails with an error naming it. Where two experiments share an id the
+// earlier one wins, so a caller puts the list that shadows first.
+func Select(exps []Experiment, ids string) ([]Experiment, error) {
+	byID := make(map[string]Experiment, len(exps))
+	for i := len(exps) - 1; i >= 0; i-- {
+		byID[exps[i].ID] = exps[i]
+	}
+	var picked []Experiment
+	seen := make(map[string]bool)
+	for _, id := range strings.Split(ids, ",") {
+		id = strings.TrimSpace(id)
+		e, ok := byID[id]
+		if !ok {
+			return nil, fmt.Errorf("unknown experiment %q", id)
+		}
+		if !seen[id] {
+			seen[id] = true
+			picked = append(picked, e)
+		}
+	}
+	return picked, nil
+}
 
 // AllScenarios returns the union (with duplicates; PrefetchScenarios
 // deduplicates) of every experiment's scenario set — the whole

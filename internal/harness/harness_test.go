@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"shotgun/internal/sim"
@@ -16,5 +18,36 @@ func TestRunnerMemoizes(t *testing.T) {
 	}
 	if len(r.cache) != 1 {
 		t.Fatalf("cache has %d entries, want 1", len(r.cache))
+	}
+}
+
+func TestSelect(t *testing.T) {
+	exps := []Experiment{{ID: "a", Desc: "first a"}, {ID: "b"}, {ID: "a", Desc: "shadowed a"}, {ID: "c"}}
+	ids := func(es []Experiment) []string {
+		var out []string
+		for _, e := range es {
+			out = append(out, e.ID)
+		}
+		return out
+	}
+
+	got, err := Select(exps, " c,a , b,c,a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"c", "a", "b"}; !slices.Equal(ids(got), want) {
+		t.Fatalf("Select = %v, want %v (list order, repeats dropped)", ids(got), want)
+	}
+	if got[1].Desc != "first a" {
+		t.Fatalf("id a resolved to %q, want the earlier experiment", got[1].Desc)
+	}
+
+	for _, sel := range []string{"a,nope", "a,", ""} {
+		if _, err := Select(exps, sel); err == nil {
+			t.Fatalf("Select(%q) accepted an unknown id", sel)
+		}
+	}
+	if _, err := Select(exps, "b, nope ,a"); err == nil || !strings.Contains(err.Error(), `"nope"`) {
+		t.Fatalf("error does not name the unknown id: %v", err)
 	}
 }

@@ -665,22 +665,19 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.seedRunner(jobs)
-	table := exp.Table(s.runner)
-	switch format {
-	case "json":
-		client.WriteJSON(w, report.Report{
-			Version: report.Version,
-			Scale:   s.scaleName,
-			Tables:  []report.Table{report.FromStats(exp.ID, table)},
-		})
-	case "csv":
+	if format == "text" {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		fmt.Fprint(w, exp.Run(s.runner))
+		return
+	}
+	rep := report.FromExperiments(s.runner, []harness.Experiment{exp}, s.scaleName)
+	if format == "csv" {
 		w.Header().Set("Content-Type", "text/csv")
 		// A write error leaves nothing better to do: headers are gone.
-		_ = report.FromStats(exp.ID, table).WriteCSV(w)
-	case "text":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, table.String())
+		_ = rep.WriteCSV(w)
+		return
 	}
+	client.WriteJSON(w, rep)
 }
 
 // storeStatsResponse is GET /v1/store/stats' body.

@@ -80,26 +80,11 @@ func (s *Server) parseSweep(w http.ResponseWriter, r *http.Request) (*compiledSw
 
 	exps := compiled.Experiments()
 	if sel := r.URL.Query().Get("tables"); sel != "" {
-		byID := make(map[string]int, len(exps))
-		for i, e := range exps {
-			byID[e.ID] = i
+		if exps, err = harness.Select(exps, sel); err != nil {
+			client.WriteError(w, http.StatusBadRequest, client.CodeInvalidSpec,
+				"spec %q: %v", compiled.Spec.Name, err)
+			return nil, nil, false
 		}
-		var picked []harness.Experiment
-		seen := make(map[string]bool)
-		for _, id := range strings.Split(sel, ",") {
-			id = strings.TrimSpace(id)
-			i, ok := byID[id]
-			if !ok {
-				client.WriteError(w, http.StatusBadRequest, client.CodeInvalidSpec,
-					"spec %q has no table %q", compiled.Spec.Name, id)
-				return nil, nil, false
-			}
-			if !seen[id] {
-				seen[id] = true
-				picked = append(picked, exps[i])
-			}
-		}
-		exps = picked
 	}
 
 	keys, pinned := s.pinScenarios(exps)
@@ -178,10 +163,7 @@ func (s *Server) renderSweep(cs *compiledSweep, jobs []*job) ([]byte, string) {
 	var buf bytes.Buffer
 	switch cs.format {
 	case "json", "csv":
-		rep := report.Report{Version: report.Version, Scale: s.scaleName}
-		for _, e := range cs.exps {
-			rep.Tables = append(rep.Tables, report.FromStats(e.ID, e.Table(s.runner)))
-		}
+		rep := report.FromExperiments(s.runner, cs.exps, s.scaleName)
 		if cs.format == "csv" {
 			_ = rep.WriteCSV(&buf)
 			return buf.Bytes(), "text/csv"
@@ -190,7 +172,7 @@ func (s *Server) renderSweep(cs *compiledSweep, jobs []*job) ([]byte, string) {
 		return buf.Bytes(), "application/json"
 	default: // text
 		for _, e := range cs.exps {
-			fmt.Fprintln(&buf, e.Table(s.runner).String())
+			fmt.Fprintln(&buf, e.Run(s.runner))
 		}
 		return buf.Bytes(), "text/plain; charset=utf-8"
 	}

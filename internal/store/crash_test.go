@@ -61,6 +61,69 @@ func TestPruneKeepsRecentlyRead(t *testing.T) {
 	}
 }
 
+// TestPruneKeepsLatestPut is the regression test for writes ranking
+// behind older records. A read stamps its record with the wall clock,
+// while a record file's own mtime came from the kernel's coarser clock:
+// a record put right after a read could look older than the record
+// read, and records put within one clock tick tied, leaving the key
+// tie-break to evict the newest write first. Puts stamp the wall clock
+// too, so the record put last survives a prune down to its own size.
+func TestPruneKeepsLatestPut(t *testing.T) {
+	cases := []struct {
+		name string
+		read string // read between the three puts and the re-put ("": none)
+		last string // the record re-put last
+	}{
+		{"put after read", "Oracle", "DB2"},
+		// Oracle's key sorts after Nutch's and DB2's, so on a tie of
+		// coarse mtimes the key tie-break evicts it.
+		{"re-put within one tick", "", "Oracle"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// A tick boundary can separate the puts by chance; a few
+			// fresh stores make a tie (the failure) near certain.
+			for range 3 {
+				pruneAfterPuts(t, tc.read, tc.last)
+			}
+		})
+	}
+}
+
+// pruneAfterPuts puts Nutch, Oracle and DB2, reads read (unless ""),
+// re-puts last, prunes down to last's size and checks last survived.
+func pruneAfterPuts(t *testing.T, read, last string) {
+	t.Helper()
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, wl := range []string{"Nutch", "Oracle", "DB2"} {
+		if err := s.Put(testConfig(wl), fakeResult(wl, uint64(10+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if read != "" {
+		if _, ok := s.Get(testConfig(read)); !ok {
+			t.Fatalf("%s missing before prune", read)
+		}
+	}
+	cfg := testConfig(last)
+	if err := s.Put(cfg, fakeResult(last, 99)); err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(s.recordPath(ScenarioKey(sim.SingleCore(cfg))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Prune(info.Size()); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get(cfg); !ok {
+		t.Fatalf("%s, put last, was evicted ahead of an older record", last)
+	}
+}
+
 // TestCrashBetweenRecordAndIndex simulates the put-path crash window:
 // the record file has landed (atomic rename) but the process dies
 // before its in-memory key set learns of it. The next Open lists the

@@ -230,11 +230,10 @@ func (s *Store) GetScenario(sc sim.Scenario) (sim.ScenarioResult, bool) {
 
 // GetKey returns the full stored record under a raw key (the server's
 // poll endpoint looks results up by the key it handed out). A hit
-// bumps the record file's mtime so Prune's oldest-first eviction order
-// is by last access, not last write — without it a hot, frequently-read
-// record written long ago would be evicted before a cold one written
-// yesterday. The bump is best-effort: losing it costs eviction
-// priority, never correctness.
+// touches the record so Prune's oldest-first eviction order is by last
+// access, not last write — without it a hot, frequently-read record
+// written long ago would be evicted before a cold one written
+// yesterday.
 func (s *Store) GetKey(key string) (Record, bool) {
 	rec, ok := s.load(key)
 	if !ok {
@@ -242,9 +241,19 @@ func (s *Store) GetKey(key string) (Record, bool) {
 		return Record{}, false
 	}
 	s.hits.Add(1)
+	s.touch(key)
+	return rec, true
+}
+
+// touch stamps a record file's mtime with the wall clock. Reads and
+// writes both stamp through here: a kernel-set mtime comes from a
+// coarser clock, so a record written just after another was read, or
+// several written within one clock tick, would otherwise rank behind
+// older records in Prune's order. Best-effort: losing a stamp costs
+// eviction priority, never correctness.
+func (s *Store) touch(key string) {
 	now := time.Now()
 	_ = os.Chtimes(s.recordPath(key), now, now)
-	return rec, true
 }
 
 // PutScenario persists one scenario result as one atomically renamed
@@ -275,6 +284,7 @@ func (s *Store) put(sc sim.Scenario, res sim.ScenarioResult) error {
 	if err := writeFileAtomic(s.recordPath(rec.Key), append(raw, '\n')); err != nil {
 		return err
 	}
+	s.touch(rec.Key)
 	s.mu.Lock()
 	s.keys[rec.Key] = struct{}{}
 	s.mu.Unlock()
@@ -301,11 +311,12 @@ func (s *Store) Stats() Stats {
 }
 
 // Prune evicts the oldest records (by record-file modification time,
-// newest kept first) until the records directory fits within maxBytes,
-// returning how many records were removed. A file that cannot be
-// unlinked keeps its key, still counts toward the occupancy total (it
-// really is on disk — so older files keep being evicted), is excluded
-// from the removed count, and the error is reported.
+// which touch stamps on every write and read; newest kept first) until
+// the records directory fits within maxBytes, returning how many
+// records were removed. A file that cannot be unlinked keeps its key,
+// still counts toward the occupancy total (it really is on disk — so
+// older files keep being evicted), is excluded from the removed count,
+// and the error is reported.
 func (s *Store) Prune(maxBytes int64) (int, error) {
 	if maxBytes < 0 {
 		return 0, fmt.Errorf("store: negative prune budget %d", maxBytes)
