@@ -175,7 +175,7 @@ func parseOptions(args []string, stderr io.Writer) (options, error) {
 			}
 			opts.specFiles = append(opts.specFiles, specFile{path: path, data: data})
 			if sc := c.Spec.Scale; sc != nil {
-				hs := sc.Harness()
+				hs := *sc
 				if opts.quick {
 					return options{}, fmt.Errorf("%s pins a scale; it cannot combine with -quick", path)
 				}

@@ -68,12 +68,12 @@ func parseOptions(args []string, stderr io.Writer) (options, error) {
 	fs.SetOutput(stderr)
 	var (
 		wl      = fs.String("workload", "Oracle", "workload name: "+strings.Join(workload.Names(), ", "))
-		mech    = fs.String("mechanism", "shotgun", "mechanism: none, fdip, rdip, delta, boomerang, confluence, shotgun, ideal")
+		mech    = fs.String("mechanism", "shotgun", fmt.Sprintf("mechanism: one of %v", sim.Mechanisms()))
 		btb     = fs.Int("btb", 2048, "conventional BTB entry budget")
 		warmup  = fs.Uint64("warmup", 2_000_000, "warmup instructions")
 		measure = fs.Uint64("measure", 3_000_000, "measured instructions")
 		samples = fs.Int("samples", 3, "measurement windows")
-		region  = fs.String("region", "vector", "shotgun region mode: vector, none, entire, 5blocks")
+		region  = fs.String("region", "vector", "shotgun region mode: "+strings.Join(prefetch.RegionModeNames(), ", "))
 		bpu     = fs.String("bpu", "tage", "direction predictor: tage, clz")
 		nctx    = fs.Int("contexts", 1, "hardware contexts sharing each core's front-end (1..8)")
 		bits    = fs.Int("bits", 8, "footprint bit-vector width (8 or 32)")
@@ -109,37 +109,24 @@ func parseOptions(args []string, stderr io.Writer) (options, error) {
 
 	primary := sim.Config{
 		Workload:     *wl,
-		Mechanism:    sim.Mechanism(*mech),
 		BTBEntries:   *btb,
 		WarmupInstr:  *warmup,
 		MeasureInstr: *measure,
 		Samples:      *samples,
 	}
-	switch *region {
-	case "vector":
-		primary.RegionMode = prefetch.RegionVector
-	case "none":
-		primary.RegionMode = prefetch.RegionNone
-	case "entire":
-		primary.RegionMode = prefetch.RegionEntire
-	case "5blocks":
-		primary.RegionMode = prefetch.RegionFiveBlocks
-	default:
-		return options{}, fmt.Errorf("unknown region mode %q (vector, none, entire, 5blocks)", *region)
-	}
-	switch *bits {
-	case 8:
-		primary.Layout = footprint.Layout8
-	case 32:
-		primary.Layout = footprint.Layout32
-	default:
-		return options{}, fmt.Errorf("-bits must be 8 or 32 (got %d)", *bits)
-	}
-	bpuAxis, err := sim.ParseBPU(*bpu)
-	if err != nil {
+	var err error
+	if primary.Mechanism, err = sim.ParseMechanism(*mech); err != nil {
 		return options{}, err
 	}
-	primary.BPU = bpuAxis
+	if primary.RegionMode, err = prefetch.ParseRegionMode(*region); err != nil {
+		return options{}, err
+	}
+	if primary.Layout, err = footprint.LayoutForBits(*bits); err != nil {
+		return options{}, err
+	}
+	if primary.BPU, err = sim.ParseBPU(*bpu); err != nil {
+		return options{}, err
+	}
 	if *nctx < 1 || *nctx > sim.MaxContexts {
 		return options{}, fmt.Errorf("-contexts must be in [1, %d] (got %d)", sim.MaxContexts, *nctx)
 	}
@@ -169,7 +156,11 @@ func parseOptions(args []string, stderr io.Writer) (options, error) {
 	var mixMechs []sim.Mechanism
 	if *mix != "" {
 		for _, name := range strings.Split(*mix, ",") {
-			mixMechs = append(mixMechs, sim.Mechanism(strings.TrimSpace(name)))
+			m, err := sim.ParseMechanism(strings.TrimSpace(name))
+			if err != nil {
+				return options{}, fmt.Errorf("-mix: %w", err)
+			}
+			mixMechs = append(mixMechs, m)
 		}
 	}
 	n := *cores

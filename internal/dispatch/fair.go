@@ -85,12 +85,9 @@ type FairConfig struct {
 	// unlimited.
 	MaxQueue int
 	// Tenants pre-registers known tenants so their rows exist in Stats
-	// from the start. Unknown tenants are admitted lazily under
-	// Default.
+	// from the start. Unknown tenants are admitted lazily under the
+	// zero policy (weight 1, no limits).
 	Tenants []TenantPolicy
-	// Default is the policy applied to tenants not listed in Tenants
-	// (its Name field is ignored).
-	Default TenantPolicy
 }
 
 // FairQueue is an Executor that multiplexes many tenants onto one
@@ -113,7 +110,6 @@ type FairQueue struct {
 	sink    Sink
 	slots   int
 	maxQ    int
-	defPol  TenantPolicy
 	done    chan struct{} // dispatcher exited
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -138,7 +134,6 @@ func NewFairQueue(cfg FairConfig, sink Sink, newInner func(sink Sink) Executor) 
 		sink:    sink,
 		slots:   cfg.Slots,
 		maxQ:    cfg.MaxQueue,
-		defPol:  cfg.Default,
 		done:    make(chan struct{}),
 		tenants: make(map[string]*tenantState),
 		owner:   make(map[string]string),
@@ -268,15 +263,13 @@ func (f *FairQueue) release(key string, ok bool) {
 	f.mu.Unlock()
 }
 
-// tenantLocked returns (creating under the default policy if needed)
-// the tenant's state. Caller holds mu.
+// tenantLocked returns (creating under the zero policy if needed) the
+// tenant's state. Caller holds mu.
 func (f *FairQueue) tenantLocked(name string) *tenantState {
 	if ts, ok := f.tenants[name]; ok {
 		return ts
 	}
-	pol := f.defPol
-	pol.Name = name
-	ts := &tenantState{policy: pol}
+	ts := &tenantState{policy: TenantPolicy{Name: name}}
 	f.tenants[name] = ts
 	f.order = append(f.order, name)
 	return ts

@@ -38,6 +38,18 @@ var (
 	Layout32 = Layout{Before: 8, After: 24}
 )
 
+// LayoutForBits maps a footprint width in bits to its paper layout:
+// 8 is Layout8, 32 is Layout32.
+func LayoutForBits(bits int) (Layout, error) {
+	switch bits {
+	case 8:
+		return Layout8, nil
+	case 32:
+		return Layout32, nil
+	}
+	return Layout{}, fmt.Errorf("footprint bits must be 8 or 32 (got %d)", bits)
+}
+
 // Bits returns the storage cost of a footprint in bits.
 func (l Layout) Bits() int { return l.Before + l.After }
 

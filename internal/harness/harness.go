@@ -16,11 +16,11 @@ import (
 )
 
 // Scale sets simulation length. Quick is for tests; Full for the
-// reported experiments.
+// reported experiments. The JSON tags are a spec's "scale" spelling.
 type Scale struct {
-	WarmupInstr  uint64
-	MeasureInstr uint64
-	Samples      int
+	WarmupInstr  uint64 `json:"warmup_instr"`
+	MeasureInstr uint64 `json:"measure_instr"`
+	Samples      int    `json:"samples"`
 }
 
 // QuickScale runs short simulations for smoke tests.

@@ -2,6 +2,8 @@ package prefetch
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"shotgun/internal/btb"
 	"shotgun/internal/footprint"
@@ -27,6 +29,35 @@ const (
 	// the target ("5-Blocks") and stores no footprint metadata.
 	RegionFiveBlocks
 )
+
+// regionModeNames spells each mode in specs and on shotgun-sim's
+// -region flag, indexed by mode.
+var regionModeNames = [...]string{
+	RegionVector:     "vector",
+	RegionNone:       "none",
+	RegionEntire:     "entire",
+	RegionFiveBlocks: "5blocks",
+}
+
+// RegionModeNames lists the spellings ParseRegionMode accepts, in mode
+// order.
+func RegionModeNames() []string { return slices.Clone(regionModeNames[:]) }
+
+// ParseRegionMode maps a region mode's spelling to the enum.
+func ParseRegionMode(name string) (RegionMode, error) {
+	if i := slices.Index(regionModeNames[:], name); i >= 0 {
+		return RegionMode(i), nil
+	}
+	return 0, fmt.Errorf("unknown region mode %q (%s)", name, strings.Join(regionModeNames[:], ", "))
+}
+
+// Validate reports whether m is one of the region modes.
+func (m RegionMode) Validate() error {
+	if m < 0 || int(m) >= len(regionModeNames) {
+		return fmt.Errorf("prefetch: unknown region mode %d", int(m))
+	}
+	return nil
+}
 
 func (m RegionMode) String() string {
 	switch m {

@@ -32,7 +32,11 @@ const MaxPeriodBlocks = 16 << 20
 // MaxUnitsCap bounds the unit count from any source.
 const MaxUnitsCap = 4096
 
-// Params configures periodic sampling over a block stream.
+// Params is the periodic-sampling schedule over a block stream: the
+// period, warm-up and unit lengths in trace blocks plus the statistical
+// stopping rule. It is the one schedule type: sim.Sampling is this
+// type, and a sampled config's canonical encoding carries its field
+// names in this order, so neither may change.
 type Params struct {
 	// PeriodBlocks is the sampling period P: one measured unit begins
 	// every P trace blocks.
@@ -47,27 +51,44 @@ type Params struct {
 	// warming.
 	UnitBlocks uint64
 	// FuncWarmBlocks bounds the functional-warming window: 0 (the
-	// SMARTS-conservative default) warms the whole P−W−U gap; a
-	// non-zero F warms only the F blocks preceding the detailed
-	// warm-up and skips the rest of the gap outright — the bounded
-	// warm-up of checkpoint-style samplers, trading some cold-state
-	// risk for a much cheaper fast-forward.
+	// SMARTS-conservative default, normalized to the full P−W−U gap)
+	// warms the whole gap; an explicit F below the gap warms only the F
+	// blocks preceding the detailed warm-up and skips the rest of the
+	// gap outright — the bounded warm-up of checkpoint-style samplers,
+	// trading some cold-state risk for a much cheaper fast-forward.
 	FuncWarmBlocks uint64
 	// Units is the baseline number of measured units (default
 	// DefaultUnits).
 	Units int
-	// TargetRelCI, when non-zero, turns on adaptive escalation: after
+	// TargetCI, when non-zero, turns on adaptive escalation: after
 	// Units units, measurement continues until the IPC estimate's
 	// relative 95% half-width is at or below this target (SMARTS uses
 	// ±3%, i.e. 0.03) or MaxUnits is reached.
-	TargetRelCI float64
+	TargetCI float64
 	// MaxUnits caps adaptive escalation (default DefaultMaxUnits; only
-	// meaningful with TargetRelCI).
+	// meaningful with TargetCI).
 	MaxUnits int
 }
 
-// withDefaults returns p with zero fields resolved.
-func (p Params) withDefaults() Params {
+// gap returns the P−W−U blocks each period fast-forwards, and whether
+// W + U fits inside P at all. The comparison cannot overflow, so a
+// warm-up or unit near 2^64 never wraps into an apparent fit.
+func (p Params) gap() (uint64, bool) {
+	if p.WarmupBlocks > p.PeriodBlocks || p.UnitBlocks > p.PeriodBlocks-p.WarmupBlocks {
+		return 0, false
+	}
+	return p.PeriodBlocks - p.WarmupBlocks - p.UnitBlocks, true
+}
+
+// WithDefaults returns p with zero fields resolved: the explicit form
+// a normalized sim.Config carries.
+func (p Params) WithDefaults() Params {
+	if gap, ok := p.gap(); ok && p.FuncWarmBlocks == 0 {
+		// "Warm the whole gap" spelled implicitly (0) or explicitly
+		// (P−W−U) is one schedule; normalize to the explicit form so
+		// both share one canonical identity.
+		p.FuncWarmBlocks = gap
+	}
 	if p.Units == 0 {
 		p.Units = DefaultUnits
 	}
@@ -84,7 +105,7 @@ func (p Params) withDefaults() Params {
 
 // Validate rejects parameter sets that cannot schedule a measurement or
 // that exceed the DoS bounds (sampling parameters arrive from specs and
-// HTTP).
+// HTTP). W + U (+ F) ≤ P is checked without overflow.
 func (p Params) Validate() error {
 	if p.PeriodBlocks == 0 {
 		return fmt.Errorf("sample: period must be positive")
@@ -92,11 +113,12 @@ func (p Params) Validate() error {
 	if p.UnitBlocks == 0 {
 		return fmt.Errorf("sample: unit must be positive")
 	}
-	if p.WarmupBlocks+p.UnitBlocks > p.PeriodBlocks {
+	gap, ok := p.gap()
+	if !ok {
 		return fmt.Errorf("sample: warmup (%d) + unit (%d) blocks exceed the period (%d)",
 			p.WarmupBlocks, p.UnitBlocks, p.PeriodBlocks)
 	}
-	if p.FuncWarmBlocks+p.WarmupBlocks+p.UnitBlocks > p.PeriodBlocks {
+	if p.FuncWarmBlocks > gap {
 		return fmt.Errorf("sample: functional warm (%d) + warmup (%d) + unit (%d) blocks exceed the period (%d)",
 			p.FuncWarmBlocks, p.WarmupBlocks, p.UnitBlocks, p.PeriodBlocks)
 	}
@@ -120,8 +142,8 @@ func (p Params) Validate() error {
 	if p.MaxUnits > 0 && p.MaxUnits < units {
 		return fmt.Errorf("sample: max units %d below units %d", p.MaxUnits, units)
 	}
-	if p.TargetRelCI < 0 || p.TargetRelCI >= 1 {
-		return fmt.Errorf("sample: target CI %v out of range [0, 1)", p.TargetRelCI)
+	if p.TargetCI < 0 || p.TargetCI >= 1 {
+		return fmt.Errorf("sample: target CI %v out of range [0, 1)", p.TargetCI)
 	}
 	return nil
 }
@@ -235,21 +257,21 @@ func tQuantile95(df int) float64 {
 // unit (it should execute one full period — functional warming,
 // detailed warm-up, measured unit — and return the unit's IPC), the
 // observations accumulate, and the loop stops after p.Units units
-// unless TargetRelCI asks for escalation, in which case it continues
+// unless TargetCI asks for escalation, in which case it continues
 // until the target relative half-width or MaxUnits. Returns the IPC
 // estimate. Params must have been validated.
 func Run(p Params, measure func(unit int) float64) Estimate {
-	p = p.withDefaults()
+	p = p.WithDefaults()
 	var s Series
 	for unit := 0; unit < p.MaxUnits; unit++ {
 		s.Add(measure(unit))
 		if unit+1 < p.Units {
 			continue
 		}
-		if p.TargetRelCI == 0 {
+		if p.TargetCI == 0 {
 			break
 		}
-		if est := s.Estimate(); est.RelHalfWidth() <= p.TargetRelCI {
+		if est := s.Estimate(); est.RelHalfWidth() <= p.TargetCI {
 			break
 		}
 	}

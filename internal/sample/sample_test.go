@@ -12,7 +12,7 @@ func TestValidate(t *testing.T) {
 		{PeriodBlocks: 100, WarmupBlocks: 10, UnitBlocks: 10, FuncWarmBlocks: 80},
 		{PeriodBlocks: MaxPeriodBlocks, UnitBlocks: 1},
 		{PeriodBlocks: 100, UnitBlocks: 10, Units: MaxUnitsCap, MaxUnits: MaxUnitsCap},
-		{PeriodBlocks: 100, UnitBlocks: 10, TargetRelCI: 0.03},
+		{PeriodBlocks: 100, UnitBlocks: 10, TargetCI: 0.03},
 	}
 	for i, p := range good {
 		if err := p.Validate(); err != nil {
@@ -31,8 +31,12 @@ func TestValidate(t *testing.T) {
 		{PeriodBlocks: 100, UnitBlocks: 10, MaxUnits: -1},
 		{PeriodBlocks: 100, UnitBlocks: 10, MaxUnits: MaxUnitsCap + 1},
 		{PeriodBlocks: 100, UnitBlocks: 10, Units: 8, MaxUnits: 4},
-		{PeriodBlocks: 100, UnitBlocks: 10, TargetRelCI: -0.01},
-		{PeriodBlocks: 100, UnitBlocks: 10, TargetRelCI: 1},
+		{PeriodBlocks: 100, UnitBlocks: 10, TargetCI: -0.01},
+		{PeriodBlocks: 100, UnitBlocks: 10, TargetCI: 1},
+		// W + U wraps around 2^64 to 0 and F + W + U to P: both must
+		// still read as exceeding the period.
+		{PeriodBlocks: 100, WarmupBlocks: 1 << 63, UnitBlocks: 1 << 63},
+		{PeriodBlocks: 100, WarmupBlocks: ^uint64(0), UnitBlocks: 1},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -172,7 +176,7 @@ func TestRunFixedUnits(t *testing.T) {
 func TestRunAdaptiveStopsAtTarget(t *testing.T) {
 	// High-variance first units, then perfectly stable: the loop must
 	// escalate past Units and stop once the CI tightens under target.
-	p := Params{PeriodBlocks: 100, UnitBlocks: 10, Units: 4, MaxUnits: 400, TargetRelCI: 0.05}
+	p := Params{PeriodBlocks: 100, UnitBlocks: 10, Units: 4, MaxUnits: 400, TargetCI: 0.05}
 	calls := 0
 	e := Run(p, func(int) float64 {
 		calls++
@@ -194,7 +198,7 @@ func TestRunAdaptiveStopsAtTarget(t *testing.T) {
 
 func TestRunAdaptiveHitsCap(t *testing.T) {
 	// Alternating wildly: the CI never reaches 1e-6, so the cap rules.
-	p := Params{PeriodBlocks: 100, UnitBlocks: 10, Units: 2, MaxUnits: 9, TargetRelCI: 1e-6}
+	p := Params{PeriodBlocks: 100, UnitBlocks: 10, Units: 2, MaxUnits: 9, TargetCI: 1e-6}
 	calls := 0
 	x := 0.0
 	e := Run(p, func(int) float64 {
@@ -222,11 +226,11 @@ func TestRunDefaults(t *testing.T) {
 }
 
 func TestWithDefaultsKeepsLargeUnits(t *testing.T) {
-	p := Params{PeriodBlocks: 100, UnitBlocks: 10, Units: 100}.withDefaults()
+	p := Params{PeriodBlocks: 100, UnitBlocks: 10, Units: 100}.WithDefaults()
 	if p.MaxUnits < p.Units {
 		t.Fatalf("defaulted MaxUnits %d below Units %d", p.MaxUnits, p.Units)
 	}
-	q := Params{PeriodBlocks: 100, UnitBlocks: 10, Units: 8, MaxUnits: 4}.withDefaults()
+	q := Params{PeriodBlocks: 100, UnitBlocks: 10, Units: 8, MaxUnits: 4}.WithDefaults()
 	if q.MaxUnits != 4 {
 		t.Fatalf("explicit MaxUnits clamped: %+v", q)
 	}

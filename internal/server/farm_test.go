@@ -356,6 +356,7 @@ func TestErrorEnvelopeSurface(t *testing.T) {
 		{"sims unknown workload", "POST", "/v1/scenarios", `{"scenarios":[{"Cores":[{"Workload":"NoSuch","Mechanism":"none"}]}]}`, 400, client.CodeInvalidRequest},
 		{"sims given as configs", "POST", "/v1/scenarios", `{"configs":[{"Workload":"Nutch","Mechanism":"none"}]}`, 400, client.CodeInvalidRequest},
 		{"scenarios no cores", "POST", "/v1/scenarios", `{"scenarios":[{"Cores":[]}]}`, 400, client.CodeInvalidRequest},
+		{"scenarios nonzero skip", "POST", "/v1/scenarios", `{"scenarios":[{"Cores":[{"Workload":"Nutch","Mechanism":"none","SkipInstr":4611686018427387904,"Samples":2}]}]}`, 400, client.CodeInvalidRequest},
 		{"scenarios unknown key", "GET", "/v1/scenarios/deadbeef", "", 404, client.CodeNotFound},
 		// The removed single-config routes, an unknown route and a wrong
 		// method all fall to the catch-all.

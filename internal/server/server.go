@@ -544,6 +544,16 @@ func (s *Server) handleSubmitScenarios(w http.ResponseWriter, r *http.Request) {
 			client.WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest, "scenario %d: %v", i, err)
 			return
 		}
+		// The runner pins every scale field but SkipInstr, which stays a
+		// content-key axis; no bound on it is safe (a huge skip ties a
+		// worker up for good), so a submission leaves it to the default.
+		for j, cfg := range sc.Cores {
+			if cfg.SkipInstr != 0 {
+				client.WriteError(w, http.StatusBadRequest, client.CodeInvalidRequest,
+					"scenario %d: core %d: SkipInstr must be 0, the server runs the default skip (got %d)", i, j, cfg.SkipInstr)
+				return
+			}
+		}
 		n := s.runner.NormalizeScenario(sc)
 		scs = append(scs, n)
 		keys = append(keys, store.ScenarioKey(n))

@@ -71,7 +71,7 @@ func (s *Server) parseSweep(w http.ResponseWriter, r *http.Request) (*compiledSw
 	}
 	// Content keys derive from the server's pinned scale; a spec that
 	// pins a different scale would silently run at the wrong one.
-	if sc := compiled.Spec.Scale; sc != nil && sc.Harness() != s.scale {
+	if sc := compiled.Spec.Scale; sc != nil && *sc != s.scale {
 		client.WriteError(w, http.StatusBadRequest, client.CodeInvalidSpec,
 			"spec pins scale %+v but this server runs %q (%+v); drop the spec's scale or submit to a matching server",
 			*sc, s.scaleName, s.scale)

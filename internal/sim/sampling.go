@@ -17,81 +17,13 @@ import (
 	"shotgun/internal/sample"
 )
 
-// Sampling configures the sampled execution mode. A nil Sampling on a
-// Config means exact execution; non-nil switches Run/RunStream to
-// periodic sampling and makes WarmupInstr/MeasureInstr/SkipInstr/
-// Samples irrelevant (the sampling schedule replaces them, though they
-// remain part of the canonical identity like every other field).
-type Sampling struct {
-	// PeriodBlocks is the sampling period P in trace blocks: one
-	// measured unit begins every P blocks.
-	PeriodBlocks uint64
-	// WarmupBlocks is the detailed (timed, discarded) warm-up W before
-	// each measured unit.
-	WarmupBlocks uint64
-	// UnitBlocks is the measured detailed unit length U. The remaining
-	// P−W−U blocks of each period run under functional warming.
-	UnitBlocks uint64
-	// FuncWarmBlocks bounds the functional-warming window: 0 (the
-	// SMARTS-conservative default, normalized to the full P−W−U gap)
-	// warms every fast-forwarded block; an explicit F < gap warms only
-	// the F blocks before the detailed warm-up and skips the rest of
-	// the gap with no simulation at all — much faster, at some
-	// cold-state risk the warm-up phases must absorb.
-	FuncWarmBlocks uint64
-	// Units is the baseline measured-unit count (default
-	// sample.DefaultUnits).
-	Units int
-	// TargetCI, when non-zero, enables adaptive escalation: after Units
-	// units, measurement continues until the IPC estimate's relative
-	// 95% half-width reaches the target (SMARTS targets 0.03) or
-	// MaxUnits is hit.
-	TargetCI float64
-	// MaxUnits caps adaptive escalation (default sample.DefaultMaxUnits).
-	MaxUnits int
-}
-
-// withDefaults returns the sampling block with zero fields resolved —
-// the explicit form Normalized exposes.
-func (s Sampling) withDefaults() Sampling {
-	if s.FuncWarmBlocks == 0 && s.PeriodBlocks >= s.WarmupBlocks+s.UnitBlocks {
-		// "Warm the whole gap" spelled implicitly (0) or explicitly
-		// (P−W−U) is one schedule; normalize to the explicit form so
-		// both share one canonical identity.
-		s.FuncWarmBlocks = s.PeriodBlocks - s.WarmupBlocks - s.UnitBlocks
-	}
-	if s.Units == 0 {
-		s.Units = sample.DefaultUnits
-	}
-	if s.MaxUnits == 0 {
-		// Default the cap, never clamp an explicit one (an explicit
-		// MaxUnits below Units is an error Validate reports).
-		s.MaxUnits = sample.DefaultMaxUnits
-		if s.MaxUnits < s.Units {
-			s.MaxUnits = s.Units
-		}
-	}
-	return s
-}
-
-// params converts to the sample package's parameter form.
-func (s Sampling) params() sample.Params {
-	return sample.Params{
-		PeriodBlocks:   s.PeriodBlocks,
-		WarmupBlocks:   s.WarmupBlocks,
-		UnitBlocks:     s.UnitBlocks,
-		FuncWarmBlocks: s.FuncWarmBlocks,
-		Units:          s.Units,
-		TargetRelCI:    s.TargetCI,
-		MaxUnits:       s.MaxUnits,
-	}
-}
-
-// Validate reports whether the sampling block is runnable and within
-// the DoS bounds (sampling parameters arrive from specs and HTTP).
-func (s Sampling) Validate() error {
-	return s.params().Validate()
-}
+// Sampling configures the sampled execution mode: the schedule type
+// of internal/sample. A nil Sampling on a Config means exact execution;
+// non-nil switches Run/RunStream to periodic sampling and makes
+// WarmupInstr/MeasureInstr/SkipInstr/Samples irrelevant (the sampling
+// schedule replaces them, though they remain part of the canonical
+// identity like every other field).
+type Sampling = sample.Params
 
 // compareSampling extends compareConfigs' frozen total order: nil
 // (exact mode) ranks before any sampled config, then field-by-field.
@@ -172,7 +104,7 @@ func (s SampledSummary) TotalInstr() uint64 {
 // IPC()/MPKI() read as usual), and Sampled carries the per-unit
 // statistics.
 func runSampled(cfg Config, c *core.Core, engine prefetch.Engine) Result {
-	p := cfg.Sampling.params()
+	p := *cfg.Sampling
 	res := Result{Workload: cfg.Workload, Mechanism: cfg.Mechanism}
 	sum := &SampledSummary{}
 	var l1i, btbm sample.Series

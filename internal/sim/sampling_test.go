@@ -202,6 +202,9 @@ func TestSamplingValidation(t *testing.T) {
 		{PeriodBlocks: 100, UnitBlocks: 10, Units: 8, MaxUnits: 4},
 		{PeriodBlocks: 100, UnitBlocks: 10, TargetCI: -0.5},
 		{PeriodBlocks: 100, UnitBlocks: 10, TargetCI: 1.5},
+		// Block counts whose sum wraps around 2^64 into an apparent fit.
+		{PeriodBlocks: 100, WarmupBlocks: 1 << 63, UnitBlocks: 1 << 63},
+		{PeriodBlocks: 100, WarmupBlocks: ^uint64(0), UnitBlocks: 1},
 	}
 	for i, s := range bad {
 		s := s

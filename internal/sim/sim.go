@@ -48,6 +48,17 @@ func Mechanisms() []Mechanism {
 	return []Mechanism{None, FDIP, RDIP, Delta, Boomerang, Confluence, Shotgun, Ideal}
 }
 
+// ParseMechanism maps a mechanism's spelling to the enum; it is the one
+// check of a mechanism name, for specs, flags and submitted configs.
+func ParseMechanism(name string) (Mechanism, error) {
+	for _, m := range Mechanisms() {
+		if string(m) == name {
+			return m, nil
+		}
+	}
+	return "", fmt.Errorf("sim: unknown mechanism %q (have %v)", name, Mechanisms())
+}
+
 // BPU axis values: the empty string is the default TAGE (kept implicit so
 // every pre-axis content identity is byte-unchanged), BPUCLZ the
 // CLZ-indexed variant.
@@ -140,7 +151,7 @@ func (c *Config) setDefaults() {
 		// Copy before defaulting: setDefaults runs on a value receiver's
 		// copy in Normalized, and writing through the shared pointer
 		// would mutate the caller's struct.
-		s := c.Sampling.withDefaults()
+		s := c.Sampling.WithDefaults()
 		c.Sampling = &s
 	}
 	if c.BPU == "tage" {
@@ -169,10 +180,8 @@ func (c Config) Validate() error {
 	if _, err := workload.Get(n.Workload); err != nil {
 		return err
 	}
-	switch n.Mechanism {
-	case None, FDIP, RDIP, Delta, Boomerang, Confluence, Shotgun, Ideal:
-	default:
-		return fmt.Errorf("sim: unknown mechanism %q", n.Mechanism)
+	if _, err := ParseMechanism(string(n.Mechanism)); err != nil {
+		return err
 	}
 	if _, err := ParseBPU(n.BPU); err != nil {
 		return err
@@ -192,10 +201,8 @@ func (c Config) Validate() error {
 	if err := n.Layout.Validate(); err != nil {
 		return err
 	}
-	switch n.RegionMode {
-	case prefetch.RegionVector, prefetch.RegionNone, prefetch.RegionEntire, prefetch.RegionFiveBlocks:
-	default:
-		return fmt.Errorf("sim: unknown region mode %d", n.RegionMode)
+	if err := n.RegionMode.Validate(); err != nil {
+		return err
 	}
 	if n.Sampling != nil {
 		if err := n.Sampling.Validate(); err != nil {

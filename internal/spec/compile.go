@@ -2,6 +2,8 @@ package spec
 
 import (
 	"fmt"
+	"os"
+	"regexp"
 	"sort"
 
 	"shotgun/internal/btb"
@@ -12,32 +14,6 @@ import (
 	"shotgun/internal/stats"
 	"shotgun/internal/workload"
 )
-
-// parseMechanism maps a spec spelling to the sim enum.
-func parseMechanism(name string) (sim.Mechanism, error) {
-	for _, m := range sim.Mechanisms() {
-		if string(m) == name {
-			return m, nil
-		}
-	}
-	return "", fmt.Errorf("unknown mechanism %q (have %v)", name, sim.Mechanisms())
-}
-
-// parseRegionMode maps a spec spelling to the prefetch enum (the same
-// vocabulary shotgun-sim's -region flag uses).
-func parseRegionMode(name string) (prefetch.RegionMode, error) {
-	switch name {
-	case "vector":
-		return prefetch.RegionVector, nil
-	case "none":
-		return prefetch.RegionNone, nil
-	case "entire":
-		return prefetch.RegionEntire, nil
-	case "5blocks":
-		return prefetch.RegionFiveBlocks, nil
-	}
-	return 0, fmt.Errorf("unknown region mode %q (vector, none, entire, 5blocks)", name)
-}
 
 // metric computes one reported value from a cell's result (and, for
 // relative metrics, the workload baseline's).
@@ -75,41 +51,32 @@ func metricNames() []string {
 // it depends on the final BTB budget, which a later layer may still
 // override, so compose resolves it only after every layer has applied.
 func (c Config) apply(cfg sim.Config) (sim.Config, error) {
+	var err error
 	if c.Workload != "" {
 		cfg.Workload = c.Workload
 	}
 	if c.Mechanism != "" {
-		m, err := parseMechanism(c.Mechanism)
-		if err != nil {
+		if cfg.Mechanism, err = sim.ParseMechanism(c.Mechanism); err != nil {
 			return cfg, err
 		}
-		cfg.Mechanism = m
 	}
 	if c.BTBEntries != 0 {
 		cfg.BTBEntries = c.BTBEntries
 	}
 	if c.RegionMode != "" {
-		mode, err := parseRegionMode(c.RegionMode)
-		if err != nil {
+		if cfg.RegionMode, err = prefetch.ParseRegionMode(c.RegionMode); err != nil {
 			return cfg, err
 		}
-		cfg.RegionMode = mode
 	}
-	switch c.FootprintBits {
-	case 0:
-	case 8:
-		cfg.Layout = footprint.Layout8
-	case 32:
-		cfg.Layout = footprint.Layout32
-	default:
-		return cfg, fmt.Errorf("footprint_bits must be 8 or 32 (got %d)", c.FootprintBits)
+	if c.FootprintBits != 0 {
+		if cfg.Layout, err = footprint.LayoutForBits(c.FootprintBits); err != nil {
+			return cfg, err
+		}
 	}
 	if c.BPU != "" {
-		b, err := sim.ParseBPU(c.BPU)
-		if err != nil {
+		if cfg.BPU, err = sim.ParseBPU(c.BPU); err != nil {
 			return cfg, err
 		}
-		cfg.BPU = b
 	}
 	if c.Contexts != 0 {
 		cfg.Contexts = c.Contexts
@@ -123,6 +90,9 @@ func (c Config) apply(cfg sim.Config) (sim.Config, error) {
 func materializeCBTB(cfg sim.Config, cbtb int) (sim.Config, error) {
 	if cbtb == 0 {
 		return cfg, nil
+	}
+	if cbtb < 0 {
+		return cfg, fmt.Errorf("cbtb_entries must be non-negative (got %d)", cbtb)
 	}
 	budget := cfg.BTBEntries
 	if budget == 0 {
@@ -138,7 +108,8 @@ func materializeCBTB(cfg sim.Config, cbtb int) (sim.Config, error) {
 }
 
 // compose stacks override layers onto a workload's zero config and
-// validates the result, so every compile-time error names its cell.
+// validates the result — the one check of every layer's overrides — so
+// every compile-time error names its cell.
 // cbtb_entries is resolved last (latest layer wins), against the BTB
 // budget the full stack settled on — a column's btb_entries therefore
 // reshapes a base layer's cbtb_entries correctly, whatever the order.
@@ -164,25 +135,81 @@ func compose(wl string, layers ...Config) (sim.Config, error) {
 	return cfg, nil
 }
 
-// workloadsOrAll resolves the shared "absent means the full suite"
-// default.
-func workloadsOrAll(wls []string) []string {
-	if wls == nil {
-		return workload.Names()
+// formatRE is the set of cell format verbs a spec may use: a plain
+// fixed-precision float. Anything fancier belongs in a new table kind,
+// not in a format string.
+var formatRE = regexp.MustCompile(`^%\.\d{1,2}f$`)
+
+// cellFormat resolves a table's cell format verb, def when unset.
+func cellFormat(format, def string) (string, error) {
+	if format == "" {
+		return def, nil
 	}
-	return wls
+	if !formatRE.MatchString(format) {
+		return "", fmt.Errorf("format %q is not a fixed-precision float verb (%%.Nf)", format)
+	}
+	return format, nil
+}
+
+// checkNames applies the rules every named list of a table shares —
+// axis points, mixes, workloads, mechanisms: each one named, no name
+// twice.
+func checkNames[T any](what string, items []T, name func(T) string) error {
+	seen := make(map[string]bool, len(items))
+	for i, it := range items {
+		n := name(it)
+		if n == "" {
+			return fmt.Errorf("%s %d: name is required", what, i)
+		}
+		if seen[n] {
+			return fmt.Errorf("duplicate %s %q", what, n)
+		}
+		seen[n] = true
+	}
+	return nil
+}
+
+func axisName(a Axis) string { return a.Name }
+func itself(s string) string { return s }
+
+// rowWorkloads resolves a table's workload list: absent means the full
+// suite, an explicitly empty list is rejected (a zero-row table is
+// always a mistake), and names must be known and listed once.
+func rowWorkloads(wls []string) ([]string, error) {
+	if wls == nil {
+		return workload.Names(), nil
+	}
+	if len(wls) == 0 {
+		return nil, fmt.Errorf("workloads must not be empty (omit the field for the full suite)")
+	}
+	if err := checkNames("workload", wls, itself); err != nil {
+		return nil, err
+	}
+	for _, wl := range wls {
+		if _, err := workload.Get(wl); err != nil {
+			return nil, err
+		}
+	}
+	return wls, nil
 }
 
 // defaultAnalysisBlocks is a trace analysis's length when its spec
 // leaves blocks unset (the paper's Figure 3/4 analyses).
 const defaultAnalysisBlocks = 400_000
 
-// blocksOrDefault resolves an analysis's trace length.
-func blocksOrDefault(n int) int {
-	if n == 0 {
-		return defaultAnalysisBlocks
+// analysisBlocks resolves an analysis's trace length: zero means the
+// default, and the cap bounds the CPU one spec-driven analysis may
+// demand.
+func analysisBlocks(n int) (int, error) {
+	switch {
+	case n < 0:
+		return 0, fmt.Errorf("blocks must be non-negative (got %d)", n)
+	case n > MaxAnalysisBlocks:
+		return 0, fmt.Errorf("blocks %d exceeds the %d cap", n, MaxAnalysisBlocks)
+	case n == 0:
+		return defaultAnalysisBlocks, nil
 	}
-	return n
+	return n, nil
 }
 
 // compiledTable is one expanded output table: its scenario work list
@@ -207,12 +234,14 @@ type Compiled struct {
 	tables []compiledTable
 }
 
-// Compile validates and expands a spec: every cell config is composed
-// and sim-validated, every scenario is materialized in deterministic
-// order, and the total expansion is capped at MaxScenarios. The
-// returned Compiled is immutable and safe for concurrent renders.
+// Compile is the one check of a spec, made as it expands: the
+// document-level rules, then each table's fields as its kind's compiler
+// reads them. Every cell config is composed and sim-validated, every
+// scenario is materialized in deterministic order, and the total
+// expansion is capped at MaxScenarios. The returned Compiled is
+// immutable and safe for concurrent renders.
 func (s Spec) Compile() (*Compiled, error) {
-	if err := s.Validate(); err != nil {
+	if err := s.checkDoc(); err != nil {
 		return nil, err
 	}
 	c := &Compiled{Spec: s}
@@ -244,22 +273,22 @@ func (s Spec) Compile() (*Compiled, error) {
 	return c, nil
 }
 
-// Compile parses and compiles a raw spec document.
+// Compile decodes and compiles a raw spec document.
 func Compile(data []byte) (*Compiled, error) {
-	s, err := Parse(data)
+	s, err := decode(data)
 	if err != nil {
 		return nil, err
 	}
 	return s.Compile()
 }
 
-// CompileFile parses and compiles a spec file.
+// CompileFile is Compile over a file's contents.
 func CompileFile(path string) (*Compiled, error) {
-	s, err := ParseFile(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("spec: %w", err)
 	}
-	c, err := s.Compile()
+	c, err := Compile(data)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
@@ -300,6 +329,15 @@ func (c *Compiled) Experiments() []harness.Experiment {
 
 // compileTable expands one table declaration.
 func compileTable(t Table) (compiledTable, error) {
+	kinds := 0
+	for _, set := range []bool{t.Grid != nil, t.Interference != nil, t.RegionCDF != nil, t.BranchCoverage != nil, t.Sampled != nil} {
+		if set {
+			kinds++
+		}
+	}
+	if kinds != 1 {
+		return compiledTable{}, fmt.Errorf("exactly one of grid, interference, region_cdf, branch_coverage, sampled must be set (got %d)", kinds)
+	}
 	switch {
 	case t.Grid != nil:
 		return compileGrid(t)

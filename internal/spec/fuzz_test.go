@@ -45,14 +45,18 @@ func FuzzSpecParse(f *testing.F) {
 
 // FuzzSamplingSpec drives the sampling object with arbitrary parameter
 // values — overflowing periods, negative counts, NaN targets — through
-// both the JSON surface and the typed validate/compile path. The
-// contract matches FuzzSpecParse: a validation error or a compiled
-// table, never a panic. Wired into the CI fuzz-smoke job.
+// Compile. The contract matches FuzzSpecParse: an error or a compiled
+// table, never a panic; and a schedule that compiles fits its period,
+// W + U + F ≤ P, by arithmetic that cannot wrap. Wired into the CI
+// fuzz-smoke job.
 func FuzzSamplingSpec(f *testing.F) {
 	f.Add(uint64(16384), uint64(1024), uint64(1024), uint64(8192), 16, 0.03, 64)
 	f.Add(uint64(0), uint64(0), uint64(0), uint64(0), 0, 0.0, 0)
 	f.Add(^uint64(0), ^uint64(0), uint64(1), uint64(0), -1, -1.0, -1)
 	f.Add(uint64(100), uint64(90), uint64(20), uint64(0), 1<<30, 1.5, 1)
+	// W + U wraps around 2^64: to 0, and to P's neighbourhood.
+	f.Add(uint64(100), uint64(1)<<63, uint64(1)<<63, uint64(0), 0, 0.0, 0)
+	f.Add(uint64(100), ^uint64(0), uint64(1), uint64(0), 0, 0.0, 0)
 
 	f.Fuzz(func(t *testing.T, period, warmup, unit, funcWarm uint64, units int, targetCI float64, maxUnits int) {
 		s := Spec{
@@ -74,19 +78,22 @@ func FuzzSamplingSpec(f *testing.F) {
 				},
 			}},
 		}
-		if err := s.Validate(); err != nil {
-			return
-		}
 		c, err := s.Compile()
 		if err != nil {
-			t.Fatalf("validated sampling spec failed to compile: %v", err)
+			return
 		}
-		// A compiled sampled table must expand to scenarios the
-		// simulator itself accepts — spec-level validation may not be
-		// looser than sim-level.
 		for _, sc := range c.Scenarios() {
 			if err := sc.Validate(); err != nil {
 				t.Fatalf("compiled scenario invalid: %v", err)
+			}
+			p := sc.Normalized().Cores[0].Sampling
+			if p == nil {
+				continue
+			}
+			if p.WarmupBlocks > p.PeriodBlocks ||
+				p.UnitBlocks > p.PeriodBlocks-p.WarmupBlocks ||
+				p.FuncWarmBlocks > p.PeriodBlocks-p.WarmupBlocks-p.UnitBlocks {
+				t.Fatalf("compiled schedule does not fit its period: %+v", *p)
 			}
 		}
 	})

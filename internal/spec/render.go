@@ -1,9 +1,9 @@
 package spec
 
-// The per-kind compilers: each expands one table declaration into its
-// scenario work list (composed, sim-validated configs in deterministic
-// order) and a renderer that assembles the table from a runner's
-// memoized results.
+// The per-kind compilers: each checks its kind's fields as it expands
+// one table declaration into its scenario work list (composed,
+// sim-validated configs in deterministic order) and a renderer that
+// assembles the table from a runner's memoized results.
 
 import (
 	"fmt"
@@ -19,11 +19,40 @@ import (
 // the baseline first, then every (row × column) cell.
 func compileGrid(t Table) (compiledTable, error) {
 	g := t.Grid
-	wls := workloadsOrAll(g.Workloads)
-	met := metrics[g.Metric]
-	format := g.Format
-	if format == "" {
-		format = "%.3f"
+	wls, err := rowWorkloads(g.Workloads)
+	if err != nil {
+		return compiledTable{}, err
+	}
+	if len(g.Columns) == 0 {
+		return compiledTable{}, fmt.Errorf("grid needs at least one column")
+	}
+	if err := checkNames("column", g.Columns, axisName); err != nil {
+		return compiledTable{}, err
+	}
+	if err := checkNames("row", g.Rows, axisName); err != nil {
+		return compiledTable{}, err
+	}
+	if len(g.Rows) > 0 && g.RowsLabel == "" {
+		return compiledTable{}, fmt.Errorf("rows_label is required with a rows axis")
+	}
+	if len(g.Rows) == 0 && g.RowsLabel != "" {
+		return compiledTable{}, fmt.Errorf("rows_label without a rows axis")
+	}
+	met, ok := metrics[g.Metric]
+	if !ok {
+		return compiledTable{}, fmt.Errorf("unknown metric %q (have %v)", g.Metric, metricNames())
+	}
+	format, err := cellFormat(g.Format, "%.3f")
+	if err != nil {
+		return compiledTable{}, err
+	}
+	switch g.Summary {
+	case "", "gmean", "mean":
+	default:
+		return compiledTable{}, fmt.Errorf("unknown summary %q (gmean, mean, or omit)", g.Summary)
+	}
+	if g.Summary == "" && g.SummaryLabel != "" {
+		return compiledTable{}, fmt.Errorf("summary_label without a summary")
 	}
 	baseline := Config{Mechanism: "none"}
 	if g.Baseline != nil {
@@ -185,25 +214,44 @@ func compileInterference(t Table) (compiledTable, error) {
 	if wl == "" {
 		wl = defaultInterferenceWorkload
 	}
+	// Every core config is checked once, inside the scenarios' own
+	// Validate below.
 	coreConfig := func(what string, c Config) (sim.Config, error) {
-		cfg := sim.Config{Workload: wl}
-		cfg, err := c.apply(cfg)
+		cfg, err := c.apply(sim.Config{Workload: wl, Mechanism: sim.Shotgun})
+		if err == nil {
+			cfg, err = materializeCBTB(cfg, c.CBTBEntries)
+		}
 		if err != nil {
-			return cfg, fmt.Errorf("%s: %w", what, err)
-		}
-		if cfg, err = materializeCBTB(cfg, c.CBTBEntries); err != nil {
-			return cfg, fmt.Errorf("%s: %w", what, err)
-		}
-		if cfg.Mechanism == "" {
-			cfg.Mechanism = sim.Shotgun
-		}
-		if err := cfg.Validate(); err != nil {
 			return cfg, fmt.Errorf("%s: %w", what, err)
 		}
 		return cfg, nil
 	}
 	primary, err := coreConfig("primary", iv.Primary)
 	if err != nil {
+		return compiledTable{}, err
+	}
+	if len(iv.CoRunners) == 0 {
+		return compiledTable{}, fmt.Errorf("co_runners must not be empty")
+	}
+	prev := 0
+	for _, n := range iv.CoRunners {
+		if n < 1 {
+			return compiledTable{}, fmt.Errorf("co-runner count %d must be at least 1 (the solo row is implicit)", n)
+		}
+		if n <= prev {
+			return compiledTable{}, fmt.Errorf("co_runners must be strictly increasing (got %d after %d)", n, prev)
+		}
+		prev = n
+		// Checked before any point's core list is built: a count can be
+		// as large as a JSON integer.
+		if 1+n > sim.MaxCores {
+			return compiledTable{}, fmt.Errorf("co-runner count %d needs %d cores; the mesh supports %d", n, 1+n, sim.MaxCores)
+		}
+	}
+	if len(iv.Mixes) == 0 {
+		return compiledTable{}, fmt.Errorf("mixes must not be empty")
+	}
+	if err := checkNames("mix", iv.Mixes, func(m Mix) string { return m.Name }); err != nil {
 		return compiledTable{}, err
 	}
 	// Enforce the cap BEFORE materializing the fan-out, like the grid
@@ -265,11 +313,30 @@ func compileInterference(t Table) (compiledTable, error) {
 // compileRegionCDF expands the Figure 3 analysis (no simulations).
 func compileRegionCDF(t Table) (compiledTable, error) {
 	rc := t.RegionCDF
-	wls := workloadsOrAll(rc.Workloads)
-	blocks := blocksOrDefault(rc.Blocks)
-	format := rc.Format
-	if format == "" {
-		format = "%.2f"
+	wls, err := rowWorkloads(rc.Workloads)
+	if err != nil {
+		return compiledTable{}, err
+	}
+	blocks, err := analysisBlocks(rc.Blocks)
+	if err != nil {
+		return compiledTable{}, err
+	}
+	if len(rc.Distances) == 0 {
+		return compiledTable{}, fmt.Errorf("distances must not be empty")
+	}
+	prev := -1
+	for _, d := range rc.Distances {
+		if d <= prev {
+			return compiledTable{}, fmt.Errorf("distances must be strictly increasing (got %d after %d)", d, prev)
+		}
+		prev = d
+		if d > workload.RegionDistBuckets-2 {
+			return compiledTable{}, fmt.Errorf("distance %d out of range [0, %d]", d, workload.RegionDistBuckets-2)
+		}
+	}
+	format, err := cellFormat(rc.Format, "%.2f")
+	if err != nil {
+		return compiledTable{}, err
 	}
 	headers := []string{"Workload"}
 	for _, d := range rc.Distances {
@@ -315,9 +382,15 @@ func compileSampled(t Table) (compiledTable, error) {
 	}
 	mechs := defaultSampledMechs
 	if sd.Mechanisms != nil {
+		if len(sd.Mechanisms) == 0 {
+			return compiledTable{}, fmt.Errorf("mechanisms must not be empty (omit the field for the default pair)")
+		}
+		if err := checkNames("mechanism", sd.Mechanisms, itself); err != nil {
+			return compiledTable{}, err
+		}
 		mechs = make([]sim.Mechanism, 0, len(sd.Mechanisms))
 		for _, name := range sd.Mechanisms {
-			m, err := parseMechanism(name)
+			m, err := sim.ParseMechanism(name)
 			if err != nil {
 				return compiledTable{}, err
 			}
@@ -333,6 +406,8 @@ func compileSampled(t Table) (compiledTable, error) {
 		p.sampled = p.exact
 		s := schedule
 		p.sampled.Sampling = &s
+		// The scenarios' Validate is the one check of the workload and
+		// the sampling schedule, DoS bounds included.
 		for _, cfg := range []sim.Config{p.exact, p.sampled} {
 			sc := sim.SingleCore(cfg)
 			if err := sc.Validate(); err != nil {
@@ -366,8 +441,24 @@ func compileSampled(t Table) (compiledTable, error) {
 // compileBranchCoverage expands the Figure 4 analysis (no simulations).
 func compileBranchCoverage(t Table) (compiledTable, error) {
 	bc := t.BranchCoverage
-	wls := workloadsOrAll(bc.Workloads)
-	blocks := blocksOrDefault(bc.Blocks)
+	wls, err := rowWorkloads(bc.Workloads)
+	if err != nil {
+		return compiledTable{}, err
+	}
+	blocks, err := analysisBlocks(bc.Blocks)
+	if err != nil {
+		return compiledTable{}, err
+	}
+	if len(bc.Points) == 0 {
+		return compiledTable{}, fmt.Errorf("points must not be empty")
+	}
+	prev := 0
+	for _, k := range bc.Points {
+		if k <= prev {
+			return compiledTable{}, fmt.Errorf("points must be positive and strictly increasing (got %d after %d)", k, prev)
+		}
+		prev = k
+	}
 
 	render := func(*harness.Runner) *stats.Table {
 		tab := stats.NewTable(t.Title, "Workload", "K", "all", "unconditional")

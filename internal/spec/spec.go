@@ -14,7 +14,9 @@
 // The contract that makes specs safe to accept from disk or HTTP:
 //
 //   - parsing is strict — unknown fields, wrong versions, and malformed
-//     JSON all error (and never panic: FuzzSpecParse);
+//     JSON all error (and never panic: FuzzSpecParse) — and Compile is
+//     the one check: each table kind's compiler checks its own fields
+//     as it expands them;
 //   - expansion is capped (MaxScenarios) and deterministic — the same
 //     spec always expands to the same scenarios in the same order, so
 //     renders are stable at any worker count;
@@ -27,12 +29,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
-	"regexp"
 
 	"shotgun/internal/harness"
 	"shotgun/internal/sim"
-	"shotgun/internal/workload"
 )
 
 // Version is the spec-format generation this build reads. Parse rejects
@@ -74,26 +73,14 @@ type Spec struct {
 	// Scale, when present, pins the simulation scale. When absent the
 	// runner's scale applies; the catalog's specs never pin one, so the
 	// golden corpus renders them at quick scale.
-	Scale *Scale `json:"scale,omitempty"`
+	Scale *harness.Scale `json:"scale,omitempty"`
 	// Tables lists the output tables, each expanding to its own
 	// scenario set.
 	Tables []Table `json:"tables"`
 }
 
-// Scale mirrors harness.Scale: instruction budgets and sample counts.
-type Scale struct {
-	WarmupInstr  uint64 `json:"warmup_instr"`
-	MeasureInstr uint64 `json:"measure_instr"`
-	Samples      int    `json:"samples"`
-}
-
-// Harness converts to the harness's scale type.
-func (s Scale) Harness() harness.Scale {
-	return harness.Scale{WarmupInstr: s.WarmupInstr, MeasureInstr: s.MeasureInstr, Samples: s.Samples}
-}
-
 // Table declares one output table. Exactly one of the kind fields
-// (Grid, Interference, RegionCDF, BranchCoverage) must be set.
+// (Grid, Interference, RegionCDF, BranchCoverage, Sampled) must be set.
 type Table struct {
 	// ID is the table's experiment id (unique within the spec).
 	ID string `json:"id"`
@@ -286,10 +273,23 @@ func (s Sampling) Sim() sim.Sampling {
 	}
 }
 
-// Parse decodes and validates a spec. Decoding is strict: unknown
-// fields anywhere in the document are errors, so a typoed knob can
-// never silently run at its default.
+// Parse decodes a spec and checks its document-level rules (checkDoc).
+// Decoding is strict: unknown fields anywhere in the document are
+// errors, so a typoed knob can never silently run at its default. The
+// tables' contents are checked where Compile expands them.
 func Parse(data []byte) (Spec, error) {
+	s, err := decode(data)
+	if err != nil {
+		return Spec{}, err
+	}
+	if err := s.checkDoc(); err != nil {
+		return Spec{}, err
+	}
+	return s, nil
+}
+
+// decode is Parse's strict JSON decoding alone.
+func decode(data []byte) (Spec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var s Spec
@@ -301,34 +301,12 @@ func Parse(data []byte) (Spec, error) {
 	if dec.More() {
 		return Spec{}, fmt.Errorf("spec: trailing data after the spec document")
 	}
-	if err := s.Validate(); err != nil {
-		return Spec{}, err
-	}
 	return s, nil
 }
 
-// ParseFile is Parse over a file's contents.
-func ParseFile(path string) (Spec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Spec{}, fmt.Errorf("spec: %w", err)
-	}
-	s, err := Parse(data)
-	if err != nil {
-		return Spec{}, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, nil
-}
-
-// formatRE is the set of cell format verbs a spec may use: a plain
-// fixed-precision float. Anything fancier belongs in a new table kind,
-// not in a format string.
-var formatRE = regexp.MustCompile(`^%\.\d{1,2}f$`)
-
-// Validate checks everything knowable without expansion: structure,
-// enum spellings, axis uniqueness, bounds. Expansion-dependent checks
-// (the scenario cap, per-cell config validity) happen in Compile.
-func (s Spec) Validate() error {
+// checkDoc applies the document-level rules: the version, the name,
+// the scale pin, and the table list's size, ids and titles.
+func (s Spec) checkDoc() error {
 	if s.Version != Version {
 		return fmt.Errorf("spec: unsupported version %d (this build reads version %d)", s.Version, Version)
 	}
@@ -361,307 +339,6 @@ func (s Spec) Validate() error {
 		if t.Title == "" {
 			return fmt.Errorf("spec: table %q: title is required", t.ID)
 		}
-		if err := t.validateKind(); err != nil {
-			return fmt.Errorf("spec: table %q: %w", t.ID, err)
-		}
-	}
-	return nil
-}
-
-// validateKind checks that exactly one kind is declared and that the
-// declared kind is internally consistent.
-func (t Table) validateKind() error {
-	kinds := 0
-	if t.Grid != nil {
-		kinds++
-	}
-	if t.Interference != nil {
-		kinds++
-	}
-	if t.RegionCDF != nil {
-		kinds++
-	}
-	if t.BranchCoverage != nil {
-		kinds++
-	}
-	if t.Sampled != nil {
-		kinds++
-	}
-	if kinds != 1 {
-		return fmt.Errorf("exactly one of grid, interference, region_cdf, branch_coverage, sampled must be set (got %d)", kinds)
-	}
-	switch {
-	case t.Grid != nil:
-		return t.Grid.validate()
-	case t.Interference != nil:
-		return t.Interference.validate()
-	case t.RegionCDF != nil:
-		return t.RegionCDF.validate()
-	case t.Sampled != nil:
-		return t.Sampled.validate()
-	default:
-		return t.BranchCoverage.validate()
-	}
-}
-
-// validateWorkloads applies the shared row-workload rules: nil means
-// "the full suite", an explicitly empty list is rejected (a zero-row
-// sweep is always a mistake), names must be unique and known.
-func validateWorkloads(wls []string) error {
-	if wls == nil {
-		return nil
-	}
-	if len(wls) == 0 {
-		return fmt.Errorf("workloads must not be empty (omit the field for the full suite)")
-	}
-	seen := make(map[string]bool, len(wls))
-	for _, wl := range wls {
-		if seen[wl] {
-			return fmt.Errorf("duplicate workload %q", wl)
-		}
-		seen[wl] = true
-		if _, err := workload.Get(wl); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// validateBlocks applies the shared analysis-length rules: zero means
-// the default, negatives are nonsense, and the cap bounds the CPU one
-// spec-driven analysis may demand.
-func validateBlocks(n int) error {
-	if n < 0 {
-		return fmt.Errorf("blocks must be non-negative (got %d)", n)
-	}
-	if n > MaxAnalysisBlocks {
-		return fmt.Errorf("blocks %d exceeds the %d cap", n, MaxAnalysisBlocks)
-	}
-	return nil
-}
-
-// validateAxis applies the shared axis rules: non-empty, unique,
-// non-empty names, valid override spellings.
-func validateAxis(what string, axis []Axis) error {
-	seen := make(map[string]bool, len(axis))
-	for i, a := range axis {
-		if a.Name == "" {
-			return fmt.Errorf("%s %d: name is required", what, i)
-		}
-		if seen[a.Name] {
-			return fmt.Errorf("duplicate %s %q", what, a.Name)
-		}
-		seen[a.Name] = true
-		if err := a.Config.validate(); err != nil {
-			return fmt.Errorf("%s %q: %w", what, a.Name, err)
-		}
-	}
-	return nil
-}
-
-func (g *Grid) validate() error {
-	if err := validateWorkloads(g.Workloads); err != nil {
-		return err
-	}
-	if len(g.Columns) == 0 {
-		return fmt.Errorf("grid needs at least one column")
-	}
-	if err := validateAxis("column", g.Columns); err != nil {
-		return err
-	}
-	if err := validateAxis("row", g.Rows); err != nil {
-		return err
-	}
-	if len(g.Rows) > 0 && g.RowsLabel == "" {
-		return fmt.Errorf("rows_label is required with a rows axis")
-	}
-	if len(g.Rows) == 0 && g.RowsLabel != "" {
-		return fmt.Errorf("rows_label without a rows axis")
-	}
-	if err := g.Base.validate(); err != nil {
-		return fmt.Errorf("base: %w", err)
-	}
-	if g.Baseline != nil {
-		if err := g.Baseline.validate(); err != nil {
-			return fmt.Errorf("baseline: %w", err)
-		}
-	}
-	if _, ok := metrics[g.Metric]; !ok {
-		return fmt.Errorf("unknown metric %q (have %v)", g.Metric, metricNames())
-	}
-	if g.Format != "" && !formatRE.MatchString(g.Format) {
-		return fmt.Errorf("format %q is not a fixed-precision float verb (%%.Nf)", g.Format)
-	}
-	switch g.Summary {
-	case "", "gmean", "mean":
-	default:
-		return fmt.Errorf("unknown summary %q (gmean, mean, or omit)", g.Summary)
-	}
-	if g.Summary == "" && g.SummaryLabel != "" {
-		return fmt.Errorf("summary_label without a summary")
-	}
-	return nil
-}
-
-func (iv *Interference) validate() error {
-	if iv.Workload != "" {
-		if _, err := workload.Get(iv.Workload); err != nil {
-			return err
-		}
-	}
-	if err := iv.Primary.validate(); err != nil {
-		return fmt.Errorf("primary: %w", err)
-	}
-	if len(iv.CoRunners) == 0 {
-		return fmt.Errorf("co_runners must not be empty")
-	}
-	prev := 0
-	for _, n := range iv.CoRunners {
-		if n < 1 {
-			return fmt.Errorf("co-runner count %d must be at least 1 (the solo row is implicit)", n)
-		}
-		if n <= prev {
-			return fmt.Errorf("co_runners must be strictly increasing (got %d after %d)", n, prev)
-		}
-		prev = n
-		if 1+n > sim.MaxCores {
-			return fmt.Errorf("co-runner count %d needs %d cores; the mesh supports %d", n, 1+n, sim.MaxCores)
-		}
-	}
-	if len(iv.Mixes) == 0 {
-		return fmt.Errorf("mixes must not be empty")
-	}
-	seen := make(map[string]bool, len(iv.Mixes))
-	for i, m := range iv.Mixes {
-		if m.Name == "" {
-			return fmt.Errorf("mix %d: name is required", i)
-		}
-		if seen[m.Name] {
-			return fmt.Errorf("duplicate mix %q", m.Name)
-		}
-		seen[m.Name] = true
-		if err := m.CoRunner.validate(); err != nil {
-			return fmt.Errorf("mix %q: %w", m.Name, err)
-		}
-	}
-	if iv.LLCBytes < 0 {
-		return fmt.Errorf("llc_bytes must be non-negative (got %d)", iv.LLCBytes)
-	}
-	return nil
-}
-
-func (rc *RegionCDF) validate() error {
-	if err := validateWorkloads(rc.Workloads); err != nil {
-		return err
-	}
-	if err := validateBlocks(rc.Blocks); err != nil {
-		return err
-	}
-	if len(rc.Distances) == 0 {
-		return fmt.Errorf("distances must not be empty")
-	}
-	prev := -1
-	for _, d := range rc.Distances {
-		if d <= prev {
-			return fmt.Errorf("distances must be strictly increasing (got %d after %d)", d, prev)
-		}
-		prev = d
-		if d < 0 || d > workload.RegionDistBuckets-2 {
-			return fmt.Errorf("distance %d out of range [0, %d]", d, workload.RegionDistBuckets-2)
-		}
-	}
-	if rc.Format != "" && !formatRE.MatchString(rc.Format) {
-		return fmt.Errorf("format %q is not a fixed-precision float verb (%%.Nf)", rc.Format)
-	}
-	return nil
-}
-
-func (bc *BranchCoverage) validate() error {
-	if err := validateWorkloads(bc.Workloads); err != nil {
-		return err
-	}
-	if err := validateBlocks(bc.Blocks); err != nil {
-		return err
-	}
-	if len(bc.Points) == 0 {
-		return fmt.Errorf("points must not be empty")
-	}
-	prev := 0
-	for _, k := range bc.Points {
-		if k <= prev {
-			return fmt.Errorf("points must be positive and strictly increasing (got %d after %d)", k, prev)
-		}
-		prev = k
-	}
-	return nil
-}
-
-func (sd *Sampled) validate() error {
-	if sd.Workload != "" {
-		if _, err := workload.Get(sd.Workload); err != nil {
-			return err
-		}
-	}
-	if sd.Mechanisms != nil && len(sd.Mechanisms) == 0 {
-		return fmt.Errorf("mechanisms must not be empty (omit the field for the default pair)")
-	}
-	seen := make(map[string]bool, len(sd.Mechanisms))
-	for _, m := range sd.Mechanisms {
-		if seen[m] {
-			return fmt.Errorf("duplicate mechanism %q", m)
-		}
-		seen[m] = true
-		if _, err := parseMechanism(m); err != nil {
-			return err
-		}
-	}
-	// The simulator's own validation carries the DoS bounds (period and
-	// unit-count caps) sampling parameters need when they arrive from
-	// disk or HTTP.
-	if err := sd.Sampling.Sim().Validate(); err != nil {
-		return fmt.Errorf("sampling: %w", err)
-	}
-	return nil
-}
-
-// validate checks the override spellings a Config may carry. The
-// composed per-cell config is additionally validated by sim during
-// compilation; this catches spec-level spelling mistakes with
-// spec-level error messages.
-func (c Config) validate() error {
-	if c.Workload != "" {
-		if _, err := workload.Get(c.Workload); err != nil {
-			return err
-		}
-	}
-	if c.Mechanism != "" {
-		if _, err := parseMechanism(c.Mechanism); err != nil {
-			return err
-		}
-	}
-	if c.RegionMode != "" {
-		if _, err := parseRegionMode(c.RegionMode); err != nil {
-			return err
-		}
-	}
-	switch c.FootprintBits {
-	case 0, 8, 32:
-	default:
-		return fmt.Errorf("footprint_bits must be 8 or 32 (got %d)", c.FootprintBits)
-	}
-	if c.BTBEntries < 0 {
-		return fmt.Errorf("btb_entries must be non-negative (got %d)", c.BTBEntries)
-	}
-	if c.CBTBEntries < 0 {
-		return fmt.Errorf("cbtb_entries must be non-negative (got %d)", c.CBTBEntries)
-	}
-	if c.BPU != "" {
-		if _, err := sim.ParseBPU(c.BPU); err != nil {
-			return err
-		}
-	}
-	if c.Contexts < 0 || c.Contexts > sim.MaxContexts {
-		return fmt.Errorf("contexts must be in [0, %d] (got %d)", sim.MaxContexts, c.Contexts)
 	}
 	return nil
 }

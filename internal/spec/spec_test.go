@@ -82,8 +82,9 @@ func TestParseAndCompileGoodSpec(t *testing.T) {
 	}
 }
 
-// TestParseRejections drives every structured failure path through the
-// public Parse/Compile surface and checks the error names the problem.
+// TestParseRejections drives every structured failure path through
+// Compile, the one check of a spec, and checks the error names the
+// problem.
 func TestParseRejections(t *testing.T) {
 	cases := []struct {
 		name string
@@ -167,7 +168,7 @@ func TestParseRejections(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Parse([]byte(tc.doc))
+			_, err := Compile([]byte(tc.doc))
 			if err == nil {
 				t.Fatalf("accepted:\n%s", tc.doc)
 			}
@@ -399,7 +400,7 @@ func TestAnalysisCostCaps(t *testing.T) {
 			RegionCDF: &RegionCDF{Distances: []int{0}}}
 	}
 	s = Spec{Version: Version, Name: "x", Tables: many}
-	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "cap") {
+	if _, err := s.Compile(); err == nil || !strings.Contains(err.Error(), "cap") {
 		t.Fatalf("table-count cap missing: err = %v", err)
 	}
 }
