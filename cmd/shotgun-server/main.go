@@ -12,10 +12,11 @@
 //     simulation to -join workers over /v1/lease//v1/heartbeat/
 //     /v1/complete instead of running it here. Leases expire when a
 //     worker stops heartbeating and the job is requeued, so worker
-//     death costs latency, never results.
+//     death costs latency, never results. This node's server persists
+//     every pushed result.
 //   - -join <url>: be a worker for the coordinator at url — an endless
-//     lease → simulate → push loop over the local harness.Runner; no
-//     listener, no store (records land in the coordinator's).
+//     lease → simulate → push loop; no listener, no store and no memo
+//     (records land in the coordinator's store).
 //
 // The process shuts down gracefully: SIGINT/SIGTERM stop the listener,
 // in-flight HTTP requests get a deadline to finish, and the simulation
@@ -89,11 +90,10 @@ import (
 // runWorker is the -join path: no listener, no store — just a lease →
 // simulate → push loop against the coordinator until the signal
 // context cancels (the in-flight job finishes and is pushed first).
-func runWorker(ctx context.Context, opts options, scale harness.Scale, stdout, stderr io.Writer) int {
+func runWorker(ctx context.Context, opts options, stdout, stderr io.Writer) int {
 	w, err := dispatch.NewWorker(dispatch.WorkerConfig{
 		Coordinator: opts.join,
 		ID:          opts.workerID,
-		Runner:      harness.NewRunnerWorkers(scale, opts.parallel),
 		Concurrency: opts.parallel,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(stdout, format+"\n", args...)
@@ -284,12 +284,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	if opts.join != "" {
+		return runWorker(ctx, opts, stdout, stderr)
+	}
 	scale := harness.FullScale()
 	if opts.scale == "quick" {
 		scale = harness.QuickScale()
-	}
-	if opts.join != "" {
-		return runWorker(ctx, opts, scale, stdout, stderr)
 	}
 	// Coordinator slots bound lease-table occupancy, not local CPU, so
 	// the default is much deeper there.
@@ -341,7 +341,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		cfg.NewExecutor = func(_ *harness.Runner, sink dispatch.Sink) dispatch.Executor {
 			coord = dispatch.NewCoordinator(dispatch.CoordinatorConfig{
 				LeaseTTL: opts.leaseTTL,
-				Store:    cfg.Store,
 				Sink:     sink,
 			})
 			return coord

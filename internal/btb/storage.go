@@ -63,12 +63,19 @@ func ShotgunSizesNoRIB(conventionalEntries int) (Sizes, error) {
 		return Sizes{}, err
 	}
 	uBits := UEntryBaseBits + 16 // 8-bit footprints
-	extra := base.REntries * REntryBits / uBits
-	target := base.UEntries + extra
-	for n := target; n > base.UEntries; n-- {
+	u := GrowUEntries(base.UEntries, base.REntries*REntryBits, uBits)
+	return Sizes{UEntries: u, CEntries: base.CEntries, REntries: 0}, nil
+}
+
+// GrowUEntries spends freedBits of storage on more U-BTB entries of
+// entryBits each, rounding down to the largest entry count a table can
+// factor into ways x power-of-two sets. It returns entries unchanged
+// when no larger count up to the budget factors.
+func GrowUEntries(entries, freedBits, entryBits int) int {
+	for n := entries + freedBits/entryBits; n > entries; n-- {
 		if _, _, err := geometry(n); err == nil {
-			return Sizes{UEntries: n, CEntries: base.CEntries, REntries: 0}, nil
+			return n
 		}
 	}
-	return Sizes{UEntries: base.UEntries, CEntries: base.CEntries, REntries: 0}, nil
+	return entries
 }

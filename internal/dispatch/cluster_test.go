@@ -65,7 +65,6 @@ func newCluster(t *testing.T, st *store.Store, clk *fakeTime) *cluster {
 		NewExecutor: func(_ *harness.Runner, sink dispatch.Sink) dispatch.Executor {
 			coord = dispatch.NewCoordinator(dispatch.CoordinatorConfig{
 				LeaseTTL: time.Minute,
-				Store:    st,
 				Sink:     sink,
 				Now:      clk.Now,
 			})
@@ -86,7 +85,6 @@ func startWorker(t *testing.T, cl *cluster, id string, ctx context.Context, onLe
 	w, err := dispatch.NewWorker(dispatch.WorkerConfig{
 		Coordinator: cl.ts.URL,
 		ID:          id,
-		Runner:      harness.NewRunnerWorkers(clusterScale(), 1),
 		Poll:        10 * time.Millisecond,
 		OnLease:     onLease,
 	})

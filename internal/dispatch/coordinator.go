@@ -10,7 +10,6 @@ import (
 
 	"shotgun/internal/client"
 	"shotgun/internal/sim"
-	"shotgun/internal/store"
 )
 
 // Lease protocol defaults.
@@ -39,9 +38,6 @@ type CoordinatorConfig struct {
 	// MaxAttempts is the expired-lease budget per job (default
 	// DefaultMaxAttempts).
 	MaxAttempts int
-	// Store, when non-nil, persists every record a worker pushes back,
-	// so a restarted cluster serves completed keys without re-leasing.
-	Store store.Backend
 	// Sink receives job lifecycle events (required).
 	Sink Sink
 	// Now is the clock (default time.Now; tests inject a fake to drive
@@ -80,15 +76,15 @@ type CoordinatorStats struct {
 	ActiveWorkers int    `json:"active_workers"`
 }
 
-// Coordinator owns the cluster's job table: it leases queued scenarios
-// to workers over HTTP, expires leases whose worker stopped
-// heartbeating, and persists pushed-back results. It implements
-// Executor, so the HTTP server uses it exactly like the local pool.
+// Coordinator owns the cluster's lease table: it leases queued
+// scenarios to workers over HTTP, expires leases whose worker stopped
+// heartbeating, and hands each pushed-back result to its Sink once. It
+// implements Executor, so the HTTP server uses it exactly like the
+// local pool; the server, not the coordinator, persists results.
 type Coordinator struct {
 	ttl         time.Duration
 	depth       int // lease-table bound: MaxQueueDepth (in-package tests shrink it)
 	maxAttempts int
-	st          store.Backend
 	sink        Sink
 	now         func() time.Time
 
@@ -113,14 +109,10 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	if cfg.Sink == nil {
 		panic("dispatch: coordinator needs a sink")
 	}
-	if !store.Real(cfg.Store) {
-		cfg.Store = nil // typed-nil normalization; see store.Real
-	}
 	c := &Coordinator{
 		ttl:         cfg.LeaseTTL,
 		depth:       MaxQueueDepth,
 		maxAttempts: cfg.MaxAttempts,
-		st:          cfg.Store,
 		sink:        cfg.Sink,
 		now:         cfg.Now,
 		leased:      make(map[string]*task),
@@ -208,8 +200,9 @@ func (c *Coordinator) Enqueue(key string, sc sim.Scenario) error {
 // Stop implements Executor. Draining (abandon=false) waits until every
 // queued and leased job has completed or failed — workers must still be
 // polling for that to ever finish, so the signal-handler path uses
-// abandon=true, which freezes the table and returns (completed work is
-// already in the store; a restart plus resubmit recovers the rest).
+// abandon=true, which freezes the table and returns (the server has
+// already persisted completed work; a restart plus resubmit recovers
+// the rest).
 func (c *Coordinator) Stop(abandon bool) {
 	c.stopOnce.Do(func() { close(c.reapStop) })
 	c.mu.Lock()
@@ -398,20 +391,16 @@ func (c *Coordinator) Complete(worker, key string, res sim.ScenarioResult, errMs
 	} else {
 		c.stats.Completed++
 	}
-	sc := t.sc
 	c.cond.Broadcast()
 	c.mu.Unlock()
 	c.emit(events)
 
-	// Store and sink outside the table lock: persistence does disk IO,
-	// and the single table removal above already guarantees exactly one
-	// completion (and so at most one store put) per key.
+	// The sink runs outside the table lock (the server's JobDone does
+	// disk IO), and the single table removal above already guarantees
+	// exactly one completion per key.
 	if errMsg != "" {
 		c.sink.JobFailed(key, errMsg)
 		return true, nil
-	}
-	if c.st != nil {
-		_ = c.st.PutScenario(sc, res) // best-effort, like the runner's put
 	}
 	c.sink.JobDone(key, res)
 	return true, nil

@@ -1,21 +1,24 @@
 // Package dispatch is the execution layer behind the HTTP simulation
 // service: it decides WHERE an accepted scenario job actually runs.
 //
-// Two executors implement the same contract:
+// Two executors implement the same contract, and both only simulate:
 //
 //   - LocalPool — the classic single-node path: a fixed goroutine pool
-//     over the memoizing harness.Runner in this process. Zero-flag
-//     shotgun-server is exactly this.
+//     in this process running sim.RunScenario. Zero-flag shotgun-server
+//     is exactly this.
 //   - Coordinator — the cluster path: jobs wait in a lease table and
 //     are handed out over HTTP to shotgun-server -join worker
-//     processes, each running its own harness.Runner and pushing the
-//     finished record back. Leases expire (workers heartbeat to keep
-//     them) and expired jobs are requeued, so a worker dying mid-
-//     simulation delays its job instead of losing it.
+//     processes, each running sim.RunScenario and pushing the finished
+//     result back. Leases expire (workers heartbeat to keep them) and
+//     expired jobs are requeued, so a worker dying mid-simulation
+//     delays its job instead of losing it.
 //
-// Either way, job identity is the canonical ScenarioKey, so a scenario
-// is simulated at most once per cluster lifetime — and zero times when
-// a persistent store already holds its record.
+// Either way, job identity is the canonical ScenarioKey and results
+// reach the server's Sink. The server's job table deduplicates keys
+// before they are enqueued and persists each result once when its job
+// completes, so a scenario is simulated at most once per cluster
+// lifetime — and zero times when a persistent store already holds its
+// record. No executor keeps a result.
 package dispatch
 
 import (
@@ -90,11 +93,12 @@ type localJob struct {
 }
 
 // LocalPool executes jobs on a fixed goroutine pool in this process —
-// the single-node executor the zero-flag server uses. The pool size is
-// the runner's worker count.
+// the single-node executor the zero-flag server uses. Each worker runs
+// sim.RunScenario on the scenario as enqueued (the server has already
+// pinned, normalized and deduplicated it) and hands the result to the
+// sink; the pool keeps no result.
 type LocalPool struct {
-	runner *harness.Runner
-	sink   Sink
+	sink Sink
 
 	mu sync.Mutex
 	// closed rejects new submissions; stopped records that the channels
@@ -112,18 +116,18 @@ type LocalPool struct {
 	wg   sync.WaitGroup
 }
 
-// NewLocalPool builds a pool of runner.Workers() goroutines feeding the
-// runner, with a queueDepth-deep backlog (values below 1 mean
-// MaxQueueDepth).
+// NewLocalPool builds a pool of runner.Workers() goroutines with a
+// queueDepth-deep backlog (values below 1 mean MaxQueueDepth). The
+// runner only sizes the pool: jobs never run through it, so its memo
+// and store stay untouched.
 func NewLocalPool(runner *harness.Runner, sink Sink, queueDepth int) *LocalPool {
 	if queueDepth < 1 {
 		queueDepth = MaxQueueDepth
 	}
 	p := &LocalPool{
-		runner: runner,
-		sink:   sink,
-		queue:  make(chan localJob, queueDepth),
-		quit:   make(chan struct{}),
+		sink:  sink,
+		queue: make(chan localJob, queueDepth),
+		quit:  make(chan struct{}),
 	}
 	workers := runner.Workers()
 	p.wg.Add(workers)
@@ -164,10 +168,7 @@ func (p *LocalPool) Stop(abandon bool) {
 	p.wg.Wait()
 }
 
-// worker drains the queue until it closes (or quit fires). Runner.
-// RunScenario consults the in-memory memo and the persistent store
-// before simulating, so a worker picking up an already-computed key
-// completes instantly.
+// worker drains the queue until it closes (or quit fires).
 func (p *LocalPool) worker() {
 	defer p.wg.Done()
 	for j := range p.queue {
@@ -177,19 +178,27 @@ func (p *LocalPool) worker() {
 		default:
 		}
 		p.sink.JobRunning(j.key)
-		p.runOne(j)
+		if res, msg := simulate(j.sc); msg != "" {
+			p.sink.JobFailed(j.key, msg)
+		} else {
+			p.sink.JobDone(j.key, res)
+		}
 	}
 }
 
-// runOne executes one job, converting a panic (e.g. a scenario that
-// validated but still cannot simulate) into a failed status instead of
-// killing the worker.
-func (p *LocalPool) runOne(j localJob) {
+// simulate runs one scenario exactly as given, reporting a failure —
+// an error, or a panic from a scenario that validated but still cannot
+// simulate — as a message instead of killing the caller. Both
+// executors run jobs through it.
+func simulate(sc sim.Scenario) (res sim.ScenarioResult, msg string) {
 	defer func() {
 		if r := recover(); r != nil {
-			p.sink.JobFailed(j.key, fmt.Sprint(r))
+			msg = fmt.Sprint(r)
 		}
 	}()
-	res := p.runner.RunScenario(j.sc)
-	p.sink.JobDone(j.key, res)
+	res, err := sim.RunScenario(sc)
+	if err != nil {
+		return sim.ScenarioResult{}, err.Error()
+	}
+	return res, ""
 }

@@ -9,7 +9,6 @@ import (
 
 	"shotgun/internal/harness"
 	"shotgun/internal/sim"
-	"shotgun/internal/store"
 )
 
 // recSink records job lifecycle events for assertions.
@@ -97,13 +96,12 @@ func resultOf(sc sim.Scenario) sim.ScenarioResult {
 	return res
 }
 
-func newTestCoordinator(t *testing.T, clk *fakeClock, st *store.Store, depth, attempts int) (*Coordinator, *recSink) {
+func newTestCoordinator(t *testing.T, clk *fakeClock, depth, attempts int) (*Coordinator, *recSink) {
 	t.Helper()
 	sink := newRecSink()
 	c := NewCoordinator(CoordinatorConfig{
 		LeaseTTL:    time.Minute,
 		MaxAttempts: attempts,
-		Store:       st,
 		Sink:        sink,
 		Now:         clk.Now,
 	})
@@ -115,7 +113,7 @@ func newTestCoordinator(t *testing.T, clk *fakeClock, st *store.Store, depth, at
 
 func TestCoordinatorLeaseExpiryRequeues(t *testing.T) {
 	clk := newFakeClock()
-	c, sink := newTestCoordinator(t, clk, nil, 0, 0)
+	c, sink := newTestCoordinator(t, clk, 0, 0)
 	sc := scenarioOf(1)
 	if err := c.Enqueue("k1", sc); err != nil {
 		t.Fatal(err)
@@ -148,7 +146,7 @@ func TestCoordinatorLeaseExpiryRequeues(t *testing.T) {
 
 func TestCoordinatorHeartbeatExtendsLease(t *testing.T) {
 	clk := newFakeClock()
-	c, _ := newTestCoordinator(t, clk, nil, 0, 0)
+	c, _ := newTestCoordinator(t, clk, 0, 0)
 	if err := c.Enqueue("k1", scenarioOf(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -171,13 +169,12 @@ func TestCoordinatorHeartbeatExtendsLease(t *testing.T) {
 	}
 }
 
+// TestCoordinatorCompletePersistsAndDedups: a key completes once. The
+// coordinator persists nothing itself; the one sink JobDone is what the
+// server turns into the key's one store put.
 func TestCoordinatorCompletePersistsAndDedups(t *testing.T) {
-	st, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
 	clk := newFakeClock()
-	c, sink := newTestCoordinator(t, clk, st, 0, 0)
+	c, sink := newTestCoordinator(t, clk, 0, 0)
 	sc := scenarioOf(2)
 	if err := c.Enqueue("k1", sc); err != nil {
 		t.Fatal(err)
@@ -188,10 +185,7 @@ func TestCoordinatorCompletePersistsAndDedups(t *testing.T) {
 	if err != nil || !accepted {
 		t.Fatalf("complete = %v, %v", accepted, err)
 	}
-	if got, ok := st.GetScenario(sc); !ok || len(got.Cores) != 2 {
-		t.Fatalf("record not persisted: %v %v", got, ok)
-	}
-	// A second push of the same key is a no-op, not a second record.
+	// A second push of the same key is a no-op, not a second completion.
 	accepted, err = c.Complete("a", "k1", resultOf(sc), "")
 	if err != nil || accepted {
 		t.Fatalf("dup complete = %v, %v", accepted, err)
@@ -202,9 +196,6 @@ func TestCoordinatorCompletePersistsAndDedups(t *testing.T) {
 	if got := sink.doneKeys(); len(got) != 1 {
 		t.Fatalf("sink done twice: %v", got)
 	}
-	if st.Stats().Puts != 1 {
-		t.Fatalf("store puts = %d, want 1", st.Stats().Puts)
-	}
 }
 
 // TestCoordinatorStaleOwnerCompleteAccepted: a worker that lost its
@@ -213,7 +204,7 @@ func TestCoordinatorCompletePersistsAndDedups(t *testing.T) {
 // wasted simulation... which then reports accepted=false and moves on.
 func TestCoordinatorStaleOwnerCompleteAccepted(t *testing.T) {
 	clk := newFakeClock()
-	c, sink := newTestCoordinator(t, clk, nil, 0, 0)
+	c, sink := newTestCoordinator(t, clk, 0, 0)
 	sc := scenarioOf(1)
 	c.Enqueue("k1", sc)
 	c.Lease("a", 1)
@@ -236,7 +227,7 @@ func TestCoordinatorStaleOwnerCompleteAccepted(t *testing.T) {
 
 func TestCoordinatorAttemptBudgetFailsJob(t *testing.T) {
 	clk := newFakeClock()
-	c, sink := newTestCoordinator(t, clk, nil, 0, 2)
+	c, sink := newTestCoordinator(t, clk, 0, 2)
 	c.Enqueue("k1", scenarioOf(1))
 	for i := 0; i < 2; i++ {
 		if jobs, _ := c.Lease("a", 1); len(jobs) != 1 {
@@ -259,7 +250,7 @@ func TestCoordinatorAttemptBudgetFailsJob(t *testing.T) {
 
 func TestCoordinatorRejectsWrongShapeResult(t *testing.T) {
 	clk := newFakeClock()
-	c, sink := newTestCoordinator(t, clk, nil, 0, 0)
+	c, sink := newTestCoordinator(t, clk, 0, 0)
 	sc := scenarioOf(2)
 	c.Enqueue("k1", sc)
 	c.Lease("a", 1)
@@ -278,7 +269,7 @@ func TestCoordinatorRejectsWrongShapeResult(t *testing.T) {
 
 func TestCoordinatorWorkerErrorFailsJob(t *testing.T) {
 	clk := newFakeClock()
-	c, sink := newTestCoordinator(t, clk, nil, 0, 0)
+	c, sink := newTestCoordinator(t, clk, 0, 0)
 	c.Enqueue("k1", scenarioOf(1))
 	c.Lease("a", 1)
 	if accepted, err := c.Complete("a", "k1", sim.ScenarioResult{}, "engine exploded"); err != nil || !accepted {
@@ -293,7 +284,7 @@ func TestCoordinatorWorkerErrorFailsJob(t *testing.T) {
 
 func TestCoordinatorQueueLimits(t *testing.T) {
 	clk := newFakeClock()
-	c, _ := newTestCoordinator(t, clk, nil, 1, 0)
+	c, _ := newTestCoordinator(t, clk, 1, 0)
 	if err := c.Enqueue("k1", scenarioOf(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +312,7 @@ func TestCoordinatorQueueLimits(t *testing.T) {
 // bound.
 func TestCoordinatorPrunesDeadWorkers(t *testing.T) {
 	clk := newFakeClock()
-	c, _ := newTestCoordinator(t, clk, nil, 0, 0)
+	c, _ := newTestCoordinator(t, clk, 0, 0)
 	for i := 0; i < 50; i++ {
 		c.Lease(fmt.Sprintf("transient-%d", i), 1)
 	}

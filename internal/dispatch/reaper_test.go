@@ -52,7 +52,7 @@ func TestReaperRequeuesWithoutTraffic(t *testing.T) {
 // expiry falls back to the lazy path (reaped on the next table touch).
 func TestReaperDisabled(t *testing.T) {
 	clk := newFakeClock()
-	c, _ := newTestCoordinator(t, clk, nil, 0, 0)
+	c, _ := newTestCoordinator(t, clk, 0, 0)
 	defer c.Stop(true)
 	if err := c.Enqueue("k1", scenarioOf(1)); err != nil {
 		t.Fatal(err)

@@ -9,20 +9,17 @@ import (
 	"time"
 
 	"shotgun/internal/client"
-	"shotgun/internal/harness"
-	"shotgun/internal/sim"
 )
 
-// WorkerConfig parameterizes a Worker.
+// WorkerConfig parameterizes a Worker. It names no runner and no
+// scale: a worker simulates each leased scenario exactly as the
+// coordinator pinned it.
 type WorkerConfig struct {
 	// Coordinator is the coordinator's base URL (required), e.g.
 	// "http://10.0.0.1:8080".
 	Coordinator string
 	// ID names this worker in leases; default "<hostname>-<pid>".
 	ID string
-	// Runner executes leased scenarios (required). Its memo still
-	// dedups re-leases of a key within this process.
-	Runner *harness.Runner
 	// Client issues the HTTP calls (default: 30s-timeout client).
 	Client *http.Client
 	// APIKey, when set, authenticates against a coordinator running
@@ -41,9 +38,11 @@ type WorkerConfig struct {
 }
 
 // Worker is the -join side of the cluster: an endless lease → simulate
-// → push-back loop over the local harness.Runner. It holds no state the
-// coordinator cannot reconstruct — killing a worker at any point loses
-// at most the work in flight, which the lease TTL returns to the queue.
+// → push-back loop. It runs sim.RunScenario on each leased scenario
+// exactly as the coordinator pinned it and keeps no result once pushed,
+// so it holds no state the coordinator cannot reconstruct — killing a
+// worker at any point loses at most the work in flight, which the lease
+// TTL returns to the queue.
 //
 // Coordinator traffic goes through two internal/client.Clients: polls
 // (lease, heartbeat) never retry — the loop itself is the retry — while
@@ -59,9 +58,6 @@ type Worker struct {
 func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Coordinator == "" {
 		return nil, fmt.Errorf("dispatch: worker needs a coordinator URL")
-	}
-	if cfg.Runner == nil {
-		return nil, fmt.Errorf("dispatch: worker needs a runner")
 	}
 	if cfg.ID == "" {
 		host, err := os.Hostname()
@@ -183,7 +179,7 @@ func (w *Worker) runJob(jb LeasedJob, ttl time.Duration) {
 	defer close(stop)
 	go w.heartbeatLoop(jb.Key, ttl, stop)
 
-	res, errMsg := w.simulate(jb.Scenario)
+	res, errMsg := simulate(jb.Scenario)
 	if errMsg != "" {
 		w.cfg.Logf("worker %s: job %s failed: %s", w.cfg.ID, jb.Key, errMsg)
 	}
@@ -196,17 +192,6 @@ func (w *Worker) runJob(jb LeasedJob, ttl time.Duration) {
 		return
 	}
 	w.cfg.Logf("worker %s: completed %s", w.cfg.ID, jb.Key)
-}
-
-// simulate runs the scenario exactly as leased (the coordinator pinned
-// its scale already), converting panics into an error message.
-func (w *Worker) simulate(sc sim.Scenario) (res sim.ScenarioResult, errMsg string) {
-	defer func() {
-		if r := recover(); r != nil {
-			errMsg = fmt.Sprint(r)
-		}
-	}()
-	return w.cfg.Runner.RunScenarioExact(sc), ""
 }
 
 // heartbeatLoop renews the lease until stop closes. A heartbeat that

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"shotgun/internal/client"
-	"shotgun/internal/harness"
 )
 
 func TestNextLeaseWaitDoublesToCap(t *testing.T) {
@@ -64,7 +63,6 @@ func TestWorkerLeaseBackoff(t *testing.T) {
 	wk, err := NewWorker(WorkerConfig{
 		Coordinator: ts.URL,
 		ID:          "w1",
-		Runner:      harness.NewRunnerWorkers(tinyScale(), 1),
 		Poll:        poll,
 		Logf: func(format string, args ...any) {
 			mu.Lock()

@@ -167,12 +167,12 @@ func (r *Runner) flightFor(sc sim.Scenario) *flight {
 }
 
 // Seed primes the memo with an externally computed result for a
-// normalized scenario — the bridge that lets results computed OUTSIDE
-// this runner (a dispatch cluster's workers, whose records live only
-// in a job table) serve later renders instead of re-simulating. The
-// scenario must be normalized and res in its core order; if the key is
-// already memoized or in flight, the existing result wins (it is the
-// same simulation by identity).
+// normalized scenario. The HTTP server renders a sweep or an experiment
+// on a runner built for that request and seeded from the request's
+// finished jobs, so the render reads the farm's results instead of
+// re-simulating them. The scenario must be normalized and res in its
+// core order; if the key is already memoized or in flight, the
+// existing result wins (it is the same simulation by identity).
 func (r *Runner) Seed(sc sim.Scenario, res sim.ScenarioResult) {
 	f := r.flightFor(sc)
 	f.once.Do(func() { f.res = res })
@@ -183,17 +183,7 @@ func (r *Runner) Seed(sc sim.Scenario, res sim.ScenarioResult) {
 // per-core permutations of it — share a single execution; results come
 // back in the caller's core order.
 func (r *Runner) RunScenario(sc sim.Scenario) sim.ScenarioResult {
-	return r.RunScenarioExact(r.pinScenario(sc))
-}
-
-// RunScenarioExact executes (or recalls) one scenario exactly as given,
-// without pinning the runner's scale onto it. Dispatch workers run
-// coordinator-leased scenarios through this path: the coordinator
-// already pinned its scale, and re-pinning with the worker's would
-// silently record results under the wrong identity if the two processes
-// were started at different scales.
-func (r *Runner) RunScenarioExact(sc sim.Scenario) sim.ScenarioResult {
-	norm, perm := sc.NormalizedPerm()
+	norm, perm := r.pinScenario(sc).NormalizedPerm()
 	f := r.flightFor(norm)
 	f.once.Do(func() { f.res = r.compute(norm) })
 	return f.res.Reorder(perm)
@@ -210,7 +200,8 @@ func (r *Runner) Run(cfg sim.Config) sim.Result {
 // scenarios already cached or in flight) cost nothing extra. Each
 // experiment declares its full scenario set through PrefetchScenarios
 // before assembling its table, so the pool saturates every core while
-// assembly stays simple and serial.
+// assembly stays simple and serial. With one worker the jobs run in
+// the order given.
 func (r *Runner) PrefetchScenarios(scs []sim.Scenario) {
 	type job struct {
 		sc sim.Scenario
@@ -234,13 +225,6 @@ func (r *Runner) PrefetchScenarios(scs []sim.Scenario) {
 	workers := r.workers
 	if workers > len(jobs) {
 		workers = len(jobs)
-	}
-	if workers == 1 {
-		// Serial path: identical to the seed runner's execution order.
-		for _, j := range jobs {
-			j.f.once.Do(func() { j.f.res = r.compute(j.sc) })
-		}
-		return
 	}
 	ch := make(chan job)
 	var wg sync.WaitGroup

@@ -90,9 +90,11 @@ type Config struct {
 	ScaleName string
 	// Workers sizes the simulation pool (values below 1 mean 1).
 	Workers int
-	// Store, when non-nil, persists results across restarts and is
-	// consulted before simulating. Any store.Backend works: the on-disk
-	// store, or a decorator around it.
+	// Store, when non-nil, persists results across restarts: the job
+	// table reads it before enqueueing a key it does not track, and
+	// puts each result once, when its job completes on either
+	// executor. Any store.Backend works: the on-disk store, or a
+	// decorator around it.
 	Store store.Backend
 	// MaxQueue bounds jobs waiting in the fair-share queue across all
 	// tenants; past it submissions shed with 503 + Retry-After. 0
@@ -115,10 +117,10 @@ type Config struct {
 	// discard).
 	Logger *slog.Logger
 	// NewExecutor, when non-nil, builds the execution backend from the
-	// server's runner and its job-table sink (cluster mode passes a
-	// dispatch.Coordinator constructor here). Nil builds the local
-	// worker pool — the classic single-node path. Either way the
-	// backend runs behind the fair-share queue.
+	// server's runner (which only sizes it) and its job-table sink
+	// (cluster mode passes a dispatch.Coordinator constructor here).
+	// Nil builds the local worker pool — the classic single-node path.
+	// Either way the backend runs behind the fair-share queue.
 	NewExecutor func(r *harness.Runner, sink dispatch.Sink) dispatch.Executor
 	// ClusterStats, when non-nil, feeds coordinator lease counters
 	// into /metrics (cluster mode only).
@@ -252,9 +254,6 @@ func New(cfg Config) *Server {
 	if !store.Real(cfg.Store) {
 		cfg.Store = nil // typed-nil normalization; see store.Real
 	}
-	if cfg.Store != nil {
-		runner.SetStore(cfg.Store)
-	}
 	s := &Server{
 		runner:       runner,
 		st:           cfg.Store,
@@ -320,11 +319,27 @@ func (s *Server) JobRequeued(key string) {
 	}
 }
 
-// JobDone implements dispatch.Sink.
+// JobDone implements dispatch.Sink. It is the farm's one persist
+// point, for both executors: the result is put once, before the job
+// turns done, so a done poll implies a record. The put is disk IO and
+// runs outside s.mu and j.mu. A job that is already terminal — born
+// done from the store, or finished before — is never put again.
+// Persistence is best-effort: a failed put costs the next restart a
+// simulation, never this job (the store counts its own errors).
 func (s *Server) JobDone(key string, res sim.ScenarioResult) {
-	if j := s.jobByKey(key); j != nil {
-		j.finish(StatusDone, res, "")
+	j := s.jobByKey(key)
+	if j == nil {
+		return
 	}
+	select {
+	case <-j.done:
+		return
+	default:
+	}
+	if s.st != nil {
+		_ = s.st.PutScenario(j.sc, res) // best-effort, see above
+	}
+	j.finish(StatusDone, res, "")
 }
 
 // JobFailed implements dispatch.Sink.
@@ -433,7 +448,7 @@ func (s *Server) handleVersion(w http.ResponseWriter, _ *http.Request) {
 // the same key — whoever takes the lock first registers the job, and
 // the loser below reuses it.
 func (s *Server) enqueue(tenant string, keys []string, scs []sim.Scenario) ([]*job, error) {
-	stored := make(map[string]sim.ScenarioResult)
+	stored := make(map[string]store.Record)
 	if s.st != nil {
 		for _, key := range keys {
 			if _, seen := stored[key]; seen {
@@ -443,7 +458,7 @@ func (s *Server) enqueue(tenant string, keys []string, scs []sim.Scenario) ([]*j
 				continue // already tracked; no store read needed
 			}
 			if rec, found := s.st.GetKey(key); found {
-				stored[key] = rec.Result
+				stored[key] = rec
 			}
 		}
 	}
@@ -459,19 +474,14 @@ func (s *Server) enqueue(tenant string, keys []string, scs []sim.Scenario) ([]*j
 			jobs = append(jobs, existing)
 			continue
 		}
-		j := newJob(key, sc)
-		if res, found := stored[key]; found {
-			// Already persisted by a previous life of this service (or
-			// another node on the same store): born done, the executor
-			// never sees it.
-			j.finish(StatusDone, res, "")
-			s.jobs[key] = j
-			jobs = append(jobs, j)
+		if rec, found := stored[key]; found {
+			jobs = append(jobs, s.adoptLocked(key, rec))
 			continue
 		}
 		if err := s.fair.Submit(tenant, key, sc); err != nil {
 			return jobs, err
 		}
+		j := newJob(key, sc)
 		s.jobs[key] = j
 		jobs = append(jobs, j)
 	}
@@ -597,10 +607,21 @@ func scenarioJSONs(w http.ResponseWriter, jobs []*job) ([][]byte, bool) {
 	return parts, true
 }
 
+// adoptLocked registers a job born done from a store record: a result
+// a previous life of this service (or another node on the same store)
+// persisted. The executor never sees the job, and JobDone never puts
+// it again. enqueue and lookup both adopt through it, so a
+// store-served poll serves the same bytes as a live one. Call with
+// s.mu held.
+func (s *Server) adoptLocked(key string, rec store.Record) *job {
+	j := newJob(key, rec.Scenario)
+	j.finish(StatusDone, rec.Result, "")
+	s.jobs[key] = j
+	return j
+}
+
 // lookup finds a key's job. A key this process never saw but the store
-// holds (a previous life's result) is adopted as a job born done, as
-// enqueue adopts it, so a store-served poll serves the same bytes as a
-// live one. Nil means the key is unknown.
+// holds is adopted as a job born done. Nil means the key is unknown.
 func (s *Server) lookup(key string) *job {
 	if j := s.jobByKey(key); j != nil {
 		return j
@@ -617,10 +638,7 @@ func (s *Server) lookup(key string) *job {
 	if j, found := s.jobs[key]; found {
 		return j // a concurrent submit or poll registered it first
 	}
-	j := newJob(key, rec.Scenario)
-	j.finish(StatusDone, rec.Result, "")
-	s.jobs[key] = j
-	return j
+	return s.adoptLocked(key, rec)
 }
 
 func (s *Server) handlePollScenario(w http.ResponseWriter, r *http.Request) {
@@ -668,19 +686,19 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	}
 	// Render the way a sweep does: the scenarios run as the tenant's jobs
 	// (fair share, quotas, shedding; leased out by a coordinator), then
-	// seed the runner with their results and assemble the table.
+	// the table is assembled from their results.
 	keys, pinned := s.pinScenarios([]harness.Experiment{exp})
 	jobs, ok := s.accept(w, r, keys, pinned)
 	if !ok || !s.awaitJobs(w, r, "experiment", exp.ID, jobs) {
 		return
 	}
-	s.seedRunner(jobs)
+	runner := s.renderRunner(jobs)
 	if format == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, exp.Run(s.runner))
+		fmt.Fprint(w, exp.Run(runner))
 		return
 	}
-	rep := report.FromExperiments(s.runner, []harness.Experiment{exp}, s.scaleName)
+	rep := report.FromExperiments(runner, []harness.Experiment{exp}, s.scaleName)
 	if format == "csv" {
 		w.Header().Set("Content-Type", "text/csv")
 		// A write error leaves nothing better to do: headers are gone.

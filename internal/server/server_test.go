@@ -47,7 +47,8 @@ func postSingles(t *testing.T, base string, cfgs []sim.Config) (client.SubmitSce
 // TestEndToEnd is the acceptance path: enqueue a batch over HTTP, poll
 // to completion, fetch results; then restart the service on the same
 // store and assert the identical batch is served from internal/store
-// without re-simulating (via the store hit counter).
+// without re-simulating (via the store hit counter). A cold job reads
+// the store once and puts once: the job table owns persistence.
 func TestEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	st1, err := store.Open(dir)
@@ -94,6 +95,9 @@ func TestEndToEnd(t *testing.T) {
 		if s.Key != keys[i] {
 			t.Fatalf("resubmit key %d changed: %s vs %s", i, s.Key, keys[i])
 		}
+	}
+	if misses := st1.Stats().Misses; misses != uint64(len(batch)) {
+		t.Fatalf("store misses = %d, want %d (one read per cold job)", misses, len(batch))
 	}
 
 	// Warm restart: fresh runner + fresh store handle, same directory.

@@ -141,29 +141,32 @@ func failedJobs(jobs []*job) []string {
 	return failed
 }
 
-// seedRunner primes the runner with every completed job's result: a
-// no-op with a LocalPool (which ran through this runner), and with a
-// coordinator what keeps a render from re-simulating the farm's work.
-func (s *Server) seedRunner(jobs []*job) {
+// renderRunner builds a runner for one render, seeded with every
+// completed job's result, so the render reads the farm's work instead
+// of re-simulating it. The runner lives as long as the request: the
+// job table is the only result table that outlives one.
+func (s *Server) renderRunner(jobs []*job) *harness.Runner {
+	runner := harness.NewRunnerWorkers(s.scale, s.runner.Workers())
 	for _, j := range jobs {
 		j.mu.Lock()
 		done := j.status == StatusDone
 		res := j.result
 		j.mu.Unlock()
 		if done {
-			s.runner.Seed(j.sc, res)
+			runner.Seed(j.sc, res)
 		}
 	}
+	return runner
 }
 
-// renderSweep seeds the runner from the sweep's jobs and renders the
-// report, returning the body and its content type.
+// renderSweep renders the report from the sweep's jobs, returning the
+// body and its content type.
 func (s *Server) renderSweep(cs *compiledSweep, jobs []*job) ([]byte, string) {
-	s.seedRunner(jobs)
+	runner := s.renderRunner(jobs)
 	var buf bytes.Buffer
 	switch cs.format {
 	case "json", "csv":
-		rep := report.FromExperiments(s.runner, cs.exps, s.scaleName)
+		rep := report.FromExperiments(runner, cs.exps, s.scaleName)
 		if cs.format == "csv" {
 			_ = rep.WriteCSV(&buf)
 			return buf.Bytes(), "text/csv"
@@ -172,7 +175,7 @@ func (s *Server) renderSweep(cs *compiledSweep, jobs []*job) ([]byte, string) {
 		return buf.Bytes(), "application/json"
 	default: // text
 		for _, e := range cs.exps {
-			fmt.Fprintln(&buf, e.Run(s.runner))
+			fmt.Fprintln(&buf, e.Run(runner))
 		}
 		return buf.Bytes(), "text/plain; charset=utf-8"
 	}

@@ -414,9 +414,9 @@ func buildEngine(ctx prefetch.Context, cfg Config) (prefetch.Engine, error) {
 		}
 		sz := *sizes
 		if cfg.RegionMode == prefetch.RegionNone {
-			// "No bit vector": the footprint bits buy more U-BTB
-			// entries at equal storage (Section 6.3).
-			sz.UEntries = scaleNoVectorEntries(sz.UEntries, cfg.Layout.Bits())
+			// "No bit vector": the two footprints' bits buy more
+			// U-BTB entries at equal storage (Section 6.3).
+			sz.UEntries = btb.GrowUEntries(sz.UEntries, sz.UEntries*2*cfg.Layout.Bits(), btb.UEntryBaseBits)
 		}
 		return prefetch.NewShotgun(ctx, prefetch.ShotgunConfig{
 			Sizes:  sz,
@@ -425,30 +425,4 @@ func buildEngine(ctx prefetch.Context, cfg Config) (prefetch.Engine, error) {
 		}), nil
 	}
 	return nil, fmt.Errorf("sim: unknown mechanism %q", cfg.Mechanism)
-}
-
-// scaleNoVectorEntries grows the U-BTB entry count to spend the removed
-// footprint bits, rounding down to a factorable geometry.
-func scaleNoVectorEntries(entries, footBits int) int {
-	full := btb.UEntryBaseBits + 2*footBits
-	scaled := entries * full / btb.UEntryBaseBits
-	for n := scaled; n > entries; n-- {
-		if factorable(n) {
-			return n
-		}
-	}
-	return entries
-}
-
-func factorable(n int) bool {
-	for _, w := range []int{4, 8, 6, 3, 2, 12, 16, 5, 7, 9, 11, 13, 1} {
-		if n%w != 0 {
-			continue
-		}
-		s := n / w
-		if s > 0 && s&(s-1) == 0 {
-			return true
-		}
-	}
-	return false
 }

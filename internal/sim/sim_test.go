@@ -145,12 +145,12 @@ func TestMetricsFinite(t *testing.T) {
 }
 
 func TestNoVectorGrowsUBTB(t *testing.T) {
-	n := scaleNoVectorEntries(1536, 8)
+	n := btb.GrowUEntries(1536, 1536*2*8, btb.UEntryBaseBits) // 8-bit footprints
 	if n <= 1536 {
 		t.Fatalf("no-vector U-BTB not grown: %d", n)
 	}
-	if !factorable(n) {
-		t.Fatalf("grown size %d not factorable", n)
+	if _, err := btb.NewConventional(n); err != nil {
+		t.Fatalf("grown size %d not factorable: %v", n, err)
 	}
 }
 

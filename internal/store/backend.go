@@ -3,11 +3,12 @@ package store
 import "shotgun/internal/sim"
 
 // Backend is the result-store contract every consumer programs
-// against: the harness runner's persistence hook, the HTTP server's
-// poll-by-key fallback, and the coordinator's completed-work sink all
-// take a Backend, never a concrete store. *Store, the on-disk store,
-// is the one implementation here; the interface is the seam a caller
-// decorates (the benchmark wraps it to time every get and put).
+// against: the harness runner's persistence hook (shotgun-bench) and
+// the HTTP server's job table, which reads a key it does not track and
+// puts each completed job's result, both take a Backend, never a
+// concrete store. *Store, the on-disk store, is the one implementation
+// here; the interface is the seam a caller decorates (the benchmark
+// wraps it to time every get and put).
 type Backend interface {
 	// GetScenario returns the stored result for a scenario (any core
 	// permutation of a stored identity hits), mapped to the caller's

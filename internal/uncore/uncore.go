@@ -489,17 +489,6 @@ func (h *Hierarchy) BlockResidency(now uint64, addr isa.Addr) uint64 {
 	return ready
 }
 
-// PrefetchAccuracy returns the fraction of issued prefetches that were
-// used: promoted from the prefetch buffer by a demand fetch, or joined by
-// a demand fetch while still in flight (Figure 10's metric).
-func (h *Hierarchy) PrefetchAccuracy() float64 {
-	if h.stats.PrefetchesIssued == 0 {
-		return 0
-	}
-	useful := h.PrefBuf.HitsCount + h.stats.PrefetchUsefulInflight
-	return float64(useful) / float64(h.stats.PrefetchesIssued)
-}
-
 // PollArrivals materializes all instruction-side fills that have
 // completed by now: demand fills go into the L1-I, prefetch fills into
 // the prefetch buffer. Arrivals are returned in completion order so the
@@ -557,13 +546,6 @@ func (h *Hierarchy) NextArrival() uint64 { return h.nextReady }
 // flight.
 const NoArrival = noInflight
 
-// WarmFetch is the functional-warming counterpart of FetchBlock: it
-// updates cache contents (L1-I presence/LRU, prefetch-buffer promotion,
-// LLC occupancy under this core's ASID) exactly as a demand fetch would,
-// but charges no time — no mesh traversal, no in-flight tracking, no
-// stats. Sampling's fast-forward path uses it to keep microarchitectural
-// cache state warm between detailed units without paying the timed
-// model.
 // WarmLLC touches only the shared LLC for one fetched block — the
 // skim-mode fast-forward's warming. The LLC is the one structure whose
 // content cannot be rebuilt inside a bounded functional-warming window
@@ -577,6 +559,13 @@ func (h *Hierarchy) WarmLLC(addr isa.Addr) {
 	}
 }
 
+// WarmFetch is the functional-warming counterpart of FetchBlock: it
+// updates cache contents (L1-I presence/LRU, prefetch-buffer promotion,
+// LLC occupancy under this core's ASID) exactly as a demand fetch would,
+// but charges no time — no mesh traversal, no in-flight tracking, no
+// hierarchy stats (a promotion still counts in PrefBuf.HitsCount).
+// Sampling's fast-forward path uses it to keep microarchitectural cache
+// state warm between detailed units without paying the timed model.
 func (h *Hierarchy) WarmFetch(addr isa.Addr) {
 	block := addr.Block()
 	if h.L1I.Access(block) {
