@@ -16,7 +16,8 @@
 //     every pushed result.
 //   - -join <url>: be a worker for the coordinator at url — an endless
 //     lease → simulate → push loop; no listener, no store and no memo
-//     (records land in the coordinator's store).
+//     (records land in the coordinator's store). A worker reads only
+//     -join, -worker-id and -parallel and refuses every other flag.
 //
 // The process shuts down gracefully: SIGINT/SIGTERM stop the listener,
 // in-flight HTTP requests get a deadline to finish, and the simulation
@@ -253,6 +254,18 @@ func parseOptions(args []string, stderr io.Writer) (options, error) {
 		}
 		if opts.tenantsPath != "" {
 			return options{}, fmt.Errorf("-join workers serve no API (the coordinator authenticates); drop -tenants")
+		}
+		// A worker reads only -join, -worker-id and -parallel; any
+		// other flag would be silently ignored (a worker simulates at
+		// the coordinator's scale, say), so it is refused by name.
+		var ignored string
+		fs.Visit(func(f *flag.Flag) {
+			if ignored == "" && f.Name != "join" && f.Name != "worker-id" && f.Name != "parallel" {
+				ignored = f.Name
+			}
+		})
+		if ignored != "" {
+			return options{}, fmt.Errorf("-join workers read only -join, -worker-id and -parallel; drop -%s", ignored)
 		}
 		if strings.Trim(opts.join, " ,") == "" {
 			return options{}, fmt.Errorf("-join must name at least one coordinator URL")

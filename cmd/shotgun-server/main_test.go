@@ -39,6 +39,13 @@ func TestParseOptionsRejectsBadFlags(t *testing.T) {
 		{"worker with tenants", []string{"-join", "http://x:1", "-tenants", "t.json"}, "drop -tenants"},
 		{"empty join list", []string{"-join", " , "}, "at least one coordinator URL"},
 		{"join list", []string{"-join", "http://a:1,http://b:1"}, "takes one coordinator URL"},
+		{"worker with scale", []string{"-join", "http://x:1", "-scale", "quick"}, "drop -scale"},
+		{"worker with addr", []string{"-join", "http://x:1", "-addr", ":9090"}, "drop -addr"},
+		{"worker with max queue", []string{"-join", "http://x:1", "-max-queue", "10"}, "drop -max-queue"},
+		{"worker with fair slots", []string{"-join", "http://x:1", "-fair-slots", "4"}, "drop -fair-slots"},
+		{"worker with log", []string{"-join", "http://x:1", "-log", "json"}, "drop -log"},
+		{"worker with shutdown timeout", []string{"-join", "http://x:1", "-shutdown-timeout", "5s"}, "drop -shutdown-timeout"},
+		{"worker with lease ttl", []string{"-join", "http://x:1", "-lease-ttl", "5s"}, "drop -lease-ttl"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -2,6 +2,7 @@ package btb
 
 import (
 	"testing"
+	"unsafe"
 
 	"shotgun/internal/footprint"
 	"shotgun/internal/isa"
@@ -280,5 +281,16 @@ func TestNoRIBAblation(t *testing.T) {
 	s.Insert(0x100, Entry{NumInstr: 2, Kind: isa.BranchRet})
 	if h := s.Lookup(0x100); h.Kind != HitU {
 		t.Fatalf("no-RIB return lookup = %v", h.Kind)
+	}
+}
+
+// TestHostSizeEntry guards the 16-byte Entry (Target, then the one-byte
+// size and kind) that every conventional BTB stores per way.
+func TestHostSizeEntry(t *testing.T) {
+	if got := unsafe.Sizeof(Entry{}); got != 16 {
+		t.Fatalf("unsafe.Sizeof(Entry{}) = %d, want 16", got)
+	}
+	if isa.MaxBlockInstrs > 1<<8-1 {
+		t.Fatalf("isa.MaxBlockInstrs = %d overflows Entry.NumInstr", isa.MaxBlockInstrs)
 	}
 }

@@ -7,18 +7,23 @@ import "shotgun/internal/isa"
 // its size, the kind of branch that terminates it, and that branch's
 // target. Storage cost per Section 5.2: 37-bit tag + 46-bit target +
 // 5-bit size + 3-bit type + 2-bit direction = 93 bits.
+//
+// The host layout packs an entry into 16 bytes (Target first, then the
+// two one-byte fields): every conventional BTB holds a value array of
+// these, Confluence's at 16K entries.
 type Entry struct {
-	// NumInstr is the basic block length in instructions.
-	NumInstr int
-	// Kind is the terminating branch kind.
-	Kind isa.BranchKind
 	// Target is the taken target (unused for returns, which read the RAS).
 	Target isa.Addr
+	// NumInstr is the basic block length in instructions, at most
+	// isa.MaxBlockInstrs (the 5-bit size field).
+	NumInstr uint8
+	// Kind is the terminating branch kind.
+	Kind isa.BranchKind
 }
 
 // EntryFromBlock derives the BTB payload from a retired basic block.
 func EntryFromBlock(bb isa.BasicBlock) Entry {
-	return Entry{NumInstr: bb.NumInstr, Kind: bb.Kind, Target: bb.Target}
+	return Entry{Target: bb.Target, NumInstr: uint8(bb.NumInstr), Kind: bb.Kind}
 }
 
 // Conventional is the single-structure basic-block BTB used by the

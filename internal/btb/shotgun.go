@@ -184,16 +184,16 @@ func (s *Shotgun) Lookup(pc isa.Addr) Hit {
 func (s *Shotgun) Insert(pc isa.Addr, e Entry) {
 	switch {
 	case e.Kind == isa.BranchCond:
-		s.C.Update(pc, CEntry{NumInstr: e.NumInstr, Target: e.Target})
+		s.C.Update(pc, CEntry{NumInstr: int(e.NumInstr), Target: e.Target})
 	case e.Kind.IsReturn():
 		if s.R == nil {
 			// No-RIB ablation: a return burns a whole U-BTB entry.
-			s.U.Update(pc, UEntry{NumInstr: e.NumInstr})
+			s.U.Update(pc, UEntry{NumInstr: int(e.NumInstr)})
 			return
 		}
-		s.R.Update(pc, REntry{NumInstr: e.NumInstr, IsTrapRet: e.Kind == isa.BranchTrapRet})
+		s.R.Update(pc, REntry{NumInstr: int(e.NumInstr), IsTrapRet: e.Kind == isa.BranchTrapRet})
 	case e.Kind.IsUnconditional():
-		ne := UEntry{NumInstr: e.NumInstr, IsCall: e.Kind.IsCallLike(), Target: e.Target}
+		ne := UEntry{NumInstr: int(e.NumInstr), IsCall: e.Kind.IsCallLike(), Target: e.Target}
 		if old, ok := s.U.Peek(pc); ok {
 			ne.CallFoot, ne.RetFoot = old.CallFoot, old.RetFoot
 		}

@@ -33,7 +33,7 @@ func RefNewDecoder(prog *program.Program) *Decoder {
 			}
 			branchPC := sb.PC.Add(sb.NumInstr - 1)
 			cb := branchPC.Block()
-			entry := btb.Entry{NumInstr: sb.NumInstr, Kind: sb.Kind}
+			entry := btb.Entry{NumInstr: uint8(sb.NumInstr), Kind: sb.Kind}
 			switch sb.Kind {
 			case isa.BranchCond, isa.BranchJump:
 				entry.Target = f.Blocks[sb.TargetIdx].PC

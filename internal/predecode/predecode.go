@@ -9,6 +9,7 @@
 package predecode
 
 import (
+	"cmp"
 	"slices"
 
 	"shotgun/internal/btb"
@@ -32,8 +33,9 @@ type Branch struct {
 // on the L1-I fill path of every prefetch probe, and the map hash
 // dominated its cost.
 type Decoder struct {
-	segs   []decodeSeg
-	blocks int
+	segs       []decodeSeg
+	blocks     int
+	codeBlocks int
 }
 
 // decodeSeg covers one contiguous run of code blocks; branches[i] holds
@@ -82,7 +84,7 @@ func NewDecoder(prog *program.Program) *Decoder {
 
 	// The segments tile one slot space: starts[s] is the slot of
 	// segment s's base block.
-	d := &Decoder{blocks: len(nums)}
+	d := &Decoder{blocks: len(nums), codeBlocks: countCodeBlocks(prog)}
 	var starts []uint64
 	var slots uint64
 	for i := 0; i < len(nums); {
@@ -123,7 +125,7 @@ func NewDecoder(prog *program.Program) *Decoder {
 			if sb.Kind == isa.BranchNone {
 				continue
 			}
-			entry := btb.Entry{NumInstr: sb.NumInstr, Kind: sb.Kind}
+			entry := btb.Entry{NumInstr: uint8(sb.NumInstr), Kind: sb.Kind}
 			switch sb.Kind {
 			case isa.BranchCond, isa.BranchJump:
 				entry.Target = f.Blocks[sb.TargetIdx].PC
@@ -178,3 +180,29 @@ func (d *Decoder) DecodeFor(blockPC isa.Addr, branchPC isa.Addr) (Branch, bool) 
 
 // Blocks returns the number of distinct cache blocks with branches.
 func (d *Decoder) Blocks() int { return d.blocks }
+
+// CodeBlocks returns the number of distinct cache blocks the program's
+// static blocks span: every block an engine can see retire.
+func (d *Decoder) CodeBlocks() int { return d.codeBlocks }
+
+// countCodeBlocks counts the distinct cache blocks the program's code
+// spans. A function's static blocks are contiguous, so each function
+// covers one run of cache blocks; the runs, sorted by start, are merged.
+func countCodeBlocks(prog *program.Program) int {
+	runs := make([][2]uint64, len(prog.Funcs))
+	for i, f := range prog.Funcs {
+		last := &f.Blocks[len(f.Blocks)-1]
+		runs[i] = [2]uint64{f.Entry().BlockIndex(), last.PC.Add(last.NumInstr - 1).BlockIndex()}
+	}
+	slices.SortFunc(runs, func(a, b [2]uint64) int { return cmp.Compare(a[0], b[0]) })
+	n := 0
+	var next uint64 // first block number not yet counted
+	for _, r := range runs {
+		lo := max(r[0], next)
+		if r[1] >= lo {
+			n += int(r[1] - lo + 1)
+			next = r[1] + 1
+		}
+	}
+	return n
+}

@@ -2,6 +2,7 @@ package predecode
 
 import (
 	"testing"
+	"unsafe"
 
 	"shotgun/internal/isa"
 	"shotgun/internal/program"
@@ -25,7 +26,7 @@ func TestEveryBranchDecodable(t *testing.T) {
 			if !ok {
 				t.Fatalf("branch at %v (block %v) not decodable", branchPC, sb.PC)
 			}
-			if br.Entry.Kind != sb.Kind || br.Entry.NumInstr != sb.NumInstr {
+			if br.Entry.Kind != sb.Kind || int(br.Entry.NumInstr) != sb.NumInstr {
 				t.Fatalf("decoded %+v, want kind %v size %d", br.Entry, sb.Kind, sb.NumInstr)
 			}
 		}
@@ -77,7 +78,7 @@ func TestDecodeGroupsByCacheBlock(t *testing.T) {
 			}
 			cb := sb.PC.Add(sb.NumInstr - 1).Block()
 			for _, br := range d.Decode(cb) {
-				bpc := br.BlockPC.Add(br.Entry.NumInstr - 1)
+				bpc := br.BlockPC.Add(int(br.Entry.NumInstr) - 1)
 				if bpc.Block() != cb {
 					t.Fatalf("branch %v listed under block %v", bpc, cb)
 				}
@@ -104,5 +105,13 @@ func BenchmarkDecode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.Decode(entry + isa.Addr((i%64)*isa.BlockBytes))
+	}
+}
+
+// TestHostSizeBranch guards the 24-byte predecoded Branch (block PC plus
+// a 16-byte btb.Entry) that the predecode image holds per static branch.
+func TestHostSizeBranch(t *testing.T) {
+	if got := unsafe.Sizeof(Branch{}); got != 24 {
+		t.Fatalf("unsafe.Sizeof(Branch{}) = %d, want 24", got)
 	}
 }

@@ -68,11 +68,14 @@ const confluenceHistoryEntries = 16 * 32 << 10
 const confluenceIndexEntries = 16 * 8 << 10
 
 // NewConfluence builds the engine (16K-entry BTB, shared SHIFT history).
+// OnRetire records only the cache blocks of retired blocks, so the SHIFT
+// index is presized to the program's code blocks (ctx.Dec.CodeBlocks()),
+// every profile's being fewer than confluenceIndexEntries.
 func NewConfluence(ctx Context) *Confluence {
 	return &Confluence{
 		decodeBTB: newDecodeBTB(ConfluenceBTBEntries),
 		ctx:       ctx,
-		hist:      stream.New(confluenceHistoryEntries, confluenceIndexEntries),
+		hist:      stream.New(confluenceHistoryEntries, confluenceIndexEntries, ctx.Dec.CodeBlocks()),
 		depth:     confluenceDepth,
 		indexLat:  uint64(ctx.Hier.Config().LLCLatencyCycles + ctx.Hier.Mesh.UncongestedRoundTrip()),
 	}

@@ -10,6 +10,7 @@ import (
 	"shotgun/internal/predecode"
 	"shotgun/internal/program"
 	"shotgun/internal/uncore"
+	"shotgun/internal/workload"
 )
 
 func testContext(t testing.TB) (Context, *program.Program) {
@@ -255,7 +256,7 @@ func TestShotgunReturnFootprintViaRAS(t *testing.T) {
 	// RAS-supplied call block and prefetch the region. Install the RIB
 	// entry directly (the synthetic return is not part of the program,
 	// so the reactive decoder cannot produce it).
-	e.org.Insert(ret.PC, btb.Entry{NumInstr: ret.NumInstr, Kind: isa.BranchRet})
+	e.org.Insert(ret.PC, btb.Entry{NumInstr: uint8(ret.NumInstr), Kind: isa.BranchRet})
 	before := e.RegionPrefetches
 	ev := e.Evaluate(20000, ret, call.PC, true)
 	if !ev.BTBHit {
@@ -466,5 +467,34 @@ func TestShotgunNoRIBStillHitsReturns(t *testing.T) {
 	ev := e.Evaluate(0, ret, 0, false)
 	if !ev.BTBHit {
 		t.Fatal("no-RIB return missed despite U-BTB residence")
+	}
+}
+
+// TestConfluenceIndexHintMatchesCodeBlocks: each profile's Confluence
+// presizes its SHIFT index to exactly the distinct cache blocks that the
+// program's static blocks span, counted here the slow way, and that
+// count stays below the modeled index size, so a walker-driven engine
+// can neither regrow the map nor reach the full-index eviction path.
+func TestConfluenceIndexHintMatchesCodeBlocks(t *testing.T) {
+	cfg := uncore.DefaultConfig()
+	cfg.Mesh = noc.Config{Rows: 4, Cols: 4, HopCycles: 3, SlotsPerCycle: 100}
+	for _, p := range workload.Profiles() {
+		seen := map[isa.Addr]bool{}
+		for _, f := range p.Program().Funcs {
+			for _, sb := range f.Blocks {
+				first, last := isa.BasicBlock{PC: sb.PC, NumInstr: sb.NumInstr}.BlockSpan()
+				for blk := first; blk <= last; blk += isa.BlockBytes {
+					seen[blk] = true
+				}
+			}
+		}
+		e := NewConfluence(Context{Hier: uncore.New(cfg), Dec: p.Decoder()})
+		if got := e.hist.IndexHint(); got != len(seen) {
+			t.Errorf("%s: index hint %d, want %d code blocks", p.Name, got, len(seen))
+		}
+		if len(seen) >= confluenceIndexEntries {
+			t.Errorf("%s: %d code blocks reach the %d-entry index", p.Name, len(seen), confluenceIndexEntries)
+		}
+		t.Logf("%s: %d code blocks", p.Name, len(seen))
 	}
 }

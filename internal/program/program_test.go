@@ -1,7 +1,9 @@
 package program
 
 import (
+	"math/bits"
 	"testing"
+	"unsafe"
 
 	"shotgun/internal/isa"
 )
@@ -211,5 +213,17 @@ func TestGenerateRejectsTinyPrograms(t *testing.T) {
 func TestRoleString(t *testing.T) {
 	if RoleApp.String() != "app" || RoleTrapEntry.String() != "trap-entry" || RoleKernelInternal.String() != "kernel" {
 		t.Fatal("role names wrong")
+	}
+}
+
+// TestHostSizeStaticBlock guards StaticBlock's padding-free layout
+// (widest field first): a field added in the wrong place grows every
+// profile's block arrays.
+func TestHostSizeStaticBlock(t *testing.T) {
+	if bits.UintSize != 64 {
+		t.Skip("layout pinned for 64-bit hosts")
+	}
+	if got := unsafe.Sizeof(StaticBlock{}); got != 48 {
+		t.Fatalf("unsafe.Sizeof(StaticBlock{}) = %d, want 48", got)
 	}
 }

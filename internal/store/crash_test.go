@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -246,6 +247,43 @@ func TestConcurrentPutPruneGet(t *testing.T) {
 	// with the in-memory key set.
 	if st := s.Stats(); st.CorruptDropped != 0 {
 		t.Fatalf("corruption under concurrency: %+v", st)
+	}
+	s2, err := Open(s.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2.Len() != s.Len() {
+		t.Fatalf("reopened store has %d records, in-memory key set %d", s2.Len(), s.Len())
+	}
+}
+
+// TestPruneOverlapsEveryPut runs the evictor at the first moment each
+// put's record is visible on disk, before the put returns. Evicting
+// everything there must take the record's key along with its file: the
+// key set and the records directory agree after every put, and a fresh
+// Open agrees with both.
+func TestPruneOverlapsEveryPut(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.putVisible = func(string) {
+		if _, err := s.Prune(0); err != nil {
+			t.Errorf("prune: %v", err)
+		}
+	}
+	for i, wl := range []string{"Nutch", "Streaming", "Apache", "Zeus", "Oracle", "DB2"} {
+		if err := s.Put(testConfig(wl), fakeResult(wl, uint64(1000+i))); err != nil {
+			t.Fatalf("put %s: %v", wl, err)
+		}
+		files, err := os.ReadDir(filepath.Join(s.Dir(), recordsDir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Len() != len(files) || s.Stats().Records != len(files) {
+			t.Fatalf("after put %s: key set %d, Records stat %d, %d files on disk",
+				wl, s.Len(), s.Stats().Records, len(files))
+		}
 	}
 	s2, err := Open(s.Dir())
 	if err != nil {

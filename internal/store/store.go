@@ -127,8 +127,16 @@ type Stats struct {
 type Store struct {
 	dir string
 
+	// mu orders every change to the records directory against the key
+	// set: a record file and its key appear (put) and vanish (Prune,
+	// drop) in one step under mu, so Prune can never remove a record
+	// between its rename and its key insert.
 	mu   sync.RWMutex
 	keys map[string]struct{}
+
+	// putVisible, when set, runs as soon as a put's record is visible
+	// on disk, before the put returns (tests overlap Prune there).
+	putVisible func(key string)
 
 	hits, misses, puts, putErrors, corrupt atomic.Uint64
 }
@@ -209,8 +217,8 @@ func (s *Store) load(key string) (Record, bool) {
 // drop removes a corrupt record file and its key.
 func (s *Store) drop(key string) {
 	s.corrupt.Add(1)
-	os.Remove(s.recordPath(key))
 	s.mu.Lock()
+	os.Remove(s.recordPath(key))
 	delete(s.keys, key)
 	s.mu.Unlock()
 }
@@ -270,8 +278,8 @@ func (s *Store) PutScenario(sc sim.Scenario, res sim.ScenarioResult) error {
 
 // put canonicalizes one result into its record — results land in
 // canonical core order, matching the canonical scenario the record
-// carries (the caller may hold any permutation) — writes the record
-// file, then adds its key.
+// carries (the caller may hold any permutation) — writes it to a temp
+// file, then renames the file into place and adds its key in one step.
 func (s *Store) put(sc sim.Scenario, res sim.ScenarioResult) error {
 	rec, err := newRecord(sc, res)
 	if err != nil {
@@ -281,13 +289,25 @@ func (s *Store) put(sc sim.Scenario, res sim.ScenarioResult) error {
 	if err != nil {
 		return fmt.Errorf("store: marshal record: %w", err)
 	}
-	if err := writeFileAtomic(s.recordPath(rec.Key), append(raw, '\n')); err != nil {
+	path := s.recordPath(rec.Key)
+	tmp, err := writeTemp(filepath.Dir(path), append(raw, '\n'))
+	if err != nil {
 		return err
 	}
-	s.touch(rec.Key)
 	s.mu.Lock()
-	s.keys[rec.Key] = struct{}{}
+	err = os.Rename(tmp, path)
+	if err == nil {
+		s.keys[rec.Key] = struct{}{}
+	}
 	s.mu.Unlock()
+	if err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("store: %w", err)
+	}
+	if s.putVisible != nil {
+		s.putVisible(rec.Key)
+	}
+	s.touch(rec.Key)
 	return nil
 }
 
@@ -378,24 +398,32 @@ func (s *Store) Prune(maxBytes int64) (int, error) {
 // rename, so concurrent readers see either the old bytes or the new —
 // never a prefix.
 func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
+	tmp, err := writeTemp(filepath.Dir(path), data)
+	if err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("store: %w", err)
+	}
+	return nil
+}
+
+// writeTemp writes data to a new temp file in dir and returns its name.
+func writeTemp(dir string, data []byte) (string, error) {
 	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
+		return "", fmt.Errorf("store: %w", err)
 	}
 	name := tmp.Name()
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		os.Remove(name)
-		return fmt.Errorf("store: %w", err)
+		return "", fmt.Errorf("store: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(name)
-		return fmt.Errorf("store: %w", err)
+		return "", fmt.Errorf("store: %w", err)
 	}
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
+	return name, nil
 }

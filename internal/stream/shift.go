@@ -8,6 +8,13 @@
 // In the real design both structures are virtualized into the LLC; the
 // capacity they displace and the LLC round-trip on every stream restart
 // are modeled by the Confluence engine (package prefetch), not here.
+//
+// Host memory: the ring is allocated whole, at the modeled history size,
+// because a lazily grown ring would allocate on the hot path for as long
+// as the history fills. The index map is presized to hold the smaller of
+// the modeled index size and the number of distinct code blocks the
+// caller can record (New's codeBlocks), so an index that never fills
+// costs only what the program's code can occupy and is never regrown.
 package stream
 
 import "shotgun/internal/isa"
@@ -17,8 +24,9 @@ type SHIFT struct {
 	ring []isa.Addr
 	head uint64 // total records; next write position is head % len(ring)
 
-	index    map[isa.Addr]uint64
-	indexCap int
+	index     map[isa.Addr]uint64
+	indexCap  int
+	indexHint int // the keys the map is presized to hold
 
 	// recent is a small recency window implementing spatio-temporal
 	// compaction: re-touches of a just-recorded block (loops, straddling
@@ -37,14 +45,25 @@ const compactWindow = 8
 
 // New builds a SHIFT history of historyEntries blocks with an index table
 // bounded at indexEntries (the paper models 32K history + 8K index).
-func New(historyEntries, indexEntries int) *SHIFT {
-	if historyEntries <= 0 || indexEntries <= 0 {
-		panic("stream: non-positive SHIFT geometry")
+// codeBlocks bounds the distinct blocks the caller will record (the cache
+// blocks of the program's code; 0 if unknown): the index map is presized
+// to hold min(indexEntries, codeBlocks) keys, so recording never regrows
+// it.
+func New(historyEntries, indexEntries, codeBlocks int) *SHIFT {
+	if historyEntries <= 0 || indexEntries <= 0 || codeBlocks < 0 {
+		panic("stream: invalid SHIFT geometry")
 	}
+	hint := min(indexEntries, codeBlocks)
 	return &SHIFT{
-		ring:     make([]isa.Addr, historyEntries),
-		index:    make(map[isa.Addr]uint64, indexEntries),
-		indexCap: indexEntries,
+		ring: make([]isa.Addr, historyEntries),
+		// A large Go map is a set of fixed-size tables, each taking the
+		// keys its hash bits pick; one that overflows is split. Sized
+		// exactly, some table's share of the keys overflows for most
+		// hash seeds (Oracle's 55,336 code blocks split tables on every
+		// seed tried), so the map is given a quarter more room.
+		index:     make(map[isa.Addr]uint64, hint+hint/4),
+		indexCap:  indexEntries,
+		indexHint: hint,
 	}
 }
 
@@ -61,24 +80,35 @@ func (s *SHIFT) Record(block isa.Addr) {
 	s.recent[s.recentPos] = block
 	s.recentPos = (s.recentPos + 1) % compactWindow
 
-	pos := s.head % uint64(len(s.ring))
 	// The overwritten block's index entry may now be stale; it is
 	// detected lazily on lookup (position out of the live window).
-	s.ring[pos] = block
+	slot := s.head % uint64(len(s.ring))
+	indexed := len(s.index) < s.indexCap || s.makeRoom(block, slot)
+	s.ring[slot] = block
 	s.head++
 	s.Records++
+	if indexed {
+		s.index[block] = s.head - 1
+	}
+}
 
-	if len(s.index) >= s.indexCap {
-		if _, ok := s.index[block]; !ok {
-			// Index full: evict an arbitrary entry (hardware would
-			// overwrite a set way; stale entries die anyway).
-			for k := range s.index {
-				delete(s.index, k)
-				break
-			}
+// makeRoom decides, when the index is full, whether block (about to be
+// recorded into ring slot slot) gets an index entry. The entry of the
+// block being overwritten, if it points at that slot, is stale from this
+// record on, so it is evicted first. The block is then indexed if it
+// already has an entry or if that eviction freed one; otherwise it stays
+// unindexed. Hardware would overwrite a set way; the rule here depends
+// only on the record sequence, never on map iteration order.
+func (s *SHIFT) makeRoom(block isa.Addr, slot uint64) bool {
+	if n := uint64(len(s.ring)); s.head >= n {
+		old := s.ring[slot]
+		if pos, ok := s.index[old]; ok && pos == s.head-n {
+			delete(s.index, old)
+			return true
 		}
 	}
-	s.index[block] = s.head - 1
+	_, ok := s.index[block]
+	return ok
 }
 
 // live reports whether a history position has not been overwritten.
@@ -118,6 +148,9 @@ func (s *SHIFT) Successors(pos uint64, n int) []isa.Addr {
 	}
 	return out
 }
+
+// IndexHint returns the number of keys the index map is presized to hold.
+func (s *SHIFT) IndexHint() int { return s.indexHint }
 
 // Head returns the number of records so far (the next write position).
 func (s *SHIFT) Head() uint64 { return s.head }

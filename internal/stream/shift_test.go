@@ -7,7 +7,7 @@ import (
 )
 
 func TestRecordAndReplay(t *testing.T) {
-	s := New(64, 32)
+	s := New(64, 32, 32)
 	seq := []isa.Addr{0x1000, 0x2000, 0x3000, 0x4000, 0x5000}
 	for _, b := range seq {
 		s.Record(b)
@@ -29,7 +29,7 @@ func TestRecordAndReplay(t *testing.T) {
 }
 
 func TestConsecutiveDedup(t *testing.T) {
-	s := New(64, 32)
+	s := New(64, 32, 32)
 	s.Record(0x1000)
 	s.Record(0x1000)
 	s.Record(0x1000)
@@ -40,7 +40,7 @@ func TestConsecutiveDedup(t *testing.T) {
 }
 
 func TestStaleIndexEntryDies(t *testing.T) {
-	s := New(4, 32) // tiny history: 4 entries
+	s := New(4, 32, 32) // tiny history: 4 entries
 	s.Record(0x1000)
 	for i := 1; i <= 8; i++ {
 		s.Record(isa.Addr(0x2000 + i*0x40))
@@ -52,7 +52,7 @@ func TestStaleIndexEntryDies(t *testing.T) {
 }
 
 func TestRepeatedStreamUpdatesIndex(t *testing.T) {
-	s := New(64, 64)
+	s := New(64, 64, 64)
 	// First pass: A B C, then unrelated blocks push A out of the
 	// compaction window; second pass: A D E. Replay of A must give D E.
 	seq := []isa.Addr{0xa000, 0xb000, 0xc000}
@@ -74,7 +74,7 @@ func TestRepeatedStreamUpdatesIndex(t *testing.T) {
 }
 
 func TestCompactionSuppressesLoopRetouch(t *testing.T) {
-	s := New(64, 32)
+	s := New(64, 32, 32)
 	// A tight loop alternating two blocks must not flood the history.
 	for i := 0; i < 20; i++ {
 		s.Record(0x1000)
@@ -86,7 +86,7 @@ func TestCompactionSuppressesLoopRetouch(t *testing.T) {
 }
 
 func TestIndexCapacityBounded(t *testing.T) {
-	s := New(1<<16, 16)
+	s := New(1<<16, 16, 16)
 	for i := 0; i < 1000; i++ {
 		s.Record(isa.Addr(i * 0x40))
 	}
@@ -96,7 +96,7 @@ func TestIndexCapacityBounded(t *testing.T) {
 }
 
 func TestSuccessorsTruncatedAtHead(t *testing.T) {
-	s := New(64, 32)
+	s := New(64, 32, 32)
 	s.Record(0x1000)
 	s.Record(0x2000)
 	pos, _ := s.Find(0x1000)
@@ -109,7 +109,7 @@ func TestSuccessorsTruncatedAtHead(t *testing.T) {
 func TestStorageBitsRealistic(t *testing.T) {
 	// The paper's Confluence configuration: 32K-entry history + 8K-entry
 	// index — hundreds of KB of metadata.
-	s := New(32<<10, 8<<10)
+	s := New(32<<10, 8<<10, 8<<10)
 	kb := float64(s.StorageBits()) / 8 / 1024
 	if kb < 150 || kb > 300 {
 		t.Fatalf("SHIFT metadata = %.0fKB, expected hundreds of KB", kb)
@@ -117,8 +117,104 @@ func TestStorageBitsRealistic(t *testing.T) {
 }
 
 func BenchmarkRecord(b *testing.B) {
-	s := New(32<<10, 8<<10)
+	s := New(32<<10, 8<<10, 8<<10)
 	for i := 0; i < b.N; i++ {
 		s.Record(isa.Addr((i % 5000) * 64))
+	}
+}
+
+// TestFullIndexEvictionDeterministic: once the index is full, which
+// entry makes room must follow from the record sequence alone. Two
+// SHIFTs fed the same 100 blocks through a 4-entry index answer every
+// Find identically after every record, and every hit names a live slot
+// holding the block.
+func TestFullIndexEvictionDeterministic(t *testing.T) {
+	seq := make([]isa.Addr, 100)
+	x := uint64(1)
+	for i := range seq {
+		x = x*6364136223846793005 + 1442695040888963407
+		seq[i] = isa.Addr((x >> 33) % 24 * isa.BlockBytes)
+	}
+	a, b := New(8, 4, 4), New(8, 4, 4)
+	for i, blk := range seq {
+		a.Record(blk)
+		b.Record(blk)
+		if len(a.index) > 4 {
+			t.Fatalf("record %d: index holds %d entries, cap 4", i, len(a.index))
+		}
+		for _, q := range seq {
+			pa, okA := a.Find(q)
+			pb, okB := b.Find(q)
+			if pa != pb || okA != okB {
+				t.Fatalf("record %d: Find(%v) = (%d, %v) and (%d, %v)", i, q, pa, okA, pb, okB)
+			}
+			if got, _ := a.At(pa); okA && got != q {
+				t.Fatalf("record %d: Find(%v) points at a slot holding %v", i, q, got)
+			}
+		}
+	}
+}
+
+// TestFullIndexEvictsOverwrittenEntry pins the eviction rule: a full
+// index makes room only by dropping the entry whose ring slot the new
+// record overwrites; while every entry is live, a new block stays
+// unindexed.
+func TestFullIndexEvictsOverwrittenEntry(t *testing.T) {
+	s := New(4, 2, 2)
+	for _, b := range []isa.Addr{0x1000, 0x2000, 0x3000, 0x4000} {
+		s.Record(b)
+	}
+	// Index full at {0x1000, 0x2000}; 0x3000 and 0x4000 found no room.
+	for b, want := range map[isa.Addr]bool{0x1000: true, 0x2000: true, 0x3000: false, 0x4000: false} {
+		if _, ok := s.Find(b); ok != want {
+			t.Fatalf("before wrap: Find(%v) = %v, want %v", b, ok, want)
+		}
+	}
+	s.Record(0x5000) // overwrites 0x1000's slot: its entry makes room
+	for b, want := range map[isa.Addr]bool{0x1000: false, 0x2000: true, 0x5000: true} {
+		if _, ok := s.Find(b); ok != want {
+			t.Fatalf("after wrap: Find(%v) = %v, want %v", b, ok, want)
+		}
+	}
+	if pos, _ := s.Find(0x5000); pos != 4 {
+		t.Fatalf("Find(0x5000) = %d, want 4", pos)
+	}
+}
+
+// TestIndexNeverRegrows records as many distinct blocks as the index
+// was presized for, at each profile's code-block count, and requires no
+// allocation: a walker-driven Confluence engine can record no more, so
+// its index is allocated once. Each run fills a new map, with a new hash
+// seed.
+func TestIndexNeverRegrows(t *testing.T) {
+	const runs = 5
+	for _, n := range []int{1766, 4728, 9590, 13229, 38133, 55336} {
+		shifts := make([]*SHIFT, runs+1) // AllocsPerRun adds a warm-up run
+		for i := range shifts {
+			shifts[i] = New(64, 1<<17, n)
+		}
+		next := 0
+		avg := testing.AllocsPerRun(runs, func() {
+			s := shifts[next]
+			next++
+			for i := 0; i < n; i++ {
+				s.Record(isa.Addr(i * isa.BlockBytes))
+			}
+		})
+		if avg != 0 {
+			t.Fatalf("recording %d distinct blocks allocates %.1f times", n, avg)
+		}
+		if got := len(shifts[runs].index); got != n {
+			t.Fatalf("%d blocks: index holds %d", n, got)
+		}
+	}
+}
+
+func TestIndexPresizedToCodeBlocks(t *testing.T) {
+	if got := New(64, 32, 10).IndexHint(); got != 10 {
+		t.Fatalf("hint = %d, want the 10 code blocks", got)
+	}
+	if got := New(64, 32, 100).IndexHint(); got != 32 {
+		t.Fatalf("hint = %d, want the 32-entry index", got)
 	}
 }
