@@ -249,15 +249,10 @@ func parseOptions(args []string, stderr io.Writer) (options, error) {
 		if opts.coordinator {
 			return options{}, fmt.Errorf("-join and -coordinator are mutually exclusive (a node is a worker or a coordinator)")
 		}
-		if opts.storeDir != "" {
-			return options{}, fmt.Errorf("-join workers keep no store (records land in the coordinator's); drop -store")
-		}
-		if opts.tenantsPath != "" {
-			return options{}, fmt.Errorf("-join workers serve no API (the coordinator authenticates); drop -tenants")
-		}
-		// A worker reads only -join, -worker-id and -parallel; any
-		// other flag would be silently ignored (a worker simulates at
-		// the coordinator's scale, say), so it is refused by name.
+		// A worker reads only -join, -worker-id and -parallel: it keeps
+		// no store, serves no API and simulates at the coordinator's
+		// scale, so any other flag would be silently ignored and is
+		// refused by name.
 		var ignored string
 		fs.Visit(func(f *flag.Flag) {
 			if ignored == "" && f.Name != "join" && f.Name != "worker-id" && f.Name != "parallel" {

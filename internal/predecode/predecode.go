@@ -191,8 +191,7 @@ func (d *Decoder) CodeBlocks() int { return d.codeBlocks }
 func countCodeBlocks(prog *program.Program) int {
 	runs := make([][2]uint64, len(prog.Funcs))
 	for i, f := range prog.Funcs {
-		last := &f.Blocks[len(f.Blocks)-1]
-		runs[i] = [2]uint64{f.Entry().BlockIndex(), last.PC.Add(last.NumInstr - 1).BlockIndex()}
+		runs[i][0], runs[i][1] = f.BlockSpan()
 	}
 	slices.SortFunc(runs, func(a, b [2]uint64) int { return cmp.Compare(a[0], b[0]) })
 	n := 0

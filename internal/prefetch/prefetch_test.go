@@ -470,14 +470,13 @@ func TestShotgunNoRIBStillHitsReturns(t *testing.T) {
 	}
 }
 
-// TestConfluenceIndexHintMatchesCodeBlocks: each profile's Confluence
-// presizes its SHIFT index to exactly the distinct cache blocks that the
-// program's static blocks span, counted here the slow way, and that
-// count stays below the modeled index size, so a walker-driven engine
-// can neither regrow the map nor reach the full-index eviction path.
-func TestConfluenceIndexHintMatchesCodeBlocks(t *testing.T) {
-	cfg := uncore.DefaultConfig()
-	cfg.Mesh = noc.Config{Rows: 4, Cols: 4, HopCycles: 3, SlotsPerCycle: 100}
+// TestConfluenceCodeBlocksMatchReference: the count NewConfluence
+// presizes its SHIFT index to, each profile's Decoder.CodeBlocks, is
+// exactly the distinct cache blocks that the program's static blocks
+// span, counted here the slow way, and stays below the modeled index
+// size, so a walker-driven engine can neither regrow the map nor fill
+// the index.
+func TestConfluenceCodeBlocksMatchReference(t *testing.T) {
 	for _, p := range workload.Profiles() {
 		seen := map[isa.Addr]bool{}
 		for _, f := range p.Program().Funcs {
@@ -488,13 +487,11 @@ func TestConfluenceIndexHintMatchesCodeBlocks(t *testing.T) {
 				}
 			}
 		}
-		e := NewConfluence(Context{Hier: uncore.New(cfg), Dec: p.Decoder()})
-		if got := e.hist.IndexHint(); got != len(seen) {
-			t.Errorf("%s: index hint %d, want %d code blocks", p.Name, got, len(seen))
+		if got := p.Decoder().CodeBlocks(); got != len(seen) {
+			t.Errorf("%s: CodeBlocks %d, want %d", p.Name, got, len(seen))
 		}
 		if len(seen) >= confluenceIndexEntries {
 			t.Errorf("%s: %d code blocks reach the %d-entry index", p.Name, len(seen), confluenceIndexEntries)
 		}
-		t.Logf("%s: %d code blocks", p.Name, len(seen))
 	}
 }

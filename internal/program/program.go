@@ -109,9 +109,18 @@ func (f *Function) End() isa.Addr {
 	return last.PC.Add(last.NumInstr)
 }
 
+// BlockSpan returns the indexes of the first and last cache blocks the
+// function's code occupies: the blocks of its entry and of its last
+// instruction.
+func (f *Function) BlockSpan() (first, last uint64) {
+	lb := &f.Blocks[len(f.Blocks)-1]
+	return f.Entry().BlockIndex(), lb.PC.Add(lb.NumInstr - 1).BlockIndex()
+}
+
 // SizeBlocks returns the function's code size in cache blocks.
 func (f *Function) SizeBlocks() int {
-	return int(f.End().Block().BlockIndex()-f.Entry().Block().BlockIndex()) + 1
+	first, last := f.BlockSpan()
+	return int(last-first) + 1
 }
 
 // RetKind returns the branch kind this function returns with.

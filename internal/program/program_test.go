@@ -128,8 +128,15 @@ func TestStaticBranchesCounted(t *testing.T) {
 func TestFunctionGeometry(t *testing.T) {
 	p := MustGenerate(smallParams(), 11)
 	for _, f := range p.Funcs {
-		if f.SizeBlocks() < 1 {
-			t.Fatalf("function %d has %d cache blocks", f.ID, f.SizeBlocks())
+		spanned := map[isa.Addr]bool{}
+		for _, sb := range f.Blocks {
+			first, last := isa.BasicBlock{PC: sb.PC, NumInstr: sb.NumInstr}.BlockSpan()
+			for blk := first; blk <= last; blk += isa.BlockBytes {
+				spanned[blk] = true
+			}
+		}
+		if f.SizeBlocks() != len(spanned) {
+			t.Fatalf("function %d: SizeBlocks %d, its blocks span %d cache blocks", f.ID, f.SizeBlocks(), len(spanned))
 		}
 		if f.End() <= f.Entry() {
 			t.Fatalf("function %d empty range", f.ID)

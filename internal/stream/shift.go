@@ -15,6 +15,8 @@
 // the modeled index size and the number of distinct code blocks the
 // caller can record (New's codeBlocks), so an index that never fills
 // costs only what the program's code can occupy and is never regrown.
+// An entry is dropped as soon as the ring overwrites its slot, so the
+// index holds only live entries.
 package stream
 
 import "shotgun/internal/isa"
@@ -24,9 +26,8 @@ type SHIFT struct {
 	ring []isa.Addr
 	head uint64 // total records; next write position is head % len(ring)
 
-	index     map[isa.Addr]uint64
-	indexCap  int
-	indexHint int // the keys the map is presized to hold
+	index    map[isa.Addr]uint64
+	indexCap int
 
 	// recent is a small recency window implementing spatio-temporal
 	// compaction: re-touches of a just-recorded block (loops, straddling
@@ -46,9 +47,8 @@ const compactWindow = 8
 // New builds a SHIFT history of historyEntries blocks with an index table
 // bounded at indexEntries (the paper models 32K history + 8K index).
 // codeBlocks bounds the distinct blocks the caller will record (the cache
-// blocks of the program's code; 0 if unknown): the index map is presized
-// to hold min(indexEntries, codeBlocks) keys, so recording never regrows
-// it.
+// blocks of the program's code): the index map is presized to hold
+// min(indexEntries, codeBlocks) keys, so recording never regrows it.
 func New(historyEntries, indexEntries, codeBlocks int) *SHIFT {
 	if historyEntries <= 0 || indexEntries <= 0 || codeBlocks < 0 {
 		panic("stream: invalid SHIFT geometry")
@@ -61,9 +61,8 @@ func New(historyEntries, indexEntries, codeBlocks int) *SHIFT {
 		// exactly, some table's share of the keys overflows for most
 		// hash seeds (Oracle's 55,336 code blocks split tables on every
 		// seed tried), so the map is given a quarter more room.
-		index:     make(map[isa.Addr]uint64, hint+hint/4),
-		indexCap:  indexEntries,
-		indexHint: hint,
+		index:    make(map[isa.Addr]uint64, hint+hint/4),
+		indexCap: indexEntries,
 	}
 }
 
@@ -80,35 +79,35 @@ func (s *SHIFT) Record(block isa.Addr) {
 	s.recent[s.recentPos] = block
 	s.recentPos = (s.recentPos + 1) % compactWindow
 
-	// The overwritten block's index entry may now be stale; it is
-	// detected lazily on lookup (position out of the live window).
 	slot := s.head % uint64(len(s.ring))
-	indexed := len(s.index) < s.indexCap || s.makeRoom(block, slot)
+	s.dropOverwritten(slot)
 	s.ring[slot] = block
 	s.head++
 	s.Records++
-	if indexed {
-		s.index[block] = s.head - 1
-	}
-}
-
-// makeRoom decides, when the index is full, whether block (about to be
-// recorded into ring slot slot) gets an index entry. The entry of the
-// block being overwritten, if it points at that slot, is stale from this
-// record on, so it is evicted first. The block is then indexed if it
-// already has an entry or if that eviction freed one; otherwise it stays
-// unindexed. Hardware would overwrite a set way; the rule here depends
-// only on the record sequence, never on map iteration order.
-func (s *SHIFT) makeRoom(block isa.Addr, slot uint64) bool {
-	if n := uint64(len(s.ring)); s.head >= n {
-		old := s.ring[slot]
-		if pos, ok := s.index[old]; ok && pos == s.head-n {
-			delete(s.index, old)
-			return true
+	if len(s.index) >= s.indexCap {
+		if _, ok := s.index[block]; !ok {
+			// Every entry is live: the block stays unindexed. Hardware
+			// would overwrite a set way; this rule depends only on the
+			// record sequence, never on map iteration order.
+			return
 		}
 	}
-	_, ok := s.index[block]
-	return ok
+	s.index[block] = s.head - 1
+}
+
+// dropOverwritten removes the index entry of the block in ring slot slot
+// if it points at that slot: the record about to overwrite the slot makes
+// the entry stale for good. Dropping it at once keeps every entry live,
+// so stale entries never hold index capacity.
+func (s *SHIFT) dropOverwritten(slot uint64) {
+	n := uint64(len(s.ring))
+	if s.head < n {
+		return
+	}
+	old := s.ring[slot]
+	if pos, ok := s.index[old]; ok && pos == s.head-n {
+		delete(s.index, old)
+	}
 }
 
 // live reports whether a history position has not been overwritten.
@@ -148,9 +147,6 @@ func (s *SHIFT) Successors(pos uint64, n int) []isa.Addr {
 	}
 	return out
 }
-
-// IndexHint returns the number of keys the index map is presized to hold.
-func (s *SHIFT) IndexHint() int { return s.indexHint }
 
 // Head returns the number of records so far (the next write position).
 func (s *SHIFT) Head() uint64 { return s.head }

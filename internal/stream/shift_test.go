@@ -142,6 +142,11 @@ func TestFullIndexEvictionDeterministic(t *testing.T) {
 		if len(a.index) > 4 {
 			t.Fatalf("record %d: index holds %d entries, cap 4", i, len(a.index))
 		}
+		for blk, pos := range a.index {
+			if !a.live(pos) {
+				t.Fatalf("record %d: index keeps %v at overwritten position %d", i, blk, pos)
+			}
+		}
 		for _, q := range seq {
 			pa, okA := a.Find(q)
 			pb, okB := b.Find(q)
@@ -155,10 +160,9 @@ func TestFullIndexEvictionDeterministic(t *testing.T) {
 	}
 }
 
-// TestFullIndexEvictsOverwrittenEntry pins the eviction rule: a full
-// index makes room only by dropping the entry whose ring slot the new
-// record overwrites; while every entry is live, a new block stays
-// unindexed.
+// TestFullIndexEvictsOverwrittenEntry pins the eviction rule: an entry
+// is dropped when the ring overwrites its slot, which makes room in a
+// full index; while every entry is live, a new block stays unindexed.
 func TestFullIndexEvictsOverwrittenEntry(t *testing.T) {
 	s := New(4, 2, 2)
 	for _, b := range []isa.Addr{0x1000, 0x2000, 0x3000, 0x4000} {
@@ -181,17 +185,47 @@ func TestFullIndexEvictsOverwrittenEntry(t *testing.T) {
 	}
 }
 
+// TestStaleEntriesFreeIndexCapacity: an entry that goes stale while the
+// index is below its cap must not hold capacity once the index fills.
+// Block a is overwritten with the index two entries short of full; three
+// new blocks then fill it, and each must still be indexed, although the
+// slots they overwrite belong to loop blocks recorded again since.
+func TestStaleEntriesFreeIndexCapacity(t *testing.T) {
+	s := New(16, 12, 12)
+	const a = isa.Addr(0x100000)
+	s.Record(a)
+	for i := 0; i < 16; i++ { // nine loop blocks, each past the compaction window
+		s.Record(isa.Addr(0x200000 + i%9*isa.BlockBytes))
+	}
+	if _, ok := s.Find(a); ok {
+		t.Fatal("overwritten entry found")
+	}
+	for i := 0; i < 3; i++ {
+		b := isa.Addr(0x300000 + i*isa.BlockBytes)
+		s.Record(b)
+		if _, ok := s.Find(b); !ok {
+			t.Fatalf("new block %d of 3 unindexed with %d of 12 entries held", i+1, len(s.index))
+		}
+	}
+	if len(s.index) != 12 {
+		t.Fatalf("index holds %d entries, want 12", len(s.index))
+	}
+}
+
 // TestIndexNeverRegrows records as many distinct blocks as the index
-// was presized for, at each profile's code-block count, and requires no
-// allocation: a walker-driven Confluence engine can record no more, so
-// its index is allocated once. Each run fills a new map, with a new hash
-// seed.
+// was presized for, at each profile's code-block count, then keeps
+// recording them in a skewed order until the ring has wrapped three
+// times, and requires no allocation: a walker-driven Confluence engine
+// can record no other blocks, so its index is allocated once, and the
+// entries dropped as the ring overwrites their slots leave no tombstones
+// that would force the map to grow. Each run fills a new map, with a new
+// hash seed.
 func TestIndexNeverRegrows(t *testing.T) {
 	const runs = 5
 	for _, n := range []int{1766, 4728, 9590, 13229, 38133, 55336} {
 		shifts := make([]*SHIFT, runs+1) // AllocsPerRun adds a warm-up run
 		for i := range shifts {
-			shifts[i] = New(64, 1<<17, n)
+			shifts[i] = New(2*n, 1<<17, n)
 		}
 		next := 0
 		avg := testing.AllocsPerRun(runs, func() {
@@ -200,21 +234,27 @@ func TestIndexNeverRegrows(t *testing.T) {
 			for i := 0; i < n; i++ {
 				s.Record(isa.Addr(i * isa.BlockBytes))
 			}
+			if len(s.index) != n {
+				t.Fatalf("%d blocks: index holds %d", n, len(s.index))
+			}
+			// Half the records come from the hottest sixteenth of the
+			// code, so cold blocks go stale and return.
+			x := uint64(next)
+			for i := 0; i < 8*n; i++ {
+				x = x*6364136223846793005 + 1442695040888963407
+				r := x >> 33
+				span := uint64(n)
+				if r&1 == 0 {
+					span = uint64(n/16 + 1)
+				}
+				s.Record(isa.Addr((r >> 1) % span * isa.BlockBytes))
+			}
 		})
 		if avg != 0 {
 			t.Fatalf("recording %d distinct blocks allocates %.1f times", n, avg)
 		}
-		if got := len(shifts[runs].index); got != n {
-			t.Fatalf("%d blocks: index holds %d", n, got)
+		if s := shifts[runs]; s.Head() < uint64(3*len(s.ring)) {
+			t.Fatalf("%d blocks: ring wrapped only %d times", n, s.Head()/uint64(len(s.ring)))
 		}
-	}
-}
-
-func TestIndexPresizedToCodeBlocks(t *testing.T) {
-	if got := New(64, 32, 10).IndexHint(); got != 10 {
-		t.Fatalf("hint = %d, want the 10 code blocks", got)
-	}
-	if got := New(64, 32, 100).IndexHint(); got != 32 {
-		t.Fatalf("hint = %d, want the 32-entry index", got)
 	}
 }
