@@ -15,19 +15,25 @@ type Segment struct{ Base, Len uint64 }
 func Segments(d *Decoder) []Segment {
 	out := make([]Segment, len(d.segs))
 	for i, s := range d.segs {
-		out[i] = Segment{s.base, uint64(len(s.branches))}
+		out[i] = Segment{s.base, s.n}
 	}
 	return out
 }
 
-// RefNewDecoder is the map-based NewDecoder the three-pass build
-// replaced: one append per branch into a per-block map entry, then a
-// sort over the map's keys to lay out the segments.
+// RefNewDecoder is a map-based build of the decoder: one append per
+// branch into a per-block map entry, a set of every cache block the
+// static blocks span, and a sort over that set's keys to lay out the
+// segments; the table is then filled slot by slot from the map.
 func RefNewDecoder(prog *program.Program) *Decoder {
 	byBlock := make(map[isa.Addr][]Branch)
+	code := make(map[uint64]bool)
 	for _, f := range prog.Funcs {
 		for bi := range f.Blocks {
 			sb := &f.Blocks[bi]
+			first, last := isa.BasicBlock{PC: sb.PC, NumInstr: sb.NumInstr}.BlockSpan()
+			for blk := first; blk <= last; blk += isa.BlockBytes {
+				code[blk.BlockIndex()] = true
+			}
 			if sb.Kind == isa.BranchNone {
 				continue
 			}
@@ -45,9 +51,9 @@ func RefNewDecoder(prog *program.Program) *Decoder {
 	}
 
 	d := &Decoder{blocks: len(byBlock)}
-	nums := make([]uint64, 0, len(byBlock))
-	for cb := range byBlock {
-		nums = append(nums, cb.BlockIndex())
+	nums := make([]uint64, 0, len(code))
+	for n := range code {
+		nums = append(nums, n)
 	}
 	sort.Slice(nums, func(i, j int) bool { return nums[i] < nums[j] })
 	for i := 0; i < len(nums); {
@@ -55,15 +61,17 @@ func RefNewDecoder(prog *program.Program) *Decoder {
 		for j < len(nums) && nums[j]-nums[j-1] < segGapBlocks {
 			j++
 		}
-		seg := decodeSeg{
-			base:     nums[i],
-			branches: make([][]Branch, nums[j-1]-nums[i]+1),
-		}
-		for _, n := range nums[i:j] {
-			seg.branches[n-seg.base] = byBlock[isa.Addr(n*isa.BlockBytes)]
-		}
-		d.segs = append(d.segs, seg)
+		n := nums[j-1] - nums[i] + 1
+		d.segs = append(d.segs, segment{base: nums[i], n: n, first: uint32(d.slots)})
+		d.slots += int(n)
 		i = j
+	}
+	d.off = make([]uint32, 1, d.slots+1)
+	for _, seg := range d.segs {
+		for n := seg.base; n < seg.base+seg.n; n++ {
+			d.flat = append(d.flat, byBlock[isa.Addr(n*isa.BlockBytes)]...)
+			d.off = append(d.off, uint32(len(d.flat)))
+		}
 	}
 	return d
 }

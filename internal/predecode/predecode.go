@@ -10,6 +10,7 @@ package predecode
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"shotgun/internal/btb"
@@ -27,22 +28,32 @@ type Branch struct {
 // Decoder maps cache-block addresses to the branches whose terminating
 // branch instruction lies inside that block.
 //
-// The program lays its code out as a small number of dense images (the
-// application image and the kernel image), so instead of a hash map the
-// decoder indexes a dense per-image slice by block number: Decode sits
-// on the L1-I fill path of every prefetch probe, and the map hash
-// dominated its cost.
+// It also gives the program's code blocks one dense numbering, the slots:
+// the program lays its code out as a small number of dense images (the
+// application image and the kernel image), so the decoder covers them
+// with a few gap-bounded segments of consecutive block numbers and
+// numbers the blocks of each segment in order. Every code block has a
+// slot, and so do the few padding blocks between functions; a block
+// outside every segment has none. Slot and Block map either way with a
+// compare per segment plus an offset, no hash and no search. Decode sits
+// on the L1-I fill path of every prefetch probe, and Confluence's SHIFT
+// keeps its history and index in slots (package stream).
 type Decoder struct {
-	segs       []decodeSeg
-	blocks     int
-	codeBlocks int
+	segs  []segment
+	slots int
+	// off and flat are the predecode table: the branches of slot s are
+	// flat[off[s]:off[s+1]], in program order.
+	off    []uint32
+	flat   []Branch
+	blocks int
 }
 
-// decodeSeg covers one contiguous run of code blocks; branches[i] holds
-// the branches of block number base+i.
-type decodeSeg struct {
-	base     uint64 // first block number of the run
-	branches [][]Branch
+// segment covers the block numbers [base, base+n), which take the slots
+// [first, first+n).
+type segment struct {
+	base  uint64
+	n     uint64
+	first uint32
 }
 
 // segGapBlocks is the block-number gap beyond which NewDecoder starts a
@@ -50,75 +61,42 @@ type decodeSeg struct {
 // only the inter-image void exceeds this).
 const segGapBlocks = 1 << 16
 
-// NewDecoder indexes every static branch in the program by the cache
-// block containing its branch instruction. It makes three passes and no
-// map: collect and sort the branch block numbers and derive the segments;
-// count the branches per block and prefix-sum the counts; then fill one
-// flat branch array in program order (functions, then blocks), so a
-// block's branches keep that order. Each block's slice is a
-// capacity-capped window of the flat array, and a block without branches
-// keeps a nil slice.
+// NewDecoder numbers the program's code blocks and indexes every static
+// branch by the slot of the cache block holding its branch instruction.
+// It makes three passes and no map: lay the segments over the functions'
+// block spans; count the branches per slot and prefix-sum the counts;
+// then fill one flat branch array in program order (functions, then
+// blocks), so a block's branches keep that order.
 func NewDecoder(prog *program.Program) *Decoder {
-	// Pass 1: slotOf[k] takes the cache-block number of the k-th branch
-	// in program order (pass 2 turns it into the block's slot), and nums
-	// the distinct block numbers, sorted. A function's blocks ascend, so
-	// dropping repeats of the previous number on the way in leaves the
-	// sort less than half the branches.
-	slotOf := make([]uint64, 0, prog.StaticBranches())
-	var nums []uint64
+	// Pass 1: number the code blocks, segment by segment.
+	d := &Decoder{segs: codeSegments(prog)}
+	for i := range d.segs {
+		d.segs[i].first = uint32(d.slots)
+		d.slots += int(d.segs[i].n)
+	}
+	if uint64(d.slots) >= math.MaxUint32 {
+		panic("predecode: code blocks overflow the slot numbering")
+	}
+
+	// Pass 2: count each slot's branches into off[slot+2]; the prefix sum
+	// turns off[slot+1] into the flat index of the slot's first branch.
+	off := make([]uint32, d.slots+2)
 	for _, f := range prog.Funcs {
 		for bi := range f.Blocks {
-			sb := &f.Blocks[bi]
-			if sb.Kind == isa.BranchNone {
-				continue
-			}
-			n := sb.PC.Add(sb.NumInstr - 1).BlockIndex()
-			slotOf = append(slotOf, n)
-			if len(nums) == 0 || nums[len(nums)-1] != n {
-				nums = append(nums, n)
+			if sb := &f.Blocks[bi]; sb.Kind != isa.BranchNone {
+				off[d.branchSlot(sb)+2]++
 			}
 		}
 	}
-	slices.Sort(nums)
-	nums = slices.Compact(nums)
-
-	// The segments tile one slot space: starts[s] is the slot of
-	// segment s's base block.
-	d := &Decoder{blocks: len(nums), codeBlocks: countCodeBlocks(prog)}
-	var starts []uint64
-	var slots uint64
-	for i := 0; i < len(nums); {
-		j := i + 1
-		for j < len(nums) && nums[j]-nums[j-1] < segGapBlocks {
-			j++
-		}
-		span := nums[j-1] - nums[i] + 1
-		d.segs = append(d.segs, decodeSeg{base: nums[i], branches: make([][]Branch, span)})
-		starts = append(starts, slots)
-		slots += span
-		i = j
+	for s := 2; s < len(off); s++ {
+		off[s] += off[s-1]
 	}
 
-	// Pass 2: count the branches per slot; the prefix sum turns
-	// next[slot] into the flat index of the slot's first branch.
-	next := make([]int, slots+1)
-	for k, n := range slotOf {
-		si := 0
-		for n-d.segs[si].base >= uint64(len(d.segs[si].branches)) {
-			si++
-		}
-		slotOf[k] = starts[si] + n - d.segs[si].base
-		next[slotOf[k]+1]++
-	}
-	for s := uint64(1); s <= slots; s++ {
-		next[s] += next[s-1]
-	}
-
-	// Pass 3: fill the flat array in program order. Afterwards
-	// next[slot] is the end of the slot's run, which is where the
-	// following slot's run starts.
-	flat := make([]Branch, len(slotOf))
-	k := 0
+	// Pass 3: fill the flat array, advancing off[slot+1] past each
+	// branch. Afterwards off[slot+1] is the end of the slot's run, which
+	// is where the following slot's run starts, so off[:slots+1] bounds
+	// every slot.
+	d.flat = make([]Branch, off[len(off)-1])
 	for _, f := range prog.Funcs {
 		for bi := range f.Blocks {
 			sb := &f.Blocks[bi]
@@ -133,37 +111,90 @@ func NewDecoder(prog *program.Program) *Decoder {
 				entry.Target = prog.Func(sb.Callee).Entry()
 			}
 			// Returns read targets from the RAS; no static target.
-			flat[next[slotOf[k]]] = Branch{BlockPC: sb.PC, Entry: entry}
-			next[slotOf[k]]++
-			k++
+			s := d.branchSlot(sb) + 1
+			d.flat[off[s]] = Branch{BlockPC: sb.PC, Entry: entry}
+			off[s]++
 		}
 	}
-	lo := 0
-	for si := range d.segs {
-		seg := &d.segs[si]
-		for off := range seg.branches {
-			hi := next[starts[si]+uint64(off)]
-			if hi > lo {
-				seg.branches[off] = flat[lo:hi:hi]
-			}
-			lo = hi
+	d.off = off[: d.slots+1 : d.slots+1]
+	for s := range d.slots {
+		if d.off[s+1] > d.off[s] {
+			d.blocks++
 		}
 	}
 	return d
 }
 
-// Decode returns the branches whose branch instruction lies in the cache
-// block containing addr. The returned slice is shared; callers must not
-// mutate it.
-func (d *Decoder) Decode(addr isa.Addr) []Branch {
+// codeSegments lays gap-bounded segments over the program's code. A
+// function's static blocks are contiguous, so each function spans one
+// run of cache blocks; the runs, sorted by start, are merged into one
+// segment while the gap to the next run is under segGapBlocks.
+func codeSegments(prog *program.Program) []segment {
+	runs := make([][2]uint64, len(prog.Funcs))
+	for i, f := range prog.Funcs {
+		runs[i][0], runs[i][1] = f.BlockSpan()
+	}
+	slices.SortFunc(runs, func(a, b [2]uint64) int { return cmp.Compare(a[0], b[0]) })
+	var segs []segment
+	for i := 0; i < len(runs); {
+		lo, hi := runs[i][0], runs[i][1]
+		for i++; i < len(runs) && runs[i][0] < hi+segGapBlocks; i++ {
+			hi = max(hi, runs[i][1])
+		}
+		segs = append(segs, segment{base: lo, n: hi - lo + 1})
+	}
+	return segs
+}
+
+// branchSlot returns the slot of the cache block holding sb's branch.
+func (d *Decoder) branchSlot(sb *program.StaticBlock) uint32 {
+	s, ok := d.Slot(sb.PC.Add(sb.NumInstr - 1))
+	if !ok {
+		panic("predecode: branch outside the program's code")
+	}
+	return s
+}
+
+// Slot returns the slot of the cache block containing addr, and false if
+// that block lies outside the program's code segments.
+func (d *Decoder) Slot(addr isa.Addr) (uint32, bool) {
 	bi := addr.BlockIndex()
 	for i := range d.segs {
 		// Unsigned wrap makes a below-base block number fail the bound.
-		if off := bi - d.segs[i].base; off < uint64(len(d.segs[i].branches)) {
-			return d.segs[i].branches[off]
+		if off := bi - d.segs[i].base; off < d.segs[i].n {
+			return d.segs[i].first + uint32(off), true
 		}
 	}
-	return nil
+	return 0, false
+}
+
+// Block returns the address of the cache block numbered slot; it panics
+// on a slot that Slot never returns.
+func (d *Decoder) Block(slot uint32) isa.Addr {
+	for i := range d.segs {
+		if off := uint64(slot - d.segs[i].first); off < d.segs[i].n {
+			return isa.Addr((d.segs[i].base + off) * isa.BlockBytes)
+		}
+	}
+	panic("predecode: slot outside the numbering")
+}
+
+// Slots returns the number of slots: every slot is below it.
+func (d *Decoder) Slots() int { return d.slots }
+
+// Decode returns the branches whose branch instruction lies in the cache
+// block containing addr, or nil if it holds none. The returned slice is
+// shared and capacity-capped; callers must not mutate it.
+func (d *Decoder) Decode(addr isa.Addr) []Branch {
+	s, ok := d.Slot(addr)
+	if !ok {
+		return nil
+	}
+	lo, hi := d.off[s], d.off[s+1]
+	if lo == hi {
+		return nil
+	}
+	return d.flat[lo:hi:hi]
 }
 
 // DecodeFor returns the predecoded entry for the basic block starting at
@@ -180,28 +211,3 @@ func (d *Decoder) DecodeFor(blockPC isa.Addr, branchPC isa.Addr) (Branch, bool) 
 
 // Blocks returns the number of distinct cache blocks with branches.
 func (d *Decoder) Blocks() int { return d.blocks }
-
-// CodeBlocks returns the number of distinct cache blocks the program's
-// static blocks span: every block an engine can see retire.
-func (d *Decoder) CodeBlocks() int { return d.codeBlocks }
-
-// countCodeBlocks counts the distinct cache blocks the program's code
-// spans. A function's static blocks are contiguous, so each function
-// covers one run of cache blocks; the runs, sorted by start, are merged.
-func countCodeBlocks(prog *program.Program) int {
-	runs := make([][2]uint64, len(prog.Funcs))
-	for i, f := range prog.Funcs {
-		runs[i][0], runs[i][1] = f.BlockSpan()
-	}
-	slices.SortFunc(runs, func(a, b [2]uint64) int { return cmp.Compare(a[0], b[0]) })
-	n := 0
-	var next uint64 // first block number not yet counted
-	for _, r := range runs {
-		lo := max(r[0], next)
-		if r[1] >= lo {
-			n += int(r[1] - lo + 1)
-			next = r[1] + 1
-		}
-	}
-	return n
-}

@@ -6,6 +6,7 @@ import (
 
 	"shotgun/internal/isa"
 	"shotgun/internal/predecode"
+	"shotgun/internal/program"
 	"shotgun/internal/workload"
 )
 
@@ -39,6 +40,49 @@ func TestNewDecoderMatchesReference(t *testing.T) {
 				t.Fatalf("%s: Decode(%v) = %v, want %v", p.Name, a, g, w)
 			}
 		}
+	}
+}
+
+// TestSlotNumbering checks the dense numbering on every profile: every
+// code block maps to a slot below Slots() and back to itself (so no two
+// share a slot), and the blocks just below the application image, just
+// past either image, midway between the images and at address 0 map to
+// no slot.
+func TestSlotNumbering(t *testing.T) {
+	for _, p := range workload.Profiles() {
+		prog := p.Program()
+		d := predecode.NewDecoder(prog)
+		var app, kern [2]uint64 // first and last code block of each image
+		app[0], kern[0] = ^uint64(0), ^uint64(0)
+		for _, f := range prog.Funcs {
+			img := &kern
+			if f.Role == program.RoleApp {
+				img = &app
+			}
+			first, last := f.BlockSpan()
+			img[0], img[1] = min(img[0], first), max(img[1], last)
+			for _, sb := range f.Blocks {
+				lo, hi := isa.BasicBlock{PC: sb.PC, NumInstr: sb.NumInstr}.BlockSpan()
+				for blk := lo; blk <= hi; blk += isa.BlockBytes {
+					s, ok := d.Slot(blk)
+					if !ok || int(s) >= d.Slots() {
+						t.Fatalf("%s: code block %v has slot (%d, %v) of %d", p.Name, blk, s, ok, d.Slots())
+					}
+					if back := d.Block(s); back != blk {
+						t.Fatalf("%s: code block %v takes slot %d, which maps back to %v", p.Name, blk, s, back)
+					}
+				}
+			}
+		}
+		if app[1] >= kern[0] {
+			t.Fatalf("%s: application image [%d, %d] does not lie below the kernel image [%d, %d]", p.Name, app[0], app[1], kern[0], kern[1])
+		}
+		for _, n := range []uint64{0, app[0] - 1, app[1] + 1, app[1] + (kern[0]-app[1])/2, kern[0] - 1, kern[1] + 1} {
+			if s, ok := d.Slot(blockAddr(n)); ok {
+				t.Fatalf("%s: non-code block %d maps to slot %d", p.Name, n, s)
+			}
+		}
+		t.Logf("%s: %d slots", p.Name, d.Slots())
 	}
 }
 

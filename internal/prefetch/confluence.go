@@ -68,14 +68,14 @@ const confluenceHistoryEntries = 16 * 32 << 10
 const confluenceIndexEntries = 16 * 8 << 10
 
 // NewConfluence builds the engine (16K-entry BTB, shared SHIFT history).
-// OnRetire records only the cache blocks of retired blocks, so the SHIFT
-// index is presized to the program's code blocks (ctx.Dec.CodeBlocks()),
-// every profile's being fewer than confluenceIndexEntries.
+// The SHIFT history works in ctx.Dec's slots, the dense numbering of the
+// program's code blocks; every profile has fewer slots than
+// confluenceIndexEntries, so a walker-driven index never fills.
 func NewConfluence(ctx Context) *Confluence {
 	return &Confluence{
 		decodeBTB: newDecodeBTB(ConfluenceBTBEntries),
 		ctx:       ctx,
-		hist:      stream.New(confluenceHistoryEntries, confluenceIndexEntries, ctx.Dec.CodeBlocks()),
+		hist:      stream.New(confluenceHistoryEntries, confluenceIndexEntries, ctx.Dec.Slots()),
 		depth:     confluenceDepth,
 		indexLat:  uint64(ctx.Hier.Config().LLCLatencyCycles + ctx.Hier.Mesh.UncongestedRoundTrip()),
 	}
@@ -91,9 +91,14 @@ func (e *Confluence) Evaluate(_ uint64, bb isa.BasicBlock, _ isa.Addr, _ bool) E
 // OnDemandMiss implements Engine: an L1-I miss restarts the stream. The
 // index lookup costs an LLC round trip before any prefetch issues — the
 // start-up delay Section 6.1 blames for Confluence's weak coverage on
-// Nutch/Apache/Streaming.
+// Nutch/Apache/Streaming. A block outside the program's code was never
+// recorded, so it restarts nothing.
 func (e *Confluence) OnDemandMiss(now uint64, block isa.Addr) {
-	pos, ok := e.hist.Find(block)
+	slot, ok := e.ctx.Dec.Slot(block)
+	var pos uint64
+	if ok {
+		pos, ok = e.hist.Find(slot)
+	}
 	if !ok {
 		e.active = false
 		return
@@ -111,13 +116,16 @@ func (e *Confluence) OnFetch(now uint64, block isa.Addr, _ uncore.Source) {
 	if !e.active {
 		return
 	}
-	block = block.Block()
+	slot, ok := e.ctx.Dec.Slot(block)
+	if !ok {
+		return // not code, so not in the history
+	}
 	for k := uint64(1); k <= confluenceMatchWindow; k++ {
-		b, ok := e.hist.At(e.pos + k)
+		s, ok := e.hist.At(e.pos + k)
 		if !ok {
 			return
 		}
-		if b == block {
+		if s == slot {
 			e.pos += k
 			e.Matches++
 			e.issue(now)
@@ -134,21 +142,24 @@ func (e *Confluence) issue(at uint64) {
 	target := e.pos + uint64(e.depth)
 	n := 0
 	for p := e.issuedUpTo + 1; p <= target; p++ {
-		b, ok := e.hist.At(p)
+		s, ok := e.hist.At(p)
 		if !ok {
 			break
 		}
-		e.ctx.Hier.PrefetchBlock(at+uint64(n/probesPerCycle), b)
+		e.ctx.Hier.PrefetchBlock(at+uint64(n/probesPerCycle), e.ctx.Dec.Block(s))
 		e.issuedUpTo = p
 		n++
 	}
 }
 
-// OnRetire implements Engine: the retire stream trains the history.
+// OnRetire implements Engine: the retire stream trains the history. A
+// retired block is code, so each of its cache blocks has a slot.
 func (e *Confluence) OnRetire(bb isa.BasicBlock) {
 	first, last := bb.BlockSpan()
 	for blk := first; blk <= last; blk += isa.BlockBytes {
-		e.hist.Record(blk)
+		if slot, ok := e.ctx.Dec.Slot(blk); ok {
+			e.hist.Record(slot)
+		}
 	}
 }
 

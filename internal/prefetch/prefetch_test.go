@@ -1,6 +1,7 @@
 package prefetch
 
 import (
+	"slices"
 	"testing"
 
 	"shotgun/internal/btb"
@@ -310,17 +311,27 @@ func TestShotgunVariants(t *testing.T) {
 }
 
 func TestConfluenceStreamReplay(t *testing.T) {
-	ctx, _ := testContext(t)
+	ctx, prog := testContext(t)
 	e := NewConfluence(ctx)
 
-	// Record a stream A,B,C,D... via the retire hook.
-	base := isa.Addr(0x100000)
-	for i := 0; i < 64; i++ {
-		e.OnRetire(isa.BasicBlock{PC: base + isa.Addr(i*isa.BlockBytes), NumInstr: 16, Kind: isa.BranchNone})
+	// Record a stream A,B,C,D... via the retire hook, over the program's
+	// first 64 code blocks in address order (blocks outside its code have
+	// no slot, so they are never recorded).
+	var stream []isa.Addr
+	for _, f := range prog.Funcs {
+		first, last := f.BlockSpan()
+		for n := first; n <= last; n++ {
+			stream = append(stream, isa.Addr(n*isa.BlockBytes))
+		}
+	}
+	slices.Sort(stream)
+	stream = slices.Compact(stream)[:64]
+	for _, blk := range stream {
+		e.OnRetire(isa.BasicBlock{PC: blk, NumInstr: 16, Kind: isa.BranchNone})
 	}
 	// A miss on block 3 must restart the stream and prefetch successors.
 	before := ctx.Hier.Stats().PrefetchesIssued
-	e.OnDemandMiss(1000, base+3*isa.BlockBytes)
+	e.OnDemandMiss(1000, stream[3])
 	after := ctx.Hier.Stats().PrefetchesIssued
 	if e.Restarts != 1 {
 		t.Fatalf("restarts = %d", e.Restarts)
@@ -329,7 +340,7 @@ func TestConfluenceStreamReplay(t *testing.T) {
 		t.Fatal("restart issued no prefetches")
 	}
 	// Fetching along the stream advances it.
-	e.OnFetch(2000, base+4*isa.BlockBytes, uncore.SrcL1)
+	e.OnFetch(2000, stream[4], uncore.SrcL1)
 	if e.Matches == 0 {
 		t.Fatal("stream did not advance on matching fetch")
 	}
@@ -470,28 +481,13 @@ func TestShotgunNoRIBStillHitsReturns(t *testing.T) {
 	}
 }
 
-// TestConfluenceCodeBlocksMatchReference: the count NewConfluence
-// presizes its SHIFT index to, each profile's Decoder.CodeBlocks, is
-// exactly the distinct cache blocks that the program's static blocks
-// span, counted here the slow way, and stays below the modeled index
-// size, so a walker-driven engine can neither regrow the map nor fill
-// the index.
-func TestConfluenceCodeBlocksMatchReference(t *testing.T) {
+// TestConfluenceSlotsFitIndex: every profile numbers fewer code-block
+// slots than the modeled index holds entries, so a walker-driven
+// Confluence engine can never fill its SHIFT index.
+func TestConfluenceSlotsFitIndex(t *testing.T) {
 	for _, p := range workload.Profiles() {
-		seen := map[isa.Addr]bool{}
-		for _, f := range p.Program().Funcs {
-			for _, sb := range f.Blocks {
-				first, last := isa.BasicBlock{PC: sb.PC, NumInstr: sb.NumInstr}.BlockSpan()
-				for blk := first; blk <= last; blk += isa.BlockBytes {
-					seen[blk] = true
-				}
-			}
-		}
-		if got := p.Decoder().CodeBlocks(); got != len(seen) {
-			t.Errorf("%s: CodeBlocks %d, want %d", p.Name, got, len(seen))
-		}
-		if len(seen) >= confluenceIndexEntries {
-			t.Errorf("%s: %d code blocks reach the %d-entry index", p.Name, len(seen), confluenceIndexEntries)
+		if n := p.Decoder().Slots(); n >= confluenceIndexEntries {
+			t.Errorf("%s: %d slots reach the %d-entry index", p.Name, n, confluenceIndexEntries)
 		}
 	}
 }

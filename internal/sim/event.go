@@ -53,52 +53,55 @@ type kernel struct {
 	// next[i] caches core i's pending-event deadline; a core is ticked
 	// only in the cycle its deadline names.
 	next []uint64
+	// clock is the earliest deadline in next: the next event cycle.
+	clock uint64
 	// live counts cores whose phase schedule is unfinished.
 	live int
 }
 
 func newKernel(states []*coreState) *kernel {
-	k := &kernel{states: states, next: make([]uint64, len(states)), live: len(states)}
+	k := &kernel{states: states, next: make([]uint64, len(states)), clock: ^uint64(0), live: len(states)}
 	for i, cs := range states {
 		k.next[i] = cs.c.NextEvent()
+		k.clock = min(k.clock, k.next[i])
 	}
 	return k
 }
 
 // step runs one event cycle: the clock jumps to the earliest pending
-// deadline and every core due in it ticks, in index order.
+// deadline and every core due in it ticks, in index order. The same scan
+// finds the following event cycle: a tick moves only its own core's
+// deadline, so the minimum over next as the scan passes each core is
+// the minimum after the whole cycle.
 func (k *kernel) step() {
-	next := k.next
-	clock := next[0]
-	for _, nx := range next[1:] {
-		if nx < clock {
-			clock = nx
-		}
-	}
+	clock := k.clock
 	if clock == ^uint64(0) {
 		// NextEvent always has a finite deadline for a core with trace
 		// left; reaching here means its contract broke.
 		panic("sim: event kernel stalled with no pending event")
 	}
+	next := k.next
+	soonest := ^uint64(0)
 	for i, cs := range k.states {
 		// next[i] >= clock for every core (clock is the minimum), so
 		// this picks exactly the cores whose deadline is due.
-		if next[i] != clock {
-			continue
-		}
-		c := cs.c
-		// Lazy catch-up: account the idle span since the core's last
-		// tick, then run the one active cycle.
-		if lag := clock - c.Now(); lag > 0 {
-			c.AdvanceIdle(lag)
-		}
-		c.Tick()
-		if !cs.done {
-			cs.step()
-			if cs.done {
-				k.live--
+		if next[i] == clock {
+			c := cs.c
+			// Lazy catch-up: account the idle span since the core's
+			// last tick, then run the one active cycle.
+			if lag := clock - c.Now(); lag > 0 {
+				c.AdvanceIdle(lag)
 			}
+			c.Tick()
+			if !cs.done {
+				cs.step()
+				if cs.done {
+					k.live--
+				}
+			}
+			next[i] = c.NextEvent()
 		}
-		next[i] = c.NextEvent()
+		soonest = min(soonest, next[i])
 	}
+	k.clock = soonest
 }

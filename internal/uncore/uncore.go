@@ -236,6 +236,11 @@ func (s *Shared) ResetStats() {
 // becomes the core's address-space tag on all shared-LLC traffic.
 func (s *Shared) AttachCore(coreID int) *Hierarchy {
 	s.cores++
+	pool := make([]flight, flightReserve)
+	free := make([]*flight, flightReserve)
+	for i := range pool {
+		free[i] = &pool[i]
+	}
 	return &Hierarchy{
 		cfg:       s.cfg,
 		shared:    s,
@@ -245,8 +250,11 @@ func (s *Shared) AttachCore(coreID int) *Hierarchy {
 		LLC:       s.LLC,
 		PrefBuf:   cache.NewPrefetchBuffer(s.cfg.PrefetchBufferEntries),
 		Mesh:      s.Mesh,
-		inflight:  make(map[isa.Addr]*flight),
+		inflight:  newFlightTable(),
+		ordered:   make([]*flight, 0, flightReserve),
 		nextReady: noInflight,
+		arrivals:  make([]Arrival, 0, flightReserve),
+		free:      free,
 	}
 }
 
@@ -264,21 +272,23 @@ type Hierarchy struct {
 	PrefBuf *cache.PrefetchBuffer
 	Mesh    *noc.Mesh
 
-	inflight map[isa.Addr]*flight
+	// inflight indexes the outstanding instruction fills by block.
+	inflight flightTable
 	// ordered is the same fill population as inflight, as a min-heap on
 	// (ready, block) — a fill's completion cycle never changes after
 	// issue, so PollArrivals pops completions in exactly delivery order
-	// instead of walking and sorting the whole map.
+	// instead of walking and sorting the whole index.
 	ordered []*flight
 	// nextReady is the earliest completion cycle among in-flight fills
 	// (^0 when none): PollArrivals is called every cycle, and the
 	// watermark turns the common no-arrival case into one comparison
-	// instead of a map iteration.
+	// instead of a heap inspection.
 	nextReady uint64
 	// arrivals is PollArrivals' reusable scratch buffer.
 	arrivals []Arrival
 	// free holds flights PollArrivals has retired, for trackFill to
-	// reuse: in steady state a fill allocates nothing. The heap orders
+	// reuse, starting with flightReserve fresh ones: in steady state a
+	// fill allocates nothing. The heap orders
 	// flights by (ready, block), never by identity, so reuse cannot
 	// change the delivery order.
 	free []*flight
@@ -318,7 +328,7 @@ func (h *Hierarchy) trackFill(block isa.Addr, ready uint64, demand bool) {
 		fl = new(flight)
 	}
 	*fl = flight{block: block, ready: ready, demand: demand, prefetch: !demand}
-	h.inflight[fl.block] = fl
+	h.inflight.put(fl)
 	h.heapPush(fl)
 	if fl.ready < h.nextReady {
 		h.nextReady = fl.ready
@@ -424,7 +434,7 @@ func (h *Hierarchy) FetchBlock(now uint64, addr isa.Addr) (uint64, Source) {
 		h.stats.DemandPrefBufHits++
 		return now, SrcPrefetchBuffer
 	}
-	if fl, ok := h.inflight[block]; ok {
+	if fl, ok := h.inflight.get(block); ok {
 		// Join the outstanding fill; only residual latency is exposed.
 		if fl.prefetch && !fl.demand {
 			h.stats.PrefetchUsefulInflight++
@@ -457,7 +467,7 @@ func (h *Hierarchy) PrefetchBlock(now uint64, addr isa.Addr) (uint64, bool) {
 		h.stats.PrefetchesRedundant++
 		return now, false
 	}
-	if fl, ok := h.inflight[block]; ok {
+	if fl, ok := h.inflight.get(block); ok {
 		h.stats.PrefetchesRedundant++
 		ready := fl.ready
 		if ready < now {
@@ -507,7 +517,7 @@ func (h *Hierarchy) PollArrivals(now uint64) []Arrival {
 	for len(h.ordered) > 0 && h.ordered[0].ready <= now {
 		fl := h.heapPop()
 		out = append(out, Arrival{Block: fl.block, Ready: fl.ready, Demand: fl.demand})
-		delete(h.inflight, fl.block)
+		h.inflight.remove(fl.block)
 		h.free = append(h.free, fl)
 	}
 	if len(h.ordered) > 0 {
@@ -530,7 +540,7 @@ func (h *Hierarchy) PollArrivals(now uint64) []Arrival {
 }
 
 // InflightCount returns the number of outstanding instruction fills.
-func (h *Hierarchy) InflightCount() int { return len(h.inflight) }
+func (h *Hierarchy) InflightCount() int { return h.inflight.n }
 
 // NextArrival returns the earliest cycle at which an in-flight
 // instruction fill can complete, or NoArrival when nothing is in
