@@ -3,7 +3,6 @@ package predecode
 import (
 	"sort"
 
-	"shotgun/internal/btb"
 	"shotgun/internal/isa"
 	"shotgun/internal/program"
 )
@@ -30,23 +29,23 @@ func RefNewDecoder(prog *program.Program) *Decoder {
 	for _, f := range prog.Funcs {
 		for bi := range f.Blocks {
 			sb := &f.Blocks[bi]
-			first, last := isa.BasicBlock{PC: sb.PC, NumInstr: sb.NumInstr}.BlockSpan()
+			first, last := isa.BasicBlock{PC: f.BlockPC(bi), NumInstr: int(sb.NumInstr)}.BlockSpan()
 			for blk := first; blk <= last; blk += isa.BlockBytes {
 				code[blk.BlockIndex()] = true
 			}
 			if sb.Kind == isa.BranchNone {
 				continue
 			}
-			branchPC := sb.PC.Add(sb.NumInstr - 1)
+			branchPC := f.BlockPC(bi).Add(int(sb.NumInstr) - 1)
 			cb := branchPC.Block()
-			entry := btb.Entry{NumInstr: uint8(sb.NumInstr), Kind: sb.Kind}
+			br := Branch{NumInstr: sb.NumInstr, Kind: sb.Kind, Off: uint8((branchPC - cb) / isa.InstrBytes)}
 			switch sb.Kind {
 			case isa.BranchCond, isa.BranchJump:
-				entry.Target = f.Blocks[sb.TargetIdx].PC
+				br.Target = f.BlockPC(int(sb.TargetIdx))
 			case isa.BranchCall, isa.BranchTrap:
-				entry.Target = prog.Func(sb.Callee).Entry()
+				br.Target = prog.Func(sb.Callee).Entry()
 			}
-			byBlock[cb] = append(byBlock[cb], Branch{BlockPC: sb.PC, Entry: entry})
+			byBlock[cb] = append(byBlock[cb], br)
 		}
 	}
 

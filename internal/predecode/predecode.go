@@ -18,11 +18,33 @@ import (
 	"shotgun/internal/program"
 )
 
-// Branch is one predecoded branch: the BTB entry payload plus the basic
-// block's start address (the BTB index).
+// Branch is one predecoded branch in 16 bytes: the BTB entry payload
+// plus the branch instruction's position inside the cache block it was
+// decoded from. The basic block's start address, the BTB index, is not
+// stored: BlockPC derives it from that cache block's address.
 type Branch struct {
-	BlockPC isa.Addr
-	Entry   btb.Entry
+	// Target is the taken target (zero for returns, which read the RAS).
+	Target isa.Addr
+	// NumInstr is the basic block's length in instructions.
+	NumInstr uint8
+	// Kind is the terminating branch kind.
+	Kind isa.BranchKind
+	// Off is the branch instruction's index, in instructions, inside its
+	// cache block.
+	Off uint8
+}
+
+// Entry returns the branch's BTB entry payload.
+func (b Branch) Entry() btb.Entry {
+	return btb.Entry{Target: b.Target, NumInstr: b.NumInstr, Kind: b.Kind}
+}
+
+// BlockPC returns the start address of the basic block the branch ends,
+// given the address of the cache block it was decoded from (any address
+// inside that block, such as the one passed to Decode). The basic block
+// may start in an earlier cache block.
+func (b Branch) BlockPC(block isa.Addr) isa.Addr {
+	return block.Block().Add(int(b.Off) + 1 - int(b.NumInstr))
 }
 
 // Decoder maps cache-block addresses to the branches whose terminating
@@ -83,8 +105,8 @@ func NewDecoder(prog *program.Program) *Decoder {
 	off := make([]uint32, d.slots+2)
 	for _, f := range prog.Funcs {
 		for bi := range f.Blocks {
-			if sb := &f.Blocks[bi]; sb.Kind != isa.BranchNone {
-				off[d.branchSlot(sb)+2]++
+			if f.Blocks[bi].Kind != isa.BranchNone {
+				off[d.branchSlot(branchPC(f, bi))+2]++
 			}
 		}
 	}
@@ -103,16 +125,17 @@ func NewDecoder(prog *program.Program) *Decoder {
 			if sb.Kind == isa.BranchNone {
 				continue
 			}
-			entry := btb.Entry{NumInstr: uint8(sb.NumInstr), Kind: sb.Kind}
+			pc := branchPC(f, bi)
+			br := Branch{NumInstr: sb.NumInstr, Kind: sb.Kind, Off: uint8(pc.Offset() / isa.InstrBytes)}
 			switch sb.Kind {
 			case isa.BranchCond, isa.BranchJump:
-				entry.Target = f.Blocks[sb.TargetIdx].PC
+				br.Target = f.BlockPC(int(sb.TargetIdx))
 			case isa.BranchCall, isa.BranchTrap:
-				entry.Target = prog.Func(sb.Callee).Entry()
+				br.Target = prog.Func(sb.Callee).Entry()
 			}
 			// Returns read targets from the RAS; no static target.
-			s := d.branchSlot(sb) + 1
-			d.flat[off[s]] = Branch{BlockPC: sb.PC, Entry: entry}
+			s := d.branchSlot(pc) + 1
+			d.flat[off[s]] = br
 			off[s]++
 		}
 	}
@@ -146,9 +169,14 @@ func codeSegments(prog *program.Program) []segment {
 	return segs
 }
 
-// branchSlot returns the slot of the cache block holding sb's branch.
-func (d *Decoder) branchSlot(sb *program.StaticBlock) uint32 {
-	s, ok := d.Slot(sb.PC.Add(sb.NumInstr - 1))
+// branchPC returns the address of the branch that ends block bi of f.
+func branchPC(f *program.Function, bi int) isa.Addr {
+	return f.BlockPC(bi).Add(int(f.Blocks[bi].NumInstr) - 1)
+}
+
+// branchSlot returns the slot of the cache block holding the branch at pc.
+func (d *Decoder) branchSlot(pc isa.Addr) uint32 {
+	s, ok := d.Slot(pc)
 	if !ok {
 		panic("predecode: branch outside the program's code")
 	}
@@ -195,18 +223,6 @@ func (d *Decoder) Decode(addr isa.Addr) []Branch {
 		return nil
 	}
 	return d.flat[lo:hi:hi]
-}
-
-// DecodeFor returns the predecoded entry for the basic block starting at
-// blockPC, searching the cache block that holds its terminating branch.
-// Used by reactive BTB fills, which know which basic block missed.
-func (d *Decoder) DecodeFor(blockPC isa.Addr, branchPC isa.Addr) (Branch, bool) {
-	for _, br := range d.Decode(branchPC) {
-		if br.BlockPC == blockPC {
-			return br, true
-		}
-	}
-	return Branch{}, false
 }
 
 // Blocks returns the number of distinct cache blocks with branches.

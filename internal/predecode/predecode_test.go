@@ -13,21 +13,33 @@ func testProgram(t testing.TB) *program.Program {
 	return program.MustGenerate(program.GenParams{NumAppFuncs: 80, NumKernelFuncs: 20}, 42)
 }
 
+// decodeFor returns the predecoded branch of the basic block starting at
+// blockPC, searching the cache block that holds its branch at branchPC.
+func decodeFor(d *Decoder, blockPC, branchPC isa.Addr) (Branch, bool) {
+	for _, br := range d.Decode(branchPC) {
+		if br.BlockPC(branchPC) == blockPC {
+			return br, true
+		}
+	}
+	return Branch{}, false
+}
+
 func TestEveryBranchDecodable(t *testing.T) {
 	prog := testProgram(t)
 	d := NewDecoder(prog)
 	for _, f := range prog.Funcs {
-		for _, sb := range f.Blocks {
+		for bi, sb := range f.Blocks {
 			if sb.Kind == isa.BranchNone {
 				continue
 			}
-			branchPC := sb.PC.Add(sb.NumInstr - 1)
-			br, ok := d.DecodeFor(sb.PC, branchPC)
+			pc := f.BlockPC(bi)
+			branchPC := pc.Add(int(sb.NumInstr) - 1)
+			br, ok := decodeFor(d, pc, branchPC)
 			if !ok {
-				t.Fatalf("branch at %v (block %v) not decodable", branchPC, sb.PC)
+				t.Fatalf("branch at %v (block %v) not decodable", branchPC, pc)
 			}
-			if br.Entry.Kind != sb.Kind || int(br.Entry.NumInstr) != sb.NumInstr {
-				t.Fatalf("decoded %+v, want kind %v size %d", br.Entry, sb.Kind, sb.NumInstr)
+			if br.Kind != sb.Kind || br.NumInstr != sb.NumInstr {
+				t.Fatalf("decoded %+v, want kind %v size %d", br, sb.Kind, sb.NumInstr)
 			}
 		}
 	}
@@ -37,26 +49,26 @@ func TestTargetsResolved(t *testing.T) {
 	prog := testProgram(t)
 	d := NewDecoder(prog)
 	for _, f := range prog.Funcs {
-		for _, sb := range f.Blocks {
-			branchPC := sb.PC.Add(sb.NumInstr - 1)
-			br, ok := d.DecodeFor(sb.PC, branchPC)
+		for bi, sb := range f.Blocks {
+			pc := f.BlockPC(bi)
+			br, ok := decodeFor(d, pc, pc.Add(int(sb.NumInstr)-1))
 			if !ok {
 				continue
 			}
 			switch sb.Kind {
 			case isa.BranchCond, isa.BranchJump:
-				want := f.Blocks[sb.TargetIdx].PC
-				if br.Entry.Target != want {
-					t.Fatalf("local branch target %v, want %v", br.Entry.Target, want)
+				want := f.BlockPC(int(sb.TargetIdx))
+				if br.Target != want {
+					t.Fatalf("local branch target %v, want %v", br.Target, want)
 				}
 			case isa.BranchCall, isa.BranchTrap:
 				want := prog.Func(sb.Callee).Entry()
-				if br.Entry.Target != want {
-					t.Fatalf("call target %v, want %v", br.Entry.Target, want)
+				if br.Target != want {
+					t.Fatalf("call target %v, want %v", br.Target, want)
 				}
 			case isa.BranchRet, isa.BranchTrapRet:
-				if br.Entry.Target != 0 {
-					t.Fatalf("return must have no static target, got %v", br.Entry.Target)
+				if br.Target != 0 {
+					t.Fatalf("return must have no static target, got %v", br.Target)
 				}
 			}
 		}
@@ -72,13 +84,13 @@ func TestDecodeGroupsByCacheBlock(t *testing.T) {
 	// Every branch returned for a block must actually live in that block.
 	checked := 0
 	for _, f := range prog.Funcs {
-		for _, sb := range f.Blocks {
+		for bi, sb := range f.Blocks {
 			if sb.Kind == isa.BranchNone {
 				continue
 			}
-			cb := sb.PC.Add(sb.NumInstr - 1).Block()
+			cb := f.BlockPC(bi).Add(int(sb.NumInstr) - 1).Block()
 			for _, br := range d.Decode(cb) {
-				bpc := br.BlockPC.Add(int(br.Entry.NumInstr) - 1)
+				bpc := br.BlockPC(cb).Add(int(br.NumInstr) - 1)
 				if bpc.Block() != cb {
 					t.Fatalf("branch %v listed under block %v", bpc, cb)
 				}
@@ -108,10 +120,11 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
-// TestHostSizeBranch guards the 24-byte predecoded Branch (block PC plus
-// a 16-byte btb.Entry) that the predecode image holds per static branch.
+// TestHostSizeBranch guards the 16-byte predecoded Branch (target, size,
+// kind and in-block offset; the block PC is derived) that the predecode
+// image holds per static branch.
 func TestHostSizeBranch(t *testing.T) {
-	if got := unsafe.Sizeof(Branch{}); got != 24 {
-		t.Fatalf("unsafe.Sizeof(Branch{}) = %d, want 24", got)
+	if got := unsafe.Sizeof(Branch{}); got != 16 {
+		t.Fatalf("unsafe.Sizeof(Branch{}) = %d, want 16", got)
 	}
 }

@@ -61,8 +61,8 @@ func TestSlotNumbering(t *testing.T) {
 			}
 			first, last := f.BlockSpan()
 			img[0], img[1] = min(img[0], first), max(img[1], last)
-			for _, sb := range f.Blocks {
-				lo, hi := isa.BasicBlock{PC: sb.PC, NumInstr: sb.NumInstr}.BlockSpan()
+			for bi, sb := range f.Blocks {
+				lo, hi := isa.BasicBlock{PC: f.BlockPC(bi), NumInstr: int(sb.NumInstr)}.BlockSpan()
 				for blk := lo; blk <= hi; blk += isa.BlockBytes {
 					s, ok := d.Slot(blk)
 					if !ok || int(s) >= d.Slots() {
@@ -83,6 +83,41 @@ func TestSlotNumbering(t *testing.T) {
 			}
 		}
 		t.Logf("%s: %d slots", p.Name, d.Slots())
+	}
+}
+
+// TestDecodedBlockPCs checks, on every profile, that each decoded
+// branch's derived block PC is the PC of the static block it was built
+// from: a cache block's branches come back in program order, so the
+// k-th branch decoded from a block must be the k-th branch-ending static
+// block whose branch lies in it.
+func TestDecodedBlockPCs(t *testing.T) {
+	for _, p := range workload.Profiles() {
+		prog, d := p.Program(), p.Decoder()
+		seen := make(map[isa.Addr]int) // branches checked per cache block
+		for _, f := range prog.Funcs {
+			for bi, sb := range f.Blocks {
+				if sb.Kind == isa.BranchNone {
+					continue
+				}
+				pc := f.BlockPC(bi)
+				cb := pc.Add(int(sb.NumInstr) - 1).Block()
+				brs := d.Decode(cb)
+				k := seen[cb]
+				seen[cb]++
+				if k >= len(brs) {
+					t.Fatalf("%s: block %v's branch missing from cache block %v", p.Name, pc, cb)
+				}
+				if got := brs[k].BlockPC(cb); got != pc || brs[k].NumInstr != sb.NumInstr || brs[k].Kind != sb.Kind {
+					t.Fatalf("%s: branch %d of cache block %v is %+v at block %v, want block %v", p.Name, k, cb, brs[k], got, pc)
+				}
+			}
+		}
+		for cb, n := range seen {
+			if len(d.Decode(cb)) != n {
+				t.Fatalf("%s: cache block %v decodes %d branches, want %d", p.Name, cb, len(d.Decode(cb)), n)
+			}
+		}
 	}
 }
 
@@ -123,7 +158,7 @@ func TestDecodeSlicesCapped(t *testing.T) {
 				continue
 			}
 			before := slices.Clone(next)
-			_ = append(brs, predecode.Branch{BlockPC: 1})
+			_ = append(brs, predecode.Branch{Target: 1})
 			if after := d.Decode(blockAddr(n + 1)); !slices.Equal(after, before) {
 				t.Fatalf("appending to block %d changed block %d: %v, want %v", n, n+1, after, before)
 			}

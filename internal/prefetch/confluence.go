@@ -168,8 +168,9 @@ func (e *Confluence) OnRetire(bb isa.BasicBlock) {
 func (e *Confluence) OnArrival(now uint64, arrivals []uncore.Arrival) {
 	for _, a := range arrivals {
 		for _, br := range e.ctx.Dec.Decode(a.Block) {
-			if _, ok := e.btb.Peek(br.BlockPC); !ok {
-				e.btb.Insert(br.BlockPC, br.Entry)
+			pc := br.BlockPC(a.Block)
+			if _, ok := e.btb.Peek(pc); !ok {
+				e.btb.Insert(pc, br.Entry())
 			}
 		}
 	}

@@ -170,11 +170,12 @@ func (d *decodeBTB) ResetStats() {
 // into dst and the block's other branches into the prefetch buffer.
 // Callers that model timing probe the block's residency first.
 func reactiveFill[B interface{ Insert(isa.Addr, btb.Entry) }](dec *predecode.Decoder, dst B, pbuf *btb.PrefetchBuffer, bb isa.BasicBlock) {
-	for _, br := range dec.Decode(bb.BranchPC().Block()) {
-		if br.BlockPC == bb.PC {
-			dst.Insert(br.BlockPC, br.Entry)
+	blk := bb.BranchPC().Block()
+	for _, br := range dec.Decode(blk) {
+		if pc := br.BlockPC(blk); pc == bb.PC {
+			dst.Insert(pc, br.Entry())
 		} else {
-			pbuf.Insert(br.BlockPC, br.Entry)
+			pbuf.Insert(pc, br.Entry())
 		}
 	}
 }

@@ -25,16 +25,16 @@ func testContext(t testing.TB) (Context, *program.Program) {
 // findBlock locates a static block of the given kind.
 func findBlock(prog *program.Program, kind isa.BranchKind) isa.BasicBlock {
 	for _, f := range prog.Funcs {
-		for _, sb := range f.Blocks {
+		for bi, sb := range f.Blocks {
 			if sb.Kind != kind {
 				continue
 			}
-			bb := isa.BasicBlock{PC: sb.PC, NumInstr: sb.NumInstr, Kind: kind, Taken: true}
+			bb := isa.BasicBlock{PC: f.BlockPC(bi), NumInstr: int(sb.NumInstr), Kind: kind, Taken: true}
 			switch kind {
 			case isa.BranchCall, isa.BranchTrap:
 				bb.Target = prog.Func(sb.Callee).Entry()
 			case isa.BranchCond, isa.BranchJump:
-				bb.Target = f.Blocks[sb.TargetIdx].PC
+				bb.Target = f.BlockPC(int(sb.TargetIdx))
 			default:
 				bb.Target = f.Entry() // arbitrary non-zero
 			}
@@ -153,13 +153,13 @@ func TestBoomerangPrefetchBufferPromotion(t *testing.T) {
 	found := false
 	for _, f := range prog.Funcs {
 		byBlock := map[isa.Addr][]isa.BasicBlock{}
-		for _, sb := range f.Blocks {
+		for bi, sb := range f.Blocks {
 			if sb.Kind == isa.BranchNone {
 				continue
 			}
-			bb := isa.BasicBlock{PC: sb.PC, NumInstr: sb.NumInstr, Kind: sb.Kind, Taken: sb.Kind.IsUnconditional()}
+			bb := isa.BasicBlock{PC: f.BlockPC(bi), NumInstr: int(sb.NumInstr), Kind: sb.Kind, Taken: sb.Kind.IsUnconditional()}
 			if sb.Kind == isa.BranchCond || sb.Kind == isa.BranchJump {
-				bb.Target = f.Blocks[sb.TargetIdx].PC
+				bb.Target = f.BlockPC(int(sb.TargetIdx))
 			} else if sb.Kind == isa.BranchCall || sb.Kind == isa.BranchTrap {
 				bb.Target = 0x9000
 			} else {

@@ -223,13 +223,10 @@ func (e *Shotgun) probeRegionBlock(now uint64, addr isa.Addr) {
 // cold entries cannot evict footprint-bearing U-BTB entries).
 func (e *Shotgun) predecodeBlock(addr isa.Addr) {
 	for _, br := range e.ctx.Dec.Decode(addr) {
-		switch {
-		case br.Entry.Kind == isa.BranchCond:
-			e.org.Insert(br.BlockPC, br.Entry)
-		case br.Entry.Kind.IsReturn():
-			e.org.Insert(br.BlockPC, br.Entry)
-		default:
-			e.pbuf.Insert(br.BlockPC, br.Entry)
+		if pc := br.BlockPC(addr); br.Kind == isa.BranchCond || br.Kind.IsReturn() {
+			e.org.Insert(pc, br.Entry())
+		} else {
+			e.pbuf.Insert(pc, br.Entry())
 		}
 	}
 }

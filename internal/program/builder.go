@@ -33,7 +33,8 @@ type GenParams struct {
 
 	// FnBlocksLogMean / FnBlocksLogSigma give the lognormal distribution
 	// of function sizes measured in static basic blocks; MaxFnBlocks
-	// caps the tail.
+	// caps the tail (Validate refuses a function of more than
+	// MaxFuncBlocks).
 	FnBlocksLogMean  float64
 	FnBlocksLogSigma float64
 	MaxFnBlocks      int
@@ -202,7 +203,16 @@ type builder struct {
 	// that draws from them: fillBody only indexes the slices.
 	calleeWindows [2][][]FuncID
 	rankedTraps   []FuncID
+
+	// chunk is the scratch space fillBody carves function bodies from;
+	// allocSlab then copies every body into the program's one slab.
+	chunk []StaticBlock
 }
+
+// chunkBlocks sizes fillBody's scratch chunks: large enough that a
+// program takes few of them, small enough that the last one's unused
+// tail is a fraction of the slab.
+const chunkBlocks = 1 << 14
 
 func (b *builder) setRank(id FuncID, rank int) {
 	for len(b.popRank) <= int(id) {
@@ -229,6 +239,7 @@ func (b *builder) build() {
 	for _, f := range b.prog.Funcs {
 		b.fillBody(f)
 	}
+	b.allocSlab()
 
 	// --- Layout: assign contiguous addresses with gaps. ---
 	b.layout()
@@ -443,14 +454,20 @@ func (b *builder) fillBody(f *Function) {
 		trapZipf = xrand.NewZipf(b.rng, len(traps), b.p.ZipfS)
 	}
 
-	f.Blocks = make([]StaticBlock, nBlocks)
+	if len(b.chunk)+nBlocks > cap(b.chunk) {
+		b.chunk = make([]StaticBlock, 0, max(chunkBlocks, nBlocks))
+	}
+	b.chunk = b.chunk[:len(b.chunk)+nBlocks]
+	f.Blocks = b.chunk[len(b.chunk)-nBlocks:]
+	var off uint32
 	// loopBarrier prevents loop back-edges from overlapping: each new
 	// back-edge may only target blocks after the previous back-edge.
 	// Overlapping loops would compound multiplicatively and produce
 	// unbounded per-invocation execution.
 	loopBarrier := 0
 	for i := 0; i < nBlocks; i++ {
-		blk := StaticBlock{NumInstr: b.blockInstrs(), Callee: NoFunc}
+		blk := StaticBlock{Off: off, NumInstr: uint8(b.blockInstrs()), Callee: NoFunc}
+		off += uint32(blk.NumInstr)
 		if i == nBlocks-1 {
 			blk.Kind = f.RetKind()
 			f.Blocks[i] = blk
@@ -464,16 +481,16 @@ func (b *builder) fillBody(f *Function) {
 				// Loop back-edge: jump back 1..4 blocks, staying after
 				// the previous loop's back-edge.
 				back := 1 + b.rng.Intn(min(4, i-loopBarrier))
-				blk.TargetIdx = i - back
+				blk.TargetIdx = uint16(i - back)
 				blk.IsLoop = true
-				blk.LoopMeanIters = b.p.LoopMeanIters * (0.5 + b.rng.Float64())
+				blk.param = b.p.LoopMeanIters * (0.5 + b.rng.Float64())
 				blk.LoopFixed = b.rng.Bool(0.7)
 				loopBarrier = i + 1
 			} else {
 				// Forward skip of 1..CondSkipMax blocks.
 				skip := 1 + b.rng.Intn(b.p.CondSkipMax)
-				blk.TargetIdx = min(i+1+skip, nBlocks-1)
-				blk.Bias = b.condBias()
+				blk.TargetIdx = uint16(min(i+1+skip, nBlocks-1))
+				blk.param = b.condBias()
 			}
 		case u < condFrac+callFrac && calleeZipf != nil:
 			blk.Kind = isa.BranchCall
@@ -481,7 +498,7 @@ func (b *builder) fillBody(f *Function) {
 		case u < condFrac+callFrac+b.p.JumpFrac:
 			blk.Kind = isa.BranchJump
 			skip := 1 + b.rng.Intn(b.p.JumpSkipMax)
-			blk.TargetIdx = min(i+skip, nBlocks-1)
+			blk.TargetIdx = uint16(min(i+skip, nBlocks-1))
 		case u < condFrac+callFrac+b.p.JumpFrac+trapFrac && trapZipf != nil:
 			blk.Kind = isa.BranchTrap
 			blk.Callee = traps[trapZipf.Next()]
@@ -491,6 +508,22 @@ func (b *builder) fillBody(f *Function) {
 			blk.Kind = isa.BranchNone
 		}
 		f.Blocks[i] = blk
+	}
+}
+
+// allocSlab moves every function's blocks into one slab of exactly the
+// program's block count, so the program holds its blocks in a single
+// allocation, and caps each function's sub-slice at its own length.
+func (b *builder) allocSlab() {
+	n := 0
+	for _, f := range b.prog.Funcs {
+		n += len(f.Blocks)
+	}
+	slab := make([]StaticBlock, 0, n)
+	for _, f := range b.prog.Funcs {
+		at := len(slab)
+		slab = append(slab, f.Blocks...)
+		f.Blocks = slab[at:len(slab):len(slab)]
 	}
 }
 
@@ -515,10 +548,8 @@ func (b *builder) place(funcs []*Function, base isa.Addr) {
 	pc := base
 	for _, idx := range perm {
 		f := funcs[idx]
-		for i := range f.Blocks {
-			f.Blocks[i].PC = pc
-			pc = pc.Add(f.Blocks[i].NumInstr)
-		}
+		f.entry = pc
+		pc = f.End()
 		// Align the next function to a block boundary plus a small gap.
 		gap := b.rng.Intn(b.p.FnGapBlocksMax + 1)
 		pc = (pc + isa.BlockBytes - 1).Block() + isa.Addr(gap*isa.BlockBytes)

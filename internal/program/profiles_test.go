@@ -3,7 +3,9 @@ package program_test
 import (
 	"slices"
 	"testing"
+	"unsafe"
 
+	"shotgun/internal/isa"
 	"shotgun/internal/program"
 	"shotgun/internal/workload"
 )
@@ -25,6 +27,51 @@ func TestCalleeCandidatesMatchReference(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBlockPCsAreRunningSums checks the derived block addresses on every
+// profile: block i of a function starts at the function's entry plus the
+// sizes of blocks 0..i-1, and the function ends where its last block
+// does.
+func TestBlockPCsAreRunningSums(t *testing.T) {
+	for _, p := range workload.Profiles() {
+		for _, f := range p.Program().Funcs {
+			pc := f.Entry()
+			for bi, sb := range f.Blocks {
+				if got := f.BlockPC(bi); got != pc {
+					t.Fatalf("%s: function %d block %d at %v, want %v", p.Name, f.ID, bi, got, pc)
+				}
+				pc += isa.Addr(sb.NumInstr) * isa.InstrBytes
+			}
+			if f.End() != pc {
+				t.Fatalf("%s: function %d ends at %v, want %v", p.Name, f.ID, f.End(), pc)
+			}
+		}
+	}
+}
+
+// TestBlocksShareOneSlab checks that every profile's program holds its
+// blocks in one slab: each function's blocks start where the previous
+// function's (in ID order) end, and each sub-slice is capacity-capped, so
+// appending to one function's blocks cannot overwrite the next one's.
+func TestBlocksShareOneSlab(t *testing.T) {
+	size := unsafe.Sizeof(program.StaticBlock{})
+	for _, p := range workload.Profiles() {
+		funcs := p.Program().Funcs
+		for i, f := range funcs {
+			if cap(f.Blocks) != len(f.Blocks) {
+				t.Fatalf("%s: function %d has cap %d > len %d", p.Name, f.ID, cap(f.Blocks), len(f.Blocks))
+			}
+			if i == 0 {
+				continue
+			}
+			prev := funcs[i-1].Blocks
+			end := unsafe.Add(unsafe.Pointer(unsafe.SliceData(prev)), uintptr(len(prev))*size)
+			if start := unsafe.Pointer(unsafe.SliceData(f.Blocks)); start != end {
+				t.Fatalf("%s: function %d's blocks do not follow function %d's in one slab", p.Name, f.ID, funcs[i-1].ID)
+			}
+		}
 	}
 }
 

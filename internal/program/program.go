@@ -12,10 +12,19 @@
 // Programs are generated deterministically from a parameter set and a
 // seed (see Generate), and are executed by the CFG walker in package
 // workload to produce basic-block traces.
+//
+// A program is the largest structure every process keeps, so it stores
+// its code image once, at the size of what the model reads: all of its
+// static blocks sit in one slab (each Function.Blocks is a
+// capacity-capped sub-slice of it, in function ID order), and a block
+// holds its instruction offset from the function's entry rather than its
+// address (Function.BlockPC derives the address). Validate refuses a
+// function that does not fit the narrowed fields.
 package program
 
 import (
 	"fmt"
+	"math"
 
 	"shotgun/internal/isa"
 )
@@ -55,24 +64,26 @@ func (r Role) String() string {
 // StaticBlock is one static basic block inside a function. The block's
 // terminating branch is described by Kind and the target fields.
 //
-// Fields run from widest to narrowest, so a block takes 48 bytes with no
-// padding: the static blocks of the six profiles are most of the live
-// heap of a multi-core run.
+// A block stores only what the model reads, in 24 bytes with no padding
+// (widest field first): the static blocks of the six profiles are the
+// largest part of every process's live heap. Its address is derived from
+// its function (Function.BlockPC), and a loop back-edge's mean trip count
+// shares one float64 with a conditional's bias, since a block is either
+// biased or a loop, never both.
 type StaticBlock struct {
-	// PC is the address of the block's first instruction.
-	PC isa.Addr
-	// Bias is the probability a conditional branch is taken (ignored for
-	// loop back-edges, which use trip counts instead).
-	Bias float64
-	// LoopMeanIters is the mean trip count for loop back-edges.
-	LoopMeanIters float64
-	// NumInstr is the block length in instructions (terminator included).
-	NumInstr int
-	// TargetIdx is the index (within the same function) of the taken
-	// target block for conditional branches and jumps. Unused otherwise.
-	TargetIdx int
+	// param is Bias for a biased conditional branch and LoopMeanIters for
+	// a loop back-edge; zero for every other block.
+	param float64
+	// Off is the offset, in instructions, of the block's first
+	// instruction from its function's entry.
+	Off uint32
 	// Callee is the called function for BranchCall / BranchTrap blocks.
 	Callee FuncID
+	// TargetIdx is the index (within the same function) of the taken
+	// target block for conditional branches and jumps. Unused otherwise.
+	TargetIdx uint16
+	// NumInstr is the block length in instructions (terminator included).
+	NumInstr uint8
 	// Kind is the terminating branch kind. BranchNone means the block
 	// falls through (a straight-line run split only for size).
 	Kind isa.BranchKind
@@ -86,35 +97,65 @@ type StaticBlock struct {
 	LoopFixed bool
 }
 
-// Function is a contiguous run of static blocks.
+// Bias is the probability a conditional branch is taken; zero for loop
+// back-edges, which use trip counts instead.
+func (b StaticBlock) Bias() float64 {
+	if b.IsLoop {
+		return 0
+	}
+	return b.param
+}
+
+// LoopMeanIters is the mean trip count of a loop back-edge; zero for
+// every other block.
+func (b StaticBlock) LoopMeanIters() float64 {
+	if !b.IsLoop {
+		return 0
+	}
+	return b.param
+}
+
+// MaxFuncBlocks is the most static blocks a function may hold: TargetIdx
+// indexes them in 16 bits.
+const MaxFuncBlocks = math.MaxUint16 + 1
+
+// Function is a contiguous run of static blocks. Fields run from widest
+// to narrowest, so a function takes 64 bytes.
 type Function struct {
-	ID     FuncID
-	Name   string
-	Role   Role
+	Name string
+	// Blocks is the function's run of static blocks in address order: a
+	// capacity-capped sub-slice of one slab that holds every block of
+	// the program, in function ID order.
 	Blocks []StaticBlock
+	// entry is the address of the first block's first instruction.
+	entry isa.Addr
 	// Layer is the function's position in the layered (acyclic) call
 	// graph within its role group: a function only calls functions in
 	// strictly lower layers of the same group, bounding dynamic call
 	// depth by construction. Traps are exempt (they start the kernel
 	// stack on top of the application stack).
 	Layer int
+	ID    FuncID
+	Role  Role
 }
 
 // Entry returns the function's entry address.
-func (f *Function) Entry() isa.Addr { return f.Blocks[0].PC }
+func (f *Function) Entry() isa.Addr { return f.entry }
+
+// BlockPC returns the address of block i's first instruction.
+func (f *Function) BlockPC(i int) isa.Addr { return f.entry.Add(int(f.Blocks[i].Off)) }
 
 // End returns the address just past the function's last instruction.
 func (f *Function) End() isa.Addr {
-	last := f.Blocks[len(f.Blocks)-1]
-	return last.PC.Add(last.NumInstr)
+	last := &f.Blocks[len(f.Blocks)-1]
+	return f.entry.Add(int(last.Off) + int(last.NumInstr))
 }
 
 // BlockSpan returns the indexes of the first and last cache blocks the
 // function's code occupies: the blocks of its entry and of its last
 // instruction.
 func (f *Function) BlockSpan() (first, last uint64) {
-	lb := &f.Blocks[len(f.Blocks)-1]
-	return f.Entry().BlockIndex(), lb.PC.Add(lb.NumInstr - 1).BlockIndex()
+	return f.entry.BlockIndex(), (f.End() - isa.InstrBytes).BlockIndex()
 }
 
 // SizeBlocks returns the function's code size in cache blocks.
@@ -191,7 +232,9 @@ func (p *Program) MaxCallDepth() int {
 }
 
 // Validate checks the structural invariants every generated program must
-// satisfy: contiguous block layout, sane block sizes, acyclic layered
+// satisfy: contiguous block layout that fits the narrowed fields
+// (MaxFuncBlocks blocks, offsets that are running sums, addresses below
+// the top of the address space), sane block sizes, acyclic layered
 // calls (bounded dynamic call depth), traps targeting trap entries, and
 // return kinds consistent with the function's role.
 func (p *Program) Validate() error {
@@ -205,30 +248,41 @@ func (p *Program) Validate() error {
 		if len(f.Blocks) == 0 {
 			return fmt.Errorf("program: function %d empty", id)
 		}
+		if len(f.Blocks) > MaxFuncBlocks {
+			return fmt.Errorf("program: function %d has %d blocks, more than the %d TargetIdx can index", id, len(f.Blocks), MaxFuncBlocks)
+		}
 		last := len(f.Blocks) - 1
 		if k := f.Blocks[last].Kind; k != f.RetKind() {
 			return fmt.Errorf("program: function %d (%v) must end with %v, ends with %v", id, f.Role, f.RetKind(), k)
 		}
-		pc := f.Blocks[0].PC
+		// Each block starts where the previous one ends, and the derived
+		// addresses stay below the top of the address space.
+		var off uint64
 		for bi, b := range f.Blocks {
-			if b.PC != pc {
-				return fmt.Errorf("program: function %d block %d at %v, expected contiguous %v", id, bi, b.PC, pc)
+			if uint64(b.Off) != off {
+				return fmt.Errorf("program: function %d block %d at offset %d, expected contiguous %d", id, bi, b.Off, off)
 			}
-			if b.NumInstr <= 0 || b.NumInstr > isa.MaxBlockInstrs {
+			if b.NumInstr == 0 || b.NumInstr > isa.MaxBlockInstrs {
 				return fmt.Errorf("program: function %d block %d bad size %d", id, bi, b.NumInstr)
 			}
+			off += uint64(b.NumInstr)
+		}
+		if uint64(f.entry) > math.MaxUint64-off*isa.InstrBytes {
+			return fmt.Errorf("program: function %d at %v: %d instructions overflow the address space", id, f.entry, off)
+		}
+		for bi, b := range f.Blocks {
 			switch b.Kind {
 			case isa.BranchCond, isa.BranchJump:
-				if b.TargetIdx < 0 || b.TargetIdx >= len(f.Blocks) {
+				if int(b.TargetIdx) >= len(f.Blocks) {
 					return fmt.Errorf("program: function %d block %d target %d out of range", id, bi, b.TargetIdx)
 				}
-				if b.TargetIdx == bi {
+				if int(b.TargetIdx) == bi {
 					return fmt.Errorf("program: function %d block %d self-targeting branch", id, bi)
 				}
-				if b.Kind == isa.BranchCond && !b.IsLoop && (b.Bias < 0 || b.Bias > 1) {
-					return fmt.Errorf("program: function %d block %d bias %v out of [0,1]", id, bi, b.Bias)
+				if b.Kind == isa.BranchCond && !b.IsLoop && (b.Bias() < 0 || b.Bias() > 1) {
+					return fmt.Errorf("program: function %d block %d bias %v out of [0,1]", id, bi, b.Bias())
 				}
-				if b.IsLoop && b.TargetIdx > bi {
+				if b.IsLoop && int(b.TargetIdx) > bi {
 					return fmt.Errorf("program: function %d block %d loop back-edge targets forward", id, bi)
 				}
 			case isa.BranchCall:
@@ -263,7 +317,6 @@ func (p *Program) Validate() error {
 						id, bi, b.Kind, f.RetKind())
 				}
 			}
-			pc = pc.Add(b.NumInstr)
 		}
 	}
 	for _, id := range p.TrapEntries {

@@ -129,8 +129,8 @@ func TestFunctionGeometry(t *testing.T) {
 	p := MustGenerate(smallParams(), 11)
 	for _, f := range p.Funcs {
 		spanned := map[isa.Addr]bool{}
-		for _, sb := range f.Blocks {
-			first, last := isa.BasicBlock{PC: sb.PC, NumInstr: sb.NumInstr}.BlockSpan()
+		for bi, sb := range f.Blocks {
+			first, last := isa.BasicBlock{PC: f.BlockPC(bi), NumInstr: int(sb.NumInstr)}.BlockSpan()
 			for blk := first; blk <= last; blk += isa.BlockBytes {
 				spanned[blk] = true
 			}
@@ -210,6 +210,45 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
+// TestValidateRefusesOverflow hand-builds functions that do not fit the
+// narrowed fields: more blocks than a 16-bit TargetIdx can index, code
+// whose derived addresses run past the top of the address space, and a
+// block offset that is not the running sum of the sizes before it (what
+// a truncated offset would leave). Validate must refuse each one, and
+// accept the largest function TargetIdx can index.
+func TestValidateRefusesOverflow(t *testing.T) {
+	fn := func(entry isa.Addr, blocks int) *Program {
+		f := &Function{Name: "f", Role: RoleApp, entry: entry, Blocks: make([]StaticBlock, blocks)}
+		for i := range f.Blocks {
+			f.Blocks[i] = StaticBlock{Off: uint32(i) * 4, NumInstr: 4, Callee: NoFunc}
+		}
+		f.Blocks[blocks-1].Kind = isa.BranchRet
+		return &Program{Funcs: []*Function{f}, AppFuncs: []FuncID{0}}
+	}
+	if err := fn(0x1000, MaxFuncBlocks).Validate(); err != nil {
+		t.Fatalf("function of MaxFuncBlocks blocks refused: %v", err)
+	}
+	p := fn(0x1000, MaxFuncBlocks+1)
+	// A jump to the last block, whose index 16 bits truncate to 0.
+	target := MaxFuncBlocks
+	jump := &p.Funcs[0].Blocks[MaxFuncBlocks-1]
+	jump.Kind, jump.TargetIdx = isa.BranchJump, uint16(target)
+	if p.Validate() == nil {
+		t.Error("function of MaxFuncBlocks+1 blocks accepted")
+	}
+	if p := fn(^isa.Addr(0)-31, 2); p.Validate() == nil {
+		t.Error("function ending past the top of the address space accepted")
+	}
+	if err := fn(^isa.Addr(0)-32, 2).Validate(); err != nil {
+		t.Errorf("function ending just below the top of the address space refused: %v", err)
+	}
+	p = fn(0x1000, 3)
+	p.Funcs[0].Blocks[2].Off = 4
+	if p.Validate() == nil {
+		t.Error("block offset that is not the running sum accepted")
+	}
+}
+
 func TestGenerateRejectsTinyPrograms(t *testing.T) {
 	_, err := Generate(GenParams{NumAppFuncs: 2, AppLayers: 6, NumKernelFuncs: 4}, 1)
 	if err == nil {
@@ -223,14 +262,14 @@ func TestRoleString(t *testing.T) {
 	}
 }
 
-// TestHostSizeStaticBlock guards StaticBlock's padding-free layout
-// (widest field first): a field added in the wrong place grows every
-// profile's block arrays.
+// TestHostSizeStaticBlock guards StaticBlock's 24-byte padding-free
+// layout (widest field first): a field added in the wrong place grows
+// every profile's block slab.
 func TestHostSizeStaticBlock(t *testing.T) {
 	if bits.UintSize != 64 {
 		t.Skip("layout pinned for 64-bit hosts")
 	}
-	if got := unsafe.Sizeof(StaticBlock{}); got != 48 {
-		t.Fatalf("unsafe.Sizeof(StaticBlock{}) = %d, want 48", got)
+	if got := unsafe.Sizeof(StaticBlock{}); got != 24 {
+		t.Fatalf("unsafe.Sizeof(StaticBlock{}) = %d, want 24", got)
 	}
 }

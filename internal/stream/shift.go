@@ -49,10 +49,6 @@ type SHIFT struct {
 	// footprint rather than the raw access count.
 	recent    [compactWindow]uint32
 	recentPos int
-
-	Records uint64
-	Probes  uint64
-	Found   uint64
 }
 
 // compactWindow is the compaction recency depth.
@@ -103,7 +99,6 @@ func (s *SHIFT) Record(slot uint32) {
 	s.dropOverwritten(w)
 	s.ring[w] = slot
 	s.head++
-	s.Records++
 	if s.index[slot] == 0 {
 		if s.live >= s.indexCap {
 			// Every entry is live: the block stays unindexed. Hardware
@@ -141,12 +136,10 @@ func (s *SHIFT) inWindow(pos uint64) bool {
 // Find returns the most recent history position of slot, if it is
 // indexed. Every index entry is live.
 func (s *SHIFT) Find(slot uint32) (uint64, bool) {
-	s.Probes++
 	e := s.index[slot]
 	if e == 0 {
 		return 0, false
 	}
-	s.Found++
 	return s.head - uint64((uint32(s.head)-e)&posMask), true
 }
 

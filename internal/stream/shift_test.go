@@ -316,37 +316,41 @@ func TestStaleEntriesFreeIndexCapacity(t *testing.T) {
 func TestIndexNeverRegrows(t *testing.T) {
 	const runs = 5
 	for _, n := range []int{2124, 5519, 10340, 15666, 42754, 61663} {
-		shifts := make([]*SHIFT, runs+1) // AllocsPerRun adds a warm-up run
+		shifts := make([]*SHIFT, 2*runs) // AllocsPerRun adds a warm-up run
 		for i := range shifts {
 			shifts[i] = New(2*n, 1<<17, n)
 		}
 		next := 0
-		avg := testing.AllocsPerRun(runs, func() {
-			s := shifts[next]
-			next++
-			for i := 0; i < n; i++ {
-				s.Record(uint32(i))
-			}
-			if s.live != n {
-				t.Fatalf("%d slots: index holds %d", n, s.live)
-			}
-			// Half the records come from the hottest sixteenth of the
-			// code, so cold blocks go stale and return.
-			x := uint64(next)
-			for i := 0; i < 8*n; i++ {
-				x = x*6364136223846793005 + 1442695040888963407
-				r := x >> 33
-				span := uint64(n)
-				if r&1 == 0 {
-					span = uint64(n/16 + 1)
+		// One run of five SHIFTs: AllocsPerRun truncates its mean per run,
+		// so only a single run counts every allocation.
+		allocs := testing.AllocsPerRun(1, func() {
+			for range runs {
+				s := shifts[next]
+				next++
+				for i := 0; i < n; i++ {
+					s.Record(uint32(i))
 				}
-				s.Record(uint32((r >> 1) % span))
+				if s.live != n {
+					t.Fatalf("%d slots: index holds %d", n, s.live)
+				}
+				// Half the records come from the hottest sixteenth of the
+				// code, so cold blocks go stale and return.
+				x := uint64(next)
+				for i := 0; i < 8*n; i++ {
+					x = x*6364136223846793005 + 1442695040888963407
+					r := x >> 33
+					span := uint64(n)
+					if r&1 == 0 {
+						span = uint64(n/16 + 1)
+					}
+					s.Record(uint32((r >> 1) % span))
+				}
 			}
 		})
-		if avg != 0 {
-			t.Fatalf("recording %d slots allocates %.1f times", n, avg)
+		if allocs != 0 {
+			t.Fatalf("recording %d slots allocates %.0f times", n, allocs)
 		}
-		if s := shifts[runs]; s.Head() < uint64(3*len(s.ring)) {
+		if s := shifts[len(shifts)-1]; s.Head() < uint64(3*len(s.ring)) {
 			t.Fatalf("%d slots: ring wrapped only %d times", n, s.Head()/uint64(len(s.ring)))
 		}
 	}

@@ -82,10 +82,10 @@ func hashProgram(prog *program.Program) string {
 	h := sha256.New()
 	for _, f := range prog.Funcs {
 		put(h, uint64(f.ID), uint64(f.Role), uint64(f.Layer), uint64(len(f.Blocks)))
-		for _, b := range f.Blocks {
-			put(h, uint64(b.PC), uint64(b.NumInstr), uint64(b.Kind), uint64(b.TargetIdx),
-				uint64(b.Callee), math.Float64bits(b.Bias), b2u(b.IsLoop),
-				math.Float64bits(b.LoopMeanIters), b2u(b.LoopFixed))
+		for bi, b := range f.Blocks {
+			put(h, uint64(f.BlockPC(bi)), uint64(b.NumInstr), uint64(b.Kind), uint64(b.TargetIdx),
+				uint64(b.Callee), math.Float64bits(b.Bias()), b2u(b.IsLoop),
+				math.Float64bits(b.LoopMeanIters()), b2u(b.LoopFixed))
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
@@ -114,7 +114,7 @@ func hashDecoder(prog *program.Program, dec *predecode.Decoder) string {
 			brs := dec.Decode(cb)
 			put(h, uint64(cb), uint64(len(brs)))
 			for _, br := range brs {
-				put(h, uint64(br.BlockPC), uint64(br.Entry.NumInstr), uint64(br.Entry.Kind), uint64(br.Entry.Target))
+				put(h, uint64(br.BlockPC(cb)), uint64(br.NumInstr), uint64(br.Kind), uint64(br.Target))
 			}
 		}
 	}

@@ -68,10 +68,11 @@ type frame struct {
 }
 
 // loopCtr tracks the remaining taken iterations of one loop back-edge,
-// keyed by the back-edge block's PC (unique within a function). It is
-// created on first encounter and removed when the loop exits.
+// keyed by the back-edge block's index in its function (a frame's
+// counters all belong to the frame's function). It is created on first
+// encounter and removed when the loop exits.
 type loopCtr struct {
-	pc  isa.Addr
+	idx int
 	rem int
 }
 
@@ -192,7 +193,7 @@ func (w *Walker) pickRoot() program.FuncID {
 func (w *Walker) Next() isa.BasicBlock {
 	f := w.cur.fn
 	blk := &f.Blocks[w.cur.idx]
-	out := isa.BasicBlock{PC: blk.PC, NumInstr: blk.NumInstr, Kind: blk.Kind}
+	out := isa.BasicBlock{PC: f.Entry().Add(int(blk.Off)), NumInstr: int(blk.NumInstr), Kind: blk.Kind}
 
 	switch blk.Kind {
 	case isa.BranchNone:
@@ -201,22 +202,22 @@ func (w *Walker) Next() isa.BasicBlock {
 	case isa.BranchCond:
 		taken := false
 		if blk.IsLoop {
-			taken = w.loopTaken(blk)
+			taken = w.loopTaken(blk, w.cur.idx)
 		} else {
-			taken = w.rng.Bool(blk.Bias)
+			taken = w.rng.Bool(blk.Bias())
 		}
 		out.Taken = taken
 		if taken {
-			out.Target = f.Blocks[blk.TargetIdx].PC
-			w.cur.idx = blk.TargetIdx
+			w.cur.idx = int(blk.TargetIdx)
+			out.Target = f.BlockPC(w.cur.idx)
 		} else {
 			w.cur.idx++
 		}
 
 	case isa.BranchJump:
 		out.Taken = true
-		out.Target = f.Blocks[blk.TargetIdx].PC
-		w.cur.idx = blk.TargetIdx
+		w.cur.idx = int(blk.TargetIdx)
+		out.Target = f.BlockPC(w.cur.idx)
 
 	case isa.BranchCall, isa.BranchTrap:
 		out.Taken = true
@@ -234,7 +235,7 @@ func (w *Walker) Next() isa.BasicBlock {
 		if n := len(w.stack); n > 0 {
 			w.cur = w.stack[n-1]
 			w.stack = w.stack[:n-1]
-			out.Target = w.cur.fn.Blocks[w.cur.idx].PC
+			out.Target = w.cur.fn.BlockPC(w.cur.idx)
 		} else {
 			// Request complete: the server loop dispatches the next
 			// request. The return "targets" the next handler's entry,
@@ -253,11 +254,11 @@ func (w *Walker) Next() isa.BasicBlock {
 
 // loopTaken implements trip-count semantics for loop back-edges: on first
 // encounter a remaining-takes counter is drawn; the branch is taken while
-// the counter is positive.
-func (w *Walker) loopTaken(blk *program.StaticBlock) bool {
+// the counter is positive. idx is blk's index in the current function.
+func (w *Walker) loopTaken(blk *program.StaticBlock, idx int) bool {
 	for i := w.cur.loopBase; i < len(w.loops); i++ {
 		l := &w.loops[i]
-		if l.pc != blk.PC {
+		if l.idx != idx {
 			continue
 		}
 		if l.rem > 0 {
@@ -269,7 +270,7 @@ func (w *Walker) loopTaken(blk *program.StaticBlock) bool {
 		w.loops = w.loops[:last]
 		return false
 	}
-	mean := blk.LoopMeanIters
+	mean := blk.LoopMeanIters()
 	if mean < 1 {
 		mean = 1
 	}
@@ -283,7 +284,7 @@ func (w *Walker) loopTaken(blk *program.StaticBlock) bool {
 		rem = maxLoopTrip
 	}
 	if rem > 0 {
-		w.loops = append(w.loops, loopCtr{pc: blk.PC, rem: rem - 1})
+		w.loops = append(w.loops, loopCtr{idx: idx, rem: rem - 1})
 		return true
 	}
 	return false

@@ -8,6 +8,7 @@ package xrand
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 )
 
@@ -124,12 +125,14 @@ func (r *Source) Geometric(p float64) int {
 	return int(math.Log(u) / math.Log(1-p))
 }
 
-// zipfGuideBuckets sizes the guide table that narrows Next's binary
-// search: bucket k covers u in [k/buckets, (k+1)/buckets). At 4096
-// buckets the largest samplers in the tree (the 8192-block data-address
-// draw in every core's dispatch loop) resolve in one or two probes;
-// tables are shared process-wide, so the extra 16 KiB is paid once per
-// distinct (n, s), not per core.
+// zipfGuideBuckets caps the guide table that narrows Next's binary
+// search: bucket k covers u in [k/buckets, (k+1)/buckets). A table takes
+// the next power of two at or above its rank count, up to this cap: a
+// 13-rank callee draw needs 16 buckets, not 4096. At 4096 buckets the
+// largest samplers in the tree (the 8192-block data-address draw in
+// every core's dispatch loop) resolve in one or two probes; tables are
+// shared process-wide, so a full 16 KiB guide is paid once per distinct
+// (n, s), not per core.
 const zipfGuideBuckets = 4096
 
 // zipfTable is the immutable precomputed half of a Zipf sampler. The
@@ -137,9 +140,11 @@ const zipfGuideBuckets = 4096
 // same shape shares one table; only the RNG stream is per-sampler.
 type zipfTable struct {
 	cdf []float64
-	// guide[k] is the first rank whose cdf covers u = k/zipfGuideBuckets;
-	// the answer for any u in bucket k lies in [guide[k], guide[k+1]].
-	guide []int32
+	// guide[k] is the first rank whose cdf covers u = k/buckets, for
+	// buckets = len(guide)-1 (a power of two, so u*buckets is exact); the
+	// answer for any u in bucket k lies in [guide[k], guide[k+1]].
+	guide   []int32
+	buckets float64
 }
 
 // zipfTables caches tables by shape: the math.Pow sweep over n ranks is
@@ -183,16 +188,17 @@ func NewZipf(src *Source, n int, s float64) *Zipf {
 	}
 	// Build the guide in one sweep: guide[k] = first i with
 	// cdf[i] >= k/buckets (clamped to n-1, matching Next's hi bound).
-	guide := make([]int32, zipfGuideBuckets+1)
+	buckets := min(1<<bits.Len(uint(n-1)), zipfGuideBuckets)
+	guide := make([]int32, buckets+1)
 	i := 0
-	for k := 0; k <= zipfGuideBuckets; k++ {
-		u := float64(k) / zipfGuideBuckets
+	for k := range guide {
+		u := float64(k) / float64(buckets)
 		for i < n-1 && cdf[i] < u {
 			i++
 		}
 		guide[k] = int32(i)
 	}
-	v, _ := zipfTables.LoadOrStore(key, &zipfTable{cdf: cdf, guide: guide})
+	v, _ := zipfTables.LoadOrStore(key, &zipfTable{cdf: cdf, guide: guide, buckets: float64(buckets)})
 	return &Zipf{zipfTable: v.(*zipfTable), src: src}
 }
 
@@ -201,7 +207,7 @@ func NewZipf(src *Source, n int, s float64) *Zipf {
 // full binary search for every u.
 func (z *Zipf) Next() int {
 	u := z.src.Float64()
-	k := int(u * zipfGuideBuckets) // u in [0,1) ⇒ k in [0, buckets)
+	k := int(u * z.buckets) // u in [0,1) ⇒ k in [0, buckets)
 	lo, hi := int(z.guide[k]), int(z.guide[k+1])
 	// Binary search for the first cdf entry >= u within [lo, hi].
 	for lo < hi {

@@ -187,11 +187,19 @@ func BenchmarkZipfNext(b *testing.B) {
 }
 
 // TestZipfGuideMatchesReference verifies the guide table is a pure
-// accelerator: for every draw the narrowed binary search returns exactly
-// the rank a full lower-bound search over the CDF would.
+// accelerator sized to its rank count: it has the next power of two at
+// or above n buckets, capped at zipfGuideBuckets, and for every draw the
+// narrowed binary search returns exactly the rank a full lower-bound
+// search over the CDF would.
 func TestZipfGuideMatchesReference(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 17, 255, 256, 257, 4096, 12288} {
+	for _, tc := range []struct{ n, buckets int }{
+		{1, 1}, {2, 2}, {3, 4}, {17, 32}, {255, 256}, {256, 256}, {257, 512}, {4096, 4096}, {12288, 4096},
+	} {
+		n := tc.n
 		z := NewZipf(New(uint64(n)), n, 0.8)
+		if len(z.guide) != tc.buckets+1 || z.buckets != float64(tc.buckets) {
+			t.Fatalf("n=%d: %d guide entries for %v buckets, want %d buckets", n, len(z.guide), z.buckets, tc.buckets)
+		}
 		ref := New(99)
 		for i := 0; i < 20000; i++ {
 			u := ref.Float64()
@@ -205,7 +213,7 @@ func TestZipfGuideMatchesReference(t *testing.T) {
 					hi = mid
 				}
 			}
-			k := int(u * zipfGuideBuckets)
+			k := int(u * z.buckets)
 			glo, ghi := int(z.guide[k]), int(z.guide[k+1])
 			for glo < ghi {
 				mid := (glo + ghi) / 2
