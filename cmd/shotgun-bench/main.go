@@ -21,7 +21,7 @@
 //	shotgun-bench -store ./s -store-max-bytes 1000000000  # prune to ~1GB
 //	shotgun-bench -spec my-sweep.json      # run a declarative sweep (docs/SPEC.md)
 //	shotgun-bench -spec my-sweep.json -submit http://coord:8080  # ... on a farm (/v1/sweeps)
-//	shotgun-bench -spec my-sweep.json -submit http://coord:8080 -api-key key-acme  # authenticated farm
+//	shotgun-bench -spec my-sweep.json -submit http://coord:8080 -api-key "$KEY"  # keyed farm
 //	shotgun-bench -cpuprofile cpu.out -memprofile mem.out
 package main
 
@@ -116,7 +116,7 @@ func parseOptions(args []string, stderr io.Writer) (options, error) {
 		"prune the store's oldest records down to this many bytes on open (0: keep everything)")
 	specList := fs.String("spec", "", "comma-separated sweep spec files (docs/SPEC.md); runs the specs' tables instead of the built-in catalog")
 	fs.StringVar(&opts.submitURL, "submit", "", "POST each -spec file to this server's /v1/sweeps and relay the rendered response instead of running locally")
-	fs.StringVar(&opts.apiKey, "api-key", "", "bearer API key sent with every -submit request (multi-tenant farms)")
+	fs.StringVar(&opts.apiKey, "api-key", "", "bearer API key sent with every -submit request (a farm started with -api-key)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return options{}, err
@@ -222,7 +222,7 @@ func submit(opts options) ([]byte, error) {
 		format = "json"
 	}
 	// The typed client decodes error envelopes and retries
-	// quota/overload rejections honoring Retry-After; a sweep blocks
+	// overload and shutdown rejections honoring Retry-After; a sweep blocks
 	// until rendered, so give it an unbounded request timeout.
 	cl := client.New(opts.submitURL,
 		client.WithAPIKey(opts.apiKey),

@@ -17,26 +17,23 @@
 //   - -join <url>: be a worker for the coordinator at url — an endless
 //     lease → simulate → push loop; no listener, no store and no memo
 //     (records land in the coordinator's store). A worker reads only
-//     -join, -worker-id and -parallel and refuses every other flag.
+//     -join, -worker-id and -parallel and refuses every other flag; it
+//     sends the coordinator's API key from SHOTGUN_API_KEY.
 //
 // The process shuts down gracefully: SIGINT/SIGTERM stop the listener,
 // in-flight HTTP requests get a deadline to finish, and the simulation
 // backend stops (local pool: finishes in-flight work; worker: finishes
 // and pushes its current job), so no accepted work is lost silently.
 //
-// Multi-tenant farm mode: -tenants points at a JSON registry
-// ({"tenants":[{"name","key","weight","max_queued","max_in_flight"}]});
-// the SHOTGUN_TENANTS environment variable carries the same document
-// inline and overrides the file (secrets stay out of argv). With a
-// registry loaded, every request except /healthz, /v1/version and
-// /metrics must present "Authorization: Bearer <key>", submissions are
-// scheduled fair-share by tenant weight, per-tenant quotas answer 429,
-// and -max-queue bounds the global backlog (past it the server sheds
-// with 503 + Retry-After). -fair-slots bounds how many jobs sit in the
-// execution backend at once (default 2x -parallel locally; 256 in
-// coordinator mode, where it caps lease-table occupancy, not CPU).
-// -log picks the structured access/lifecycle log format. See
-// docs/FARM.md for the full operations guide.
+// Auth: -api-key (or the SHOTGUN_API_KEY environment variable, which
+// keeps the key out of argv; the flag wins when both are set) makes
+// every request except /healthz, /v1/version and /metrics present
+// "Authorization: Bearer <key>", the coordinator's /v1/lease,
+// /v1/heartbeat and /v1/complete included. Accepted jobs wait in one
+// FIFO; -max-queue bounds the jobs not yet running (past it the server
+// sheds with 503 + Retry-After). -log picks the structured
+// access/lifecycle log format. See docs/FARM.md for the full
+// operations guide.
 //
 // Usage:
 //
@@ -44,24 +41,24 @@
 //	shotgun-server -scale quick -parallel 4                     # smoke scale
 //	shotgun-server -store ./s -store-max-bytes 1000000000       # prune to ~1GB on start
 //	shotgun-server -shutdown-timeout 30s                        # drain deadline
-//	shotgun-server -tenants tenants.json -max-queue 10000       # multi-tenant farm
-//	shotgun-server -tenants t.json -log json                    # JSON access logs
+//	shotgun-server -api-key "$KEY" -max-queue 10000             # keyed farm, bounded backlog
+//	shotgun-server -log json                                    # JSON access logs
 //	shotgun-server -coordinator -store ./s -lease-ttl 30s       # cluster front-end
-//	shotgun-server -coordinator -fair-slots 512                 # deeper lease table
 //	shotgun-server -join http://coord:8080 -parallel 8          # simulation worker
 //	shotgun-server -join http://coord:8080 -worker-id rack3-a   # named worker
+//	SHOTGUN_API_KEY="$KEY" shotgun-server -join http://coord:8080  # worker of a keyed farm
 //
 // Example session (drop the Authorization header when auth is off):
 //
 //	curl -s localhost:8080/v1/version
-//	curl -s -X POST localhost:8080/v1/scenarios -H 'Authorization: Bearer key-acme' \
+//	curl -s -X POST localhost:8080/v1/scenarios -H "Authorization: Bearer $KEY" \
 //	    -d '{"scenarios":[{"Cores":[{"Workload":"Oracle","Mechanism":"shotgun"}]}]}'
-//	curl -s -X POST localhost:8080/v1/scenarios -H 'Authorization: Bearer key-acme' \
+//	curl -s -X POST localhost:8080/v1/scenarios -H "Authorization: Bearer $KEY" \
 //	    -d '{"scenarios":[{"Cores":[{"Workload":"Oracle","Mechanism":"shotgun"},{"Workload":"DB2","Mechanism":"fdip"}]}]}'
-//	curl -s -H 'Authorization: Bearer key-acme' localhost:8080/v1/scenarios/<key>
-//	curl -s -H 'Authorization: Bearer key-acme' localhost:8080/v1/experiments/fig7?format=csv
+//	curl -s -H "Authorization: Bearer $KEY" localhost:8080/v1/scenarios/<key>
+//	curl -s -H "Authorization: Bearer $KEY" localhost:8080/v1/experiments/fig7?format=csv
 //	curl -s -N -X POST --data-binary @specs/fig7.json -H 'Accept: text/event-stream' \
-//	    -H 'Authorization: Bearer key-acme' 'localhost:8080/v1/sweeps?format=text'
+//	    -H "Authorization: Bearer $KEY" 'localhost:8080/v1/sweeps?format=text'
 //	curl -s localhost:8080/metrics
 //	curl -s localhost:8080/v1/cluster                            # coordinator only
 package main
@@ -81,6 +78,7 @@ import (
 	"strings"
 	"syscall"
 	"time"
+	"unicode"
 
 	"shotgun/internal/dispatch"
 	"shotgun/internal/harness"
@@ -95,6 +93,7 @@ func runWorker(ctx context.Context, opts options, stdout, stderr io.Writer) int 
 	w, err := dispatch.NewWorker(dispatch.WorkerConfig{
 		Coordinator: opts.join,
 		ID:          opts.workerID,
+		APIKey:      opts.apiKey,
 		Concurrency: opts.parallel,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(stdout, format+"\n", args...)
@@ -124,31 +123,9 @@ func main() {
 // errPrinted marks errors the flag package already reported to stderr.
 var errPrinted = errors.New("flag parse error")
 
-// tenantsEnv carries the registry document inline (overriding
-// -tenants), so API keys can reach the process without touching argv
-// or the filesystem.
-const tenantsEnv = "SHOTGUN_TENANTS"
-
-// loadTenants resolves the tenant registry: the SHOTGUN_TENANTS
-// environment variable wins over the -tenants file; neither means auth
-// stays off. The second return names the source for the startup line.
-func loadTenants(path string) (*server.TenantRegistry, string, error) {
-	if doc := os.Getenv(tenantsEnv); doc != "" {
-		reg, err := server.ParseTenants([]byte(doc))
-		if err != nil {
-			return nil, "", fmt.Errorf("%s: %v", tenantsEnv, err)
-		}
-		return reg, "$" + tenantsEnv, nil
-	}
-	if path == "" {
-		return nil, "", nil
-	}
-	reg, err := server.LoadTenants(path)
-	if err != nil {
-		return nil, "", err
-	}
-	return reg, path, nil
-}
+// apiKeyEnv carries the farm's API key, so it can reach the process
+// without touching argv. It is the only way a -join worker gets it.
+const apiKeyEnv = "SHOTGUN_API_KEY"
 
 // newLogger builds the structured logger behind -log.
 func newLogger(format string, stdout io.Writer) *slog.Logger {
@@ -170,8 +147,7 @@ type options struct {
 	storeDir        string
 	storeMaxBytes   int64
 	maxQueue        int
-	fairSlots       int
-	tenantsPath     string
+	apiKey          string
 	logFormat       string
 	shutdownTimeout time.Duration
 	coordinator     bool
@@ -193,12 +169,9 @@ func parseOptions(args []string, stderr io.Writer) (options, error) {
 	fs.Int64Var(&opts.storeMaxBytes, "store-max-bytes", 0,
 		"prune the store's oldest records down to this many bytes on start (0: keep everything)")
 	fs.IntVar(&opts.maxQueue, "max-queue", 0,
-		"global fair-queue backlog bound; past it submissions shed with 503 + Retry-After (0: unlimited)")
-	fs.IntVar(&opts.fairSlots, "fair-slots", 0, fmt.Sprintf(
-		"jobs resident in the execution backend at once (0: 2x -parallel, or 256 in coordinator mode; at most %d)",
-		dispatch.MaxQueueDepth))
-	fs.StringVar(&opts.tenantsPath, "tenants", "",
-		"tenant registry JSON enabling API-key auth and fair-share quotas (SHOTGUN_TENANTS env overrides)")
+		"bound on accepted jobs not yet running; past it submissions shed with 503 + Retry-After (0: unlimited)")
+	fs.StringVar(&opts.apiKey, "api-key", "",
+		"API key every route but /healthz, /v1/version and /metrics requires (default $SHOTGUN_API_KEY; empty: auth off)")
 	fs.StringVar(&opts.logFormat, "log", "off", "structured request log format: off, text or json")
 	fs.DurationVar(&opts.shutdownTimeout, "shutdown-timeout", 10*time.Second,
 		"deadline for in-flight HTTP requests on SIGINT/SIGTERM")
@@ -227,9 +200,6 @@ func parseOptions(args []string, stderr io.Writer) (options, error) {
 	}
 	if opts.maxQueue < 0 {
 		return options{}, fmt.Errorf("-max-queue must be non-negative (got %d)", opts.maxQueue)
-	}
-	if opts.fairSlots < 0 {
-		return options{}, fmt.Errorf("-fair-slots must be non-negative (got %d)", opts.fairSlots)
 	}
 	switch opts.logFormat {
 	case "off", "text", "json":
@@ -271,6 +241,13 @@ func parseOptions(args []string, stderr io.Writer) (options, error) {
 		}
 		opts.join = strings.TrimSpace(opts.join)
 	}
+	if opts.apiKey == "" {
+		opts.apiKey = os.Getenv(apiKeyEnv)
+	}
+	if strings.TrimSpace(opts.apiKey) != opts.apiKey || strings.ContainsFunc(opts.apiKey, unicode.IsControl) {
+		return options{}, fmt.Errorf("the API key must not carry control characters or surrounding spaces " +
+			"(an HTTP header cannot deliver them)")
+	}
 	if opts.workerID != "" && opts.join == "" {
 		return options{}, fmt.Errorf("-worker-id requires -join")
 	}
@@ -299,28 +276,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if opts.scale == "quick" {
 		scale = harness.QuickScale()
 	}
-	// Coordinator slots bound lease-table occupancy, not local CPU, so
-	// the default is much deeper there.
-	fairSlots := opts.fairSlots
-	if fairSlots == 0 && opts.coordinator {
-		fairSlots = 256
-	}
 	cfg := server.Config{
 		Scale:     scale,
 		ScaleName: opts.scale,
 		Workers:   opts.parallel,
 		MaxQueue:  opts.maxQueue,
-		FairSlots: fairSlots,
+		APIKey:    opts.apiKey,
 		Logger:    newLogger(opts.logFormat, stdout),
-	}
-	reg, regSource, err := loadTenants(opts.tenantsPath)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	if reg != nil {
-		cfg.Tenants = reg
-		fmt.Fprintf(stdout, "tenants: %d registered from %s (API-key auth on)\n", len(reg.Tenants()), regSource)
 	}
 	if opts.storeDir != "" {
 		st, err := store.Open(opts.storeDir)
@@ -357,14 +319,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		// before the first /metrics scrape can fire.
 		cfg.ClusterStats = func() dispatch.CoordinatorStats { return coord.Stats() }
 	}
+	// The server mounts the coordinator's lease routes behind its API
+	// key, beside the public API.
 	srv := server.New(cfg)
-	handler := srv.Handler()
-	if coord != nil {
-		mux := http.NewServeMux()
-		mux.Handle("/", handler)
-		coord.Register(mux)
-		handler = mux
-	}
 
 	// Listen before announcing, so "listening on" is never a lie and
 	// tests can bind :0 and read the chosen port.
@@ -374,7 +331,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	hs := &http.Server{Handler: handler}
+	hs := &http.Server{Handler: srv.Handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 	mode := "single-node"
@@ -382,7 +339,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		mode = fmt.Sprintf("coordinator, lease TTL %v", opts.leaseTTL)
 	}
 	auth := "auth off"
-	if reg != nil {
+	if opts.apiKey != "" {
 		auth = "auth on"
 	}
 	fmt.Fprintf(stdout, "shotgun-server listening on %s (scale %s, %s, %s)\n", ln.Addr(), opts.scale, mode, auth)

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
@@ -34,15 +32,15 @@ func TestParseOptionsRejectsBadFlags(t *testing.T) {
 		{"worker with store", []string{"-join", "http://x:1", "-store", "./s"}, "drop -store"},
 		{"worker id without join", []string{"-worker-id", "w1"}, "requires -join"},
 		{"negative max queue", []string{"-max-queue", "-1"}, "non-negative"},
-		{"negative fair slots", []string{"-fair-slots", "-5"}, "non-negative"},
 		{"bad log format", []string{"-log", "xml"}, "off, text or json"},
-		{"worker with tenants", []string{"-join", "http://x:1", "-tenants", "t.json"}, "drop -tenants"},
+		{"worker with api key", []string{"-join", "http://x:1", "-api-key", "x"}, "drop -api-key"},
+		{"api key with spaces", []string{"-api-key", " k "}, "surrounding spaces"},
+		{"api key with newline", []string{"-api-key", "k\nk"}, "control characters"},
 		{"empty join list", []string{"-join", " , "}, "at least one coordinator URL"},
 		{"join list", []string{"-join", "http://a:1,http://b:1"}, "takes one coordinator URL"},
 		{"worker with scale", []string{"-join", "http://x:1", "-scale", "quick"}, "drop -scale"},
 		{"worker with addr", []string{"-join", "http://x:1", "-addr", ":9090"}, "drop -addr"},
 		{"worker with max queue", []string{"-join", "http://x:1", "-max-queue", "10"}, "drop -max-queue"},
-		{"worker with fair slots", []string{"-join", "http://x:1", "-fair-slots", "4"}, "drop -fair-slots"},
 		{"worker with log", []string{"-join", "http://x:1", "-log", "json"}, "drop -log"},
 		{"worker with shutdown timeout", []string{"-join", "http://x:1", "-shutdown-timeout", "5s"}, "drop -shutdown-timeout"},
 		{"worker with lease ttl", []string{"-join", "http://x:1", "-lease-ttl", "5s"}, "drop -lease-ttl"},
@@ -61,6 +59,7 @@ func TestParseOptionsRejectsBadFlags(t *testing.T) {
 }
 
 func TestParseOptionsDefaults(t *testing.T) {
+	t.Setenv(apiKeyEnv, "")
 	opts, err := parseOptions(nil, io.Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -74,55 +73,36 @@ func TestParseOptionsDefaults(t *testing.T) {
 	if opts.coordinator || opts.join != "" || opts.leaseTTL != 30*time.Second {
 		t.Fatalf("cluster defaults wrong: %+v (single-node must be the zero-flag default)", opts)
 	}
-	if opts.maxQueue != 0 || opts.fairSlots != 0 || opts.tenantsPath != "" || opts.logFormat != "off" {
-		t.Fatalf("farm defaults wrong: %+v (unbounded queue, derived slots, open access, no log)", opts)
+	if opts.maxQueue != 0 || opts.apiKey != "" || opts.logFormat != "off" {
+		t.Fatalf("farm defaults wrong: %+v (unbounded queue, open access, no log)", opts)
 	}
 }
 
-// TestLoadTenantsSources covers the registry resolution order: the
-// SHOTGUN_TENANTS document wins over the -tenants file, the file loads
-// when the env is empty, and no source at all means open access.
-func TestLoadTenantsSources(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "tenants.json")
-	if err := os.WriteFile(path, []byte(`{"tenants":[{"name":"filetenant","key":"kf"}]}`), 0o644); err != nil {
-		t.Fatal(err)
+// TestAPIKeySources covers where the key comes from: -api-key wins
+// over SHOTGUN_API_KEY, the environment fills in when the flag is
+// absent, and a -join worker, which may not take the flag, reads the
+// environment.
+func TestAPIKeySources(t *testing.T) {
+	t.Setenv(apiKeyEnv, "from-env")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-api-key", "from-flag"}, "from-flag"},
+		{nil, "from-env"},
+		{[]string{"-join", "http://x:1"}, "from-env"},
+	} {
+		opts, err := parseOptions(tc.args, io.Discard)
+		if err != nil {
+			t.Fatalf("args %v: %v", tc.args, err)
+		}
+		if opts.apiKey != tc.want {
+			t.Errorf("args %v: key %q, want %q", tc.args, opts.apiKey, tc.want)
+		}
 	}
-
-	t.Setenv(tenantsEnv, `{"tenants":[{"name":"envtenant","key":"ke"}]}`)
-	reg, source, err := loadTenants(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if source != "$"+tenantsEnv {
-		t.Fatalf("source = %q, want the env var", source)
-	}
-	if _, ok := reg.Lookup("ke"); !ok {
-		t.Fatal("env registry not loaded")
-	}
-	if _, ok := reg.Lookup("kf"); ok {
-		t.Fatal("file registry leaked through despite the env override")
-	}
-
-	t.Setenv(tenantsEnv, `{`)
-	if _, _, err := loadTenants(path); err == nil || !strings.Contains(err.Error(), tenantsEnv) {
-		t.Fatalf("broken env doc: err %v, want one naming %s", err, tenantsEnv)
-	}
-
-	t.Setenv(tenantsEnv, "")
-	reg, source, err = loadTenants(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if source != path {
-		t.Fatalf("source = %q, want the file path", source)
-	}
-	if _, ok := reg.Lookup("kf"); !ok {
-		t.Fatal("file registry not loaded")
-	}
-
-	reg, _, err = loadTenants("")
-	if err != nil || reg != nil {
-		t.Fatalf("no source must mean open access: reg %v err %v", reg, err)
+	t.Setenv(apiKeyEnv, "")
+	if opts, err := parseOptions(nil, io.Discard); err != nil || opts.apiKey != "" {
+		t.Fatalf("no source must mean open access: key %q err %v", opts.apiKey, err)
 	}
 }
 
@@ -215,23 +195,43 @@ func waitListen(t *testing.T, out *syncBuffer, errBuf *syncBuffer) string {
 	}
 }
 
-// TestAuthedServerSmoke boots run() with a -tenants file and checks the
-// wiring end to end: the startup line announces auth, exempt routes stay
-// open, unkeyed API requests bounce with the envelope, and a keyed
-// request passes.
-func TestAuthedServerSmoke(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "tenants.json")
-	if err := os.WriteFile(path, []byte(`{"tenants":[{"name":"acme","key":"key-acme"}]}`), 0o644); err != nil {
+// do sends one request to addr, with the bearer key when key is not
+// empty, and returns the status and the body.
+func do(t *testing.T, method, addr, path, key, body string) (int, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, "http://"+addr+path, strings.NewReader(body))
+	if err != nil {
 		t.Fatal(err)
 	}
+	if key != "" {
+		req.Header.Set("Authorization", "Bearer "+key)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, raw
+}
+
+// TestAuthedServerSmoke boots run() as a coordinator with -api-key and
+// checks the wiring end to end: the startup line announces auth,
+// exempt routes stay open, unkeyed requests bounce with the envelope
+// on the public API and the lease routes alike, and keyed ones pass.
+func TestAuthedServerSmoke(t *testing.T) {
+	t.Setenv(apiKeyEnv, "")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var out, errBuf syncBuffer
 	done := make(chan int, 1)
 	go func() {
 		done <- run(ctx, []string{
-			"-addr", "127.0.0.1:0", "-scale", "quick", "-parallel", "1",
-			"-tenants", path, "-log", "json", "-max-queue", "100",
+			"-addr", "127.0.0.1:0", "-scale", "quick", "-coordinator",
+			"-api-key", "key-smoke", "-log", "json", "-max-queue", "100",
 		}, &out, &errBuf)
 	}()
 	addr := waitListen(t, &out, &errBuf)
@@ -239,41 +239,31 @@ func TestAuthedServerSmoke(t *testing.T) {
 		t.Fatalf("startup never announced auth: %q", out.String())
 	}
 
-	get := func(path, key string) (int, []byte) {
-		t.Helper()
-		req, err := http.NewRequest(http.MethodGet, "http://"+addr+path, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if key != "" {
-			req.Header.Set("Authorization", "Bearer "+key)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, body
-	}
-
 	var version client.VersionInfo
-	if code, body := get("/v1/version", ""); code != http.StatusOK {
+	if code, body := do(t, http.MethodGet, addr, "/v1/version", "", ""); code != http.StatusOK {
 		t.Fatalf("/v1/version is exempt, got %d: %s", code, body)
 	} else if json.Unmarshal(body, &version) != nil || !version.AuthRequired {
 		t.Fatalf("/v1/version does not advertise auth: %s", body)
 	}
-	if code, body := get("/v1/scenarios/nope", ""); code != http.StatusUnauthorized ||
-		!strings.Contains(string(body), "unauthorized") {
-		t.Fatalf("unkeyed request: %d %s, want 401 envelope", code, body)
+	for _, route := range []struct{ method, path, body string }{
+		{http.MethodGet, "/v1/scenarios/nope", ""},
+		{http.MethodGet, "/v1/cluster", ""},
+		{http.MethodPost, "/v1/lease", `{"worker":"w","max":1}`},
+		{http.MethodPost, "/v1/heartbeat", `{"worker":"w","keys":[]}`},
+		{http.MethodPost, "/v1/complete", `{"worker":"w","key":"k"}`},
+	} {
+		if code, body := do(t, route.method, addr, route.path, "", route.body); code != http.StatusUnauthorized ||
+			!strings.Contains(string(body), "unauthorized") {
+			t.Fatalf("unkeyed %s %s: %d %s, want 401 envelope", route.method, route.path, code, body)
+		}
 	}
-	if code, _ := get("/v1/scenarios/nope", "key-acme"); code != http.StatusNotFound {
+	if code, _ := do(t, http.MethodGet, addr, "/v1/scenarios/nope", "key-smoke", ""); code != http.StatusNotFound {
 		t.Fatalf("keyed request: %d, want 404 (past auth)", code)
 	}
-	if code, _ := get("/metrics", ""); code != http.StatusOK {
+	if code, body := do(t, http.MethodPost, addr, "/v1/lease", "key-smoke", `{"worker":"w","max":1}`); code != http.StatusOK {
+		t.Fatalf("keyed lease: %d %s, want 200", code, body)
+	}
+	if code, _ := do(t, http.MethodGet, addr, "/metrics", "", ""); code != http.StatusOK {
 		t.Fatalf("/metrics is exempt, got %d", code)
 	}
 
@@ -287,8 +277,8 @@ func TestAuthedServerSmoke(t *testing.T) {
 		t.Fatal("server did not shut down after cancel")
 	}
 	// -log json routes the access log to stdout: the requests above must
-	// have left structured lines behind.
-	if !strings.Contains(out.String(), `"msg":"request"`) {
+	// have left structured lines behind, the lease routes' among them.
+	if !strings.Contains(out.String(), `"msg":"request"`) || !strings.Contains(out.String(), `"path":"/v1/lease"`) {
 		t.Fatalf("no structured request log in stdout: %q", out.String())
 	}
 }
@@ -297,8 +287,11 @@ func TestAuthedServerSmoke(t *testing.T) {
 // cluster roles — a coordinator run() and a worker run() — submits one
 // simulation over HTTP, and asserts the worker leases, simulates and
 // pushes it back to "done". This is the two-terminal README walkthrough
-// as a test.
+// as a test, on a keyed farm: the worker gets the key from
+// SHOTGUN_API_KEY only.
 func TestCoordinatorWorkerSmoke(t *testing.T) {
+	const key = "key-farm"
+	t.Setenv(apiKeyEnv, key)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
@@ -307,7 +300,7 @@ func TestCoordinatorWorkerSmoke(t *testing.T) {
 	go func() {
 		coordDone <- run(ctx, []string{
 			"-addr", "127.0.0.1:0", "-scale", "quick", "-coordinator",
-			"-lease-ttl", "5s", "-store", t.TempDir(),
+			"-lease-ttl", "5s", "-store", t.TempDir(), "-api-key", key,
 		}, &coordOut, &coordErr)
 	}()
 	addr := waitListen(t, &coordOut, &coordErr)
@@ -324,35 +317,25 @@ func TestCoordinatorWorkerSmoke(t *testing.T) {
 	}()
 
 	// Submit one quick simulation and poll it to completion.
-	body := `{"scenarios":[{"Cores":[{"Workload":"Nutch","Mechanism":"none"}]}]}`
-	resp, err := http.Post("http://"+addr+"/v1/scenarios", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
+	code, raw := do(t, http.MethodPost, addr, "/v1/scenarios", key,
+		`{"scenarios":[{"Cores":[{"Workload":"Nutch","Mechanism":"none"}]}]}`)
 	var sub struct {
 		Scenarios []struct {
 			Key string `json:"key"`
 		} `json:"scenarios"`
 	}
-	err = json.NewDecoder(resp.Body).Decode(&sub)
-	resp.Body.Close()
-	if err != nil || len(sub.Scenarios) != 1 {
-		t.Fatalf("submit: %v %+v", err, sub)
+	if err := json.Unmarshal(raw, &sub); err != nil || code != http.StatusAccepted || len(sub.Scenarios) != 1 {
+		t.Fatalf("submit: %d %v %s", code, err, raw)
 	}
 
 	deadline := time.Now().Add(120 * time.Second)
 	for {
-		resp, err := http.Get("http://" + addr + "/v1/scenarios/" + sub.Scenarios[0].Key)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, raw := do(t, http.MethodGet, addr, "/v1/scenarios/"+sub.Scenarios[0].Key, key, "")
 		var st struct {
 			Status string `json:"status"`
 			Error  string `json:"error"`
 		}
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
+		if err := json.Unmarshal(raw, &st); err != nil {
 			t.Fatal(err)
 		}
 		if st.Status == "done" {
@@ -368,17 +351,12 @@ func TestCoordinatorWorkerSmoke(t *testing.T) {
 	}
 
 	// The cluster endpoint reports the lease traffic.
-	resp, err = http.Get("http://" + addr + "/v1/cluster")
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, raw = do(t, http.MethodGet, addr, "/v1/cluster", key, "")
 	var cs struct {
 		Completed uint64 `json:"completed"`
 	}
-	err = json.NewDecoder(resp.Body).Decode(&cs)
-	resp.Body.Close()
-	if err != nil || cs.Completed != 1 {
-		t.Fatalf("cluster stats: %v %+v", err, cs)
+	if err := json.Unmarshal(raw, &cs); err != nil || cs.Completed != 1 {
+		t.Fatalf("cluster stats: %v %s", err, raw)
 	}
 
 	cancel()

@@ -27,8 +27,8 @@ const maxDrainBody = 64 << 10
 // Client is the typed v1 API client: every method speaks the wire
 // types in this package, decodes the error envelope into *APIError,
 // and (when configured with retries) resubmits retryable failures —
-// 429/503 envelopes honoring Retry-After, plus transport errors and
-// bare 5xxs — with capped backoff. Content-key dedup makes every
+// retryable envelopes honoring Retry-After, plus transport errors and
+// bare 5xx/429s — with capped backoff. Content-key dedup makes every
 // resubmission safe: an accepted-then-retried batch lands on the same
 // jobs.
 type Client struct {

@@ -24,8 +24,8 @@ func fastOpts(extra ...Option) []Option {
 
 func TestEnvelopeDecodesIntoAPIError(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		WriteErrorRetryAfter(w, http.StatusTooManyRequests, CodeQuotaExceeded, 3*time.Second,
-			"tenant %q over quota", "acme")
+		WriteErrorRetryAfter(w, http.StatusServiceUnavailable, CodeOverloaded, 3*time.Second,
+			"queue %q full", "main")
 	}))
 	defer srv.Close()
 
@@ -35,22 +35,22 @@ func TestEnvelopeDecodesIntoAPIError(t *testing.T) {
 	if !errors.As(err, &ae) {
 		t.Fatalf("want *APIError, got %T: %v", err, err)
 	}
-	if ae.Status != http.StatusTooManyRequests {
-		t.Errorf("status = %d, want 429", ae.Status)
+	if ae.Status != http.StatusServiceUnavailable {
+		t.Errorf("status = %d, want 503", ae.Status)
 	}
-	if ae.Code != CodeQuotaExceeded {
-		t.Errorf("code = %q, want %q", ae.Code, CodeQuotaExceeded)
+	if ae.Code != CodeOverloaded {
+		t.Errorf("code = %q, want %q", ae.Code, CodeOverloaded)
 	}
 	if !ae.Retryable {
-		t.Error("quota_exceeded must be retryable")
+		t.Error("overloaded must be retryable")
 	}
 	if ae.RetryAfter != 3*time.Second {
 		t.Errorf("RetryAfter = %v, want 3s", ae.RetryAfter)
 	}
-	if !strings.Contains(ae.Message, `"acme"`) {
+	if !strings.Contains(ae.Message, `"main"`) {
 		t.Errorf("message %q lost its formatting args", ae.Message)
 	}
-	if !strings.Contains(ae.Error(), CodeQuotaExceeded) {
+	if !strings.Contains(ae.Error(), CodeOverloaded) {
 		t.Errorf("Error() = %q should name the code", ae.Error())
 	}
 }
@@ -248,7 +248,6 @@ func TestRetryableCodeTable(t *testing.T) {
 		CodeInvalidSpec:    false,
 		CodeUnauthorized:   false,
 		CodeNotFound:       false,
-		CodeQuotaExceeded:  true,
 		CodeOverloaded:     true,
 		CodeShuttingDown:   true,
 		CodeInterrupted:    true,

@@ -10,12 +10,12 @@
 //
 // Every error response, on every route, is the same envelope:
 //
-//	{"error":{"code":"quota_exceeded","message":"...","retryable":true}}
+//	{"error":{"code":"overloaded","message":"...","retryable":true}}
 //
 // Codes are stable, machine-readable strings (see the Code constants);
 // messages are human-readable and may change. Responses with code
-// quota_exceeded (429) or overloaded (503) also carry a Retry-After
-// header, which Client honors when retrying.
+// overloaded (503) also carry a Retry-After header, which Client
+// honors when retrying.
 package client
 
 import (
@@ -36,19 +36,13 @@ const (
 	// CodeInvalidSpec: a sweep spec that failed to compile or pins a
 	// scale the server does not run. 400; not retryable.
 	CodeInvalidSpec = "invalid_spec"
-	// CodeUnauthorized: missing or unknown API key. 401; not retryable.
+	// CodeUnauthorized: missing or wrong API key. 401; not retryable.
 	CodeUnauthorized = "unauthorized"
 	// CodeNotFound: unknown key, experiment or route. 404; not
 	// retryable.
 	CodeNotFound = "not_found"
-	// CodeQuotaExceeded: the tenant's queued-scenario quota is full.
-	// 429 with Retry-After; retryable once earlier work drains.
-	CodeQuotaExceeded = "quota_exceeded"
-	// CodeRateLimited: the tenant exceeded its request rate (max_rps).
-	// 429 with Retry-After; retryable after the bucket refills.
-	CodeRateLimited = "rate_limited"
-	// CodeOverloaded: the global queue depth bound was passed and the
-	// server is shedding load. 503 with Retry-After; retryable.
+	// CodeOverloaded: the queue depth bound was passed and the server
+	// is shedding load. 503 with Retry-After; retryable.
 	CodeOverloaded = "overloaded"
 	// CodeShuttingDown: this process is draining; retry against
 	// another node (or after the restart). 503; retryable.
@@ -67,7 +61,7 @@ const (
 // take it right now.
 func Retryable(code string) bool {
 	switch code {
-	case CodeQuotaExceeded, CodeRateLimited, CodeOverloaded, CodeShuttingDown, CodeInterrupted:
+	case CodeOverloaded, CodeShuttingDown, CodeInterrupted:
 		return true
 	}
 	return false
@@ -224,8 +218,7 @@ func WriteError(w http.ResponseWriter, status int, code, format string, args ...
 }
 
 // WriteErrorRetryAfter is WriteError plus a Retry-After hint (rounded
-// up to whole seconds, minimum 1s) for load-shedding and quota
-// responses.
+// up to whole seconds, minimum 1s) for load-shedding responses.
 func WriteErrorRetryAfter(w http.ResponseWriter, status int, code string, retryAfter time.Duration, format string, args ...any) {
 	if retryAfter > 0 {
 		secs := int64((retryAfter + time.Second - 1) / time.Second)

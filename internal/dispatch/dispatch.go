@@ -13,8 +13,10 @@
 //     expired jobs are requeued, so a worker dying mid-simulation
 //     delays its job instead of losing it.
 //
-// Either way, job identity is the canonical ScenarioKey and results
-// reach the server's Sink. The server's job table deduplicates keys
+// The server reaches either one through a Queue: one FIFO of accepted
+// jobs that hands the executor a bounded number at a time. Either way,
+// job identity is the canonical ScenarioKey and results reach the
+// server's Sink. The server's job table deduplicates keys
 // before they are enqueued and persists each result once when its job
 // completes, so a scenario is simulated at most once per cluster
 // lifetime — and zero times when a persistent store already holds its
@@ -39,19 +41,16 @@ var (
 	// ErrClosing rejects a job because the executor is shutting down;
 	// clients should resubmit elsewhere (or after a restart).
 	ErrClosing = errors.New("dispatch: shutting down")
-	// ErrOverloaded rejects a job because the fair queue's global
-	// waiting bound was passed — the shed signal the HTTP layer turns
+	// ErrOverloaded rejects a job because the Queue's bound on jobs
+	// not yet running was passed — the shed signal the HTTP layer turns
 	// into 503 + Retry-After.
 	ErrOverloaded = errors.New("dispatch: overloaded, shedding load")
-	// ErrQuotaExceeded rejects a job because its tenant is at its
-	// outstanding-job quota; other tenants are unaffected (429).
-	ErrQuotaExceeded = errors.New("dispatch: tenant quota exceeded")
 )
 
 // MaxQueueDepth bounds an executor's backlog: the coordinator's lease
 // table (queued plus leased jobs), and with it how many keys one
-// heartbeat or register request may carry. A FairQueue keeps at most
-// its Slots resident in the executor, so servers clamp Slots to it.
+// heartbeat request may carry. A Queue in front of an executor built
+// elsewhere keeps at most this many jobs in it.
 const MaxQueueDepth = 4096
 
 // Sink receives job lifecycle events from an executor. The HTTP server

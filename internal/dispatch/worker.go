@@ -22,8 +22,8 @@ type WorkerConfig struct {
 	ID string
 	// Client issues the HTTP calls (default: 30s-timeout client).
 	Client *http.Client
-	// APIKey, when set, authenticates against a coordinator running
-	// with tenancy enabled.
+	// APIKey, when set, is sent as the bearer key of a coordinator
+	// started with an API key.
 	APIKey string
 	// Poll is the idle wait between empty leases (default 500ms). Failed
 	// leases back off from Poll, doubling up to 32×Poll.

@@ -275,11 +275,7 @@ func (b *builder) makeGroup(n, layers int, role Role) []FuncID {
 			layer = i % layers
 		}
 		id := FuncID(len(b.prog.Funcs))
-		name := fmt.Sprintf("app_%d", id)
-		if role == RoleKernelInternal {
-			name = fmt.Sprintf("kern_%d", id)
-		}
-		f := &Function{ID: id, Name: name, Role: role, Layer: layer}
+		f := &Function{ID: id, Role: role, Layer: layer}
 		b.prog.Funcs = append(b.prog.Funcs, f)
 		ids = append(ids, id)
 	}
@@ -297,7 +293,7 @@ func (b *builder) makeEntries(n, kernelLayers int) []FuncID {
 	ids := make([]FuncID, 0, n)
 	for i := 0; i < n; i++ {
 		id := FuncID(len(b.prog.Funcs))
-		f := &Function{ID: id, Name: fmt.Sprintf("trap_%d", id), Role: RoleTrapEntry, Layer: kernelLayers}
+		f := &Function{ID: id, Role: RoleTrapEntry, Layer: kernelLayers}
 		b.prog.Funcs = append(b.prog.Funcs, f)
 		ids = append(ids, id)
 	}

@@ -120,9 +120,8 @@ func (b StaticBlock) LoopMeanIters() float64 {
 const MaxFuncBlocks = math.MaxUint16 + 1
 
 // Function is a contiguous run of static blocks. Fields run from widest
-// to narrowest, so a function takes 64 bytes.
+// to narrowest, so a function takes 48 bytes.
 type Function struct {
-	Name string
 	// Blocks is the function's run of static blocks in address order: a
 	// capacity-capped sub-slice of one slab that holds every block of
 	// the program, in function ID order.

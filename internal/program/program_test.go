@@ -218,7 +218,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 // accept the largest function TargetIdx can index.
 func TestValidateRefusesOverflow(t *testing.T) {
 	fn := func(entry isa.Addr, blocks int) *Program {
-		f := &Function{Name: "f", Role: RoleApp, entry: entry, Blocks: make([]StaticBlock, blocks)}
+		f := &Function{Role: RoleApp, entry: entry, Blocks: make([]StaticBlock, blocks)}
 		for i := range f.Blocks {
 			f.Blocks[i] = StaticBlock{Off: uint32(i) * 4, NumInstr: 4, Callee: NoFunc}
 		}
@@ -271,5 +271,16 @@ func TestHostSizeStaticBlock(t *testing.T) {
 	}
 	if got := unsafe.Sizeof(StaticBlock{}); got != 24 {
 		t.Fatalf("unsafe.Sizeof(StaticBlock{}) = %d, want 24", got)
+	}
+}
+
+// TestHostSizeFunction guards Function's 48-byte padding-free layout
+// (widest field first): every profile holds thousands of them.
+func TestHostSizeFunction(t *testing.T) {
+	if bits.UintSize != 64 {
+		t.Skip("layout pinned for 64-bit hosts")
+	}
+	if got := unsafe.Sizeof(Function{}); got != 48 {
+		t.Fatalf("unsafe.Sizeof(Function{}) = %d, want 48", got)
 	}
 }

@@ -1,8 +1,8 @@
 package server
 
-// Multi-tenant farm tests: fair-share scheduling end to end over HTTP,
-// API-key auth, the SSE sweep stream, the error-envelope surface, and
-// the Prometheus exposition.
+// Farm tests over HTTP: the FIFO's order and depth metric, the API-key
+// gate (lease routes included), the SSE sweep stream, the
+// error-envelope surface, and the Prometheus exposition.
 
 import (
 	"encoding/json"
@@ -24,24 +24,8 @@ import (
 	"shotgun/internal/store"
 )
 
-const (
-	keyAcme = "key-acme-sweeps"
-	keySolo = "key-solo-sims"
-)
-
-// testRegistry is two equal-weight tenants: acme (the sweep flood) and
-// solo (the single interactive sim).
-func testRegistry(t *testing.T) *TenantRegistry {
-	t.Helper()
-	reg, err := ParseTenants([]byte(`{"tenants":[
-		{"name":"acme","key":"` + keyAcme + `"},
-		{"name":"solo","key":"` + keySolo + `"}
-	]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return reg
-}
+// testKey is the API key of the keyed test servers.
+const testKey = "key-farm-test"
 
 // grant is one job the manual executor received.
 type grant struct {
@@ -49,26 +33,43 @@ type grant struct {
 	sc  sim.Scenario
 }
 
-// manualExec is a hand-cranked executor: it records every dispatched
-// job and completes one only when the test says so, making fair-queue
-// interleavings deterministic instead of racing real workers.
+// manualExec is a hand-cranked one-worker executor: it records every
+// job it is handed, starts them one at a time in arrival order, and
+// finishes one only when the test says so, making interleavings
+// deterministic instead of racing real workers.
 type manualExec struct {
-	sink dispatch.Sink
-	mu   sync.Mutex
-	got  []grant
+	sink    dispatch.Sink
+	mu      sync.Mutex
+	got     []grant
+	started int  // grants started so far
+	busy    bool // grant started-1 is running
 }
 
 func (m *manualExec) Enqueue(key string, sc sim.Scenario) error {
 	m.mu.Lock()
 	m.got = append(m.got, grant{key: key, sc: sc})
 	m.mu.Unlock()
-	m.sink.JobRunning(key)
+	m.startNext()
 	return nil
 }
 
 func (m *manualExec) Stop(bool) {}
 
-// waitGrants blocks until at least n jobs have been dispatched.
+// startNext starts the oldest grant not yet started, unless one runs.
+func (m *manualExec) startNext() {
+	m.mu.Lock()
+	if m.busy || m.started == len(m.got) {
+		m.mu.Unlock()
+		return
+	}
+	g := m.got[m.started]
+	m.started++
+	m.busy = true
+	m.mu.Unlock()
+	m.sink.JobRunning(g.key)
+}
+
+// waitGrants blocks until at least n jobs have been handed over.
 func (m *manualExec) waitGrants(t *testing.T, n int) []grant {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -86,12 +87,29 @@ func (m *manualExec) waitGrants(t *testing.T, n int) []grant {
 	}
 }
 
-// complete finishes grant i successfully (idempotent).
+// finish ends grant i with res, or as failed when msg is not empty,
+// and starts the next grant if i was the running one.
+func (m *manualExec) finish(i int, res sim.ScenarioResult, msg string) {
+	m.mu.Lock()
+	g := m.got[i]
+	if m.busy && i == m.started-1 {
+		m.busy = false
+	}
+	m.mu.Unlock()
+	if msg != "" {
+		m.sink.JobFailed(g.key, msg)
+	} else {
+		m.sink.JobDone(g.key, res)
+	}
+	m.startNext()
+}
+
+// complete finishes grant i successfully with a result of its shape.
 func (m *manualExec) complete(i int) {
 	m.mu.Lock()
 	g := m.got[i]
 	m.mu.Unlock()
-	m.sink.JobDone(g.key, sim.ScenarioResult{Cores: make([]sim.Result, len(g.sc.Cores))})
+	m.finish(i, sim.ScenarioResult{Cores: make([]sim.Result, len(g.sc.Cores))}, "")
 }
 
 // request performs one HTTP call, optionally with a Bearer key, and
@@ -144,17 +162,14 @@ func metricValue(t *testing.T, body, series string) int {
 	return 0
 }
 
-// TestFairShareSingleSimVsBigSweep is the tenancy acceptance path:
-// tenant acme floods the farm with a 512-scenario batch, tenant solo
-// submits one sim, and the fair-share queue must grant solo's job
-// within a bounded number of slot completions — so it finishes while
-// acme's backlog still has hundreds waiting, all visible per tenant in
-// /metrics.
-func TestFairShareSingleSimVsBigSweep(t *testing.T) {
+// TestBacklogRunsInOrder: one FIFO serves every submitter, so a
+// single sim submitted after a 512-scenario batch runs after the whole
+// batch, and /metrics counts the accepted jobs that are not running
+// yet — those waiting in the FIFO and those the executor holds alike.
+func TestBacklogRunsInOrder(t *testing.T) {
 	var exec *manualExec
 	srv := New(Config{
-		Scale: tinyScale(), ScaleName: "tiny", Workers: 2, FairSlots: 2,
-		Tenants: testRegistry(t),
+		Scale: tinyScale(), ScaleName: "tiny", Workers: 2,
 		NewExecutor: func(_ *harness.Runner, sink dispatch.Sink) dispatch.Executor {
 			exec = &manualExec{sink: sink}
 			return exec
@@ -165,7 +180,7 @@ func TestFairShareSingleSimVsBigSweep(t *testing.T) {
 	// grants and a drain would wait on them forever.
 	t.Cleanup(func() { ts.Close(); srv.Shutdown() })
 
-	// Tenant acme: 512 distinct one-core scenarios (BTB sweep).
+	// A 512-scenario BTB sweep, then one single sim.
 	var scs []sim.Scenario
 	for i := 0; i < 512; i++ {
 		scs = append(scs, sim.Scenario{Cores: []sim.Config{
@@ -176,7 +191,7 @@ func TestFairShareSingleSimVsBigSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, raw := request(t, http.MethodPost, ts.URL+"/v1/scenarios", keyAcme, string(body), nil)
+	resp, raw := request(t, http.MethodPost, ts.URL+"/v1/scenarios", "", string(body), nil)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("sweep submit status %d: %s", resp.StatusCode, raw)
 	}
@@ -184,89 +199,60 @@ func TestFairShareSingleSimVsBigSweep(t *testing.T) {
 	if err := json.Unmarshal(raw, &sweepOut); err != nil {
 		t.Fatal(err)
 	}
-	if len(sweepOut.Scenarios) != 512 {
-		t.Fatalf("echoed %d scenarios, want 512", len(sweepOut.Scenarios))
-	}
-	// Both residency slots fill with acme work before solo shows up.
-	grants := exec.waitGrants(t, 2)
-
-	// Tenant solo: one interactive sim.
-	resp, raw = request(t, http.MethodPost, ts.URL+"/v1/scenarios", keySolo,
+	resp, raw = request(t, http.MethodPost, ts.URL+"/v1/scenarios", "",
 		`{"scenarios":[{"Cores":[{"Workload":"Nutch","Mechanism":"fdip"}]}]}`, nil)
 	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("solo submit status %d: %s", resp.StatusCode, raw)
+		t.Fatalf("single submit status %d: %s", resp.StatusCode, raw)
 	}
 	var soloOut client.SubmitScenariosResponse
 	if err := json.Unmarshal(raw, &soloOut); err != nil {
 		t.Fatal(err)
 	}
-	soloKey := soloOut.Scenarios[0].Key
-	for _, g := range grants {
-		if g.key == soloKey {
-			t.Fatal("solo's key granted before it was submitted")
+
+	// Every job reaches the executor in submission order.
+	grants := exec.waitGrants(t, 513)
+	for i, st := range sweepOut.Scenarios {
+		if grants[i].key != st.Key {
+			t.Fatalf("grant %d is %s, want the sweep's scenario %d (%s)", i, grants[i].key, i, st.Key)
 		}
 	}
+	if grants[512].key != soloOut.Scenarios[0].Key {
+		t.Fatal("the single sim was not handed over after the whole sweep")
+	}
 
-	// Crank completions one at a time: the weighted round-robin must
-	// grant solo's sim within a couple of freed slots, not after acme's
-	// 512-job backlog.
-	soloPos := -1
-	for done := 0; soloPos < 0 && done < 4; done++ {
-		exec.complete(done)
-		grants = exec.waitGrants(t, 3+done)
-		for i, g := range grants {
-			if g.key == soloKey {
-				soloPos = i
-			}
+	scrape := func() string {
+		resp, raw := request(t, http.MethodGet, ts.URL+"/metrics", "", "", nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/metrics status %d", resp.StatusCode)
 		}
+		return string(raw)
 	}
-	if soloPos < 0 {
-		t.Fatal("solo's sim was not granted within 4 completions of a 512-job backlog — fair share is starving it")
+	// One job runs; the other 512 are accepted and not running.
+	exposition := scrape()
+	if got := metricValue(t, exposition, "shotgun_queue_depth"); got != 512 {
+		t.Errorf("queue depth = %d, want 512", got)
 	}
-	exec.complete(soloPos)
-
-	// Solo's sim is done while acme's sweep has barely started.
-	resp, raw = request(t, http.MethodGet, ts.URL+"/v1/scenarios/"+soloKey, keySolo, "", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("solo poll status %d", resp.StatusCode)
+	if got := metricValue(t, exposition, "shotgun_inflight_jobs"); got != 1 {
+		t.Errorf("in-flight jobs = %d, want 1", got)
 	}
-	var soloSt ScenarioStatus
-	if err := json.Unmarshal(raw, &soloSt); err != nil {
-		t.Fatal(err)
+	exec.complete(0)
+	exposition = scrape()
+	if got := metricValue(t, exposition, "shotgun_queue_depth"); got != 511 {
+		t.Errorf("queue depth after one completion = %d, want 511", got)
 	}
-	if soloSt.Status != StatusDone {
-		t.Fatalf("solo sim status %q, want done before the sweep finishes", soloSt.Status)
+	if got := metricValue(t, exposition, "shotgun_inflight_jobs"); got != 1 {
+		t.Errorf("in-flight jobs after one completion = %d, want 1", got)
 	}
-
-	// The imbalance is visible per tenant on the (unauthenticated)
-	// metrics scrape.
-	resp, raw = request(t, http.MethodGet, ts.URL+"/metrics", "", "", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics status %d", resp.StatusCode)
-	}
-	exposition := string(raw)
-	if got := metricValue(t, exposition, `shotgun_tenant_queued{tenant="acme"}`); got < 500 {
-		t.Errorf("acme queued = %d, want >= 500 still waiting", got)
-	}
-	if got := metricValue(t, exposition, `shotgun_tenant_completed_total{tenant="solo"}`); got != 1 {
-		t.Errorf("solo completed = %d, want 1", got)
-	}
-	if got := metricValue(t, exposition, `shotgun_tenant_queued{tenant="solo"}`); got != 0 {
-		t.Errorf("solo queued = %d, want 0", got)
-	}
-	if got := metricValue(t, exposition, "shotgun_queue_slots"); got != 2 {
-		t.Errorf("queue slots = %d, want 2", got)
-	}
-	if metricValue(t, exposition, "shotgun_queue_depth") < 500 {
-		t.Error("global queue depth lost the backlog")
+	if strings.Contains(exposition, "shotgun_queue_slots") {
+		t.Error("the exposition still carries shotgun_queue_slots")
 	}
 }
 
 // TestAuthGate covers the API-key middleware: bad credentials 401 with
-// the envelope, good ones pass (case-insensitive scheme), exempt
-// routes need no key, and a registry-less server never asks for one.
+// the envelope, the key passes (case-insensitive scheme), exempt
+// routes need no key, and a server without a key never asks for one.
 func TestAuthGate(t *testing.T) {
-	srv := New(Config{Scale: tinyScale(), ScaleName: "tiny", Workers: 1, Tenants: testRegistry(t)})
+	srv := New(Config{Scale: tinyScale(), ScaleName: "tiny", Workers: 1, APIKey: testKey})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 
@@ -275,6 +261,8 @@ func TestAuthGate(t *testing.T) {
 		"wrong scheme":   "Basic Zm9v",
 		"unknown key":    "Bearer nope",
 		"empty key":      "Bearer ",
+		"key prefix":     "Bearer " + testKey[:len(testKey)-1],
+		"key plus byte":  "Bearer " + testKey + "x",
 	} {
 		t.Run(name, func(t *testing.T) {
 			hdr := map[string]string{}
@@ -295,9 +283,9 @@ func TestAuthGate(t *testing.T) {
 		})
 	}
 
-	// Valid key passes; the scheme is case-insensitive per RFC 7235.
+	// The key passes; the scheme is case-insensitive per RFC 7235.
 	resp, _ := request(t, http.MethodGet, ts.URL+"/v1/experiments", "", "",
-		map[string]string{"Authorization": "bearer " + keyAcme})
+		map[string]string{"Authorization": "bearer " + testKey})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("lowercase-scheme auth status %d, want 200", resp.StatusCode)
 	}
@@ -322,7 +310,7 @@ func TestAuthGate(t *testing.T) {
 		t.Fatalf("version compatibility fields wrong: %+v", v)
 	}
 
-	// Auth off: everything is the anonymous tenant, no key needed.
+	// No key: auth is off and every route answers without one.
 	_, tsOpen := newTestServer(t, nil)
 	resp, raw = request(t, http.MethodGet, tsOpen.URL+"/v1/version", "", "", nil)
 	if resp.StatusCode != http.StatusOK {
@@ -332,7 +320,116 @@ func TestAuthGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	if v.AuthRequired {
-		t.Fatal("registry-less server claims auth is required")
+		t.Fatal("a server without a key claims auth is required")
+	}
+	if resp, _ := request(t, http.MethodGet, tsOpen.URL+"/v1/experiments", "", "", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("open experiments status %d, want 200", resp.StatusCode)
+	}
+}
+
+func TestBearerKey(t *testing.T) {
+	cases := []struct {
+		header string
+		key    string
+		ok     bool
+	}{
+		{"Bearer abc", "abc", true},
+		{"bearer abc", "abc", true},
+		{"BEARER abc", "abc", true},
+		{"Bearer  abc ", " abc ", true},
+		{"Bearer " + strings.Repeat("k", 300), strings.Repeat("k", 300), true},
+		{"Bearer ", "", false},
+		{"Bearer", "", false},
+		{"Basic abc", "", false},
+		{"", "", false},
+		{"abc", "", false},
+	}
+	for _, tc := range cases {
+		key, ok := bearerKey(tc.header)
+		if key != tc.key || ok != tc.ok {
+			t.Errorf("bearerKey(%q) = %q,%v want %q,%v", tc.header, key, ok, tc.key, tc.ok)
+		}
+	}
+}
+
+// TestLeaseRoutesNeedKey: a keyed server mounts the coordinator's
+// lease routes behind the key. Unkeyed lease, heartbeat and complete
+// calls each get the 401 envelope, the pushed result never reaches the
+// store, and the keyed push of the same result is persisted.
+func TestLeaseRoutesNeedKey(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{
+		Scale: tinyScale(), ScaleName: "tiny", Workers: 1, Store: st, APIKey: testKey,
+		NewExecutor: func(_ *harness.Runner, sink dispatch.Sink) dispatch.Executor {
+			return dispatch.NewCoordinator(dispatch.CoordinatorConfig{Sink: sink, ReapEvery: -1})
+		},
+	})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { ts.Close(); srv.Shutdown() })
+
+	resp, raw := request(t, http.MethodPost, ts.URL+"/v1/scenarios", testKey,
+		`{"scenarios":[{"Cores":[{"Workload":"Nutch","Mechanism":"none"}]}]}`, nil)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status %d: %s", resp.StatusCode, raw)
+	}
+	var sub client.SubmitScenariosResponse
+	if err := json.Unmarshal(raw, &sub); err != nil {
+		t.Fatal(err)
+	}
+	key := sub.Scenarios[0].Key
+	j := srv.jobByKey(key)
+	// The job waits in the lease table once the FIFO hands it over.
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.exec.(*dispatch.Coordinator).Stats().Enqueued != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("job never reached the lease table")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	res := sim.MustRunScenario(j.sc)
+	complete, err := json.Marshal(client.CompleteRequest{Worker: "w", Key: key, Result: res})
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := []struct{ path, body string }{
+		{"/v1/lease", `{"worker":"w","max":1}`},
+		{"/v1/heartbeat", `{"worker":"w","keys":["` + key + `"]}`},
+		{"/v1/complete", string(complete)},
+	}
+	for _, c := range calls {
+		for _, header := range []string{"", "Bearer nope"} {
+			resp, raw := request(t, http.MethodPost, ts.URL+c.path, "", c.body,
+				map[string]string{"Authorization": header})
+			var env client.ErrorEnvelope
+			if resp.StatusCode != http.StatusUnauthorized || json.Unmarshal(raw, &env) != nil ||
+				env.Error.Code != client.CodeUnauthorized {
+				t.Fatalf("%s with Authorization %q: %d %s, want the 401 envelope", c.path, header, resp.StatusCode, raw)
+			}
+		}
+	}
+	if got := st.Stats().Puts; got != 0 {
+		t.Fatalf("unkeyed calls put %d records, want 0", got)
+	}
+	if _, found := st.GetKey(key); found {
+		t.Fatal("an unkeyed complete reached the store")
+	}
+	j.mu.Lock()
+	status := j.status
+	j.mu.Unlock()
+	if status != StatusQueued {
+		t.Fatalf("job status %q after unkeyed calls, want queued", status)
+	}
+
+	// With the key the same push is accepted and persisted.
+	resp, raw = request(t, http.MethodPost, ts.URL+"/v1/complete", testKey, string(complete), nil)
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(raw), `"accepted":true`) {
+		t.Fatalf("keyed complete: %d %s", resp.StatusCode, raw)
+	}
+	if _, found := st.GetKey(key); !found {
+		t.Fatal("the keyed complete was not persisted")
 	}
 }
 
@@ -408,63 +505,53 @@ func TestErrorEnvelopeSurface(t *testing.T) {
 	}
 }
 
-// TestTenantQuotaOverHTTP: a tenant with MaxQueued 1 gets a 429
-// quota_exceeded envelope (with Retry-After) on its second submission
-// while the first is still outstanding — and an unconstrained tenant
-// is unaffected.
-func TestTenantQuotaOverHTTP(t *testing.T) {
-	reg, err := ParseTenants([]byte(`{"tenants":[
-		{"name":"capped","key":"cap-key","max_queued":1},
-		{"name":"free","key":"free-key"}
-	]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var exec *manualExec
+// TestCoordinatorHoldsAtMostItsLeaseTable: an executor passed in
+// through NewExecutor is handed at most dispatch.MaxQueueDepth jobs, so
+// a backlog one deeper than the coordinator's lease table is accepted
+// whole and no job fails with a full table; the extra job waits in
+// the FIFO.
+func TestCoordinatorHoldsAtMostItsLeaseTable(t *testing.T) {
 	srv := New(Config{
-		Scale: tinyScale(), ScaleName: "tiny", Workers: 1, FairSlots: 1, Tenants: reg,
+		Scale: tinyScale(), ScaleName: "tiny", Workers: 1,
 		NewExecutor: func(_ *harness.Runner, sink dispatch.Sink) dispatch.Executor {
-			exec = &manualExec{sink: sink}
-			return exec
+			return dispatch.NewCoordinator(dispatch.CoordinatorConfig{Sink: sink, ReapEvery: -1})
 		},
 	})
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() { ts.Close(); srv.Shutdown() })
-
-	resp, raw := request(t, http.MethodPost, ts.URL+"/v1/scenarios", "cap-key",
-		`{"scenarios":[{"Cores":[{"Workload":"Nutch","Mechanism":"none"}]}]}`, nil)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("first submit status %d: %s", resp.StatusCode, raw)
+	t.Cleanup(srv.Shutdown)
+	const n = dispatch.MaxQueueDepth + 1
+	keys := make([]string, n)
+	scs := make([]sim.Scenario, n)
+	for i := range keys {
+		keys[i] = strconv.Itoa(i)
+		scs[i] = sim.SingleCore(sim.Config{Workload: "Nutch", Mechanism: sim.None})
 	}
-	resp, raw = request(t, http.MethodPost, ts.URL+"/v1/scenarios", "cap-key",
-		`{"scenarios":[{"Cores":[{"Workload":"Nutch","Mechanism":"fdip"}]}]}`, nil)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("over-quota submit status %d, want 429: %s", resp.StatusCode, raw)
+	if _, err := srv.enqueue(keys, scs); err != nil {
+		t.Fatalf("enqueue %d jobs: %v", n, err)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("429 missing Retry-After")
+	coord := srv.exec.(*dispatch.Coordinator)
+	deadline := time.Now().Add(10 * time.Second)
+	for coord.Stats().Pending < dispatch.MaxQueueDepth {
+		if time.Now().After(deadline) {
+			t.Fatalf("lease table holds %d jobs, want %d", coord.Stats().Pending, dispatch.MaxQueueDepth)
+		}
+		time.Sleep(time.Millisecond)
 	}
-	var env client.ErrorEnvelope
-	if err := json.Unmarshal(raw, &env); err != nil {
-		t.Fatal(err)
+	time.Sleep(10 * time.Millisecond) // an extra hand-over would fail a job here
+	if cs := coord.Stats(); cs.Pending != dispatch.MaxQueueDepth || cs.Failed != 0 {
+		t.Fatalf("lease table: %+v, want %d pending and none failed", cs, dispatch.MaxQueueDepth)
 	}
-	if env.Error.Code != client.CodeQuotaExceeded || !env.Error.Retryable {
-		t.Fatalf("envelope wrong: %+v", env.Error)
+	if qs := srv.queue.Stats(); qs.Queued != n {
+		t.Fatalf("queue: %+v, want all %d jobs queued", qs, n)
 	}
-
-	// Another tenant's headroom is its own.
-	resp, raw = request(t, http.MethodPost, ts.URL+"/v1/scenarios", "free-key",
-		`{"scenarios":[{"Cores":[{"Workload":"Nutch","Mechanism":"fdip"}]}]}`, nil)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("free tenant status %d, want 202: %s", resp.StatusCode, raw)
+	for _, key := range keys {
+		j := srv.jobByKey(key)
+		j.mu.Lock()
+		status := j.status
+		j.mu.Unlock()
+		if status != StatusQueued {
+			t.Fatalf("job %s is %q, want queued", key, status)
+		}
 	}
-
-	// The capped tenant's rejection shows up in its metrics row.
-	_, raw = request(t, http.MethodGet, ts.URL+"/metrics", "", "", nil)
-	if got := metricValue(t, string(raw), `shotgun_tenant_rejected_total{tenant="capped"}`); got != 1 {
-		t.Errorf("capped rejected = %d, want 1", got)
-	}
-	_ = exec // grants are never completed; Shutdown abandons them
 }
 
 // TestExperimentRenderGoesThroughExecutor: a catalog render queues its
@@ -474,7 +561,7 @@ func TestTenantQuotaOverHTTP(t *testing.T) {
 func TestExperimentRenderGoesThroughExecutor(t *testing.T) {
 	var exec *manualExec
 	srv := New(Config{
-		Scale: tinyScale(), ScaleName: "tiny", Workers: 1, FairSlots: 8,
+		Scale: tinyScale(), ScaleName: "tiny", Workers: 1,
 		NewExecutor: func(_ *harness.Runner, sink dispatch.Sink) dispatch.Executor {
 			exec = &manualExec{sink: sink}
 			return exec
@@ -520,33 +607,30 @@ func TestExperimentRenderGoesThroughExecutor(t *testing.T) {
 	}
 }
 
-// TestExperimentRenderHonorsTenantQuota: a catalog render is tenant
-// work, so a tenant capped at one outstanding job gets 429
-// quota_exceeded on a six-scenario table.
-func TestExperimentRenderHonorsTenantQuota(t *testing.T) {
-	reg, err := ParseTenants([]byte(`{"tenants":[{"name":"capped","key":"cap-key","max_queued":1}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestExperimentRenderHonorsMaxQueue: a catalog render is queued
+// work, so a server that sheds past one waiting job answers table1's
+// six scenarios with 503 overloaded.
+func TestExperimentRenderHonorsMaxQueue(t *testing.T) {
 	srv := New(Config{
-		Scale: tinyScale(), ScaleName: "tiny", Workers: 1, FairSlots: 1, Tenants: reg,
-		NewExecutor: func(_ *harness.Runner, sink dispatch.Sink) dispatch.Executor {
-			return &manualExec{sink: sink}
+		Scale: tinyScale(), ScaleName: "tiny", Workers: 1, MaxQueue: 1,
+		NewExecutor: func(*harness.Runner, dispatch.Sink) dispatch.Executor {
+			return sinkExec{}
 		},
 	})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { ts.Close(); srv.Shutdown() })
 
-	resp, raw := request(t, http.MethodGet, ts.URL+"/v1/experiments/table1", "cap-key", "", nil)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("render status %d, want 429: %s", resp.StatusCode, raw)
+	resp, raw := request(t, http.MethodGet, ts.URL+"/v1/experiments/table1", "", "", nil)
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("render status %d (Retry-After %q), want 503 with Retry-After: %s",
+			resp.StatusCode, resp.Header.Get("Retry-After"), raw)
 	}
 	var env client.ErrorEnvelope
 	if err := json.Unmarshal(raw, &env); err != nil {
 		t.Fatal(err)
 	}
-	if env.Error.Code != client.CodeQuotaExceeded {
-		t.Fatalf("envelope code %q, want %q", env.Error.Code, client.CodeQuotaExceeded)
+	if env.Error.Code != client.CodeOverloaded {
+		t.Fatalf("envelope code %q, want %q", env.Error.Code, client.CodeOverloaded)
 	}
 }
 
@@ -694,9 +778,9 @@ func TestSweepSSEAbandonSendsErrorEvent(t *testing.T) {
 	}
 }
 
-// TestMetricsExposition smokes the store and cluster metric families
-// (the tenant families are asserted by the fairness test) and the
-// anonymous-tenant labeling.
+// TestMetricsExposition smokes the queue, store and cluster metric
+// families (TestBacklogRunsInOrder asserts the queue gauges under
+// load).
 func TestMetricsExposition(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -732,9 +816,11 @@ func TestMetricsExposition(t *testing.T) {
 	if got := metricValue(t, exposition, "shotgun_cluster_workers"); got != 3 {
 		t.Errorf("cluster workers = %d, want 3", got)
 	}
-	// Auth off: the work ran under the anonymous tenant label.
-	if got := metricValue(t, exposition, `shotgun_tenant_completed_total{tenant="anonymous"}`); got != 1 {
-		t.Errorf("anonymous completed = %d, want 1", got)
+	// The one job is done: nothing is queued or running.
+	for _, series := range []string{"shotgun_queue_depth", "shotgun_inflight_jobs", "shotgun_shed_total"} {
+		if got := metricValue(t, exposition, series); got != 0 {
+			t.Errorf("%s = %d, want 0", series, got)
+		}
 	}
 	if metricValue(t, exposition, `shotgun_http_responses_total{class="2xx"}`) < 1 {
 		t.Error("2xx responses not counted")
@@ -750,19 +836,19 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestStructuredRequestLog: the access log carries method, path,
-// status and the authenticated tenant.
+// TestStructuredRequestLog: the access log carries method, path and
+// status, for refused requests too.
 func TestStructuredRequestLog(t *testing.T) {
 	var buf strings.Builder
 	var mu sync.Mutex
 	logger := slog.New(slog.NewJSONHandler(&lockedWriter{buf: &buf, mu: &mu}, nil))
 	srv := New(Config{Scale: tinyScale(), ScaleName: "tiny", Workers: 1,
-		Tenants: testRegistry(t), Logger: logger})
+		APIKey: testKey, Logger: logger})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 
-	request(t, http.MethodGet, ts.URL+"/v1/experiments", keyAcme, "", nil)
-	request(t, http.MethodGet, ts.URL+"/v1/scenarios/nope", keySolo, "", nil)
+	request(t, http.MethodGet, ts.URL+"/v1/experiments", testKey, "", nil)
+	request(t, http.MethodGet, ts.URL+"/v1/scenarios/nope", "", "", nil)
 
 	mu.Lock()
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -775,7 +861,6 @@ func TestStructuredRequestLog(t *testing.T) {
 		Method string `json:"method"`
 		Path   string `json:"path"`
 		Status int    `json:"status"`
-		Tenant string `json:"tenant"`
 	}
 	var first, second access
 	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
@@ -785,10 +870,10 @@ func TestStructuredRequestLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	if first.Msg != "request" || first.Method != "GET" || first.Path != "/v1/experiments" ||
-		first.Status != 200 || first.Tenant != "acme" {
+		first.Status != 200 {
 		t.Fatalf("first access line wrong: %+v", first)
 	}
-	if second.Status != 404 || second.Tenant != "solo" {
+	if second.Status != http.StatusUnauthorized || second.Path != "/v1/scenarios/nope" {
 		t.Fatalf("second access line wrong: %+v", second)
 	}
 }

@@ -62,51 +62,76 @@ func FuzzSubmitEndpoints(f *testing.F) {
 	})
 }
 
-// FuzzTenantAuth fuzzes the two attacker-reachable parsers of the
-// tenancy layer: the Authorization header splitter and the registry
-// document parser. Neither may panic, and a registry that parses must
-// uphold its invariants — bounded fields, duplicate-free names, every
-// key resolving back to its own tenant.
-func FuzzTenantAuth(f *testing.F) {
-	f.Add("Bearer key-1", []byte(`{"tenants":[{"name":"a","key":"key-1"}]}`))
-	f.Add("bearer x", []byte(`{"tenants":[]}`))
-	f.Add("Basic Zm9v", []byte(`{`))
-	f.Add("", []byte(`{"tenants":[{"name":"a","key":"k"},{"name":"b","key":"k"}]}`))
-	f.Add("Bearer \x00\xff", []byte(`{"tenants":[{"name":"a","key":"k","weight":-1}]}`))
-	f.Add("Bearer "+strings.Repeat("k", 300),
-		[]byte(`{"tenants":[{"name":"`+strings.Repeat("n", 100)+`","key":"k"}]}`))
+// keyedRoutes is every route of a keyed coordinator, each with a body
+// that could succeed past the key without blocking on a simulation:
+// the public API, the lease protocol and the exempt probes.
+var keyedRoutes = []struct{ method, path, body string }{
+	{http.MethodGet, "/healthz", ""},
+	{http.MethodGet, "/v1/version", ""},
+	{http.MethodGet, "/metrics", ""},
+	{http.MethodPost, "/v1/scenarios", `{"scenarios":[{"Cores":[{"Workload":"Oracle","Mechanism":"none"}]}]}`},
+	{http.MethodGet, "/v1/scenarios/deadbeef", ""},
+	{http.MethodPost, "/v1/sweeps", `{"version":`},
+	{http.MethodGet, "/v1/experiments", ""},
+	{http.MethodGet, "/v1/experiments/nope", ""},
+	{http.MethodGet, "/v1/store/stats", ""},
+	{http.MethodGet, "/v1/cluster", ""},
+	{http.MethodPost, "/v1/lease", `{"worker":"w","max":1}`},
+	{http.MethodPost, "/v1/heartbeat", `{"worker":"w","keys":["k"]}`},
+	{http.MethodPost, "/v1/complete", `{"worker":"w","key":"k","result":{"Cores":[]}}`},
+	{http.MethodGet, "/v1/nope", ""},
+}
 
-	f.Fuzz(func(t *testing.T, header string, doc []byte) {
-		key, ok := bearerKey(header)
-		if ok && (key == "" || len(key) > maxTenantKey) {
-			t.Fatalf("bearerKey accepted out-of-bounds key %q", key)
-		}
-		reg, err := ParseTenants(doc)
-		if err != nil {
-			if reg != nil {
-				t.Fatal("ParseTenants returned both a registry and an error")
+// FuzzAPIKeyAuth sends arbitrary Authorization headers to every route
+// of a keyed coordinator, the lease routes included. No header may
+// panic; a request without the exact key gets the 401 envelope on
+// every non-exempt route, never a 2xx; the exempt routes answer 200
+// whatever the header says; and the exact key always gets past the
+// gate.
+func FuzzAPIKeyAuth(f *testing.F) {
+	const key = "fuzz-key-0123"
+	srv := New(Config{
+		Scale: tinyScale(), ScaleName: "tiny", APIKey: key,
+		NewExecutor: func(_ *harness.Runner, sink dispatch.Sink) dispatch.Executor {
+			return dispatch.NewCoordinator(dispatch.CoordinatorConfig{Sink: sink, ReapEvery: -1})
+		},
+	})
+	// Shutdown, not Close: a drain would wait forever on jobs no worker
+	// leases.
+	f.Cleanup(func() { srv.Shutdown() })
+	handler := srv.Handler()
+
+	f.Add("Bearer " + key)
+	f.Add("bearer " + key)
+	f.Add("BEARER " + key + " ")
+	f.Add("Bearer " + key[:len(key)-1])
+	f.Add("Bearer ")
+	f.Add("Basic Zm9v")
+	f.Add("")
+	f.Add("Bearer \x00\xff")
+	f.Add("Bearer " + strings.Repeat("k", 300))
+
+	f.Fuzz(func(t *testing.T, header string) {
+		exact := len(header) >= len("bearer ") && strings.EqualFold(header[:len("bearer ")], "bearer ") &&
+			header[len("bearer "):] == key
+		for _, rt := range keyedRoutes {
+			req := httptest.NewRequest(rt.method, rt.path, strings.NewReader(rt.body))
+			req.Header.Set("Authorization", header)
+			rec := httptest.NewRecorder()
+			handler.ServeHTTP(rec, req)
+			switch {
+			case authExempt(rt.path):
+				if rec.Code != http.StatusOK {
+					t.Fatalf("exempt %s %s with Authorization %q: status %d", rt.method, rt.path, header, rec.Code)
+				}
+			case !exact:
+				if rec.Code != http.StatusUnauthorized || !strings.Contains(rec.Body.String(), `"unauthorized"`) {
+					t.Fatalf("%s %s with Authorization %q: status %d, want the 401 envelope",
+						rt.method, rt.path, header, rec.Code)
+				}
+			case rec.Code == http.StatusUnauthorized:
+				t.Fatalf("%s %s: the exact key was refused", rt.method, rt.path)
 			}
-			return
-		}
-		names := make(map[string]bool)
-		for _, tn := range reg.Tenants() {
-			if tn.Name == "" || len(tn.Name) > maxTenantName || tn.Key == "" || len(tn.Key) > maxTenantKey {
-				t.Fatalf("registry admitted out-of-bounds tenant %+v", tn)
-			}
-			if tn.Weight < 0 || tn.MaxQueued < 0 || tn.MaxInFlight < 0 {
-				t.Fatalf("registry admitted negative policy %+v", tn)
-			}
-			if names[tn.Name] {
-				t.Fatalf("registry admitted duplicate name %q", tn.Name)
-			}
-			names[tn.Name] = true
-			got, found := reg.Lookup(tn.Key)
-			if !found || got.Name != tn.Name {
-				t.Fatalf("key %q does not resolve to its tenant %q", tn.Key, tn.Name)
-			}
-		}
-		if ok {
-			reg.Lookup(key) // must not panic, whatever the header held
 		}
 	})
 }

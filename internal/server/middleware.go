@@ -1,12 +1,12 @@
 package server
 
-// HTTP middleware: API-key authentication against the tenant registry
-// and structured request logging. Both wrap the whole v1 surface from
-// Handler(); the cluster lease routes (mounted beside the handler by
-// shotgun-server) are cluster-internal and deliberately outside them.
+// HTTP middleware: the API-key check and structured request logging.
+// Both wrap every route Handler serves, the coordinator's lease
+// routes included.
 
 import (
-	"context"
+	"crypto/sha256"
+	"crypto/subtle"
 	"log/slog"
 	"net/http"
 	"strings"
@@ -15,43 +15,6 @@ import (
 
 	"shotgun/internal/client"
 )
-
-// ctxKey keys the request-scoped info holder.
-type ctxKey int
-
-const reqInfoKey ctxKey = 0
-
-// reqInfo is a mutable per-request holder: the logging middleware
-// installs it before auth runs, and auth fills the tenant in, so the
-// access log line can carry the tenant without the middlewares caring
-// about wrap order.
-type reqInfo struct {
-	tenant atomic.Pointer[string]
-}
-
-// withReqInfo returns ctx with a fresh holder (and the holder).
-func withReqInfo(ctx context.Context) (context.Context, *reqInfo) {
-	ri := &reqInfo{}
-	return context.WithValue(ctx, reqInfoKey, ri), ri
-}
-
-// setTenant records the authenticated tenant for handlers and logs.
-func setTenant(ctx context.Context, name string) {
-	if ri, ok := ctx.Value(reqInfoKey).(*reqInfo); ok {
-		ri.tenant.Store(&name)
-	}
-}
-
-// tenantFrom returns the authenticated tenant name ("" when auth is
-// off or the route is exempt).
-func tenantFrom(ctx context.Context) string {
-	if ri, ok := ctx.Value(reqInfoKey).(*reqInfo); ok {
-		if p := ri.tenant.Load(); p != nil {
-			return *p
-		}
-	}
-	return ""
-}
 
 // authExempt lists routes that must work without a key: health and
 // compatibility probes (load balancers, deploy tooling) and the
@@ -66,43 +29,41 @@ func authExempt(path string) bool {
 
 // bearerKey extracts the API key from an Authorization: Bearer header.
 // The scheme comparison is case-insensitive per RFC 7235; everything
-// after the single space is the key, verbatim.
+// after the single space is the key, verbatim, and must not be empty.
 func bearerKey(header string) (string, bool) {
 	const prefix = "bearer "
-	if len(header) < len(prefix) || !strings.EqualFold(header[:len(prefix)], prefix) {
+	if len(header) <= len(prefix) || !strings.EqualFold(header[:len(prefix)], prefix) {
 		return "", false
 	}
-	key := header[len(prefix):]
-	if key == "" || len(key) > maxTenantKey {
-		return "", false
-	}
-	return key, true
+	return header[len(prefix):], true
 }
 
-// authMiddleware rejects requests whose Authorization header does not
-// resolve to a registered tenant. reg == nil disables auth entirely:
-// every request runs as the anonymous tenant "".
-func authMiddleware(reg *TenantRegistry, next http.Handler) http.Handler {
-	if reg == nil {
+// keyMiddleware refuses, with the 401 unauthorized envelope, every
+// request to a non-exempt route that does not present the API key. The
+// presented and the configured key are compared as SHA-256 digests in
+// constant time, so neither their contents nor their lengths leak
+// through timing. An empty key turns auth off.
+func keyMiddleware(key string, next http.Handler) http.Handler {
+	if key == "" {
 		return next
 	}
+	want := sha256.Sum256([]byte(key))
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if authExempt(r.URL.Path) {
 			next.ServeHTTP(w, r)
 			return
 		}
-		key, ok := bearerKey(r.Header.Get("Authorization"))
+		got, ok := bearerKey(r.Header.Get("Authorization"))
 		if !ok {
 			client.WriteError(w, http.StatusUnauthorized, client.CodeUnauthorized,
 				"missing or malformed Authorization header (want \"Bearer <api-key>\")")
 			return
 		}
-		t, known := reg.Lookup(key)
-		if !known {
-			client.WriteError(w, http.StatusUnauthorized, client.CodeUnauthorized, "unknown API key")
+		sum := sha256.Sum256([]byte(got))
+		if subtle.ConstantTimeCompare(sum[:], want[:]) != 1 {
+			client.WriteError(w, http.StatusUnauthorized, client.CodeUnauthorized, "wrong API key")
 			return
 		}
-		setTenant(r.Context(), t.Name)
 		next.ServeHTTP(w, r)
 	})
 }
@@ -136,30 +97,23 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-// logMiddleware installs the request-info holder, counts the request
-// in the HTTP metrics, and emits one structured access line per
-// request: route, status, duration, and the tenant auth resolved.
+// logMiddleware counts the request in the HTTP metrics and emits one
+// structured access line per request: route, status and duration.
 func logMiddleware(log *slog.Logger, m *httpMetrics, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, ri := withReqInfo(r.Context())
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
-		next.ServeHTTP(sw, r.WithContext(ctx))
+		next.ServeHTTP(sw, r)
 		status := sw.status
 		if status == 0 {
 			status = http.StatusOK
 		}
 		m.observe(status)
-		tenant := ""
-		if p := ri.tenant.Load(); p != nil {
-			tenant = *p
-		}
 		log.Info("request",
 			slog.String("method", r.Method),
 			slog.String("path", r.URL.Path),
 			slog.Int("status", status),
 			slog.Duration("dur", time.Since(start)),
-			slog.String("tenant", tenant),
 		)
 	})
 }

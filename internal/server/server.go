@@ -18,6 +18,9 @@
 //	GET  /v1/store/stats          persistent-store traffic counters
 //	GET  /metrics                 Prometheus text exposition (no key required)
 //	GET  /healthz                 liveness (plain "ok"; no key required)
+//	POST /v1/lease, /v1/heartbeat, /v1/complete; GET /v1/cluster
+//	                              the coordinator's lease protocol (internal/dispatch),
+//	                              served only when the executor is a coordinator
 //
 // A single simulation is a one-core scenario ({"Cores":[cfg]}); every
 // submission runs through one submit path, one job table, one key space
@@ -25,20 +28,17 @@
 // envelope {"error":{"code","message","retryable"}}; a request that
 // matches no route, or the wrong method on a known one, gets not_found.
 //
-// Multi-tenancy: with a TenantRegistry configured, every request (bar
-// /healthz, /v1/version, /metrics) must carry "Authorization: Bearer
-// <api-key>". Submissions are scheduled by a fair-share weighted
-// round-robin across tenants (internal/dispatch.FairQueue), bounded by
-// per-tenant quotas (429 + Retry-After) and a global queue bound that
-// sheds load (503 + Retry-After) — so one tenant's 4096-scenario sweep
-// cannot starve another tenant's single sim. A tenant with max_rps set
-// is additionally rate-limited per request (token bucket; 429 +
-// Retry-After with code rate_limited) before its handler runs. Simulations are executed
-// asynchronously by a pluggable internal/dispatch executor — a fixed
-// local worker pool by default, or a dispatch.Coordinator leasing jobs
-// to remote workers — and duplicate keys (within a batch, across
-// batches, across tenants, or across restarts via the persistent
-// store) never simulate twice.
+// Auth: with an API key configured, every request bar /healthz,
+// /v1/version and /metrics must carry "Authorization: Bearer <key>",
+// the lease routes included; the key is compared in constant time.
+// Accepted jobs wait in one FIFO (internal/dispatch.Queue), bounded by
+// Config.MaxQueue (503 + Retry-After past it), so a large sweep delays
+// a small submit that follows it.
+// Simulations are executed asynchronously by a pluggable
+// internal/dispatch executor — a fixed local worker pool by default,
+// or a dispatch.Coordinator leasing jobs to remote workers — and
+// duplicate keys (within a batch, across batches, or across restarts
+// via the persistent store) never simulate twice.
 package server
 
 import (
@@ -72,13 +72,9 @@ const (
 // ScenarioStatus is the v1 job status, defined in internal/client.
 type ScenarioStatus = client.ScenarioStatus
 
-// Retry-After hints: a quota trip clears as soon as the tenant's own
-// work drains (fast), a global shed needs overall load to fall
-// (slower).
-const (
-	quotaRetryAfter = 2 * time.Second
-	shedRetryAfter  = 10 * time.Second
-)
+// shedRetryAfter is the Retry-After hint of a shed submission: the
+// backlog has to drain before a retry can be taken.
+const shedRetryAfter = 10 * time.Second
 
 // Config parameterizes a Server.
 type Config struct {
@@ -96,23 +92,16 @@ type Config struct {
 	// executor. Any store.Backend works: the on-disk store, or a
 	// decorator around it.
 	Store store.Backend
-	// MaxQueue bounds jobs waiting in the fair-share queue across all
-	// tenants; past it submissions shed with 503 + Retry-After. 0
-	// means unlimited.
+	// MaxQueue bounds accepted jobs that are not yet running; past it
+	// submissions shed with 503 + Retry-After. 0 means unlimited.
 	MaxQueue int
-	// FairSlots bounds how many jobs the fair queue keeps resident in
-	// the executor at once (default 2×Workers, clamped to
-	// dispatch.MaxQueueDepth); the local pool's backlog is this deep.
-	// Cluster mode wants this larger — it bounds lease-table
-	// occupancy, not local compute.
-	FairSlots int
 	// MaxBatch bounds scenarios per submission (default 1024);
 	// oversized batches are rejected with 400 before any validation.
 	MaxBatch int
-	// Tenants, when non-nil, enables API-key auth and per-tenant
-	// fair-share policies. Nil serves everything as one anonymous
-	// tenant with no auth.
-	Tenants *TenantRegistry
+	// APIKey, when set, must arrive as "Authorization: Bearer <key>" on
+	// every route but /healthz, /v1/version and /metrics. Empty turns
+	// auth off.
+	APIKey string
 	// Logger receives structured request/lifecycle logs (default:
 	// discard).
 	Logger *slog.Logger
@@ -120,7 +109,9 @@ type Config struct {
 	// server's runner (which only sizes it) and its job-table sink
 	// (cluster mode passes a dispatch.Coordinator constructor here).
 	// Nil builds the local worker pool — the classic single-node path.
-	// Either way the backend runs behind the fair-share queue.
+	// Either way the backend runs behind the server's FIFO; a
+	// *dispatch.Coordinator's lease routes are served from Handler,
+	// behind the API key.
 	NewExecutor func(r *harness.Runner, sink dispatch.Sink) dispatch.Executor
 	// ClusterStats, when non-nil, feeds coordinator lease counters
 	// into /metrics (cluster mode only).
@@ -203,9 +194,9 @@ type Server struct {
 	scale        harness.Scale
 	scaleName    string
 	maxBatch     int
-	fair         *dispatch.FairQueue
-	reg          *TenantRegistry
-	limits       *rateLimiters
+	queue        *dispatch.Queue
+	exec         dispatch.Executor // the queue's inner executor
+	apiKey       string
 	log          *slog.Logger
 	clusterStats func() dispatch.CoordinatorStats
 	httpStats    httpMetrics
@@ -227,7 +218,7 @@ type Server struct {
 }
 
 // New builds a server and starts its execution backend behind the
-// fair-share queue. Call Close to drain.
+// FIFO. Call Close to drain.
 func New(cfg Config) *Server {
 	workers := cfg.Workers
 	if workers < 1 {
@@ -236,15 +227,6 @@ func New(cfg Config) *Server {
 	maxBatch := cfg.MaxBatch
 	if maxBatch <= 0 {
 		maxBatch = 1024
-	}
-	slots := cfg.FairSlots
-	if slots <= 0 {
-		slots = 2 * workers
-	}
-	if slots > dispatch.MaxQueueDepth {
-		// Slots above the coordinator's lease table would make the
-		// dispatcher trip ErrQueueFull and fail jobs spuriously.
-		slots = dispatch.MaxQueueDepth
 	}
 	logger := cfg.Logger
 	if logger == nil {
@@ -260,26 +242,27 @@ func New(cfg Config) *Server {
 		scale:        cfg.Scale,
 		scaleName:    cfg.ScaleName,
 		maxBatch:     maxBatch,
-		reg:          cfg.Tenants,
-		limits:       newRateLimiters(cfg.Tenants),
+		apiKey:       cfg.APIKey,
 		log:          logger,
 		clusterStats: cfg.ClusterStats,
 		jobs:         make(map[string]*job),
 		abandonCh:    make(chan struct{}),
 	}
-	newInner := func(sink dispatch.Sink) dispatch.Executor {
-		if cfg.NewExecutor != nil {
-			return cfg.NewExecutor(runner, sink)
-		}
-		// The fair queue never keeps more than slots jobs resident, so
-		// a slots-deep backlog never fills.
-		return dispatch.NewLocalPool(runner, sink, slots)
+	// The local pool holds two jobs per worker, one running and one
+	// ready, in a backlog exactly that deep. An executor built elsewhere
+	// (a coordinator's lease table) holds up to its own backlog bound.
+	resident := 2 * workers
+	if cfg.NewExecutor != nil {
+		resident = dispatch.MaxQueueDepth
 	}
-	s.fair = dispatch.NewFairQueue(dispatch.FairConfig{
-		Slots:    slots,
-		MaxQueue: cfg.MaxQueue,
-		Tenants:  cfg.Tenants.Policies(),
-	}, s, newInner)
+	s.queue = dispatch.NewQueue(resident, cfg.MaxQueue, s, func(sink dispatch.Sink) dispatch.Executor {
+		if cfg.NewExecutor != nil {
+			s.exec = cfg.NewExecutor(runner, sink)
+		} else {
+			s.exec = dispatch.NewLocalPool(runner, sink, resident)
+		}
+		return s.exec
+	})
 	return s
 }
 
@@ -291,8 +274,8 @@ func (s *Server) jobByKey(key string) *job {
 }
 
 // The dispatch.Sink implementation: executors report job lifecycle
-// transitions here (through the fair queue, which forwards after its
-// own slot accounting). Unknown keys are ignored — the executor
+// transitions here (through the queue, which forwards after its own
+// accounting). Unknown keys are ignored — the executor
 // outliving a job table entry is not possible today (jobs are never
 // evicted), but a sink must not panic on protocol slack.
 
@@ -387,13 +370,12 @@ func (s *Server) stop(abandon bool) {
 		close(s.abandonCh)
 	}
 	s.mu.Unlock()
-	s.fair.Stop(abandon)
+	s.queue.Stop(abandon)
 }
 
-// Handler returns the server's HTTP routes, wrapped in the logging
-// and (when a registry is configured) auth and per-tenant rate-limit
-// middleware. Rate limiting sits inside auth so buckets are keyed by
-// the authenticated tenant, never by a claimed name.
+// Handler returns the server's HTTP routes, and a coordinator
+// executor's lease routes, wrapped in the logging and API-key
+// middleware.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/scenarios", s.handleSubmitScenarios)
@@ -407,14 +389,16 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
+	if coord, ok := s.exec.(*dispatch.Coordinator); ok {
+		coord.Register(mux)
+	}
 	// Without a catch-all the mux answers an unknown route or a wrong
 	// method in plain text; every non-2xx answer must be the envelope.
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		client.WriteError(w, http.StatusNotFound, client.CodeNotFound,
 			"no route for %s %s", r.Method, r.URL.Path)
 	})
-	return logMiddleware(s.log, &s.httpStats,
-		authMiddleware(s.reg, rateLimitMiddleware(s.limits, mux)))
+	return logMiddleware(s.log, &s.httpStats, keyMiddleware(s.apiKey, mux))
 }
 
 func (s *Server) handleVersion(w http.ResponseWriter, _ *http.Request) {
@@ -423,20 +407,19 @@ func (s *Server) handleVersion(w http.ResponseWriter, _ *http.Request) {
 		StoreFormatVersion: store.FormatVersion,
 		MaxCores:           sim.MaxCores,
 		Scale:              s.scaleName,
-		AuthRequired:       s.reg != nil,
+		AuthRequired:       s.apiKey != "",
 	})
 }
 
-// enqueue registers and enqueues pre-validated, pinned scenarios for
-// one tenant under one job-table lock hold (fair-queue Submits never
-// block); keys[i] must be store.ScenarioKey(scs[i]). A job becomes
-// visible in s.jobs only once the fair queue actually holds it (or the
+// enqueue registers and enqueues pre-validated, pinned scenarios under
+// one job-table lock hold (queue Enqueues never block); keys[i] must
+// be store.ScenarioKey(scs[i]). A job becomes visible in s.jobs only
+// once the queue actually holds it (or the
 // store already held its result), so no concurrent submitter can ever
 // be handed a key that later disappears. A key the persistent store
 // already has is born done without touching the executor — the path
 // that lets a restarted cluster serve known scenarios without
-// re-leasing anything. On quota or shed the already-enqueued prefix
-// stands — it is valid work, and a retry dedups onto it — and the
+// re-leasing anything. On a shed the already-enqueued prefix stands — it is valid work, and a retry dedups onto it — and the
 // error tells the caller what to answer; dispatch.ErrClosing means
 // Close has begun and retrying this server is pointless. The returned
 // jobs include deduplicated hits on existing keys, in batch order.
@@ -447,7 +430,7 @@ func (s *Server) handleVersion(w http.ResponseWriter, _ *http.Request) {
 // behind it. The store peek races benignly with concurrent submits of
 // the same key — whoever takes the lock first registers the job, and
 // the loser below reuses it.
-func (s *Server) enqueue(tenant string, keys []string, scs []sim.Scenario) ([]*job, error) {
+func (s *Server) enqueue(keys []string, scs []sim.Scenario) ([]*job, error) {
 	stored := make(map[string]store.Record)
 	if s.st != nil {
 		for _, key := range keys {
@@ -478,7 +461,7 @@ func (s *Server) enqueue(tenant string, keys []string, scs []sim.Scenario) ([]*j
 			jobs = append(jobs, s.adoptLocked(key, rec))
 			continue
 		}
-		if err := s.fair.Submit(tenant, key, sc); err != nil {
+		if err := s.queue.Enqueue(key, sc); err != nil {
 			return jobs, err
 		}
 		j := newJob(key, sc)
@@ -506,26 +489,19 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 // accept is the submit path every handler drains into: enqueue pinned
-// scenarios under the request's tenant, or write the refusal's
-// envelope — quota trips 429, shed and shutdown 503, all retryable,
-// the first two with a Retry-After hint.
-func (s *Server) accept(w http.ResponseWriter, r *http.Request, keys []string, scs []sim.Scenario) ([]*job, bool) {
-	jobs, err := s.enqueue(tenantFrom(r.Context()), keys, scs)
+// scenarios, or write the refusal's envelope — shutdown and shed both
+// 503 and retryable, a shed with a Retry-After hint.
+func (s *Server) accept(w http.ResponseWriter, keys []string, scs []sim.Scenario) ([]*job, bool) {
+	jobs, err := s.enqueue(keys, scs)
 	switch {
 	case err == nil:
 		return jobs, true
 	case errors.Is(err, dispatch.ErrClosing):
 		client.WriteError(w, http.StatusServiceUnavailable, client.CodeShuttingDown,
 			"server shutting down; submit elsewhere")
-	case errors.Is(err, dispatch.ErrQuotaExceeded):
-		client.WriteErrorRetryAfter(w, http.StatusTooManyRequests, client.CodeQuotaExceeded, quotaRetryAfter,
-			"tenant quota exceeded; retry after earlier work drains")
-	case errors.Is(err, dispatch.ErrOverloaded):
-		client.WriteErrorRetryAfter(w, http.StatusServiceUnavailable, client.CodeOverloaded, shedRetryAfter,
-			"server overloaded, shedding load; retry later")
 	default:
 		client.WriteErrorRetryAfter(w, http.StatusServiceUnavailable, client.CodeOverloaded, shedRetryAfter,
-			"queue full; retry later")
+			"server overloaded, shedding load; retry later")
 	}
 	return nil, false
 }
@@ -569,7 +545,7 @@ func (s *Server) handleSubmitScenarios(w http.ResponseWriter, r *http.Request) {
 		keys = append(keys, store.ScenarioKey(n))
 	}
 
-	jobs, ok := s.accept(w, r, keys, scs)
+	jobs, ok := s.accept(w, keys, scs)
 	if !ok {
 		return
 	}
@@ -684,11 +660,11 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// Render the way a sweep does: the scenarios run as the tenant's jobs
-	// (fair share, quotas, shedding; leased out by a coordinator), then
-	// the table is assembled from their results.
+	// Render the way a sweep does: the scenarios run as jobs (queued,
+	// shed past -max-queue, leased out by a coordinator), then the table
+	// is assembled from their results.
 	keys, pinned := s.pinScenarios([]harness.Experiment{exp})
-	jobs, ok := s.accept(w, r, keys, pinned)
+	jobs, ok := s.accept(w, keys, pinned)
 	if !ok || !s.awaitJobs(w, r, "experiment", exp.ID, jobs) {
 		return
 	}

@@ -381,7 +381,7 @@ func TestShutdownAbandonsQueuedWork(t *testing.T) {
 		batch = append(batch, sc)
 		keys = append(keys, store.ScenarioKey(sc))
 	}
-	jobs, err := srv.enqueue("", keys, batch)
+	jobs, err := srv.enqueue(keys, batch)
 	if err != nil || len(jobs) != len(batch) {
 		t.Fatalf("enqueue: %v (%d jobs)", err, len(jobs))
 	}
@@ -606,15 +606,15 @@ func TestStoreStatsEndpoint(t *testing.T) {
 	}
 }
 
-// TestQueueOverflow exercises the global load-shed bound: against a
-// never-completing executor with one residency slot and MaxQueue 2,
-// the waiting count can only ever drop by one, so a stream of five
-// distinct submissions must deterministically overflow into a 503
-// overloaded envelope with a Retry-After hint — and the shed key must
-// stay out of the job table so a later resubmit is clean.
+// TestQueueOverflow exercises the load-shed bound: against an executor
+// that never starts a job, MaxQueue 2 admits two jobs, so a batch of
+// five must shed into a 503 overloaded envelope with a Retry-After
+// hint. The enqueued prefix stands and polls as queued, the shed keys
+// stay out of the job table so a later resubmit is clean, and the shed
+// is counted.
 func TestQueueOverflow(t *testing.T) {
 	srv := New(Config{
-		Scale: tinyScale(), Workers: 1, FairSlots: 1, MaxQueue: 2,
+		Scale: tinyScale(), Workers: 1, MaxQueue: 2,
 		NewExecutor: func(*harness.Runner, dispatch.Sink) dispatch.Executor {
 			return sinkExec{}
 		},
@@ -624,46 +624,45 @@ func TestQueueOverflow(t *testing.T) {
 	// executor swallowed.
 	t.Cleanup(func() { ts.Close(); srv.Shutdown() })
 
-	var cfgs []sim.Config
+	var scs []sim.Scenario
 	for _, m := range []sim.Mechanism{sim.None, sim.FDIP, sim.RDIP, sim.Boomerang, sim.Shotgun} {
-		cfgs = append(cfgs, sim.Config{Workload: "Oracle", Mechanism: m})
+		scs = append(scs, sim.SingleCore(sim.Config{Workload: "Oracle", Mechanism: m}))
 	}
-	overflowed := false
-	for i, cfg := range cfgs {
-		sc := sim.SingleCore(cfg)
-		body, _ := json.Marshal(client.SubmitScenariosRequest{Scenarios: []sim.Scenario{sc}})
-		resp, err := http.Post(ts.URL+"/v1/scenarios", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch resp.StatusCode {
-		case http.StatusAccepted:
-		case http.StatusServiceUnavailable:
-			overflowed = true
-			if resp.Header.Get("Retry-After") == "" {
-				t.Error("shed response missing Retry-After")
-			}
-			var env client.ErrorEnvelope
-			if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-				t.Fatalf("shed body not an envelope: %v", err)
-			}
-			if env.Error.Code != client.CodeOverloaded || !env.Error.Retryable {
-				t.Fatalf("shed envelope wrong: %+v", env.Error)
-			}
-			// The shed key must be resubmittable once load drains.
-			key := store.ScenarioKey(srv.runner.NormalizeScenario(sc))
-			srv.mu.Lock()
-			_, present := srv.jobs[key]
-			srv.mu.Unlock()
-			if present {
-				t.Fatalf("shed sim %d left in job table", i)
-			}
-		default:
-			t.Fatalf("sim %d: status %d", i, resp.StatusCode)
-		}
-		resp.Body.Close()
+	body, _ := json.Marshal(client.SubmitScenariosRequest{Scenarios: scs})
+	resp, err := http.Post(ts.URL+"/v1/scenarios", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !overflowed {
-		t.Fatal("five submissions against MaxQueue 2 and a stuck executor never shed")
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("five scenarios against MaxQueue 2: status %d, want 503", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Error("shed response missing Retry-After")
+	}
+	var env client.ErrorEnvelope
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatalf("shed body not an envelope: %v", err)
+	}
+	if env.Error.Code != client.CodeOverloaded || !env.Error.Retryable {
+		t.Fatalf("shed envelope wrong: %+v", env.Error)
+	}
+	for i, sc := range scs {
+		key := store.ScenarioKey(srv.runner.NormalizeScenario(sc))
+		j := srv.jobByKey(key)
+		if i < 2 {
+			if j == nil {
+				t.Fatalf("enqueued scenario %d dropped from the job table", i)
+			}
+			var st ScenarioStatus
+			if err := json.Unmarshal(rawPoll(t, ts.URL, key), &st); err != nil || st.Status != StatusQueued {
+				t.Fatalf("enqueued scenario %d polls %+v (%v), want queued", i, st, err)
+			}
+		} else if j != nil {
+			t.Fatalf("shed scenario %d left in the job table", i)
+		}
+	}
+	if got := srv.queue.Stats().Shed; got != 1 {
+		t.Fatalf("shed count %d, want 1", got)
 	}
 }

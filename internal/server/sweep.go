@@ -186,7 +186,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	jobs, ok := s.accept(w, r, cs.keys, pinned)
+	jobs, ok := s.accept(w, cs.keys, pinned)
 	if !ok {
 		return
 	}

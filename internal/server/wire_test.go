@@ -190,12 +190,12 @@ func kept(j *job) []byte {
 }
 
 // newManualServer builds a server whose executor is hand-cranked and
-// holds one job at a time, so the others stay queued.
+// runs one job at a time, so the others stay queued.
 func newManualServer(t *testing.T) (*Server, *httptest.Server, *manualExec) {
 	t.Helper()
 	exec := &manualExec{}
 	srv := New(Config{
-		Scale: tinyScale(), ScaleName: "tiny", Workers: 1, FairSlots: 1,
+		Scale: tinyScale(), ScaleName: "tiny", Workers: 1,
 		NewExecutor: func(_ *harness.Runner, sink dispatch.Sink) dispatch.Executor {
 			exec.sink = sink
 			return exec
@@ -213,7 +213,7 @@ func TestScenarioStatusWireMatchesStruct(t *testing.T) {
 	srv, ts, exec := newManualServer(t)
 	scs := sixteenScenarios()[:3]
 
-	// One job holds the executor's only slot; two wait behind it.
+	// One job holds the executor's only worker; two wait behind it.
 	waitStatus(t, srv.jobByKey(submitKeys(t, ts.URL, scs)[0]), StatusRunning)
 	sts := checkWire(t, srv, ts.URL, scs)
 	if got := []string{sts[0].Status, sts[1].Status, sts[2].Status}; !reflect.DeepEqual(got,
@@ -221,12 +221,10 @@ func TestScenarioStatusWireMatchesStruct(t *testing.T) {
 		t.Fatalf("statuses %v, want running, queued, queued", got)
 	}
 
-	exec.sink.JobFailed(sts[0].Key, "boom")
-	exec.waitGrants(t, 2)
+	exec.finish(0, sim.ScenarioResult{}, "boom")
 	b := srv.jobByKey(sts[1].Key)
 	waitStatus(t, b, StatusRunning)
-	exec.sink.JobDone(b.key, sim.MustRunScenario(b.sc))
-	exec.waitGrants(t, 3)
+	exec.finish(1, sim.MustRunScenario(b.sc), "")
 	waitStatus(t, srv.jobByKey(sts[2].Key), StatusRunning)
 
 	sts = checkWire(t, srv, ts.URL, scs)
