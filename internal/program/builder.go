@@ -207,6 +207,10 @@ type builder struct {
 	// chunk is the scratch space fillBody carves function bodies from;
 	// allocSlab then copies every body into the program's one slab.
 	chunk []StaticBlock
+
+	// zipf shares the callee and trap popularity tables among the
+	// functions of this build only; they go with the builder.
+	zipf xrand.ZipfCache
 }
 
 // chunkBlocks sizes fillBody's scratch chunks: large enough that a
@@ -442,12 +446,12 @@ func (b *builder) fillBody(f *Function) {
 	callees := b.calleeCandidates(f)
 	var calleeZipf *xrand.Zipf
 	if len(callees) > 0 {
-		calleeZipf = xrand.NewZipf(b.rng, len(callees), b.p.ZipfS)
+		calleeZipf = b.zipf.NewZipf(b.rng, len(callees), b.p.ZipfS)
 	}
 	traps := b.trapCandidates()
 	var trapZipf *xrand.Zipf
 	if len(traps) > 0 && f.Role == RoleApp {
-		trapZipf = xrand.NewZipf(b.rng, len(traps), b.p.ZipfS)
+		trapZipf = b.zipf.NewZipf(b.rng, len(traps), b.p.ZipfS)
 	}
 
 	if len(b.chunk)+nBlocks > cap(b.chunk) {

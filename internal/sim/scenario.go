@@ -279,13 +279,18 @@ func RunScenario(sc Scenario) (ScenarioResult, error) {
 // simulate builds a validated, normalized scenario and runs it: on the
 // event kernel when exact, through runSampled when sampled (Validate
 // admits sampling only in a one-core scenario). A non-nil stream drives
-// core 0's first context in place of its walker.
+// core 0's first context in place of its walker. A sampled run reads
+// that stream ahead on one goroutine of its own, which is joined before
+// simulate returns or unwinds.
 func simulate(sc Scenario, stream workload.Stream) (ScenarioResult, error) {
 	states, err := buildStates(sc, stream)
 	if err != nil {
 		return ScenarioResult{}, err
 	}
 	if cfg := sc.Cores[0]; cfg.Sampling != nil {
+		ahead := states[0].ahead
+		ahead.start()
+		defer ahead.stop()
 		res := runSampled(cfg, states[0].c, states[0].engine)
 		return ScenarioResult{Cores: []Result{res}}, nil
 	}
@@ -360,6 +365,9 @@ type coreState struct {
 	target uint64
 	res    Result
 	done   bool
+	// ahead is the read-ahead over context 0's stream of a sampled
+	// core; simulate starts and stops it around runSampled.
+	ahead *readAhead
 }
 
 // startPhase applies the current phase's entry action and sets its
@@ -405,7 +413,9 @@ func (cs *coreState) nextPhase() {
 // driver — the event kernel, the sampled schedule and the lockstep test
 // oracle — runs over state built here, so their results are comparable
 // bit for bit: same mesh config, same attach order, same salted seeds.
-// A non-nil stream replaces core 0's first walker (RunStream).
+// A non-nil stream replaces core 0's first walker (RunStream), and a
+// sampled core's first stream is wrapped in a readAhead, not yet
+// started.
 func buildStates(sc Scenario, stream workload.Stream) ([]*coreState, error) {
 	ucfg := uncore.DefaultConfig()
 	ucfg.LLCSizeBytes = sc.LLCSizeBytes
@@ -452,11 +462,17 @@ func buildStates(sc Scenario, stream workload.Stream) ([]*coreState, error) {
 		if i == 0 && stream != nil {
 			streams[0] = stream
 		}
+		var ahead *readAhead
+		if cfg.Sampling != nil {
+			ahead = newReadAhead(streams[0])
+			streams[0] = ahead
+		}
 		cs := &coreState{
 			c:      core.New(ccfg, streams, engine, hier),
 			engine: engine,
 			phases: phasesOf(cfg),
 			res:    Result{Workload: cfg.Workload, Mechanism: cfg.Mechanism},
+			ahead:  ahead,
 		}
 		cs.startPhase()
 		states[i] = cs

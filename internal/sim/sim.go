@@ -295,6 +295,14 @@ func Run(cfg Config) (Result, error) {
 // still names the workload: its program supplies the predecode image
 // and data-side parameters, so the stream must have been recorded from
 // (or be consistent with) that program's address space.
+//
+// A sampled run (cfg.Sampling set) reads the stream on a goroutine of
+// its own, up to a few thousand blocks ahead of the core, and joins
+// that goroutine before returning: when RunStream returns, the stream
+// is no longer in use, and it has been advanced past the last block
+// simulated. A panic in the stream's Next, on a block the run needs,
+// is raised again in the caller's goroutine with the same value. An
+// exact run reads the stream inline.
 func RunStream(cfg Config, stream workload.Stream) (Result, error) {
 	if stream == nil {
 		return Result{}, fmt.Errorf("sim: RunStream requires a stream")

@@ -131,7 +131,7 @@ func (r *Source) Geometric(p float64) int {
 // 13-rank callee draw needs 16 buckets, not 4096. At 4096 buckets the
 // largest samplers in the tree (the 8192-block data-address draw in
 // every core's dispatch loop) resolve in one or two probes; tables are
-// shared process-wide, so a full 16 KiB guide is paid once per distinct
+// shared by shape, so a full 16 KiB guide is paid once per distinct
 // (n, s), not per core.
 const zipfGuideBuckets = 4096
 
@@ -147,9 +147,11 @@ type zipfTable struct {
 	buckets float64
 }
 
-// zipfTables caches tables by shape: the math.Pow sweep over n ranks is
-// a measurable slice of per-core construction in many-core scenarios,
-// and the values are identical every time.
+// zipfTables caches the simulator's tables by shape, for the life of
+// the process: the math.Pow sweep over n ranks is a measurable slice of
+// per-core construction in many-core scenarios, and the values are
+// identical every time. Generation-only shapes go through a ZipfCache
+// instead, which its owner drops.
 var zipfTables sync.Map
 
 type zipfKey struct {
@@ -168,14 +170,44 @@ type Zipf struct {
 }
 
 // NewZipf builds a Zipf sampler over n ranks with exponent s > 0.
-// Samplers with the same (n, s) share one immutable CDF/guide table.
+// Samplers with the same (n, s) share one immutable CDF/guide table,
+// kept for the life of the process.
 func NewZipf(src *Source, n int, s float64) *Zipf {
-	if n <= 0 {
-		panic("xrand: NewZipf with non-positive n")
-	}
 	key := zipfKey{n, s}
 	if v, ok := zipfTables.Load(key); ok {
 		return &Zipf{zipfTable: v.(*zipfTable), src: src}
+	}
+	v, _ := zipfTables.LoadOrStore(key, newZipfTable(n, s))
+	return &Zipf{zipfTable: v.(*zipfTable), src: src}
+}
+
+// ZipfCache shares Zipf tables by shape among the samplers one owner
+// builds, and lets them go with the owner: the program generator draws
+// from each of its shapes during one build only. The zero value is an
+// empty cache; it is not safe for concurrent use.
+type ZipfCache struct {
+	tables map[zipfKey]*zipfTable
+}
+
+// NewZipf is the package's NewZipf over the cache's tables.
+func (c *ZipfCache) NewZipf(src *Source, n int, s float64) *Zipf {
+	key := zipfKey{n, s}
+	t, ok := c.tables[key]
+	if !ok {
+		if c.tables == nil {
+			c.tables = make(map[zipfKey]*zipfTable)
+		}
+		t = newZipfTable(n, s)
+		c.tables[key] = t
+	}
+	return &Zipf{zipfTable: t, src: src}
+}
+
+// newZipfTable computes the table of the Zipf distribution over n ranks
+// with exponent s.
+func newZipfTable(n int, s float64) *zipfTable {
+	if n <= 0 {
+		panic("xrand: NewZipf with non-positive n")
 	}
 	cdf := make([]float64, n)
 	sum := 0.0
@@ -198,8 +230,7 @@ func NewZipf(src *Source, n int, s float64) *Zipf {
 		}
 		guide[k] = int32(i)
 	}
-	v, _ := zipfTables.LoadOrStore(key, &zipfTable{cdf: cdf, guide: guide, buckets: float64(buckets)})
-	return &Zipf{zipfTable: v.(*zipfTable), src: src}
+	return &zipfTable{cdf: cdf, guide: guide, buckets: float64(buckets)}
 }
 
 // Next returns the next Zipf-distributed rank in [0, n). The guide table

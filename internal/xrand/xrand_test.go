@@ -243,3 +243,24 @@ func TestBernoulliMatchesBool(t *testing.T) {
 		}
 	}
 }
+
+// TestZipfCacheIsLocal: a ZipfCache shares one table per shape among
+// its own samplers, draws exactly what NewZipf draws, and leaves the
+// process-wide tables alone, so its shapes go with its owner.
+func TestZipfCacheIsLocal(t *testing.T) {
+	const n, s = 1237, 0.913
+	var c ZipfCache
+	a, b := c.NewZipf(New(1), n, s), c.NewZipf(New(2), n, s)
+	if a.zipfTable != b.zipfTable {
+		t.Fatal("one cache built two tables for one shape")
+	}
+	if _, ok := zipfTables.Load(zipfKey{n, s}); ok {
+		t.Fatal("a cached shape reached the process-wide tables")
+	}
+	ref := NewZipf(New(1), n, s)
+	for i := 0; i < 10000; i++ {
+		if got, want := a.Next(), ref.Next(); got != want {
+			t.Fatalf("draw %d: %d from the cache, %d from NewZipf", i, got, want)
+		}
+	}
+}
